@@ -21,7 +21,7 @@ from .dtcoords import (
     twist_curve,
     validate,
 )
-from .gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign, kernel_name
+from .gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign
 from .holonomy import (
     annulus_from_gluing_parameter,
     evaluate_word,
@@ -80,7 +80,6 @@ __all__ = [
     "four_holed_sphere",
     "genus_two",
     "gluing_parameter_from_annulus",
-    "kernel_name",
     "layout_endpoints",
     "load_surface",
     "match_strands",

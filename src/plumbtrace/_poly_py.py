@@ -6,10 +6,6 @@ non-negative ints) to nonzero Gaussian-integer coefficients stored as
 Every function returns a fresh dict in canonical form (no zero coefficient
 is ever stored); inputs are never mutated.  Coefficients are exact
 arbitrary-precision integers throughout.
-
-``_poly_c`` is the compiled twin of this module; both implement the same
-contract and the wrapper layer picks one at import time.  Keep them in
-lockstep.
 """
 
 

@@ -130,6 +130,8 @@ def cmd_verify(args) -> int:
         for coords in random_coords(cfg):
             ok = _verify_one(args, surface, coords) and ok
         return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    if args.q is None or args.p is None:
+        raise CoordError("verify needs --q and --p, or --fuzz N")
     coords = _coords_from_args(args)
     return EXIT_OK if _verify_one(args, surface, coords) else EXIT_VERIFY_FAILED
 

@@ -166,7 +166,11 @@ def _pants_disks(surface, coords, layout: Layout, pants: int):
             white_chords.append((("w",) + arc.end_out, first))
             white_chords.append((second, ("w",) + arc.end_in))
             black_chords.append((first, second))
-    assert scc_seen == counts.total_scc()
+    if scc_seen != counts.total_scc():
+        raise RuntimeError(
+            f"pants {pants}: layout has {scc_seen} same-boundary arcs, "
+            f"arc counts give {counts.total_scc()}"
+        )
 
     return (white_circuit, white_chords), (black_circuit, black_chords)
 

@@ -8,10 +8,10 @@ Representation
 --------------
 A ``GaussPoly`` wraps a term dict mapping exponent tuples (one slot per
 variable) to nonzero ``(re, im)`` integer pairs.  The dict is the canonical
-form: two polynomials are equal iff their term dicts are equal.  The actual
-add/mul loops live in an arithmetic kernel, either the compiled extension
-``_poly_c`` or the pure-Python ``_poly_py`` fallback, selected at import
-(override with ``PLUMBTRACE_KERNEL=pure|compiled`` or ``set_kernel``).
+form: two polynomials are equal iff their term dicts are equal.  The
+add/mul loops live in ``_poly_py``, the one arithmetic kernel, which is
+pure Python.  Holonomy words are multiplied out by
+``holonomy.evaluate_word``, which works on the term dicts directly.
 
 Monomial order
 --------------
@@ -35,42 +35,9 @@ A unit coefficient on a nonconstant term is dropped: ``t1``, ``-t1``,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from . import _poly_py
-
-try:  # compiled kernel is optional
-    from . import _poly_c
-except ImportError:  # pragma: no cover - depends on build
-    _poly_c = None
-
-_KERNELS = {"pure": _poly_py}
-if _poly_c is not None:
-    _KERNELS["compiled"] = _poly_c
-
-_env = os.environ.get("PLUMBTRACE_KERNEL", "").strip().lower()
-if _env in _KERNELS:
-    _kernel = _KERNELS[_env]
-else:
-    _kernel = _KERNELS.get("compiled", _poly_py)
-
-
-def kernel_name() -> str:
-    """Name of the arithmetic kernel in use: 'compiled' or 'pure'."""
-    return "compiled" if _kernel is _poly_c and _poly_c is not None else "pure"
-
-
-def available_kernels() -> tuple[str, ...]:
-    return tuple(sorted(_KERNELS))
-
-
-def set_kernel(name: str) -> None:
-    """Switch the arithmetic kernel (used by benchmarks and kernel tests)."""
-    global _kernel
-    if name not in _KERNELS:
-        raise ValueError(f"unknown kernel {name!r}; available: {available_kernels()}")
-    _kernel = _KERNELS[name]
 
 
 @dataclass(frozen=True)
@@ -195,21 +162,21 @@ class GaussPoly:
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         self._check(other)
-        return GaussPoly(self.arity, _kernel.padd(self.terms, other.terms))
+        return GaussPoly(self.arity, _poly_py.padd(self.terms, other.terms))
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
         self._check(other)
-        return GaussPoly(self.arity, _kernel.padd(self.terms, _kernel.pneg(other.terms)))
+        return GaussPoly(self.arity, _poly_py.padd(self.terms, _poly_py.pneg(other.terms)))
 
     def __neg__(self) -> "GaussPoly":
-        return GaussPoly(self.arity, _kernel.pneg(self.terms))
+        return GaussPoly(self.arity, _poly_py.pneg(self.terms))
 
     def __mul__(self, other: "GaussPoly") -> "GaussPoly":
         self._check(other)
-        return GaussPoly(self.arity, _kernel.pmul(self.terms, other.terms))
+        return GaussPoly(self.arity, _poly_py.pmul(self.terms, other.terms))
 
     def scale(self, re: int, im: int = 0) -> "GaussPoly":
-        return GaussPoly(self.arity, _kernel.pscale(self.terms, (re, im)))
+        return GaussPoly(self.arity, _poly_py.pscale(self.terms, (re, im)))
 
     def __pow__(self, n: int) -> "GaussPoly":
         if n < 0:
@@ -369,7 +336,7 @@ class Mat2:
     def __matmul__(self, other: "Mat2") -> "Mat2":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        a, b, c, d = _kernel.mat_mul(
+        a, b, c, d = _poly_py.mat_mul(
             (self.a.terms, self.b.terms, self.c.terms, self.d.terms),
             (other.a.terms, other.b.terms, other.c.terms, other.d.terms),
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .dtcoords import CoordError, DTCoords
 from .gausspoly import GaussInt, GaussPoly
-from .holonomy import component_trace
+from .holonomy import WordError, component_trace
 from .standardpos import (
     Conn,
     Crossing,
@@ -216,8 +216,8 @@ def p_star_check(
     following traversal turns to the predecessor slot, +1 when the preceding
     traversal turns to the successor slot.  Summing over the crossings of
     curve i must give exactly 2*phat_i + q_i - p_i.  Returns
-    {curve: (lhs, rhs)} and raises on mismatch or on words with same-slot
-    returns.
+    {curve: (lhs, rhs)}.  Raises CoordError on mismatch or on words with
+    same-slot returns, and WordError on a crossing not flanked by traversals.
     """
     toks = word.tokens
     n = len(toks)
@@ -230,7 +230,8 @@ def p_star_check(
             continue
         before = toks[(idx - 1) % n]
         after = toks[(idx + 1) % n]
-        assert isinstance(before, Conn) and isinstance(after, Conn)
+        if not (isinstance(before, Conn) and isinstance(after, Conn)):
+            raise WordError(f"crossing at token {idx} is not flanked by traversals")
         kappa[tok.curve] += (after.turn() == "pred") + (before.turn() == "succ")
         q[tok.curve] += 1
     out: dict[int, tuple[int, int]] = {}

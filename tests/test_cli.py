@@ -112,6 +112,15 @@ def test_input_error_exit_code(capsys):
     assert code == 2
 
 
+def test_verify_without_coordinates_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--surface", str(SURFACES / "genus_two.surf"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: verify needs --q and --p, or --fuzz N\n"
+    code, _, _ = run(capsys, "verify", "--surface", S11, "--q", "1")
+    assert code == 2
+
+
 def test_verify_refuses_multicomponent(capsys):
     code, _, err = run(capsys, "verify", "--surface", S11, "--q", "2", "--p", "0")
     assert code == 2

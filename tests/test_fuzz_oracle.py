@@ -2,6 +2,8 @@
 
 import copy
 
+import pytest
+
 from plumbtrace.dtcoords import DTCoords, window_twists, validate
 from plumbtrace.fuzz import (
     FuzzConfig,
@@ -81,6 +83,14 @@ class TestOracle:
         bad.window_of[a], bad.window_of[b] = bad.window_of[b], bad.window_of[a]
         report = oracle_check(surface, coords, bad, matching)
         assert not report.simple
+
+    def test_layout_disagreeing_with_arc_counts_raises(self):
+        surface = four_holed_sphere()
+        coords = DTCoords((2,), (0,))
+        bad = copy.deepcopy(layout_endpoints(surface, coords))
+        bad.arcs = [arc for arc in bad.arcs if arc.kind != "scc"]
+        with pytest.raises(RuntimeError, match="same-boundary arcs"):
+            oracle_check(surface, coords, bad, match_strands(surface, coords))
 
     def test_corrupted_matching_detected(self):
         # a non-constant shift makes strands cross in the annulus

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from plumbtrace import _poly_py
 from plumbtrace.gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign
 
 
@@ -78,6 +79,13 @@ class TestCanonicalSign:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             canonical_sign(GaussPoly.zero(1))
+
+
+def test_kernel_exact_at_big_coefficients():
+    big = 10**40
+    p = {(1, 0, 0): (big, -big)}
+    q = {(0, 1, 0): (big, big)}
+    assert _poly_py.pmul(p, q) == {(1, 1, 0): (2 * big * big, 0)}
 
 
 def test_grlex_rendering_order():

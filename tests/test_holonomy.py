@@ -1,16 +1,22 @@
 """Generator matrices, word evaluation, trace polynomials."""
 
 import cmath
+from pathlib import Path
 
 import pytest
 
+from plumbtrace import _poly_py, holonomy
 from plumbtrace.dtcoords import DTCoords
+from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
 from plumbtrace.holonomy import (
     WordError,
+    _crossing_factor,
+    _loop_factor,
     annulus_from_gluing_parameter,
     boundary_loop,
     connector_table,
+    crossing_coeffs,
     crossing_matrix,
     cusp_path,
     evaluate_word,
@@ -18,6 +24,7 @@ from plumbtrace.holonomy import (
     generators,
     gluing_parameter_from_annulus,
     inverse_word_holonomy,
+    loop_coeffs,
     slot_to_top,
     trace_of_curve,
     translation,
@@ -29,11 +36,48 @@ from plumbtrace.standardpos import (
     Word,
     extract_components,
 )
-from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, four_holed_sphere, one_holed_torus
+from plumbtrace.surface import (
+    SLOT_0,
+    SLOT_1,
+    SLOT_INF,
+    four_holed_sphere,
+    load_surface,
+    one_holed_torus,
+)
+
+SURFACE_FILES = sorted((Path(__file__).resolve().parent.parent / "surfaces").glob("*.surf"))
 
 
 def C(arity, re, im=0):
     return GaussPoly.const(arity, re, im)
+
+
+def linear_factor(arity, c0, c1, k):
+    """The table entry C0 + t_{k+1}.C1 as a polynomial matrix."""
+    t = GaussPoly.var(arity, k)
+    return Mat2(*(C(arity, *a) + t.scale(*b) for a, b in zip(c0, c1)))
+
+
+def generator_product(word):
+    """Oracle: left-to-right product of the generator-built factors."""
+    out = Mat2.identity(word.arity)
+    for tok in word.tokens:
+        if isinstance(tok, Crossing):
+            out = out @ _crossing_factor(word.arity, tok)
+        elif isinstance(tok, SccLoop):
+            out = out @ _loop_factor(word.arity, tok)
+    return out
+
+
+def sample_words():
+    """Words of seeded connected curves on every stock surface."""
+    words = []
+    for path in SURFACE_FILES:
+        surface = load_surface(str(path))
+        cfg = FuzzConfig(surface, seed=13, max_q=3, max_abs_p=4, count=12, connected_only=True)
+        for coords in random_coords(cfg):
+            words.extend(c.word for c in extract_components(surface, coords) if c.word)
+    return words
 
 
 class TestGenerators:
@@ -122,6 +166,69 @@ class TestConnectorTable:
             assert sign in (1, -1) and cls in (0, 1)
             # exit at predecessor -> class 0, at successor -> class 1
             assert cls == (0 if exit_ == (entry + 2) % 3 else 1)
+
+    def test_failed_reduction_raises(self, monkeypatch):
+        # with the rotations replaced by shears only two of the six pairs reduce
+        shear = lambda arity, slot: Mat2.of_ints(arity, ((1, slot), (0, 1)))
+        monkeypatch.setattr(holonomy, "slot_to_top", shear)
+        connector_table.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="connector reduction failed"):
+                connector_table()
+        finally:
+            connector_table.cache_clear()
+
+
+class TestFactorTable:
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_crossing_entries_match_generator_product(self, arity):
+        one = C(arity, 1)
+        for curve in range(arity):
+            for out_slot in (0, 1, 2):
+                for in_slot in (0, 1, 2):
+                    for twist in range(-4, 5):
+                        tok = Crossing(curve, 0, out_slot, 0, in_slot, twist)
+                        c0, c1, k = crossing_coeffs(curve, out_slot, in_slot, twist)
+                        assert k == curve
+                        m = linear_factor(arity, c0, c1, k)
+                        assert m == _crossing_factor(arity, tok)
+                        assert m.det() == one
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_loop_entries_match_generator_product(self, arity):
+        for slot in (0, 1, 2):
+            for sign in (1, -1):
+                m = linear_factor(arity, loop_coeffs(slot, sign), ((0, 0),) * 4, 0)
+                assert m == _loop_factor(arity, SccLoop(0, slot, sign))
+                assert m.det() == C(arity, 1)
+
+
+class TestEvaluatorAgainstGeneratorProduct:
+    def test_sample_covers_every_surface(self):
+        # the differential tests below would pass vacuously on an empty sample
+        stems = {path.stem for path in SURFACE_FILES}
+        assert stems >= {"one_holed_torus", "four_holed_sphere", "twice_holed_torus", "genus_two"}
+        assert {w.arity for w in sample_words()} == {1, 2, 3}
+
+    def test_matches_oracle_on_sample(self):
+        for word in sample_words():
+            assert evaluate_word(word) == generator_product(word), word
+
+    def test_inverse_is_adjugate_on_sample(self):
+        for word in sample_words():
+            assert inverse_word_holonomy(word) == evaluate_word(word).adjugate()
+
+    def test_no_generic_products(self, monkeypatch):
+        words = sample_words()
+
+        def refuse(*args):
+            raise AssertionError("generic product called")
+
+        monkeypatch.setattr(Mat2, "__matmul__", refuse)
+        monkeypatch.setattr(_poly_py, "pmul", refuse)
+        monkeypatch.setattr(_poly_py, "mat_mul", refuse)
+        for word in words:
+            evaluate_word(word)
 
 
 class TestGoldenEvaluations:

@@ -4,7 +4,8 @@ import pytest
 
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists, twist_curve
 from plumbtrace.gausspoly import GaussPoly
-from plumbtrace.standardpos import extract_components
+from plumbtrace.holonomy import WordError
+from plumbtrace.standardpos import Word, extract_components
 from plumbtrace.surface import four_holed_sphere, genus_two, one_holed_torus
 from plumbtrace.verifier import (
     check_trace_polynomial,
@@ -136,6 +137,15 @@ class TestStarTwist:
             comp = extract_components(s, coords)[0]
             out = p_star_check(comp.word, coords.p, window_twists(s, coords))
             assert all(lhs == rhs for lhs, rhs in out.values())
+
+    def test_rejects_crossing_without_flanking_traversals(self):
+        s = one_holed_torus()
+        coords = DTCoords((1,), (0,))
+        word = extract_components(s, coords)[0].word
+        crossing = word.crossings()[0]
+        bad = Word(word.arity, (crossing, crossing))
+        with pytest.raises(WordError, match="not flanked by traversals"):
+            p_star_check(bad, coords.p, window_twists(s, coords))
 
     def test_rejects_words_with_same_slot_returns(self):
         s = four_holed_sphere()
