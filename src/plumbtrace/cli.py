@@ -4,7 +4,8 @@ Subcommands: trace, verify, word, convert-twist, random, kra.  Every
 subcommand that reads a surface validates it before touching coordinates.
 Output is plain text or JSON lines (--format jsonl); JSON field names are
 part of the stable interface.  Exit codes: 0 success, 1 verification
-failure, 2 input error.
+failure, 2 input error, 3 internal error (a fault in plumbtrace itself,
+reported as one ``internal error:`` line, never as a traceback).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .fuzz import FuzzConfig, random_coords
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -47,6 +49,13 @@ def _emit(args, record: dict, text: str) -> None:
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
+
+
+def _check_non_negative(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise CoordError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
 
 
 def _add_surface_coord_args(sub, coords: bool = True):
@@ -116,6 +125,7 @@ def _verify_one(args, surface, coords) -> bool:
 
 
 def cmd_verify(args) -> int:
+    _check_non_negative(args, "fuzz", "max_q", "max_abs_p")
     surface = load_surface(args.surface)
     if args.fuzz:
         cfg = FuzzConfig(
@@ -137,6 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random(args) -> int:
+    _check_non_negative(args, "count", "max_q", "max_abs_p")
     surface = load_surface(args.surface)
     cfg = FuzzConfig(
         surface,
@@ -227,6 +238,9 @@ def run(argv: list[str] | None = None) -> int:
     except (SurfaceError, CoordError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a fault in plumbtrace, not in the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 def main() -> None:

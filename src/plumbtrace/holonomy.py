@@ -23,21 +23,24 @@ slots contribute nothing of their own: the two flanking rotations already
 encode them, reducing modulo sign to W0 or W1 by the relations
 W0.W1 = -Id, W0^2 = W1.
 
-Every factor is affine in one gluing parameter, C0 + t_i.C1 with constant
-Gaussian-integer matrices:
+Only the crossings depend on the gluing parameters, and every other
+matrix is an integer matrix, so a word with crossings c_1 .. c_q factors as
 
-    crossing   C0 = W_e^-1 . i(1 -2t; 0 -1) . W_e',  C1 = W_e^-1 . i(0 -1; 0 0) . W_e'
-    loop       C0 = W_e^-1 . (1 0; 2s 1) . W_e,      C1 = 0
+    K_0 . (i A_1) . K_1 . (i A_2) . K_2 ... (i A_q) . K_q
 
-``crossing_coeffs`` and ``loop_coeffs`` compute these in closed form and
-cache them per slot data, and ``evaluate_word`` multiplies the running
-product by each factor in one shift-and-add pass over its term dicts.  The
-generator products (``_crossing_factor``, ``_loop_factor``) stay as an
-independent path for ``inverse_word_holonomy`` and the tests.
+where K_j = W_in(c_j) . L_j . W_out(c_{j+1})^-1 folds the rotations on
+either side of the j-th joint with the run L_j of same-slot returns between
+them (``joint_matrix``, cached; for a plain traversal it is +-W0 or +-W1;
+at either end of the word the missing rotation is Winf = Id).
+``evaluate_word`` multiplies the rows of the running product out over
+plain-int term dicts keyed by monomials packed into one int: each crossing
+is one shifted pass in t_i followed by an integer combination of columns,
+and the q units i become the single phase i^q, applied when the four
+entries are lifted to Gaussian-integer polynomials.  The generator
+products (``_crossing_factor``, ``_loop_factor``) stay as an independent
+path for ``inverse_word_holonomy`` and the tests.
 
-Everything is exact over Gaussian-integer polynomials; determinants stay 1
-factor by factor, and unit factors such as the i per crossing live inside
-the coefficients (no separate phase channel is needed).
+Everything is exact; determinants stay 1 factor by factor.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .standardpos import (
     Word,
     extract_components,
 )
-from .surface import PantsDecomposition
+from .surface import SLOT_INF, PantsDecomposition
 
 
 class WordError(ValueError):
@@ -155,117 +158,108 @@ def _loop_factor(arity: int, tok: SccLoop) -> Mat2:
     return w.adjugate() @ _loop_zero_power(arity, tok.sign) @ w
 
 
-# -- linear factor table -----------------------------------------------------
+# -- integer word evaluation -------------------------------------------------
 
-# A constant 2x2 matrix over Z[i]: row-major 4-tuple of (re, im) pairs.
-GaussMat = tuple[tuple[int, int], ...]
-
-_ZERO_MAT: GaussMat = ((0, 0),) * 4
-_SLOT_TO_TOP = (  # W0, W1, Winf as integer rows, the same as generators()
-    ((1, -1), (1, 0)),
-    ((0, -1), (1, -1)),
-    ((1, 0), (0, 1)),
-)
+# W0, W1, Winf as integer rows ((a, b), (c, d)), the same as generators()
+_SLOT_TO_TOP = (((1, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, 1)))
 
 
-def _gauss_mat(rows) -> GaussMat:
-    """Lift ((a, b), (c, d)) with int or (re, im) entries."""
-    return tuple(v if isinstance(v, tuple) else (v, 0) for row in rows for v in row)
+def _int_matmul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def _gauss_matmul(x: GaussMat, y: GaussMat) -> GaussMat:
-    def mul(u, v):
-        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-    def dot(u1, v1, u2, v2):
-        (r1, i1), (r2, i2) = mul(u1, v1), mul(u2, v2)
-        return (r1 + r2, i1 + i2)
-
-    a, b, c, d = x
-    e, f, g, h = y
-    return (dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g), dot(c, f, d, h))
-
-
-def _conjugate_by_slots(out_slot: int, in_slot: int, core: GaussMat) -> GaussMat:
-    """W_out^-1 . core . W_in, inverting W_out by its adjugate (det 1)."""
-    (a, b), (c, d) = _SLOT_TO_TOP[out_slot]
-    w_out_inv = _gauss_mat(((d, -b), (-c, a)))
-    return _gauss_matmul(_gauss_matmul(w_out_inv, core), _gauss_mat(_SLOT_TO_TOP[in_slot]))
+def _slot_inverse(slot: int):
+    (a, b), (c, d) = _SLOT_TO_TOP[slot]
+    return ((d, -b), (-c, a))  # the adjugate, since det W = 1
 
 
 @lru_cache(maxsize=None)
-def crossing_coeffs(
-    curve: int, out_slot: int, in_slot: int, twist: int
-) -> tuple[GaussMat, GaussMat, int]:
-    """A crossing's factor as (C0, C1, k), meaning C0 + t_{k+1}.C1."""
-    core0 = _gauss_mat((((0, 1), (0, -2 * twist)), (0, (0, -1))))  # i(1 -2t; 0 -1)
-    core1 = _gauss_mat(((0, (0, -1)), (0, 0)))  # i(0 -1; 0 0)
-    return (
-        _conjugate_by_slots(out_slot, in_slot, core0),
-        _conjugate_by_slots(out_slot, in_slot, core1),
-        curve,
-    )
+def joint_matrix(
+    in_slot: int, loops: tuple[tuple[int, int], ...], out_slot: int
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The constant K = W_in . L_1 ... L_r . W_out^-1 between two crossings.
+
+    W_in rotates the slot the first crossing enters, each same-slot return
+    (slot, sign) after it contributes L = W_s^-1 . (1 0; 2*sign 1) . W_s,
+    and W_out rotates the slot the next crossing leaves.
+    """
+    k = _SLOT_TO_TOP[in_slot]
+    for slot, sign in loops:
+        loop = _int_matmul(((1, 0), (2 * sign, 1)), _SLOT_TO_TOP[slot])
+        k = _int_matmul(k, _int_matmul(_slot_inverse(slot), loop))
+    return _int_matmul(k, _slot_inverse(out_slot))
 
 
-@lru_cache(maxsize=None)
-def loop_coeffs(slot: int, sign: int) -> GaussMat:
-    """A same-slot return's constant factor W^-1 . (1 0; 2*sign 1) . W."""
-    return _conjugate_by_slots(slot, slot, _gauss_mat(((1, 0), (2 * sign, 1))))
+def _row_step(x: dict, y: dict, shift: int, twist: int, joint) -> tuple[dict, dict]:
+    """(x y) . A_X . K for one row of int term dicts, X = -t_k - 2*twist.
 
-
-def _add_scaled(out: dict, p: dict, coeff: tuple[int, int], shift: int | None) -> None:
-    """out += coeff * p, times t_{shift+1} unless shift is None."""
-    cr, ci = coeff
-    if not (cr or ci):
-        return
-    get = out.get
-    for m, (r, i) in p.items():
-        if shift is not None:
-            m = m[:shift] + (m[shift] + 1,) + m[shift + 1 :]
-        ar, ai = get(m, (0, 0))
-        out[m] = (ar + r * cr - i * ci, ai + r * ci + i * cr)
-
-
-def _row_times_factor(x: dict, y: dict, c0: GaussMat, c1: GaussMat, k: int) -> list[dict]:
-    """(x y) . (C0 + t_{k+1}.C1) for one row (x y) of term dicts."""
-    row = []
-    for col in (0, 1):
-        acc: dict = {}
-        _add_scaled(acc, x, c0[col], None)
-        _add_scaled(acc, y, c0[2 + col], None)
-        _add_scaled(acc, x, c1[col], k)
-        _add_scaled(acc, y, c1[2 + col], k)
-        row.append({m: c for m, c in acc.items() if c[0] or c[1]})
-    return row
+    Adding `shift` to a packed monomial multiplies it by t_k.  Since
+    (x y) . A_X = (x, -t_k.x - 2*twist.x - y), column j of the result is
+    (K0j - 2*twist*K1j).x - K1j.(t_k.x + y).
+    """
+    out = []
+    for a, b in zip(*joint):
+        a -= 2 * twist * b
+        if not b:
+            out.append({m: a * c for m, c in x.items()} if a else {})
+            continue
+        col = {m + shift: -b * c for m, c in x.items()}
+        get = col.get
+        for m, c in y.items():
+            col[m] = get(m, 0) - b * c
+        if a:
+            for m, c in x.items():
+                col[m] = get(m, 0) + a * c
+        out.append(col)
+    return out[0], out[1]
 
 
 def evaluate_word(word: Word) -> Mat2:
     """Exact holonomy of a compiled word (left-to-right product).
 
-    Each token's factor comes from the cached table as C0 + t_k.C1, and
-    the running product is multiplied by it row by row: an output entry
-    is x.c + y.c' from C0 plus the same combination from C1 shifted one
-    up in t_k, where (x y) is the row.
+    With A_X = (1 X; 0 -1) the word factors as K_0 . prod_j (i A_j) . K_j,
+    where K_j = joint_matrix(...) collects every constant between crossing
+    j and crossing j + 1.  All of these are integer matrices, so the rows
+    of the running product are multiplied out over plain-int term dicts
+    and the units i are applied once, as i^q for q crossings, when the four
+    entries are lifted to Gaussian polynomials.
     """
     if not word.tokens:
         raise WordError("empty word")
-    if not any(isinstance(t, Crossing) for t in word.tokens):
-        raise WordError("word contains no crossing")
-    arity = word.arity
-    one = (0,) * arity
-    a, b, c, d = {one: (1, 0)}, {}, {}, {one: (1, 0)}
+    steps, joints = [], []  # crossing j sits between joints j and j + 1
+    in_slot, loops = SLOT_INF, []  # Winf = Id stands in at both ends
     for tok in word.tokens:
         if isinstance(tok, Crossing):
-            c0, c1, k = crossing_coeffs(tok.curve, tok.out_slot, tok.in_slot, tok.twist)
+            if not 0 <= tok.curve < word.arity:
+                raise WordError(
+                    f"crossing of curve {tok.curve + 1} in a word of arity {word.arity}"
+                )
+            joints.append(joint_matrix(in_slot, tuple(loops), tok.out_slot))
+            steps.append((tok.curve, tok.twist))
+            in_slot, loops = tok.in_slot, []
         elif isinstance(tok, SccLoop):
-            c0, c1, k = loop_coeffs(tok.slot, tok.sign), _ZERO_MAT, 0
-        elif isinstance(tok, Conn):
-            continue  # carried by the adjacent crossings' rotations
-        else:  # pragma: no cover
+            loops.append((tok.slot, tok.sign))
+        elif not isinstance(tok, Conn):  # pragma: no cover
             raise WordError(f"unknown token {tok!r}")
-        a, b = _row_times_factor(a, b, c0, c1, k)
-        c, d = _row_times_factor(c, d, c0, c1, k)
-    return Mat2(*(GaussPoly(arity, e) for e in (a, b, c, d)))
+    if not steps:
+        raise WordError("word contains no crossing")
+    joints.append(joint_matrix(in_slot, tuple(loops), SLOT_INF))
+    # monomials packed into one int, `width` bits per variable: no
+    # exponent can exceed the number of crossings
+    width = len(steps).bit_length()
+    rows = [[{0: v} if v else {} for v in row] for row in joints[0]]
+    for (curve, twist), joint in zip(steps, joints[1:]):
+        rows = [_row_step(x, y, 1 << (curve * width), twist, joint) for x, y in rows]
+    entries = [e for row in rows for e in row]
+    mask, offsets = (1 << width) - 1, range(0, word.arity * width, width)
+    mono = {m: tuple(m >> o & mask for o in offsets) for m in set().union(*entries)}
+    pr, pi = ((1, 0), (0, 1), (-1, 0), (0, -1))[len(steps) % 4]  # i^q
+    return Mat2(
+        *(GaussPoly(word.arity, {mono[m]: (pr * c, pi * c) for m, c in e.items() if c})
+          for e in entries)
+    )
 
 
 def inverse_word_holonomy(word: Word) -> Mat2:
@@ -284,33 +278,6 @@ def inverse_word_holonomy(word: Word) -> Mat2:
         elif isinstance(tok, SccLoop):
             out = out @ _loop_factor(arity, tok).adjugate()
     return out
-
-
-# -- connector reduction -----------------------------------------------------
-
-@lru_cache(maxsize=None)
-def connector_table() -> dict[tuple[int, int], tuple[int, int]]:
-    """Reduce W_entry . W_exit^-1 to +-W0 or +-W1 for all distinct slot pairs.
-
-    Computed once by multiplying the actual matrices; the result maps
-    (entry, exit) to (sign, cls) with cls 0 or 1.  Every traversal reduces
-    to one of the two: an exit at the entry's predecessor gives cls 0, at
-    its successor cls 1.
-    """
-    table = {}
-    w = [slot_to_top(1, s) for s in (0, 1, 2)]
-    for entry in (0, 1, 2):
-        for exit_ in (0, 1, 2):
-            if entry == exit_:
-                continue
-            prod = w[entry] @ w[exit_].adjugate()
-            for sign in (1, -1):
-                for cls in (0, 1):
-                    if prod == (w[cls] if sign == 1 else -w[cls]):
-                        table[(entry, exit_)] = (sign, cls)
-    if len(table) != 6:
-        raise RuntimeError(f"connector reduction failed: {len(table)} of 6 slot pairs")
-    return table
 
 
 # -- curve-level traces ------------------------------------------------------

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from plumbtrace import cli
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
@@ -156,3 +158,33 @@ def test_kra_round_trip(capsys):
 def test_kra_requires_exactly_one_direction(capsys):
     code, _, err = run(capsys, "kra")
     assert code == 2
+
+
+NEGATIVE_COUNTS = [
+    ("verify", "--fuzz"),
+    ("verify", "--max-q"),
+    ("verify", "--max-abs-p"),
+    ("random", "--count"),
+    ("random", "--max-q"),
+    ("random", "--max-abs-p"),
+]
+
+
+@pytest.mark.parametrize("command,flag", NEGATIVE_COUNTS)
+def test_negative_count_is_input_error(capsys, command, flag):
+    extra = ("--fuzz", "2") if command == "verify" and flag != "--fuzz" else ()
+    code, out, err = run(capsys, command, "--surface", S12, *extra, flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be non-negative, got -1\n"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(surface, coords):
+        raise KeyError("lost slot")
+
+    monkeypatch.setattr(cli, "trace_of_curve", broken)
+    code, out, err = run(capsys, "trace", "--surface", S04, "--q", "2", "--p", "0")
+    assert code == cli.EXIT_INTERNAL_ERROR == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'lost slot'\n"

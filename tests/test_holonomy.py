@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from plumbtrace import _poly_py, holonomy
+from plumbtrace import _poly_py
 from plumbtrace.dtcoords import DTCoords
 from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
@@ -15,8 +15,6 @@ from plumbtrace.holonomy import (
     _loop_factor,
     annulus_from_gluing_parameter,
     boundary_loop,
-    connector_table,
-    crossing_coeffs,
     crossing_matrix,
     cusp_path,
     evaluate_word,
@@ -24,7 +22,7 @@ from plumbtrace.holonomy import (
     generators,
     gluing_parameter_from_annulus,
     inverse_word_holonomy,
-    loop_coeffs,
+    joint_matrix,
     slot_to_top,
     trace_of_curve,
     translation,
@@ -35,6 +33,7 @@ from plumbtrace.standardpos import (
     SccLoop,
     Word,
     extract_components,
+    word_from_text,
 )
 from plumbtrace.surface import (
     SLOT_0,
@@ -52,10 +51,9 @@ def C(arity, re, im=0):
     return GaussPoly.const(arity, re, im)
 
 
-def linear_factor(arity, c0, c1, k):
-    """The table entry C0 + t_{k+1}.C1 as a polynomial matrix."""
-    t = GaussPoly.var(arity, k)
-    return Mat2(*(C(arity, *a) + t.scale(*b) for a, b in zip(c0, c1)))
+def joint(arity, in_slot, loops, out_slot):
+    """A joint_matrix entry as a polynomial matrix."""
+    return Mat2.of_ints(arity, joint_matrix(in_slot, loops, out_slot))
 
 
 def generator_product(word):
@@ -160,47 +158,58 @@ class TestCrossingMatrix:
 
 class TestConnectorTable:
     def test_all_six_reduce(self):
-        table = connector_table()
-        assert set(table) == {(a, b) for a in range(3) for b in range(3) if a != b}
-        for (entry, exit_), (sign, cls) in table.items():
-            assert sign in (1, -1) and cls in (0, 1)
-            # exit at predecessor -> class 0, at successor -> class 1
-            assert cls == (0 if exit_ == (entry + 2) % 3 else 1)
+        w = [slot_to_top(1, s) for s in (SLOT_0, SLOT_1)]
+        for entry in (0, 1, 2):
+            for exit_ in (0, 1, 2):
+                if entry == exit_:
+                    continue
+                k = joint(1, entry, (), exit_)
+                # exit at predecessor -> +-W0, at successor -> +-W1
+                cls = 0 if exit_ == (entry + 2) % 3 else 1
+                assert k in (w[cls], -w[cls]), (entry, exit_)
 
-    def test_failed_reduction_raises(self, monkeypatch):
-        # with the rotations replaced by shears only two of the six pairs reduce
-        shear = lambda arity, slot: Mat2.of_ints(arity, ((1, slot), (0, 1)))
-        monkeypatch.setattr(holonomy, "slot_to_top", shear)
-        connector_table.cache_clear()
-        try:
-            with pytest.raises(RuntimeError, match="connector reduction failed"):
-                connector_table()
-        finally:
-            connector_table.cache_clear()
+
+# loop runs between two crossings: none, one return either way at any slot,
+# and two returns in a row (which the compiler never emits)
+LOOP_RUNS = [()] + [((s, e),) for s in (0, 1, 2) for e in (1, -1)] + [
+    ((0, 1), (0, 1)),
+    ((2, -1), (1, 1)),
+    ((1, 1), (1, -1)),
+]
 
 
 class TestFactorTable:
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_crossing_entries_match_generator_product(self, arity):
+        # the ends of the joints on either side of a crossing, around the
+        # slot-free core, give back the crossing's own generator product
         one = C(arity, 1)
         for curve in range(arity):
             for out_slot in (0, 1, 2):
                 for in_slot in (0, 1, 2):
                     for twist in range(-4, 5):
                         tok = Crossing(curve, 0, out_slot, 0, in_slot, twist)
-                        c0, c1, k = crossing_coeffs(curve, out_slot, in_slot, twist)
-                        assert k == curve
-                        m = linear_factor(arity, c0, c1, k)
+                        m = (
+                            joint(arity, SLOT_INF, (), out_slot)
+                            @ crossing_matrix(arity, curve, twist)
+                            @ joint(arity, in_slot, (), SLOT_INF)
+                        )
                         assert m == _crossing_factor(arity, tok)
                         assert m.det() == one
 
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_loop_entries_match_generator_product(self, arity):
-        for slot in (0, 1, 2):
-            for sign in (1, -1):
-                m = linear_factor(arity, loop_coeffs(slot, sign), ((0, 0),) * 4, 0)
-                assert m == _loop_factor(arity, SccLoop(0, slot, sign))
-                assert m.det() == C(arity, 1)
+        # K = W_in . L . W_out^-1 for every (in slot, loop run, out slot)
+        for in_slot in (0, 1, 2):
+            for out_slot in (0, 1, 2):
+                for run in LOOP_RUNS:
+                    expect = slot_to_top(arity, in_slot)
+                    for slot, sign in run:
+                        expect = expect @ _loop_factor(arity, SccLoop(0, slot, sign))
+                    expect = expect @ slot_to_top(arity, out_slot).adjugate()
+                    k = joint(arity, in_slot, run, out_slot)
+                    assert k == expect, (in_slot, run, out_slot)
+                    assert k.det() == C(arity, 1)
 
 
 class TestEvaluatorAgainstGeneratorProduct:
@@ -228,6 +237,77 @@ class TestEvaluatorAgainstGeneratorProduct:
         monkeypatch.setattr(_poly_py, "pmul", refuse)
         monkeypatch.setattr(_poly_py, "mat_mul", refuse)
         for word in words:
+            evaluate_word(word)
+
+
+# hand-written words of shapes the compiler never emits, in the text form
+UNUSUAL_WORDS = {
+    "single crossing": "cross c=1 out=(0,1) in=(1,0) t=3",
+    "leading loop": """
+        loop p=0 slot=inf s=+1
+        cross c=1 out=(0,inf) in=(1,0) t=-1
+        conn p=1 in=0 out=inf
+        cross c=2 out=(1,inf) in=(0,1) t=2
+    """,
+    "crossings in a row": """
+        cross c=1 out=(0,0) in=(1,1) t=1
+        cross c=2 out=(1,1) in=(0,inf) t=0
+        cross c=1 out=(0,inf) in=(1,0) t=-2
+    """,
+    "loops in a row": """
+        cross c=2 out=(0,1) in=(1,inf) t=1
+        loop p=1 slot=inf s=-1
+        loop p=1 slot=inf s=-1
+        loop p=1 slot=0 s=+1
+        cross c=1 out=(1,0) in=(0,0) t=0
+    """,
+    "trailing loop": """
+        cross c=1 out=(0,inf) in=(1,1) t=0
+        conn p=1 in=1 out=0
+        cross c=2 out=(1,0) in=(0,1) t=-1
+        loop p=0 slot=1 s=+1
+    """,
+}
+
+
+def chain(q):
+    """q crossings alternating between two curves, joined in turn by a
+    traversal (to the successor or the predecessor slot) and by a same-slot
+    return (of either sign), with twists -1, 0, 1."""
+    names = ("0", "1", "inf")
+    lines, out = [], 0
+    for j in range(q):
+        in_ = (out + j) % 3
+        lines.append(f"cross c={j % 2 + 1} out=(0,{names[out]}) in=(1,{names[in_]}) t={j % 3 - 1}")
+        if j % 2:
+            lines.append(f"loop p=1 slot={names[in_]} s={(-1) ** (j // 2):+d}")
+            out = in_
+        else:
+            out = (in_ + 1 + j // 2 % 2) % 3
+            lines.append(f"conn p=1 in={names[in_]} out={names[out]}")
+    return "\n".join(lines)
+
+
+class TestUnusualWords:
+    @pytest.mark.parametrize("name", sorted(UNUSUAL_WORDS))
+    def test_matches_generator_product(self, name):
+        word = word_from_text(2, UNUSUAL_WORDS[name])
+        assert evaluate_word(word) == generator_product(word)
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_phase_in_every_residue(self, q):
+        # the crossings' units i are applied once as i^q: cover q mod 4
+        word = word_from_text(2, chain(q))
+        assert len(word.crossings()) == q
+        m = evaluate_word(word)
+        assert m == generator_product(word)
+        assert m.det() == C(2, 1)
+
+    @pytest.mark.parametrize("curve", [0, 3])
+    def test_curve_outside_arity_rejected(self, curve):
+        # a packed monomial has no field for such a curve: refuse, do not drop it
+        word = word_from_text(2, f"cross c={curve} out=(0,1) in=(1,0) t=0")
+        with pytest.raises(WordError, match="arity 2"):
             evaluate_word(word)
 
 
