@@ -6,6 +6,8 @@ Output is plain text or JSON lines (--format jsonl); JSON field names are
 part of the stable interface.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 internal error (a fault in plumbtrace itself,
 reported as one ``internal error:`` line, never as a traceback).
+``--seed`` defaults to the PLUMBTRACE_SEED environment variable, read only
+by the subcommands that draw curves.
 """
 
 from __future__ import annotations
@@ -56,6 +58,17 @@ def _check_non_negative(args, *names: str) -> None:
         value = getattr(args, name)
         if value < 0:
             raise CoordError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
+def _seed(args) -> int:
+    """--seed, else the PLUMBTRACE_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("PLUMBTRACE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CoordError(f"PLUMBTRACE_SEED must be an integer, got {text!r}") from None
 
 
 def _add_surface_coord_args(sub, coords: bool = True):
@@ -130,7 +143,7 @@ def cmd_verify(args) -> int:
     if args.fuzz:
         cfg = FuzzConfig(
             surface,
-            seed=args.seed,
+            seed=_seed(args),
             max_q=args.max_q,
             max_abs_p=args.max_abs_p,
             count=args.fuzz,
@@ -151,7 +164,7 @@ def cmd_random(args) -> int:
     surface = load_surface(args.surface)
     cfg = FuzzConfig(
         surface,
-        seed=args.seed,
+        seed=_seed(args),
         max_q=args.max_q,
         max_abs_p=args.max_abs_p,
         count=args.count,
@@ -184,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="plumbtrace",
         description="Exact holonomy trace polynomials from Dehn-Thurston coordinates",
     )
-    default_seed = int(os.environ.get("PLUMBTRACE_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="trace polynomial per component")
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", help="twists (omit with --fuzz)")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--fuzz", type=int, default=0, help="verify N random curves")
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
     p.add_argument("--max-q", type=int, default=8)
     p.add_argument("--max-abs-p", type=int, default=8)
     p.set_defaults(func=cmd_verify)
@@ -215,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=default_seed)
+    p.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
     p.add_argument("--max-q", type=int, default=6)
     p.add_argument("--max-abs-p", type=int, default=8)
     p.add_argument("--connected-only", action="store_true")
@@ -235,7 +247,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SurfaceError, CoordError, OSError, ValueError, RuntimeError) as exc:
+    except (SurfaceError, CoordError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a fault in plumbtrace, not in the input

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dtcoords import (
+    CoordError,
     DTCoords,
     window_twists,
     pants_arc_counts,
@@ -54,7 +55,7 @@ def _sample_q(rng: random.Random, surface: PantsDecomposition, max_q: int) -> tu
                 break
         if ok:
             return q
-    raise RuntimeError("could not sample an even intersection vector")
+    raise CoordError("could not sample an even intersection vector")
 
 
 def _repair_p(surface: PantsDecomposition, q: tuple[int, ...], p: list[int]) -> tuple[int, ...]:
@@ -78,7 +79,7 @@ def random_coords(cfg: FuzzConfig) -> Iterator[DTCoords]:
     while produced < cfg.count:
         attempts += 1
         if attempts > 1000 * max(cfg.count, 1):
-            raise RuntimeError("rejection sampling stalled; relax the config")
+            raise CoordError("rejection sampling stalled; relax the config")
         q = _sample_q(rng, cfg.surface, cfg.max_q)
         p = [rng.randint(-cfg.max_abs_p, cfg.max_abs_p) for _ in range(cfg.surface.xi)]
         coords = DTCoords(q, _repair_p(cfg.surface, q, p))

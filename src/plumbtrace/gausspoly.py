@@ -11,13 +11,19 @@ variable) to nonzero ``(re, im)`` integer pairs.  The dict is the canonical
 form: two polynomials are equal iff their term dicts are equal.  The
 add/mul loops live in ``_poly_py``, the one arithmetic kernel, which is
 pure Python.  Holonomy words are multiplied out by
-``holonomy.evaluate_word``, which works on the term dicts directly.
+``holonomy.evaluate_word`` and, when only the trace is needed,
+``holonomy.word_trace``; both work on int term dicts of their own and
+build ``GaussPoly`` values only at the end.
 
 Monomial order
 --------------
 Graded lexicographic with t1 < t2 < ...: compare total degree first, then
 exponent tuples reading the last variable as most significant.  Rendering
-lists terms in descending order of this key.
+lists terms in descending order of this key.  ``holonomy`` packs a
+monomial into one int, t1 in the lowest bits and the total degree above
+the last variable, so that plain int order is this order; it fixes the
+canonical sign of a trace on the packed form, before the single lift to
+exponent tuples.
 
 Text grammar (stable; golden tests are byte-exact)
 --------------------------------------------------
@@ -88,16 +94,6 @@ def _coeff_str(c: tuple[int, int], bare: bool = False) -> str:
     im = "+i" if i == 1 else ("-i" if i == -1 else f"{i:+d}i")
     s = f"{r}{im}"
     return s if bare else f"({s})"
-
-
-def _mono_str(mono: tuple[int, ...]) -> str:
-    parts = []
-    for k, e in enumerate(mono):
-        if e == 1:
-            parts.append(f"t{k + 1}")
-        elif e > 1:
-            parts.append(f"t{k + 1}^{e}")
-    return "*".join(parts)
 
 
 class GaussPoly:
@@ -178,18 +174,6 @@ class GaussPoly:
     def scale(self, re: int, im: int = 0) -> "GaussPoly":
         return GaussPoly(self.arity, _poly_py.pscale(self.terms, (re, im)))
 
-    def __pow__(self, n: int) -> "GaussPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = GaussPoly.const(self.arity, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GaussPoly)
@@ -229,13 +213,6 @@ class GaussPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], GaussInt]]:
-        """Terms in descending graded-lex order."""
-        return [
-            (m, GaussInt(*self.terms[m]))
-            for m in sorted(self.terms, key=grlex_key, reverse=True)
-        ]
-
     def shift_var(self, index: int, c: int) -> "GaussPoly":
         """Exact substitution t_{index+1} -> t_{index+1} + c (binomial expansion)."""
         out: dict = {}
@@ -254,29 +231,34 @@ class GaussPoly:
         return GaussPoly(self.arity, out)
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
+        # pieces[k][e] renders t_{k+1}^e, built once for the largest exponent
+        top = max(map(max, terms)) if self.arity else 0
+        pieces = [
+            ["", f"t{k}"] + [f"t{k}^{e}" for e in range(2, top + 1)]
+            for k in range(1, self.arity + 1)
+        ]
         chunks: list[str] = []
-        for mono, c in self.sorted_terms():
-            r, i = c.re, c.im
-            mixed = r != 0 and i != 0
-            if mixed:
-                neg = False
-                body = _coeff_str((r, i))
-            elif i == 0:
+        for mono in sorted(terms, key=grlex_key, reverse=True):
+            r, i = terms[mono]
+            if not i:
                 neg = r < 0
                 body = str(abs(r))
-            else:
+            elif not r:
                 neg = i < 0
-                mag = abs(i)
-                body = "i" if mag == 1 else f"{mag}i"
-            ms = _mono_str(mono)
+                body = "i" if abs(i) == 1 else f"{abs(i)}i"
+            else:
+                neg = False
+                body = _coeff_str((r, i))
+            ms = "*".join([p[e] for p, e in zip(pieces, mono) if e])
             if ms:
                 body = ms if body == "1" else f"{body}*{ms}"
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
+            if chunks:
                 chunks.append(f" - {body}" if neg else f" + {body}")
+            else:
+                chunks.append(f"-{body}" if neg else body)
         return "".join(chunks)
 
     def __repr__(self) -> str:

@@ -32,13 +32,19 @@ where K_j = W_in(c_j) . L_j . W_out(c_{j+1})^-1 folds the rotations on
 either side of the j-th joint with the run L_j of same-slot returns between
 them (``joint_matrix``, cached; for a plain traversal it is +-W0 or +-W1;
 at either end of the word the missing rotation is Winf = Id).
-``evaluate_word`` multiplies the rows of the running product out over
-plain-int term dicts keyed by monomials packed into one int: each crossing
+The rows of the running product are multiplied out over plain-int term
+dicts keyed by monomials packed into one int, the total degree in the bits
+above the exponents, so that int order is graded-lex order: each crossing
 is one shifted pass in t_i followed by an integer combination of columns,
-and the q units i become the single phase i^q, applied when the four
-entries are lifted to Gaussian-integer polynomials.  The generator
-products (``_crossing_factor``, ``_loop_factor``) stay as an independent
-path for ``inverse_word_holonomy`` and the tests.
+and the q units i become the single phase i^q.  ``evaluate_word`` lifts the
+four entries to Gaussian-integer polynomials for the full matrix.
+``word_trace``, which every curve-level trace uses, needs only the trace:
+since tr(K_0 . R) = tr(R . K_0) it folds K_0 into the last joint and starts
+from the identity, computes only the two diagonal entries in the last step,
+reads the canonical sign off the greatest packed key and i^q, and lifts
+the signed trace once.  Both share one word parser and one row kernel.
+The generator products (``_crossing_factor``, ``_loop_factor``) stay as an
+independent path for ``inverse_word_holonomy`` and the tests.
 
 Everything is exact; determinants stay 1 factor by factor.
 """
@@ -49,7 +55,7 @@ import cmath
 from functools import lru_cache
 
 from .dtcoords import DTCoords, window_twists, validate
-from .gausspoly import GaussPoly, Mat2, canonical_sign
+from .gausspoly import GaussPoly, Mat2
 from .standardpos import (
     Component,
     Conn,
@@ -192,28 +198,89 @@ def joint_matrix(
     return _int_matmul(k, _slot_inverse(out_slot))
 
 
-def _row_step(x: dict, y: dict, shift: int, twist: int, joint) -> tuple[dict, dict]:
-    """(x y) . A_X . K for one row of int term dicts, X = -t_k - 2*twist.
+def _column(x: dict, y: dict, shift: int, twist: int, k0: int, k1: int) -> dict:
+    """Column (k0; k1) of K applied to the row (x y) . A_X, X = -t_k - 2*twist.
 
     Adding `shift` to a packed monomial multiplies it by t_k.  Since
-    (x y) . A_X = (x, -t_k.x - 2*twist.x - y), column j of the result is
-    (K0j - 2*twist*K1j).x - K1j.(t_k.x + y).
+    (x y) . A_X = (x, -t_k.x - 2*twist.x - y), the column is
+    (k0 - 2*twist*k1).x - k1.(t_k.x + y), a fresh dict.
     """
-    out = []
-    for a, b in zip(*joint):
-        a -= 2 * twist * b
-        if not b:
-            out.append({m: a * c for m, c in x.items()} if a else {})
-            continue
-        col = {m + shift: -b * c for m, c in x.items()}
-        get = col.get
-        for m, c in y.items():
-            col[m] = get(m, 0) - b * c
-        if a:
-            for m, c in x.items():
-                col[m] = get(m, 0) + a * c
-        out.append(col)
-    return out[0], out[1]
+    a = k0 - 2 * twist * k1
+    if not k1:
+        return {m: a * c for m, c in x.items()} if a else {}
+    col = {m + shift: -k1 * c for m, c in x.items()}
+    get = col.get
+    for m, c in y.items():
+        col[m] = get(m, 0) - k1 * c
+    if a:
+        for m, c in x.items():
+            col[m] = get(m, 0) + a * c
+    return col
+
+
+def _multiply_rows(rows, steps, joints):
+    """The rows of rows . prod_j A_j . K_j, one (shift, twist) step per A_j."""
+    for (shift, twist), ((k00, k01), (k10, k11)) in zip(steps, joints):
+        rows = [
+            (_column(x, y, shift, twist, k00, k10), _column(x, y, shift, twist, k01, k11))
+            for x, y in rows
+        ]
+    return rows
+
+
+def _factor(word: Word, cyclic: bool):
+    """The crossing steps and integer joints of a word, and the field width.
+
+    steps[j] = (shift, twist) of crossing j + 1.  A monomial is packed into
+    one int: `width` bits per variable (no exponent can exceed the number
+    of crossings) with t_1 lowest, and the total degree in the bits above
+    them, so adding `shift` multiplies by t_k and plain int order is the
+    graded-lex order.  With cyclic=False the joints are K_0 .. K_q.  With
+    cyclic=True they are K_1 .. K_{q-1} and then K_q . K_0, the word read
+    as a loop from its first crossing: tr(K_0 . R) = tr(R . K_0).
+    """
+    if not word.tokens:
+        raise WordError("empty word")
+    crossings, runs = [], [[]]  # runs[j]: the same-slot returns after crossing j
+    for tok in word.tokens:
+        if isinstance(tok, Crossing):
+            if not 0 <= tok.curve < word.arity:
+                raise WordError(
+                    f"crossing of curve {tok.curve + 1} in a word of arity {word.arity}"
+                )
+            crossings.append(tok)
+            runs.append([])
+        elif isinstance(tok, SccLoop):
+            runs[-1].append((tok.slot, tok.sign))
+        elif not isinstance(tok, Conn):  # pragma: no cover
+            raise WordError(f"unknown token {tok!r}")
+    if not crossings:
+        raise WordError("word contains no crossing")
+    ins = [tok.in_slot for tok in crossings]
+    outs = [tok.out_slot for tok in crossings]
+    if cyclic:  # K_q . K_0 = W_in(c_q) . L_q . L_0 . W_out(c_1)^-1, as Winf = Id
+        runs[-1] += runs[0]
+        keys = zip(ins, runs[1:], outs[1:] + outs[:1])
+    else:  # Winf = Id stands in at both ends
+        keys = zip([SLOT_INF] + ins, runs, outs + [SLOT_INF])
+    joints = [joint_matrix(i, tuple(run), o) for i, run, o in keys]
+    width = len(crossings).bit_length()
+    degree = 1 << (word.arity * width)
+    steps = [(degree + (1 << (tok.curve * width)), tok.twist) for tok in crossings]
+    return steps, joints, width
+
+
+_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q by q mod 4
+
+
+def _lift(arity: int, width: int, terms: dict, unit) -> GaussPoly:
+    """unit times the int terms keyed by packed monomials, as a GaussPoly."""
+    ur, ui = unit
+    mask, offsets = (1 << width) - 1, range(0, arity * width, width)
+    return GaussPoly(
+        arity,
+        {tuple(m >> o & mask for o in offsets): (ur * c, ui * c) for m, c in terms.items() if c},
+    )
 
 
 def evaluate_word(word: Word) -> Mat2:
@@ -226,40 +293,38 @@ def evaluate_word(word: Word) -> Mat2:
     and the units i are applied once, as i^q for q crossings, when the four
     entries are lifted to Gaussian polynomials.
     """
-    if not word.tokens:
-        raise WordError("empty word")
-    steps, joints = [], []  # crossing j sits between joints j and j + 1
-    in_slot, loops = SLOT_INF, []  # Winf = Id stands in at both ends
-    for tok in word.tokens:
-        if isinstance(tok, Crossing):
-            if not 0 <= tok.curve < word.arity:
-                raise WordError(
-                    f"crossing of curve {tok.curve + 1} in a word of arity {word.arity}"
-                )
-            joints.append(joint_matrix(in_slot, tuple(loops), tok.out_slot))
-            steps.append((tok.curve, tok.twist))
-            in_slot, loops = tok.in_slot, []
-        elif isinstance(tok, SccLoop):
-            loops.append((tok.slot, tok.sign))
-        elif not isinstance(tok, Conn):  # pragma: no cover
-            raise WordError(f"unknown token {tok!r}")
-    if not steps:
-        raise WordError("word contains no crossing")
-    joints.append(joint_matrix(in_slot, tuple(loops), SLOT_INF))
-    # monomials packed into one int, `width` bits per variable: no
-    # exponent can exceed the number of crossings
-    width = len(steps).bit_length()
+    steps, joints, width = _factor(word, cyclic=False)
     rows = [[{0: v} if v else {} for v in row] for row in joints[0]]
-    for (curve, twist), joint in zip(steps, joints[1:]):
-        rows = [_row_step(x, y, 1 << (curve * width), twist, joint) for x, y in rows]
-    entries = [e for row in rows for e in row]
-    mask, offsets = (1 << width) - 1, range(0, word.arity * width, width)
-    mono = {m: tuple(m >> o & mask for o in offsets) for m in set().union(*entries)}
-    pr, pi = ((1, 0), (0, 1), (-1, 0), (0, -1))[len(steps) % 4]  # i^q
-    return Mat2(
-        *(GaussPoly(word.arity, {mono[m]: (pr * c, pi * c) for m, c in e.items() if c})
-          for e in entries)
-    )
+    rows = _multiply_rows(rows, steps, joints[1:])
+    unit = _PHASES[len(steps) % 4]
+    return Mat2(*(_lift(word.arity, width, e, unit) for row in rows for e in row))
+
+
+def word_trace(word: Word) -> GaussPoly:
+    """canonical_sign(evaluate_word(word).trace()), from the diagonal alone.
+
+    The word is read as a loop from its first crossing, so the rows start
+    from the identity and K_0 is folded into the last joint.  The last step
+    computes only the two diagonal entries, and their int sum is signed
+    before the single lift: its greatest packed monomial is its graded-lex
+    leading term, whose coefficient times i^q must have re > 0, or re == 0
+    and im > 0.
+    """
+    steps, joints, width = _factor(word, cyclic=True)
+    identity = [({0: 1}, {}), ({}, {0: 1})]
+    (x0, y0), (x1, y1) = _multiply_rows(identity, steps[:-1], joints[:-1])
+    (shift, twist), ((k00, k01), (k10, k11)) = steps[-1], joints[-1]
+    trace = _column(x0, y0, shift, twist, k00, k10)
+    get = trace.get
+    for m, c in _column(x1, y1, shift, twist, k01, k11).items():
+        trace[m] = get(m, 0) + c
+    lead = max((m for m, c in trace.items() if c), default=None)
+    if lead is None:
+        raise ValueError("the trace polynomial is zero")
+    ur, ui = _PHASES[len(steps) % 4]
+    if (ur + ui) * trace[lead] < 0:  # exactly one of ur, ui is nonzero
+        ur, ui = -ur, -ui
+    return _lift(word.arity, width, trace, (ur, ui))
 
 
 def inverse_word_holonomy(word: Word) -> Mat2:
@@ -287,7 +352,7 @@ def component_trace(component: Component) -> GaussPoly:
     if component.word is None:
         arity = len(component.q)
         return GaussPoly.const(arity, 2)
-    return canonical_sign(evaluate_word(component.word).trace())
+    return word_trace(component.word)
 
 
 def trace_of_curve(

@@ -253,9 +253,6 @@ class Matching:
     shifts: tuple[int, ...]  # per curve, equals the window twist
     step: dict[Node, tuple[Node, int]]  # node -> (partner, signed wraps)
 
-    def shift_of(self, curve: int) -> int:
-        return self.shifts[curve]
-
 
 def match_strands(
     surface: PantsDecomposition,
@@ -366,14 +363,6 @@ def extract_components(
     return components
 
 
-def compile_word(surface: PantsDecomposition, component: Component) -> Word:
-    """The holonomy word of a connected component (identity for components
-    produced by extract_components, which are compiled on the fly)."""
-    if component.word is None:
-        raise CoordError("component parallel to a pants curve has no word")
-    return component.word
-
-
 def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
     """Total number of same-boundary arcs over all pants."""
     validate(surface, coords)
@@ -381,14 +370,6 @@ def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
         pants_arc_counts(surface, coords, p).total_scc()
         for p in range(surface.pants_count)
     )
-
-
-def component_count(surface: PantsDecomposition, coords: DTCoords) -> int:
-    return len(extract_components(surface, coords))
-
-
-def is_connected(surface: PantsDecomposition, coords: DTCoords) -> bool:
-    return component_count(surface, coords) == 1
 
 
 # -- stable text form -------------------------------------------------------

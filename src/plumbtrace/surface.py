@@ -89,11 +89,6 @@ class PantsDecomposition:
     def slot_table(self) -> dict[tuple[int, int], Gluing]:
         return {g.end_a: g for g in self.gluings} | {g.end_b: g for g in self.gluings}
 
-    def glued_curve_at(self, pants: int, slot: int) -> int | None:
-        """Curve index glued at (pants, slot), or None for a free boundary."""
-        g = self.slot_table().get((pants, slot))
-        return None if g is None else g.curve
-
     def modular_kind(self, curve: int) -> str:
         """one-holed-torus if both ends of the gluing lie on the same pants."""
         g = self.gluings[curve]

@@ -188,3 +188,38 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR == 3
     assert out == ""
     assert err == "internal error: KeyError: 'lost slot'\n"
+
+
+def test_bad_env_seed_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("PLUMBTRACE_SEED", "abc")
+    code, out, err = run(capsys, "random", "--surface", S12, "--count", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: PLUMBTRACE_SEED must be an integer, got 'abc'\n"
+    # an explicit --seed, or a subcommand that draws nothing, never reads it
+    code, out, _ = run(capsys, "random", "--surface", S12, "--count", "2", "--seed", "3")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, _, _ = run(capsys, "kra", "--from-tau", "1+4j")
+    assert code == 0
+
+
+def test_sampler_stall_is_input_error(capsys):
+    # with q = 0 and p = 0 every curve is empty, so none is connected
+    code, _, err = run(
+        capsys,
+        "random", "--surface", str(SURFACES / "genus_two.surf"), "--count", "1",
+        "--max-q", "0", "--max-abs-p", "0", "--connected-only",
+    )
+    assert code == 2
+    assert err == "error: rejection sampling stalled; relax the config\n"
+
+
+def test_runtime_error_is_internal_error(capsys, monkeypatch):
+    def broken(surface, coords):
+        raise RuntimeError("layout and arc counts disagree")
+
+    monkeypatch.setattr(cli, "trace_of_curve", broken)
+    code, out, err = run(capsys, "trace", "--surface", S04, "--q", "2", "--p", "0")
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err == "internal error: RuntimeError: layout and arc counts disagree\n"

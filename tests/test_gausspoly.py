@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plumbtrace import _poly_py
-from plumbtrace.gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign
+from plumbtrace.gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign, grlex_key
 
 
 def P(arity, terms):
@@ -44,7 +44,7 @@ class TestMul:
 
     def test_scaled_square(self):
         four = GaussPoly.const(1, 4)
-        assert four * (T1 - ONE) ** 2 == P(1, {(2,): 4, (1,): -8, (0,): 4})
+        assert four * (T1 - ONE) * (T1 - ONE) == P(1, {(2,): 4, (1,): -8, (0,): 4})
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
@@ -111,6 +111,53 @@ def test_rendering_grammar(terms, expected):
     assert str(GaussPoly.from_terms(arity, terms)) == expected
 
 
+@pytest.mark.parametrize(
+    "terms,expected",
+    [
+        (
+            {
+                (0, 0, 0, 12): 1,
+                (10, 0, 0, 1): (0, -1),
+                (1, 2, 0, 0): (2, -3),
+                (0, 0, 0, 0): (0, 5),
+            },
+            "t4^12 - i*t1^10*t4 + (2-3i)*t1*t2^2 + 5i",
+        ),
+        ({(0, 1, 0, 0): -1, (1, 0, 0, 0): -7, (0, 0, 0, 0): -1}, "-t2 - 7*t1 - 1"),
+        (
+            {(11, 0, 0, 0): (0, 1), (0, 0, 10, 1): (0, -10), (0, 0, 0, 0): 1},
+            "-10i*t3^10*t4 + i*t1^11 + 1",
+        ),
+        ({(2, 0, 0, 0): (-1, -1), (0, 0, 1, 0): (0, 1)}, "(-1-i)*t1^2 + i*t3"),
+        ({(0, 0, 0, 0): (0, -1)}, "-i"),
+        ({(0, 0, 0, 1): (0, -1), (0, 0, 1, 0): (0, -1)}, "-i*t4 - i*t3"),
+    ],
+)
+def test_rendering_arity_four(terms, expected):
+    assert str(GaussPoly.from_terms(4, terms)) == expected
+
+
+def _reference_str(poly):
+    """Oracle: the grammar rendered term by term, monomial by monomial."""
+    chunks = []
+    for mono in sorted(poly.terms, key=grlex_key, reverse=True):
+        r, i = poly.terms[mono]
+        if r and i:
+            neg, body = False, f"({GaussInt(r, i)})"
+        elif i:
+            neg, body = i < 0, "i" if abs(i) == 1 else f"{abs(i)}i"
+        else:
+            neg, body = r < 0, str(abs(r))
+        ms = "*".join(
+            f"t{k + 1}" if e == 1 else f"t{k + 1}^{e}" for k, e in enumerate(mono) if e
+        )
+        if ms:
+            body = ms if body == "1" else f"{body}*{ms}"
+        sep = ("-" if neg else "") if not chunks else (" - " if neg else " + ")
+        chunks.append(sep + body)
+    return "".join(chunks) or "0"
+
+
 def test_shift_var_binomial():
     # (t1 + 1)^2 via shifting t1^2 by +1
     assert P(1, {(2,): 1}).shift_var(0, 1) == P(1, {(2,): 1, (1,): 2, (0,): 1})
@@ -140,6 +187,18 @@ def test_ring_axioms(a, b, c):
 def test_product_total_degree(a, b):
     if not a.is_zero() and not b.is_zero():
         assert (a * b).total_degree() == a.total_degree() + b.total_degree()
+
+
+wide_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 12)] * 4),
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+    max_size=8,
+).map(lambda d: GaussPoly.from_terms(4, d))
+
+
+@given(wide_polys)
+def test_rendering_matches_reference(p):
+    assert str(p) == _reference_str(p)
 
 
 @given(polys)

@@ -1,6 +1,7 @@
 """Generator matrices, word evaluation, trace polynomials."""
 
 import cmath
+import itertools
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,11 @@ import pytest
 from plumbtrace import _poly_py
 from plumbtrace.dtcoords import DTCoords
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
+from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign, grlex_key
 from plumbtrace.holonomy import (
     WordError,
     _crossing_factor,
+    _factor,
     _loop_factor,
     annulus_from_gluing_parameter,
     boundary_loop,
@@ -26,6 +28,7 @@ from plumbtrace.holonomy import (
     slot_to_top,
     trace_of_curve,
     translation,
+    word_trace,
 )
 from plumbtrace.standardpos import (
     Conn,
@@ -39,6 +42,7 @@ from plumbtrace.surface import (
     SLOT_0,
     SLOT_1,
     SLOT_INF,
+    build_surface,
     four_holed_sphere,
     load_surface,
     one_holed_torus,
@@ -76,6 +80,37 @@ def sample_words():
         for coords in random_coords(cfg):
             words.extend(c.word for c in extract_components(surface, coords) if c.word)
     return words
+
+
+def genus_two_one_hole():
+    """Genus two with one hole: three pants, four gluings (xi = 4)."""
+    return build_surface(
+        2, 1, 3,
+        [
+            ("a", (0, SLOT_INF), (0, SLOT_0)),
+            ("b", (0, SLOT_1), (1, SLOT_INF)),
+            ("c", (1, SLOT_0), (2, SLOT_INF)),
+            ("d", (1, SLOT_1), (2, SLOT_0)),
+        ],
+    )
+
+
+def trace_sample_words():
+    """sample_words() plus seeded connected words at arity 4."""
+    surface = genus_two_one_hole()
+    cfg = FuzzConfig(surface, seed=5, max_q=2, max_abs_p=4, count=12, connected_only=True)
+    words = [c.word for co in random_coords(cfg) for c in extract_components(surface, co)]
+    return sample_words() + [w for w in words if w]
+
+
+def check_word_trace(word):
+    """word_trace against the canonical trace read off the full matrix."""
+    trace = evaluate_word(word).trace()
+    if trace.is_zero():  # canonical_sign refuses it, and so must word_trace
+        with pytest.raises(ValueError, match="zero"):
+            word_trace(word)
+    else:
+        assert word_trace(word) == canonical_sign(trace), word
 
 
 class TestGenerators:
@@ -293,6 +328,7 @@ class TestUnusualWords:
     def test_matches_generator_product(self, name):
         word = word_from_text(2, UNUSUAL_WORDS[name])
         assert evaluate_word(word) == generator_product(word)
+        check_word_trace(word)
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_phase_in_every_residue(self, q):
@@ -302,6 +338,7 @@ class TestUnusualWords:
         m = evaluate_word(word)
         assert m == generator_product(word)
         assert m.det() == C(2, 1)
+        check_word_trace(word)
 
     @pytest.mark.parametrize("curve", [0, 3])
     def test_curve_outside_arity_rejected(self, curve):
@@ -309,6 +346,45 @@ class TestUnusualWords:
         word = word_from_text(2, f"cross c={curve} out=(0,1) in=(1,0) t=0")
         with pytest.raises(WordError, match="arity 2"):
             evaluate_word(word)
+        with pytest.raises(WordError, match="arity 2"):
+            word_trace(word)
+
+
+class TestWordTrace:
+    def test_sample_covers_every_arity_and_residue(self):
+        words = trace_sample_words()
+        assert {w.arity for w in words} == {1, 2, 3, 4}
+        assert {len(w.crossings()) % 4 for w in words} == {0, 1, 2, 3}
+
+    def test_matches_full_matrix_on_sample(self):
+        for word in trace_sample_words():
+            check_word_trace(word)
+
+    def test_no_matrix_sum_or_negation(self, monkeypatch):
+        words = trace_sample_words()
+
+        def refuse(*args):
+            raise AssertionError("matrix, sum or negated copy built")
+
+        monkeypatch.setattr(Mat2, "__post_init__", refuse)
+        monkeypatch.setattr(GaussPoly, "__neg__", refuse)
+        monkeypatch.setattr(_poly_py, "padd", refuse)
+        monkeypatch.setattr(_poly_py, "pneg", refuse)
+        for word in words:
+            word_trace(word)
+
+
+def test_packed_order_is_grlex():
+    # the steps of a word crossing all four curves carry their t_k shifts
+    word = word_from_text(
+        4, "\n".join(f"cross c={c} out=(0,1) in=(1,0) t=0" for c in (1, 2, 3, 4, 1, 2))
+    )
+    steps, _, _ = _factor(word, cyclic=False)
+    shift = {tok.curve: s for tok, (s, _) in zip(word.crossings(), steps)}
+    monos = list(itertools.product(range(7), repeat=4))  # exponents up to q = 6
+    packed = {sum(e * shift[k] for k, e in enumerate(m)): m for m in monos}
+    assert len(packed) == len(monos)
+    assert [packed[key] for key in sorted(packed)] == sorted(monos, key=grlex_key)
 
 
 class TestGoldenEvaluations:
@@ -357,10 +433,11 @@ class TestGoldenEvaluations:
         assert evaluate_word(comps[0].word).det() == C(1, 1)
 
     def test_empty_word_rejected(self):
-        with pytest.raises(WordError):
-            evaluate_word(Word(1, ()))
-        with pytest.raises(WordError):
-            evaluate_word(Word(1, (Conn(0, SLOT_0, SLOT_INF),)))
+        for evaluate in (evaluate_word, word_trace):
+            with pytest.raises(WordError):
+                evaluate(Word(1, ()))
+            with pytest.raises(WordError):
+                evaluate(Word(1, (Conn(0, SLOT_0, SLOT_INF),)))
 
 
 class TestTraceOfCurve:

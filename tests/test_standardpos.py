@@ -1,16 +1,12 @@
 """Curve reconstruction: endpoint layout, matching, components, words."""
 
-import pytest
-
-from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
+from plumbtrace.dtcoords import DTCoords, window_twists
 from plumbtrace.standardpos import (
     Conn,
     Crossing,
     SccLoop,
     Word,
-    compile_word,
     extract_components,
-    is_connected,
     layout_endpoints,
     match_strands,
     scc_count,
@@ -120,8 +116,7 @@ class TestComponents:
 class TestWords:
     def test_one_holed_torus_dual_word(self):
         comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
-        word = compile_word(one_holed_torus(), comps[0])
-        assert word.tokens == (
+        assert comps[0].word.tokens == (
             Crossing(0, 0, SLOT_INF, 0, SLOT_0, 0),
             Conn(0, SLOT_0, SLOT_INF),
         )
@@ -147,8 +142,8 @@ class TestWords:
 
     def test_parallel_component_has_no_word(self):
         comps = extract_components(four_holed_sphere(), DTCoords((0,), (1,)))
-        with pytest.raises(CoordError, match="no word"):
-            compile_word(four_holed_sphere(), comps[0])
+        assert len(comps) == 1
+        assert comps[0].word is None and comps[0].parallel_to == 0
 
     def test_word_text_round_trip(self):
         comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
@@ -172,8 +167,8 @@ class TestSccCount:
 
 
 def test_is_connected():
-    assert is_connected(four_holed_sphere(), DTCoords((2,), (0,)))
-    assert not is_connected(one_holed_torus(), DTCoords((2,), (0,)))
+    assert len(extract_components(four_holed_sphere(), DTCoords((2,), (0,)))) == 1
+    assert len(extract_components(one_holed_torus(), DTCoords((2,), (0,)))) == 2
 
 
 def test_word_structure_on_fuzz():
