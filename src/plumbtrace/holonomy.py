@@ -39,10 +39,10 @@ is one shifted pass in t_i followed by an integer combination of columns,
 and the q units i become the single phase i^q.  ``evaluate_word`` lifts the
 four entries to Gaussian-integer polynomials for the full matrix.
 ``word_trace``, which every curve-level trace uses, needs only the trace:
-since tr(K_0 . R) = tr(R . K_0) it folds K_0 into the last joint and starts
-from the identity, computes only the two diagonal entries in the last step,
-reads the canonical sign off the greatest packed key and i^q, and lifts
-the signed trace once.  Both share one word parser and one row kernel.
+it runs the same rows through every step but the last, computes only the
+two diagonal entries against K_q, reads the canonical sign off the
+greatest packed key and i^q, and lifts the signed trace once.  Both share
+one word parser and one row kernel.
 The generator products (``_crossing_factor``, ``_loop_factor``) stay as an
 independent path for ``inverse_word_holonomy`` and the tests.
 
@@ -228,16 +228,14 @@ def _multiply_rows(rows, steps, joints):
     return rows
 
 
-def _factor(word: Word, cyclic: bool):
-    """The crossing steps and integer joints of a word, and the field width.
+def _factor(word: Word):
+    """The crossing steps, the integer joints K_0 .. K_q and the field width.
 
     steps[j] = (shift, twist) of crossing j + 1.  A monomial is packed into
     one int: `width` bits per variable (no exponent can exceed the number
     of crossings) with t_1 lowest, and the total degree in the bits above
     them, so adding `shift` multiplies by t_k and plain int order is the
-    graded-lex order.  With cyclic=False the joints are K_0 .. K_q.  With
-    cyclic=True they are K_1 .. K_{q-1} and then K_q . K_0, the word read
-    as a loop from its first crossing: tr(K_0 . R) = tr(R . K_0).
+    graded-lex order.
     """
     if not word.tokens:
         raise WordError("empty word")
@@ -256,14 +254,9 @@ def _factor(word: Word, cyclic: bool):
             raise WordError(f"unknown token {tok!r}")
     if not crossings:
         raise WordError("word contains no crossing")
-    ins = [tok.in_slot for tok in crossings]
-    outs = [tok.out_slot for tok in crossings]
-    if cyclic:  # K_q . K_0 = W_in(c_q) . L_q . L_0 . W_out(c_1)^-1, as Winf = Id
-        runs[-1] += runs[0]
-        keys = zip(ins, runs[1:], outs[1:] + outs[:1])
-    else:  # Winf = Id stands in at both ends
-        keys = zip([SLOT_INF] + ins, runs, outs + [SLOT_INF])
-    joints = [joint_matrix(i, tuple(run), o) for i, run, o in keys]
+    ins = [SLOT_INF] + [tok.in_slot for tok in crossings]  # Winf = Id at both ends
+    outs = [tok.out_slot for tok in crossings] + [SLOT_INF]
+    joints = [joint_matrix(i, tuple(run), o) for i, run, o in zip(ins, runs, outs)]
     width = len(crossings).bit_length()
     degree = 1 << (word.arity * width)
     steps = [(degree + (1 << (tok.curve * width)), tok.twist) for tok in crossings]
@@ -283,6 +276,11 @@ def _lift(arity: int, width: int, terms: dict, unit) -> GaussPoly:
     )
 
 
+def _constant_rows(k) -> list:
+    """The rows of the integer matrix K as term dicts."""
+    return [[{0: v} if v else {} for v in row] for row in k]
+
+
 def evaluate_word(word: Word) -> Mat2:
     """Exact holonomy of a compiled word (left-to-right product).
 
@@ -293,9 +291,8 @@ def evaluate_word(word: Word) -> Mat2:
     and the units i are applied once, as i^q for q crossings, when the four
     entries are lifted to Gaussian polynomials.
     """
-    steps, joints, width = _factor(word, cyclic=False)
-    rows = [[{0: v} if v else {} for v in row] for row in joints[0]]
-    rows = _multiply_rows(rows, steps, joints[1:])
+    steps, joints, width = _factor(word)
+    rows = _multiply_rows(_constant_rows(joints[0]), steps, joints[1:])
     unit = _PHASES[len(steps) % 4]
     return Mat2(*(_lift(word.arity, width, e, unit) for row in rows for e in row))
 
@@ -303,16 +300,15 @@ def evaluate_word(word: Word) -> Mat2:
 def word_trace(word: Word) -> GaussPoly:
     """canonical_sign(evaluate_word(word).trace()), from the diagonal alone.
 
-    The word is read as a loop from its first crossing, so the rows start
-    from the identity and K_0 is folded into the last joint.  The last step
-    computes only the two diagonal entries, and their int sum is signed
-    before the single lift: its greatest packed monomial is its graded-lex
-    leading term, whose coefficient times i^q must have re > 0, or re == 0
-    and im > 0.
+    The rows run from K_0 through every crossing but the last, as in
+    evaluate_word.  The last step computes only the two diagonal entries,
+    and their int sum is signed before the single lift: its greatest packed
+    monomial is its graded-lex leading term, whose coefficient times i^q
+    must have re > 0, or re == 0 and im > 0.
     """
-    steps, joints, width = _factor(word, cyclic=True)
-    identity = [({0: 1}, {}), ({}, {0: 1})]
-    (x0, y0), (x1, y1) = _multiply_rows(identity, steps[:-1], joints[:-1])
+    steps, joints, width = _factor(word)
+    rows = _constant_rows(joints[0])
+    (x0, y0), (x1, y1) = _multiply_rows(rows, steps[:-1], joints[1:-1])
     (shift, twist), ((k00, k01), (k10, k11)) = steps[-1], joints[-1]
     trace = _column(x0, y0, shift, twist, k00, k10)
     get = trace.get

@@ -379,7 +379,7 @@ def test_packed_order_is_grlex():
     word = word_from_text(
         4, "\n".join(f"cross c={c} out=(0,1) in=(1,0) t=0" for c in (1, 2, 3, 4, 1, 2))
     )
-    steps, _, _ = _factor(word, cyclic=False)
+    steps, _, _ = _factor(word)
     shift = {tok.curve: s for tok, (s, _) in zip(word.crossings(), steps)}
     monos = list(itertools.product(range(7), repeat=4))  # exponents up to q = 6
     packed = {sum(e * shift[k] for k, e in enumerate(m)): m for m in monos}
