@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .dtcoords import CoordError, DTCoords, window_twists, validate
+from .dtcoords import CoordError, DTCoords, window_twists
 from .holonomy import (
     annulus_from_gluing_parameter,
     evaluate_word,
@@ -102,8 +102,6 @@ def cmd_trace(args) -> int:
 def cmd_word(args) -> int:
     surface = load_surface(args.surface)
     coords = _coords_from_args(args)
-    validate(surface, coords)
-    window_twists(surface, coords)
     for idx, comp in enumerate(extract_components(surface, coords)):
         if comp.word is None:
             print(f"# component {idx}: parallel to curve {comp.parallel_to + 1}")

@@ -13,7 +13,10 @@ positive.  Admissibility:
 Intersecting a single pants in ``x, y, z`` points forces the arc pattern:
 between boundaries X and Y run ``max(0, min((x+y-z)/2, x, y))`` arcs, and
 ``max(0, (x-y-z)/2)`` arcs run from X back to itself.  At most one boundary
-of a pants can carry same-boundary arcs.
+of a pants can carry same-boundary arcs.  ``validate`` checks (i) and (ii)
+and returns this arc pattern, one ``ArcCounts`` per pants; everything
+downstream (twist conversion, layout, the same-boundary count ``h``) reads
+that value rather than recomputing it.
 
 Two twist scales are used.  The symmetric twist ``p`` above is what users
 supply; the window twist ``phat`` is the strand shift in the annulus once
@@ -67,9 +70,6 @@ class DTCoords:
     def xi(self) -> int:
         return len(self.q)
 
-    def total_q(self) -> int:
-        return sum(self.q)
-
 
 def pants_x(surface: PantsDecomposition, coords: DTCoords, pants: int) -> tuple[int, int, int]:
     """Intersection numbers of the curve with the three slots of one pants."""
@@ -77,8 +77,9 @@ def pants_x(surface: PantsDecomposition, coords: DTCoords, pants: int) -> tuple[
     return tuple(0 if data[s] is None else coords.q[data[s]] for s in (0, 1, 2))
 
 
-def validate(surface: PantsDecomposition, coords: DTCoords) -> None:
-    """Raise unless (q, p) satisfies the admissibility conditions."""
+def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, ...]:
+    """Raise unless (q, p) satisfies the admissibility conditions; return
+    the arc pattern of each pants, indexed by pants."""
     if coords.xi != surface.xi:
         raise CoordError(
             f"coordinate length {coords.xi} does not match {surface.xi} pants curves"
@@ -86,10 +87,13 @@ def validate(surface: PantsDecomposition, coords: DTCoords) -> None:
     for i, (qi, pi) in enumerate(zip(coords.q, coords.p)):
         if qi == 0 and pi < 0:
             raise NegativeTwistOnZeroLength(i)
+    pattern = []
     for pants in range(surface.pants_count):
-        total = sum(pants_x(surface, coords, pants))
-        if total % 2:
-            raise ParityViolation(pants, total)
+        x = pants_x(surface, coords, pants)
+        if sum(x) % 2:
+            raise ParityViolation(pants, sum(x))
+        pattern.append(arc_counts(*x))
+    return tuple(pattern)
 
 
 @dataclass(frozen=True)
@@ -142,39 +146,32 @@ def arc_counts(x: int, y: int, z: int) -> ArcCounts:
     )
 
 
-def pants_arc_counts(
-    surface: PantsDecomposition, coords: DTCoords, pants: int
-) -> ArcCounts:
-    try:
-        return arc_counts(*pants_x(surface, coords, pants))
-    except ParityViolation:
-        raise ParityViolation(pants, sum(pants_x(surface, coords, pants))) from None
-
-
-def twist_correction(surface: PantsDecomposition, coords: DTCoords, curve: int) -> int:
+def twist_correction(
+    surface: PantsDecomposition, pattern: tuple[ArcCounts, ...], curve: int
+) -> int:
     """Sum over the gluing's two ends of #(arcs slot <-> predecessor slot)."""
     g = surface.gluings[curve]
-    total = 0
-    for pants, slot in (g.end_a, g.end_b):
-        counts = pants_arc_counts(surface, coords, pants)
-        total += counts.dcc_between(slot, pred(slot))
-    return total
+    return sum(
+        pattern[pants].dcc_between(slot, pred(slot)) for pants, slot in (g.end_a, g.end_b)
+    )
 
 
-def window_twists(surface: PantsDecomposition, coords: DTCoords) -> tuple[int, ...]:
-    """Window twists phat from symmetric twists p.
+def pattern_twists(
+    surface: PantsDecomposition, coords: DTCoords, pattern: tuple[ArcCounts, ...]
+) -> tuple[int, ...]:
+    """Window twists phat from symmetric twists p, given the arc pattern
+    that ``validate`` returned for these coordinates.
 
     For q[i] == 0 both twists count parallel copies, so phat[i] = p[i].
     Raises CoordError when the conversion is non-integral, i.e. when (q, p)
     does not name a curve.
     """
-    validate(surface, coords)
     phat = []
     for i in range(surface.xi):
         if coords.q[i] == 0:
             phat.append(coords.p[i])
             continue
-        num = coords.p[i] - coords.q[i] + twist_correction(surface, coords, i)
+        num = coords.p[i] - coords.q[i] + twist_correction(surface, pattern, i)
         if num % 2:
             raise CoordError(
                 f"curve {i}: twist {coords.p[i]} is not realizable with these "
@@ -182,6 +179,11 @@ def window_twists(surface: PantsDecomposition, coords: DTCoords) -> tuple[int, .
             )
         phat.append(num // 2)
     return tuple(phat)
+
+
+def window_twists(surface: PantsDecomposition, coords: DTCoords) -> tuple[int, ...]:
+    """Window twists phat from symmetric twists p (see `pattern_twists`)."""
+    return pattern_twists(surface, coords, validate(surface, coords))
 
 
 def twist_curve(coords: DTCoords, curve: int, n: int) -> DTCoords:

@@ -3,8 +3,8 @@
 The sampler draws intersection vectors uniformly, rejecting until every
 pants has an even total, then draws twists and repairs each one into the
 realizable parity class (for fixed q the realizable twists about a curve
-fill one class mod 2, read off the arc pattern).  Streams are deterministic
-per seed.
+fill one class mod 2, read off the arc pattern).  Samples are deterministic
+per seed and drawn whole before they are returned.
 
 The oracle re-checks the compiler's combinatorial output by geometric
 means it does not share with the nesting logic: it realizes every pants arc
@@ -19,16 +19,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
 
-from .dtcoords import (
-    CoordError,
-    DTCoords,
-    window_twists,
-    pants_arc_counts,
-    twist_correction,
-    validate,
-)
+from .dtcoords import ArcCounts, CoordError, DTCoords, twist_correction, validate
 from .standardpos import Layout, Matching, extract_components, layout_endpoints, match_strands
 from .surface import PantsDecomposition, pred, succ
 
@@ -59,36 +51,39 @@ def _sample_q(rng: random.Random, surface: PantsDecomposition, max_q: int) -> tu
 
 
 def _repair_p(surface: PantsDecomposition, q: tuple[int, ...], p: list[int]) -> tuple[int, ...]:
-    coords = DTCoords(q, tuple(p))
+    # the arc pattern depends on q alone
+    pattern = validate(surface, DTCoords(q, (0,) * surface.xi))
     out = list(p)
     for i in range(surface.xi):
         if q[i] == 0:
             out[i] = abs(out[i])
         else:
-            num = out[i] - q[i] + twist_correction(surface, coords, i)
+            num = out[i] - q[i] + twist_correction(surface, pattern, i)
             if num % 2:
                 out[i] += 1
     return tuple(out)
 
 
-def random_coords(cfg: FuzzConfig) -> Iterator[DTCoords]:
-    """Deterministic stream of admissible, realizable coordinate vectors."""
+def random_coords(cfg: FuzzConfig) -> list[DTCoords]:
+    """Deterministic sample of admissible, realizable coordinate vectors.
+
+    The whole sample is drawn before it is returned, so a stalled sampler
+    raises before a caller has used any of it.
+    """
     rng = random.Random(cfg.seed)
-    produced = 0
+    sample: list[DTCoords] = []
     attempts = 0
-    while produced < cfg.count:
+    while len(sample) < cfg.count:
         attempts += 1
         if attempts > 1000 * max(cfg.count, 1):
             raise CoordError("rejection sampling stalled; relax the config")
         q = _sample_q(rng, cfg.surface, cfg.max_q)
         p = [rng.randint(-cfg.max_abs_p, cfg.max_abs_p) for _ in range(cfg.surface.xi)]
         coords = DTCoords(q, _repair_p(cfg.surface, q, p))
-        validate(cfg.surface, coords)
-        window_twists(cfg.surface, coords)  # must be realizable
         if cfg.connected_only and len(extract_components(cfg.surface, coords)) != 1:
             continue
-        produced += 1
-        yield coords
+        sample.append(coords)
+    return sample
 
 
 # -- chord-diagram oracle ----------------------------------------------------
@@ -115,13 +110,13 @@ def _interleaved(circuit_pos: dict, chord1: tuple, chord2: tuple) -> bool:
     return inside1 != inside2
 
 
-def _pants_disks(surface, coords, layout: Layout, pants: int):
-    """Chords and boundary circuits of the two hexagon disks of one pants.
+def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
+    """Chords and boundary circuits of the two hexagon disks of one pants
+    whose arc pattern is `counts`.
 
     Point names: ("w", slot, pos) window points, ("s", a, b, k) the k-th
     crossing point on the seam between slots a and b (a -> succ(a) order).
     """
-    counts = pants_arc_counts(surface, coords, pants)
     scc_slot = counts.scc_slot()
     s_count = counts.scc[scc_slot] if scc_slot is not None else 0
 
@@ -247,16 +242,18 @@ def oracle_check(
     """Embedding verdict and component count for one coordinate vector.
 
     Passing an explicit layout/matching lets negative controls corrupt the
-    data and watch the oracle object.
+    data and watch the oracle object.  The arc pattern is recomputed from
+    the coordinates, never read off the layout under test.
     """
+    pattern = validate(surface, coords)
     if layout is None:
         layout = layout_endpoints(surface, coords)
     if matching is None:
-        matching = match_strands(surface, coords)
+        matching = match_strands(layout)
 
     crossing_pairs: list[tuple] = []
-    for pants in range(surface.pants_count):
-        for circuit, chords in _pants_disks(surface, coords, layout, pants):
+    for pants, counts in enumerate(pattern):
+        for circuit, chords in _pants_disks(counts, layout, pants):
             crossing_pairs.extend(_disk_crossings(circuit, chords))
     for curve in range(surface.xi):
         if coords.q[curve]:
@@ -270,7 +267,6 @@ def oracle_check(
 
 
 def chord_diagram_oracle(surface: PantsDecomposition, coords: DTCoords) -> OracleReport:
-    validate(surface, coords)
     return oracle_check(surface, coords)
 
 

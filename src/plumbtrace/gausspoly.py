@@ -53,15 +53,6 @@ class GaussInt:
     re: int = 0
     im: int = 0
 
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re + other.re, self.im + other.im)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.re, -self.im)
-
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(
             self.re * other.re - self.im * other.im,

@@ -54,7 +54,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
-from .dtcoords import DTCoords, window_twists, validate
+from .dtcoords import DTCoords
 from .gausspoly import GaussPoly, Mat2
 from .standardpos import (
     Component,
@@ -360,8 +360,6 @@ def trace_of_curve(
     holonomy is parabolic); every other component is compiled and its word
     evaluated exactly.
     """
-    validate(surface, coords)
-    window_twists(surface, coords)  # surface realizability errors early
     return [(c, component_trace(c)) for c in extract_components(surface, coords)]
 
 

@@ -6,7 +6,9 @@ each pants, (b) the linear order of arc endpoints along each window, and
 (c) an order-preserving matching with constant shift between the two sides
 of each window annulus.  This module fixes those conventions, extracts
 connected components, and compiles each component into a token word that the
-holonomy engine evaluates.
+holonomy engine evaluates.  Part (a) is the value ``dtcoords.validate``
+returns: ``layout_endpoints`` validates once and keeps that pattern on the
+``Layout``, and ``match_strands`` reads the window twists for (c) off it.
 
 Window conventions
 ------------------
@@ -44,13 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dtcoords import (
-    CoordError,
-    DTCoords,
-    window_twists,
-    pants_arc_counts,
-    validate,
-)
+from .dtcoords import ArcCounts, CoordError, DTCoords, pattern_twists, validate
 from .surface import PantsDecomposition, pred, slot_name, succ
 
 # connector classes for a traversal between distinct slots of one pants
@@ -153,10 +149,15 @@ Node = tuple[int, int, int]
 
 @dataclass
 class Layout:
-    """Endpoint layout plus derived pairings for one coordinate vector."""
+    """Endpoint layout plus derived pairings for one coordinate vector.
+
+    ``pattern`` is the per-pants arc pattern ``validate`` returned for
+    ``coords``; the arcs and windows are built from it.
+    """
 
     surface: PantsDecomposition
     coords: DTCoords
+    pattern: tuple[ArcCounts, ...]
     arcs: list[PantsArc]
     windows: dict[tuple[int, int], list[tuple]]  # (pants, slot) -> descriptors
     node_at: dict[tuple[int, int, int], Node]  # (pants, slot, pos) -> node
@@ -164,7 +165,7 @@ class Layout:
     arc_step: dict[Node, tuple[Node, PantsArc]] = field(default_factory=dict)
 
 
-def _pants_arcs(pants: int, counts) -> tuple[list[PantsArc], dict[int, list[tuple]]]:
+def _pants_arcs(pants: int, counts: ArcCounts) -> tuple[list[PantsArc], dict[int, list[tuple]]]:
     """Arcs and window descriptor lists for one pants."""
     arcs: list[PantsArc] = []
     windows: dict[int, list[tuple]] = {}
@@ -216,11 +217,10 @@ def _pants_arcs(pants: int, counts) -> tuple[list[PantsArc], dict[int, list[tupl
 def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
     """Arrange all arc endpoints along the windows and pair them through
     the pants; also translate window positions into curve-side nodes."""
-    validate(surface, coords)
+    pattern = validate(surface, coords)
     arcs: list[PantsArc] = []
     windows: dict[tuple[int, int], list[tuple]] = {}
-    for pants in range(surface.pants_count):
-        counts = pants_arc_counts(surface, coords, pants)
+    for pants, counts in enumerate(pattern):
         pa, wd = _pants_arcs(pants, counts)
         arcs.extend(pa)
         for slot, desc in wd.items():
@@ -237,7 +237,7 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 node_at[(pants, slot, pos)] = node
                 window_of[node] = (pants, slot, pos)
 
-    layout = Layout(surface, coords, arcs, windows, node_at, window_of)
+    layout = Layout(surface, coords, pattern, arcs, windows, node_at, window_of)
     for arc in arcs:
         a = node_at[(arc.pants,) + arc.end_out]
         b = node_at[(arc.pants,) + arc.end_in]
@@ -254,15 +254,14 @@ class Matching:
     step: dict[Node, tuple[Node, int]]  # node -> (partner, signed wraps)
 
 
-def match_strands(
-    surface: PantsDecomposition,
-    coords: DTCoords,
-    phat: tuple[int, ...] | None = None,
-) -> Matching:
-    if phat is None:
-        phat = window_twists(surface, coords)
+def match_strands(layout: Layout) -> Matching:
+    """Match the strands across every annulus with the window twists of the
+    layout's arc pattern; raises CoordError when the twists are not
+    realizable."""
+    coords = layout.coords
+    phat = pattern_twists(layout.surface, coords, layout.pattern)
     step: dict[Node, tuple[Node, int]] = {}
-    for i in range(surface.xi):
+    for i in range(coords.xi):
         q = coords.q[i]
         if q == 0:
             continue
@@ -271,7 +270,7 @@ def match_strands(
             wrap = (k + phat[i]) // q
             step[(i, 0, k)] = ((i, 1, j), wrap)
             step[(i, 1, j)] = ((i, 0, k), wrap)
-    return Matching(tuple(phat), step)
+    return Matching(phat, step)
 
 
 def _walk(layout: Layout, matching: Matching, start: Node) -> tuple[list[Token], set[Node]]:
@@ -335,7 +334,7 @@ def extract_components(
     """Split the multicurve into connected components, each carrying its
     compiled word and its share of the coordinates."""
     layout = layout_endpoints(surface, coords)
-    matching = match_strands(surface, coords)
+    matching = match_strands(layout)
     xi = surface.xi
 
     components: list[Component] = []
@@ -365,11 +364,7 @@ def extract_components(
 
 def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
     """Total number of same-boundary arcs over all pants."""
-    validate(surface, coords)
-    return sum(
-        pants_arc_counts(surface, coords, p).total_scc()
-        for p in range(surface.pants_count)
-    )
+    return sum(counts.total_scc() for counts in validate(surface, coords))
 
 
 # -- stable text form -------------------------------------------------------

@@ -76,6 +76,8 @@ class PantsDecomposition:
     boundary: int
     pants_count: int
     gluings: tuple[Gluing, ...]
+    # (pants, slot) -> the gluing at that slot; derived from `gluings`
+    slot_table: dict[tuple[int, int], Gluing] = field(compare=False, repr=False)
     unglued: tuple[tuple[int, int], ...] = field(default=())
 
     @property
@@ -86,9 +88,6 @@ class PantsDecomposition:
     def curve_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gluings)
 
-    def slot_table(self) -> dict[tuple[int, int], Gluing]:
-        return {g.end_a: g for g in self.gluings} | {g.end_b: g for g in self.gluings}
-
     def modular_kind(self, curve: int) -> str:
         """one-holed-torus if both ends of the gluing lie on the same pants."""
         g = self.gluings[curve]
@@ -98,7 +97,7 @@ class PantsDecomposition:
         """Per slot: the glued curve index or None for a free boundary."""
         if not 0 <= pants < self.pants_count:
             raise SurfaceError(f"no pants {pants}")
-        table = self.slot_table()
+        table = self.slot_table
         return {
             s: (table[(pants, s)].curve if (pants, s) in table else None)
             for s in (SLOT_0, SLOT_1, SLOT_INF)
@@ -174,7 +173,10 @@ def build_surface(
             f"{len(unglued)} free slots but declared boundary {boundary}"
         )
 
-    return PantsDecomposition(genus, boundary, pants_count, tuple(frozen), unglued)
+    slot_table = {g.end_a: g for g in frozen} | {g.end_b: g for g in frozen}
+    return PantsDecomposition(
+        genus, boundary, pants_count, tuple(frozen), slot_table, unglued
+    )
 
 
 _GLUE_RE = re.compile(

@@ -223,3 +223,41 @@ def test_runtime_error_is_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR
     assert out == ""
     assert err == "internal error: RuntimeError: layout and arc counts disagree\n"
+
+
+G2 = str(SURFACES / "genus_two.surf")
+
+# (q, p) on closed genus two, whose two pants both meet all three curves,
+# and the one error line every coordinate-reading subcommand prints; pairs
+# of faults pin which check reports first
+COORD_ERRORS = [
+    ("1,0,0", "0,0,0", "pants 0: odd intersection total 1"),
+    ("0,2,2", "-1,0,0", "curve 0: q=0 needs twist >= 0"),
+    ("2,2", "0,0", "coordinate length 2 does not match 3 pants curves"),
+    ("2,2,2", "0,0", "q and p have different lengths"),
+    (
+        "2,2,2",
+        "1,0,0",
+        "curve 0: twist 1 is not realizable with these intersection numbers "
+        "(window twist would be 1/2)",
+    ),
+    ("1,0", "0,0", "coordinate length 2 does not match 3 pants curves"),
+    ("0,1,0", "-1,0,0", "curve 0: q=0 needs twist >= 0"),
+    ("1,0,0", "1,0,0", "pants 0: odd intersection total 1"),
+    ("0,2,2", "-1,1,0", "curve 0: q=0 needs twist >= 0"),
+]
+
+
+@pytest.mark.parametrize("command", ["trace", "word", "verify", "convert-twist"])
+@pytest.mark.parametrize("q,p,message", COORD_ERRORS)
+def test_coordinate_error_precedence(capsys, command, q, p, message):
+    code, out, err = run(capsys, command, "--surface", G2, f"--q={q}", f"--p={p}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("random", "--connected-only"), ("verify", "--fuzz", "10")])
+def test_sampler_stall_prints_no_partial_sample(capsys, argv):
+    # some of the sample is drawn before the stall; none of it may be printed
+    command, *extra = argv
+    code, out, err = run(capsys, command, "--surface", G2, "--seed", "0", "--max-q", "0", *extra)
+    assert (code, out, err) == (2, "", "error: rejection sampling stalled; relax the config\n")

@@ -75,7 +75,7 @@ class TestOracle:
         surface = four_holed_sphere()
         coords = DTCoords((2,), (2,))
         layout = layout_endpoints(surface, coords)
-        matching = match_strands(surface, coords)
+        matching = match_strands(layout)
         bad = copy.deepcopy(layout)
         a = bad.node_at[(0, SLOT_INF, 0)]
         b = bad.node_at[(0, SLOT_INF, 1)]
@@ -90,13 +90,13 @@ class TestOracle:
         bad = copy.deepcopy(layout_endpoints(surface, coords))
         bad.arcs = [arc for arc in bad.arcs if arc.kind != "scc"]
         with pytest.raises(RuntimeError, match="same-boundary arcs"):
-            oracle_check(surface, coords, bad, match_strands(surface, coords))
+            oracle_check(surface, coords, bad, match_strands(layout_endpoints(surface, coords)))
 
     def test_corrupted_matching_detected(self):
         # a non-constant shift makes strands cross in the annulus
         surface = four_holed_sphere()
         coords = DTCoords((4,), (0,))
-        matching = match_strands(surface, coords)
+        matching = match_strands(layout_endpoints(surface, coords))
         step = dict(matching.step)
         (p0, w0), (p1, w1) = step[(0, 0, 0)], step[(0, 0, 1)]
         step[(0, 0, 0)], step[(0, 0, 1)] = (p1, w1), (p0, w0)

@@ -65,14 +65,14 @@ class TestLayout:
 class TestMatching:
     def test_straight_across(self):
         s = one_holed_torus()
-        m = match_strands(s, DTCoords((2,), (0,)))
+        m = match_strands(layout_endpoints(s, DTCoords((2,), (0,))))
         assert m.shifts == (0,)
         assert m.step[(0, 0, 0)] == ((0, 1, 0), 0)
         assert m.step[(0, 0, 1)] == ((0, 1, 1), 0)
 
     def test_shift_by_one(self):
         s = one_holed_torus()
-        m = match_strands(s, DTCoords((2,), (2,)))  # window twist 1
+        m = match_strands(layout_endpoints(s, DTCoords((2,), (2,))))  # window twist 1
         assert m.shifts == (1,)
         assert m.step[(0, 0, 0)] == ((0, 1, 1), 0)
         assert m.step[(0, 0, 1)] == ((0, 1, 0), 1)
@@ -81,7 +81,7 @@ class TestMatching:
         s = four_holed_sphere()
         for p in (-6, -2, 0, 2, 6):
             coords = DTCoords((4,), (p,))
-            m = match_strands(s, coords)
+            m = match_strands(layout_endpoints(s, coords))
             total = sum(m.step[(0, 0, k)][1] for k in range(4))
             assert total == m.shifts[0] == window_twists(s, coords)[0]
 
