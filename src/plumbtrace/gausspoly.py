@@ -12,18 +12,20 @@ form: two polynomials are equal iff their term dicts are equal.  The
 add/mul loops live in ``_poly_py``, the one arithmetic kernel, which is
 pure Python.  Holonomy words are multiplied out by
 ``holonomy.evaluate_word`` and, when only the trace is needed,
-``holonomy.word_trace``; both work on int term dicts of their own and
+``holonomy.word_trace``; both hold each entry as one packed int and
 build ``GaussPoly`` values only at the end.
 
 Monomial order
 --------------
 Graded lexicographic with t1 < t2 < ...: compare total degree first, then
 exponent tuples reading the last variable as most significant.  Rendering
-lists terms in descending order of this key.  ``holonomy`` packs a
-monomial into one int, t1 in the lowest bits and the total degree above
-the last variable, so that plain int order is this order; it fixes the
-canonical sign of a trace on the packed form, before the single lift to
-exponent tuples.
+lists terms in descending order of this key, and ``canonical_sign`` signs
+a polynomial by its greatest term.  ``holonomy`` packs a whole polynomial
+into one int, one slot per monomial of its exponent box in
+``itertools.product`` order, which is not this order; it reads the
+canonical sign of a trace off the box's corner slot, the greatest
+monomial of the box, and only when that slot is zero looks for the
+greatest term with ``grlex_key``.
 
 Text grammar (stable; golden tests are byte-exact)
 --------------------------------------------------

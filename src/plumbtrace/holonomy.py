@@ -32,17 +32,54 @@ where K_j = W_in(c_j) . L_j . W_out(c_{j+1})^-1 folds the rotations on
 either side of the j-th joint with the run L_j of same-slot returns between
 them (``joint_matrix``, cached; for a plain traversal it is +-W0 or +-W1;
 at either end of the word the missing rotation is Winf = Id).
-The rows of the running product are multiplied out over plain-int term
-dicts keyed by monomials packed into one int, the total degree in the bits
-above the exponents, so that int order is graded-lex order: each crossing
-is one shifted pass in t_i followed by an integer combination of columns,
-and the q units i become the single phase i^q.  ``evaluate_word`` lifts the
-four entries to Gaussian-integer polynomials for the full matrix.
+
+Packing.  A word with n_k crossings of curve k has no exponent of t_k above
+n_k, so every entry lives in the box prod_k [0, n_k].  Its index is the
+mixed-radix number idx(e) = sum_k e_k * stride_k with radix n_k + 1 and t_n
+lowest (``_box``), so ``itertools.product`` over the box lists exponent
+tuples in index order.  An entry sum_e c_e t^e is held as the one int
+P = sum_e c_e * 2^(B * idx(e)) (Kronecker substitution), the slots signed.
+Multiplying by t_k is a left shift by stride_k * B, and add, subtract and
+small-int multiply act slot by slot; all are exact on P whatever the size
+of the slots, so only the final unpack needs |c_e| < 2^(B - 1).  Each
+crossing step is then a few C-level operations on the two rows (x y):
+
+    t = (x << stride_k * B) + y,   col_c = a_c * x - k1c * t
+
+for column c of (x y) . A_X . K_j, with a_c = k0c - 2 * twist * k1c.
+
+Slot width.  B is fixed before any arithmetic, from the joints and twists
+alone (``_l1_bounds``).  For polynomials x, y and integers a, k
+
+    ||a.x - k.(t_k.x + y)||_1 <= |a|.||x||_1 + |k|.(||x||_1 + ||y||_1),
+
+by the triangle inequality and because multiplying by t_k only moves
+monomials, so ||t_k.x||_1 = ||x||_1; a constant entry v has norm |v|.
+Tracked entry by entry through the steps, this bounds the L1 norm of every
+entry of the product, and the trace's norm is at most the *sum* of the two
+diagonal bounds (not their max: the diagonal terms can add up).  Every
+coefficient satisfies |c| <= ||.||_1 <= bound < 2^(B - 1).  B is rounded
+up to 32 or 64, or to whole bytes beyond that (``_slot_width``).
+
+Unpack.  Once per entry (``_unpack``): add the bias 2^(B-1) * sum_i 2^(iB),
+which makes every slot a non-negative value below 2^B; take the bytes of
+the biased int in native order, read them as unsigned 32- or 64-bit slots
+with ``memoryview.cast`` (or slice each wider slot), subtract 2^(B-1) and
+zip the slots with the exponent tuples, skipping zeros.  The q units i
+are applied there as the single phase i^q, each coefficient landing in the
+real or the imaginary part.
+
+Sign rule.  ``evaluate_word`` lifts the four entries for the full matrix.
 ``word_trace``, which every curve-level trace uses, needs only the trace:
 it runs the same rows through every step but the last, computes only the
-two diagonal entries against K_q, reads the canonical sign off the
-greatest packed key and i^q, and lifts the signed trace once.  Both share
-one word parser and one row kernel.
+two diagonal entries against K_q, and signs their packed sum before the
+one unpack (``_canonical``).  The corner slot prod_k t_k^n_k is the
+graded-lex greatest monomial of the box; it is nonzero exactly when
+|P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
+then it carries the sign of P.  Otherwise the leading term is taken as
+max(terms, key=grlex_key) over the unpacked terms.  The rule is exact
+either way and does not assume the top-term theorem.
+
 The generator products (``_crossing_factor``, ``_loop_factor``) stay as an
 independent path for ``inverse_word_holonomy`` and the tests.
 
@@ -52,10 +89,12 @@ Everything is exact; determinants stay 1 factor by factor.
 from __future__ import annotations
 
 import cmath
+import itertools
+import sys
 from functools import lru_cache
 
 from .dtcoords import DTCoords
-from .gausspoly import GaussPoly, Mat2
+from .gausspoly import GaussPoly, Mat2, grlex_key
 from .standardpos import (
     Component,
     Conn,
@@ -198,44 +237,14 @@ def joint_matrix(
     return _int_matmul(k, _slot_inverse(out_slot))
 
 
-def _column(x: dict, y: dict, shift: int, twist: int, k0: int, k1: int) -> dict:
-    """Column (k0; k1) of K applied to the row (x y) . A_X, X = -t_k - 2*twist.
-
-    Adding `shift` to a packed monomial multiplies it by t_k.  Since
-    (x y) . A_X = (x, -t_k.x - 2*twist.x - y), the column is
-    (k0 - 2*twist*k1).x - k1.(t_k.x + y), a fresh dict.
-    """
-    a = k0 - 2 * twist * k1
-    if not k1:
-        return {m: a * c for m, c in x.items()} if a else {}
-    col = {m + shift: -k1 * c for m, c in x.items()}
-    get = col.get
-    for m, c in y.items():
-        col[m] = get(m, 0) - k1 * c
-    if a:
-        for m, c in x.items():
-            col[m] = get(m, 0) + a * c
-    return col
-
-
-def _multiply_rows(rows, steps, joints):
-    """The rows of rows . prod_j A_j . K_j, one (shift, twist) step per A_j."""
-    for (shift, twist), ((k00, k01), (k10, k11)) in zip(steps, joints):
-        rows = [
-            (_column(x, y, shift, twist, k00, k10), _column(x, y, shift, twist, k01, k11))
-            for x, y in rows
-        ]
-    return rows
-
-
 def _factor(word: Word):
-    """The crossing steps, the integer joints K_0 .. K_q and the field width.
+    """The integer rows of K_0, the crossing steps and the crossing counts.
 
-    steps[j] = (shift, twist) of crossing j + 1.  A monomial is packed into
-    one int: `width` bits per variable (no exponent can exceed the number
-    of crossings) with t_1 lowest, and the total degree in the bits above
-    them, so adding `shift` multiplies by t_k and plain int order is the
-    graded-lex order.
+    steps[j] = (curve, a0, k10, a1, k11) for crossing j + 1 followed by
+    K_{j+1} = ((k00, k01), (k10, k11)), with a_c = k0c - 2*twist*k1c, so that
+    column c of (x y) . A_X . K is a_c.x - k1c.(t.x + y) for X = -t - 2*twist
+    (since (x y) . A_X = (x, -t.x - 2*twist.x - y)).  counts[k] is the
+    number of crossings of curve k, the most any exponent of t_k can reach.
     """
     if not word.tokens:
         raise WordError("empty word")
@@ -257,28 +266,90 @@ def _factor(word: Word):
     ins = [SLOT_INF] + [tok.in_slot for tok in crossings]  # Winf = Id at both ends
     outs = [tok.out_slot for tok in crossings] + [SLOT_INF]
     joints = [joint_matrix(i, tuple(run), o) for i, run, o in zip(ins, runs, outs)]
-    width = len(crossings).bit_length()
-    degree = 1 << (word.arity * width)
-    steps = [(degree + (1 << (tok.curve * width)), tok.twist) for tok in crossings]
-    return steps, joints, width
+    steps = []
+    counts = [0] * word.arity
+    for tok, ((k00, k01), (k10, k11)) in zip(crossings, joints[1:]):
+        counts[tok.curve] += 1
+        twice = 2 * tok.twist
+        steps.append((tok.curve, k00 - twice * k10, k10, k01 - twice * k11, k11))
+    return joints[0], steps, counts
+
+
+def _box(counts) -> tuple[list[int], int]:
+    """Mixed-radix strides and size of the exponent box prod_k [0, counts[k]].
+
+    idx(e) = sum_k e_k * strides[k], radix counts[k] + 1, t_n lowest, so
+    itertools.product over the box lists exponent tuples in index order.
+    """
+    strides, size = [0] * len(counts), 1
+    for k in reversed(range(len(counts))):
+        strides[k] = size
+        size *= counts[k] + 1
+    return strides, size
+
+
+def _l1_bounds(k0, steps):
+    """Bounds on the L1 norms of the four entries of K_0 . prod_j A_j . K_j.
+
+    ||a.x - k1.(t.x + y)||_1 <= |a|.||x||_1 + |k1|.(||x||_1 + ||y||_1), since
+    multiplying by t permutes monomials; a constant entry's norm is |v|.
+    """
+    (x0, y0), (x1, y1) = ((abs(v) for v in row) for row in k0)
+    for _, a0, k10, a1, k11 in steps:
+        a0, k10, a1, k11 = abs(a0), abs(k10), abs(a1), abs(k11)
+        s0, s1 = x0 + y0, x1 + y1
+        x0, y0 = a0 * x0 + k10 * s0, a1 * x0 + k11 * s0
+        x1, y1 = a0 * x1 + k10 * s1, a1 * x1 + k11 * s1
+    return (x0, y0), (x1, y1)
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per slot for coefficients |c| <= bound: 32, 64 or whole bytes."""
+    bits = bound.bit_length() + 1  # bound < 2^(bits - 1)
+    if bits <= 32:
+        return 32
+    if bits <= 64:
+        return 64
+    return -(-bits // 8) * 8
+
+
+def _multiply(k0, steps, shifts):
+    """The packed rows of K_0 . prod_j A_j . K_j, one step per crossing."""
+    (x0, y0), (x1, y1) = k0  # constants sit in slot 0
+    for curve, a0, k10, a1, k11 in steps:
+        s = shifts[curve]
+        t0, t1 = (x0 << s) + y0, (x1 << s) + y1  # t.x + y
+        x0, y0 = a0 * x0 - k10 * t0, a1 * x0 - k11 * t0
+        x1, y1 = a0 * x1 - k10 * t1, a1 * x1 - k11 * t1
+    return (x0, y0), (x1, y1)
+
+
+def _unpack(packed: int, counts, width: int, imag: bool) -> dict:
+    """GaussPoly terms of the packed int, each coefficient real or imaginary.
+
+    Adding 2^(width-1) to every slot makes each slot a non-negative value
+    below 2^width (|c| < 2^(width-1)), so the bytes of the biased int are the
+    slots side by side.
+    """
+    size = _box(counts)[1]
+    nbytes, half = width // 8, 1 << (width - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    raw = memoryview((packed + bias).to_bytes(size * nbytes, sys.byteorder))
+    if width == 32:
+        slots = raw.cast("I")
+    elif width == 64:
+        slots = raw.cast("Q")
+    else:
+        slots = [
+            int.from_bytes(raw[i : i + nbytes], sys.byteorder) for i in range(0, len(raw), nbytes)
+        ]
+    monos = itertools.product(*(range(c + 1) for c in counts))
+    if imag:
+        return {m: (0, v - half) for m, v in zip(monos, slots) if v != half}
+    return {m: (v - half, 0) for m, v in zip(monos, slots) if v != half}
 
 
 _PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q by q mod 4
-
-
-def _lift(arity: int, width: int, terms: dict, unit) -> GaussPoly:
-    """unit times the int terms keyed by packed monomials, as a GaussPoly."""
-    ur, ui = unit
-    mask, offsets = (1 << width) - 1, range(0, arity * width, width)
-    return GaussPoly(
-        arity,
-        {tuple(m >> o & mask for o in offsets): (ur * c, ui * c) for m, c in terms.items() if c},
-    )
-
-
-def _constant_rows(k) -> list:
-    """The rows of the integer matrix K as term dicts."""
-    return [[{0: v} if v else {} for v in row] for row in k]
 
 
 def evaluate_word(word: Word) -> Mat2:
@@ -287,14 +358,37 @@ def evaluate_word(word: Word) -> Mat2:
     With A_X = (1 X; 0 -1) the word factors as K_0 . prod_j (i A_j) . K_j,
     where K_j = joint_matrix(...) collects every constant between crossing
     j and crossing j + 1.  All of these are integer matrices, so the rows
-    of the running product are multiplied out over plain-int term dicts
-    and the units i are applied once, as i^q for q crossings, when the four
-    entries are lifted to Gaussian polynomials.
+    of the running product are multiplied out as packed ints and the units
+    i are applied once, as i^q for q crossings, when the four entries are
+    unpacked to Gaussian polynomials.
     """
-    steps, joints, width = _factor(word)
-    rows = _multiply_rows(_constant_rows(joints[0]), steps, joints[1:])
-    unit = _PHASES[len(steps) % 4]
-    return Mat2(*(_lift(word.arity, width, e, unit) for row in rows for e in row))
+    k0, steps, counts = _factor(word)
+    strides, _ = _box(counts)
+    width = _slot_width(max(max(row) for row in _l1_bounds(k0, steps)))
+    rows = _multiply(k0, steps, [s * width for s in strides])
+    ur, ui = _PHASES[len(steps) % 4]
+    unit = ur + ui  # exactly one of ur, ui is nonzero
+    entries = (_unpack(unit * e, counts, width, bool(ui)) for row in rows for e in row)
+    return Mat2(*(GaussPoly(word.arity, terms) for terms in entries))
+
+
+def _canonical(trace: int, counts, width: int, phase) -> dict:
+    """The terms of phase times trace (packed) or of its negative, whichever
+    has a graded-lex leading coefficient with re > 0, or re == 0 and im > 0.
+
+    The corner slot prod_k t_k^counts[k] is the graded-lex greatest monomial
+    of the box.  It is nonzero exactly when |trace| >= 2^((size-1)*width - 1),
+    the lower slots summing to less, and then it has the sign of trace.
+    Otherwise the leading term is found among the unpacked terms.
+    """
+    ur, ui = phase
+    if trace.bit_length() >= (_box(counts)[1] - 1) * width:
+        return _unpack(abs(trace), counts, width, bool(ui))  # a positive corner
+    terms = _unpack((ur + ui) * trace, counts, width, bool(ui))
+    r, i = terms[max(terms, key=grlex_key)]
+    if r + i < 0:
+        return {m: (-r, -i) for m, (r, i) in terms.items()}
+    return terms
 
 
 def word_trace(word: Word) -> GaussPoly:
@@ -302,25 +396,20 @@ def word_trace(word: Word) -> GaussPoly:
 
     The rows run from K_0 through every crossing but the last, as in
     evaluate_word.  The last step computes only the two diagonal entries,
-    and their int sum is signed before the single lift: its greatest packed
-    monomial is its graded-lex leading term, whose coefficient times i^q
-    must have re > 0, or re == 0 and im > 0.
+    and their packed sum is signed and unpacked once (``_canonical``).  The
+    slot width covers the sum of the two diagonal L1 bounds.
     """
-    steps, joints, width = _factor(word)
-    rows = _constant_rows(joints[0])
-    (x0, y0), (x1, y1) = _multiply_rows(rows, steps[:-1], joints[1:-1])
-    (shift, twist), ((k00, k01), (k10, k11)) = steps[-1], joints[-1]
-    trace = _column(x0, y0, shift, twist, k00, k10)
-    get = trace.get
-    for m, c in _column(x1, y1, shift, twist, k01, k11).items():
-        trace[m] = get(m, 0) + c
-    lead = max((m for m, c in trace.items() if c), default=None)
-    if lead is None:
+    k0, steps, counts = _factor(word)
+    (b00, _), (_, b11) = _l1_bounds(k0, steps)
+    width = _slot_width(b00 + b11)
+    shifts = [s * width for s in _box(counts)[0]]
+    (x0, y0), (x1, y1) = _multiply(k0, steps[:-1], shifts)
+    curve, a0, k10, a1, k11 = steps[-1]
+    s = shifts[curve]
+    trace = a0 * x0 - k10 * ((x0 << s) + y0) + a1 * x1 - k11 * ((x1 << s) + y1)
+    if not trace:
         raise ValueError("the trace polynomial is zero")
-    ur, ui = _PHASES[len(steps) % 4]
-    if (ur + ui) * trace[lead] < 0:  # exactly one of ur, ui is nonzero
-        ur, ui = -ur, -ui
-    return _lift(word.arity, width, trace, (ur, ui))
+    return GaussPoly(word.arity, _canonical(trace, counts, width, _PHASES[len(steps) % 4]))
 
 
 def inverse_word_holonomy(word: Word) -> Mat2:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dtcoords import CoordError, DTCoords
+from .dtcoords import CoordError, DTCoords, validate
 from .gausspoly import GaussInt, GaussPoly
 from .holonomy import WordError, component_trace
 from .standardpos import (
@@ -179,8 +179,15 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
     """Verify the top-term shape for one connected curve.
 
     Multicomponent input is refused: the prediction is stated per connected
-    component, so the caller splits first.
+    component, so the caller splits first.  A curve with parallel copies of
+    pants curves (p_i copies where q_i = 0) is refused before any layout,
+    so the refusal costs nothing however many copies there are.
     """
+    parallel = sum(p for q, p in zip(coords.q, coords.p) if q == 0 and p > 0)
+    if parallel > 1 or (parallel and any(coords.q)):
+        validate(surface, coords)  # malformed coordinates report their own error
+        count = f"at least {parallel + 1}" if any(coords.q) else str(parallel)
+        raise CoordError(f"verification needs a connected curve; got {count} components")
     components = extract_components(surface, coords)
     if len(components) != 1:
         raise CoordError(

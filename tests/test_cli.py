@@ -129,6 +129,16 @@ def test_verify_refuses_multicomponent(capsys):
     assert "connected" in err
 
 
+def test_verify_refuses_parallel_copies_up_front(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("curve laid out")
+
+    monkeypatch.setattr("plumbtrace.verifier.extract_components", refuse)
+    code, out, err = run(capsys, "verify", "--surface", S11, "--q", "0", "--p", str(10**12))
+    assert (code, out) == (2, "")
+    assert err == "error: verification needs a connected curve; got 1000000000000 components\n"
+
+
 def test_random_deterministic(capsys):
     args = ("random", "--surface", S12, "--count", "5", "--seed", "3")
     _, out1, _ = run(capsys, *args)

@@ -1,7 +1,9 @@
 """Generator matrices, word evaluation, trace polynomials."""
 
 import cmath
+import dataclasses
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,12 @@ from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign, grlex_key
 from plumbtrace.holonomy import (
     WordError,
+    _box,
+    _canonical,
     _crossing_factor,
     _factor,
     _loop_factor,
+    _unpack,
     annulus_from_gluing_parameter,
     boundary_loop,
     crossing_matrix,
@@ -104,8 +109,9 @@ def trace_sample_words():
 
 
 def check_word_trace(word):
-    """word_trace against the canonical trace read off the full matrix."""
-    trace = evaluate_word(word).trace()
+    """word_trace against the canonical trace of the generator product,
+    which shares no code with the packed kernel."""
+    trace = generator_product(word).trace()
     if trace.is_zero():  # canonical_sign refuses it, and so must word_trace
         with pytest.raises(ValueError, match="zero"):
             word_trace(word)
@@ -342,7 +348,7 @@ class TestUnusualWords:
 
     @pytest.mark.parametrize("curve", [0, 3])
     def test_curve_outside_arity_rejected(self, curve):
-        # a packed monomial has no field for such a curve: refuse, do not drop it
+        # the exponent box has no axis for such a curve: refuse, do not drop it
         word = word_from_text(2, f"cross c={curve} out=(0,1) in=(1,0) t=0")
         with pytest.raises(WordError, match="arity 2"):
             evaluate_word(word)
@@ -374,17 +380,142 @@ class TestWordTrace:
             word_trace(word)
 
 
-def test_packed_order_is_grlex():
-    # the steps of a word crossing all four curves carry their t_k shifts
-    word = word_from_text(
-        4, "\n".join(f"cross c={c} out=(0,1) in=(1,0) t=0" for c in (1, 2, 3, 4, 1, 2))
+BOXES = [[1], [3, 2], [2, 0, 3, 1], [0, 2, 1, 0]]  # crossing counts per curve
+
+
+def pack(terms, counts, width):
+    """sum c_e * 2^(width * idx(e)), idx from _box's strides."""
+    strides, _ = _box(counts)
+    return sum(c << width * sum(e * s for e, s in zip(m, strides)) for m, c in terms.items())
+
+
+def random_terms(rng, counts, width, corner):
+    """Coefficients on the whole box, a few zero, some at the slot limits
+    (|c| < 2^(width - 1), so that -c fits too); the corner
+    prod_k t_k^counts[k] is zero unless `corner`."""
+    top = (1 << (width - 1)) - 1
+    box = list(itertools.product(*(range(c + 1) for c in counts)))
+    terms = {m: rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)]) for m in box}
+    terms[tuple(counts)] = rng.choice([1, -1, top, -top]) if corner else 0
+    return {m: c for m, c in terms.items() if c}
+
+
+class TestDenseLayout:
+    @pytest.mark.parametrize("counts", BOXES)
+    def test_index_is_a_bijection_in_product_order(self, counts):
+        strides, size = _box(counts)
+        box = itertools.product(*(range(c + 1) for c in counts))
+        assert [sum(e * s for e, s in zip(m, strides)) for m in box] == list(range(size))
+        assert size == len(list(itertools.product(*(range(c + 1) for c in counts))))
+
+    @pytest.mark.parametrize("width", [32, 64, 72, 136])
+    @pytest.mark.parametrize("counts", BOXES)
+    def test_unpack_lists_terms_in_product_order(self, counts, width):
+        rng = random.Random(f"{counts}:{width}")
+        for corner in (True, False):
+            terms = random_terms(rng, counts, width, corner)
+            order = [m for m in itertools.product(*(range(c + 1) for c in counts)) if m in terms]
+            for imag in (False, True):
+                got = _unpack(pack(terms, counts, width), counts, width, imag)
+                assert list(got) == order
+                assert got == {m: (0, c) if imag else (c, 0) for m, c in terms.items()}
+
+    @pytest.mark.parametrize("width", [32, 64, 72])
+    @pytest.mark.parametrize("counts", BOXES)
+    def test_lead_is_the_grlex_greatest_term(self, counts, width):
+        # with and without a zero corner, for every phase i^q: the sign
+        # comes from max(terms, key=grlex_key), as canonical_sign takes it
+        rng = random.Random(f"lead:{counts}:{width}")
+        for corner in (True, False):
+            for _ in range(5):
+                terms = random_terms(rng, counts, width, corner)
+                if not terms:
+                    continue
+                lead = max(terms, key=grlex_key)
+                assert (lead == tuple(counts)) == corner
+                for ur, ui in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+                    poly = GaussPoly(len(counts), {m: (ur * c, ui * c) for m, c in terms.items()})
+                    got = _canonical(pack(terms, counts, width), counts, width, (ur, ui))
+                    assert got == canonical_sign(poly).terms
+
+    def test_lead_sign_is_not_the_packed_sign(self):
+        # t2 - t1 + 1: the highest slot holds t1, the graded-lex lead is t2
+        terms = {(0, 1): 1, (1, 0): -1, (0, 0): 1}
+        packed = pack(terms, [1, 1], 32)
+        assert packed < 0
+        got = _canonical(packed, [1, 1], 32, (1, 0))
+        assert got == {(0, 1): (1, 0), (1, 0): (-1, 0), (0, 0): (1, 0)}
+
+
+def with_twists(word, twists):
+    """The word with its crossings' twists replaced, in order."""
+    twists = iter(twists)
+    return Word(
+        word.arity,
+        tuple(
+            dataclasses.replace(tok, twist=next(twists)) if isinstance(tok, Crossing) else tok
+            for tok in word.tokens
+        ),
     )
-    steps, _, _ = _factor(word)
-    shift = {tok.curve: s for tok, (s, _) in zip(word.crossings(), steps)}
-    monos = list(itertools.product(range(7), repeat=4))  # exponents up to q = 6
-    packed = {sum(e * shift[k] for k, e in enumerate(m)): m for m in monos}
-    assert len(packed) == len(monos)
-    assert [packed[key] for key in sorted(packed)] == sorted(monos, key=grlex_key)
+
+
+def max_coefficient(poly):
+    return max(max(abs(r), abs(i)) for r, i in poly.terms.values())
+
+
+# one crossing and a same-slot return: the trace is 2i*t1 + 4*twist*i, whose
+# constant is the sum of two diagonal constants of about 2*twist each
+SUM_OF_DIAGONALS = "cross c=1 out=(0,1) in=(1,1) t={}\nloop p=0 slot=1 s=-1"
+
+
+class TestKernelEdges:
+    @pytest.mark.parametrize("bits", [31, 63])
+    @pytest.mark.parametrize("twist_sign", [1, -1])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_coefficients_either_side_of_a_machine_word(self, bits, twist_sign, above):
+        twist = twist_sign * ((1 << (bits - 2)) - (0 if above else 1))
+        word = word_from_text(1, SUM_OF_DIAGONALS.format(twist))
+        m = generator_product(word)
+        assert (max_coefficient(m.trace()) >= 1 << bits) == above
+        assert evaluate_word(word) == m
+        check_word_trace(word)
+
+    @pytest.mark.parametrize("q", [2, 5, 8])
+    def test_twists_near_2_to_100(self, q):
+        # each slot spans several machine words
+        rng = random.Random(q)
+        word = with_twists(
+            word_from_text(2, chain(q)),
+            [rng.choice([1, -1]) * ((1 << 100) + rng.randint(-9, 9)) for _ in range(q)],
+        )
+        m = generator_product(word)
+        assert max_coefficient(m.trace()) > 1 << 128
+        assert evaluate_word(word) == m
+        check_word_trace(word)
+
+    def test_zero_corner_takes_the_lead_from_the_terms(self):
+        # the joint between the two crossings has a zero (2, 1) entry, so the
+        # trace has no t1*t2 term; its lead t2 sits below t1 in the packing
+        word = word_from_text(
+            2, "cross c=1 out=(0,0) in=(1,0) t=1\ncross c=2 out=(0,0) in=(1,1) t=2"
+        )
+        trace = generator_product(word).trace()
+        assert not trace.is_zero() and not trace.coefficient((1, 1))
+        assert trace.leading_monomial() == (0, 1)
+        check_word_trace(word)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_every_arity(self, arity):
+        # every curve crossed, and every curve but the first left uncrossed
+        names = ("0", "1", "inf")
+        lines = [
+            f"cross c={c} out=(0,{names[s % 3]}) in=(1,{names[(s + 1) % 3]}) t={s - 2}"
+            for s, c in enumerate(list(range(1, arity + 1)) * 2)
+        ]
+        for text in ("\n".join(lines), lines[0]):
+            word = word_from_text(arity, text)
+            assert evaluate_word(word) == generator_product(word)
+            check_word_trace(word)
 
 
 class TestGoldenEvaluations:

@@ -2,7 +2,14 @@
 
 import pytest
 
-from plumbtrace.dtcoords import CoordError, DTCoords, window_twists, twist_curve
+from plumbtrace import verifier
+from plumbtrace.dtcoords import (
+    CoordError,
+    DTCoords,
+    NegativeTwistOnZeroLength,
+    twist_curve,
+    window_twists,
+)
 from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
@@ -61,6 +68,20 @@ class TestVerify:
     def test_multicomponent_refused(self):
         with pytest.raises(CoordError, match="connected"):
             verify(one_holed_torus(), DTCoords((2,), (0,)))
+
+    def test_parallel_copies_refused_before_layout(self, monkeypatch):
+        # p copies of a pants curve are p components, counted from (q, p)
+        def refuse(*args):
+            raise AssertionError("curve laid out")
+
+        monkeypatch.setattr(verifier, "extract_components", refuse)
+        with pytest.raises(CoordError, match="connected curve; got 1000000000000 components"):
+            verify(one_holed_torus(), DTCoords((0,), (10**12,)))
+        with pytest.raises(CoordError, match="connected curve; got at least 6 components"):
+            verify(genus_two(), DTCoords((1, 1, 0), (1, 1, 5)))
+        # malformed coordinates still report their own error
+        with pytest.raises(NegativeTwistOnZeroLength):
+            verify(genus_two(), DTCoords((0, 0, 0), (2, 0, -1)))
 
     def test_corrupted_subleading_fails_with_curve_index(self):
         s = genus_two()

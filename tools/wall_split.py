@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Wall-time split of the trace pipeline: extraction, word_trace, rendering.
+
+Run from the repository root, against the sources of any checkout:
+
+    python3 tools/wall_split.py --src src --workload deep --seed 1
+
+It draws the benchmark's seeded curve list for the workload (the strata in
+``pipebench/pool.json``, drawn as ``pipebench/run.py`` draws them) and
+times three layers over the whole list, each the best of ``--repeat``
+passes: ``extract_components`` of every curve, ``word_trace`` of every
+word, and ``str`` of every trace.  The benchmark's own spans do not wrap
+``word_trace``, so this split is the attribution of the evaluation time.
+Prints one JSON object of wall seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench():
+    """pipebench/run.py as a module, for its pool and its seeded draw."""
+    spec = importlib.util.spec_from_file_location("pipebench_run", ROOT / "pipebench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def best(repeat: int, fn) -> float:
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding plumbtrace")
+    parser.add_argument("--workload", choices=("deep", "campaign"), default="deep")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=5)
+    args = parser.parse_args()
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import plumbtrace as pt
+    from plumbtrace.holonomy import word_trace
+
+    bench = load_bench()
+    curves = bench.draw(bench.load_pool(args.workload), args.workload, args.seed)
+    surfaces = {c.surface: pt.load_surface(str(bench.surface_path(c.surface))) for c in curves}
+    items = [(surfaces[c.surface], pt.DTCoords(c.q, c.p)) for c in curves]
+
+    words = [
+        comp.word
+        for surface, coords in items
+        for comp in pt.extract_components(surface, coords)
+        if comp.word is not None
+    ]
+    traces = [word_trace(w) for w in words]
+    split = {
+        "extract_s": best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items]),
+        "word_trace_s": best(args.repeat, lambda: [word_trace(w) for w in words]),
+        "render_s": best(args.repeat, lambda: [str(t) for t in traces]),
+    }
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "curves": len(items),
+                      "words": len(words), **{k: round(v, 4) for k, v in split.items()}}))
+
+
+if __name__ == "__main__":
+    main()
