@@ -116,6 +116,8 @@ def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
 
     Point names: ("w", slot, pos) window points, ("s", a, b, k) the k-th
     crossing point on the seam between slots a and b (a -> succ(a) order).
+    Window positions are read off the layout's window lists; a same-slot
+    arc starts its loop at its end nearer the window's 0 end.
     """
     scc_slot = counts.scc_slot()
     s_count = counts.scc[scc_slot] if scc_slot is not None else 0
@@ -134,8 +136,8 @@ def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
 
     white_circuit: list = []
     for slot in (0, 1, 2):
-        desc = layout.windows[(pants, slot)]
-        white_circuit.extend(("w", slot, pos) for pos in range(len(desc) - 1, -1, -1))
+        ids = layout.windows[(pants, slot)]
+        white_circuit.extend(("w", slot, pos) for pos in range(len(ids) - 1, -1, -1))
         white_circuit.extend(seam_points[(slot, succ(slot))])
 
     black_circuit: list = []
@@ -143,24 +145,30 @@ def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
         black_circuit.extend(reversed(seam_points[(pred(slot), slot)]))
     # (black horocycle edges carry no points)
 
+    def end(node: int) -> tuple[int, int]:
+        """(slot, window position) of a node."""
+        where = layout.window[node]
+        return where[1], layout.windows[where].index(node)
+
     white_chords: list[tuple] = []
     black_chords: list[tuple] = []
     scc_seen = 0
-    for arc in layout.arcs:
-        if arc.pants != pants:
-            continue
-        if arc.kind == "dcc":
-            white_chords.append(
-                (("w",) + arc.end_out, ("w",) + arc.end_in)
-            )
-        else:
+    for slot in (0, 1, 2):
+        for node in layout.windows[(pants, slot)]:
+            mate = layout.arc_mate[node]
+            if mate < node:  # each arc once; a dropped arc has no mate
+                continue
+            here, there = end(node), end(mate)
+            if here[0] != there[0]:
+                white_chords.append((("w",) + here, ("w",) + there))
+                continue
             scc_seen += 1
-            d = arc.end_out[0]
-            k = s_count - arc.end_out[1]  # window pos s-k for arc k
-            first = ("s", d, succ(d), k)
-            second = ("s", succ(d), succ(succ(d)), k)
-            white_chords.append((("w",) + arc.end_out, first))
-            white_chords.append((second, ("w",) + arc.end_in))
+            out, back = min(here, there), max(here, there)
+            k = s_count - out[1]  # window pos s-k for arc k
+            first = ("s", slot, succ(slot), k)
+            second = ("s", succ(slot), succ(succ(slot)), k)
+            white_chords.append((("w",) + out, first))
+            white_chords.append((second, ("w",) + back))
             black_chords.append((first, second))
     if scc_seen != counts.total_scc():
         raise RuntimeError(
@@ -188,18 +196,21 @@ def _annulus_crossings(
 ) -> list[tuple]:
     """Strand crossings in the infinite-strip cover of one window annulus.
 
-    Strand ends are located through the layout's window-position maps (not
-    the strand enumeration), so a corrupted bridge between the two shows up
-    here as a crossing.
+    Strand ends are located through the layout's window lists (not the
+    node numbering), so a corrupted bridge between the two shows up here
+    as a crossing.
     """
     q = coords.q[curve]
     period = q + 1  # one spare cell where the transversal arc lives
+
+    def pos(node: int) -> int:
+        return layout.windows[layout.window[node]].index(node)
+
     strands = []
     for k in range(q):
-        partner, wrap = matching.step[(curve, 0, k)]
-        u = layout.window_of[(curve, 0, k)][2]
-        v = (q - 1 - layout.window_of[partner][2]) + wrap * period
-        strands.append((u, v, wrap))
+        node = layout.node(curve, 0, k)
+        partner, wrap = matching.mate[node], matching.wrap[node]
+        strands.append((pos(node), (q - 1 - pos(partner)) + wrap * period, wrap))
     span = max((abs(w) for _, _, w in strands), default=0) + 2
     bad = []
     for i in range(len(strands)):
@@ -216,7 +227,7 @@ def _annulus_crossings(
 
 
 def _component_count(layout: Layout, matching: Matching, coords: DTCoords) -> int:
-    nodes = set(matching.step)
+    nodes = set(range(len(matching.mate)))
     count = 0
     while nodes:
         count += 1
@@ -224,9 +235,9 @@ def _component_count(layout: Layout, matching: Matching, coords: DTCoords) -> in
         node = start
         while True:
             nodes.discard(node)
-            partner, _ = matching.step[node]
+            partner = matching.mate[node]
             nodes.discard(partner)
-            node = layout.arc_step[partner][0]
+            node = layout.arc_mate[partner]
             if node == start:
                 break
     count += sum(p for q, p in zip(coords.q, coords.p) if q == 0)

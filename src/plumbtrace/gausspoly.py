@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import _poly_py
 
@@ -233,8 +234,12 @@ class GaussPoly:
             ["", f"t{k}"] + [f"t{k}^{e}" for e in range(2, top + 1)]
             for k in range(1, self.arity + 1)
         ]
+        # descending grlex_key order from two stable sorts on C-level keys:
+        # reversed exponent tuple first, then total degree
+        order = sorted(terms, key=itemgetter(slice(None, None, -1)), reverse=True)
+        order.sort(key=sum, reverse=True)
         chunks: list[str] = []
-        for mono in sorted(terms, key=grlex_key, reverse=True):
+        for mono in order:
             r, i = terms[mono]
             if not i:
                 neg = r < 0

@@ -10,6 +10,36 @@ holonomy engine evaluates.  Part (a) is the value ``dtcoords.validate``
 returns: ``layout_endpoints`` validates once and keeps that pattern on the
 ``Layout``, and ``match_strands`` reads the window twists for (c) off it.
 
+Strand index
+------------
+Layout, matching and walk share one flat integer index.  Curve i crosses
+its annulus in q_i strands; strand k has one end on each side of the
+annulus, side 0 at the gluing's end A and side 1 at end B.  The node
+``(curve i, side, strand k)`` gets the id
+
+    2 * (q_0 + ... + q_{i-1}) + side * q_i + k,
+
+so curve i owns the ids ``base[i] .. base[i+1] - 1`` with
+``base[i] = 2 * (q_0 + ... + q_{i-1})``, side 0 before side 1 and strands
+in order inside each side.  Ids therefore increase in the lexicographic
+order of the tuples, and a walk started from the least unvisited id starts
+where one started from the least unvisited tuple did: components come out
+in the same order as with tuple-keyed nodes.
+
+Each window (pants, slot) is a ``range`` of node ids listed by window
+position: end A's window is ``range(base[i], base[i] + q_i)``, end B's
+lists side 1 backwards, because end B is enumerated in decreasing chart
+order (see the matching conventions).  The layout and the matching are
+per-node lists indexed by id: the node's window, the other end of its
+pants arc, the sign of the same-slot loop entered through it (0 for an arc
+between distinct slots), the node across the annulus and the wraps of that
+strand.  The blocks of a window and the runs of equal wraps are contiguous
+id ranges, so each list is filled by slice assignment.  From these lists
+every node gets the crossing that leaves through it and the traversal that
+follows arriving at it; tokens are frozen values, so one instance of each
+distinct token serves a whole call.  The walk then only indexes lists and
+marks visited ids in a ``bytearray``.
+
 Window conventions
 ------------------
 View each slot of a pants in the chart that puts that slot at the top of the
@@ -44,7 +74,8 @@ the negative direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .dtcoords import ArcCounts, CoordError, DTCoords, pattern_twists, validate
 from .surface import PantsDecomposition, pred, slot_name, succ
@@ -109,17 +140,6 @@ class Word:
     def crossings(self) -> list[Crossing]:
         return [t for t in self.tokens if isinstance(t, Crossing)]
 
-    def q_vector(self) -> tuple[int, ...]:
-        q = [0] * self.arity
-        for c in self.crossings():
-            q[c.curve] += 1
-        return tuple(q)
-
-    def twist_vector(self) -> tuple[int, ...]:
-        tw = [0] * self.arity
-        for c in self.crossings():
-            tw[c.curve] += c.twist
-        return tuple(tw)
 
 
 @dataclass(frozen=True)
@@ -132,126 +152,96 @@ class Component:
     parallel_to: int | None = None
 
 
-@dataclass(frozen=True)
-class PantsArc:
-    """An arc of the curve inside one pants.  Endpoints are (slot, window
-    position); for scc arcs end_out starts the loop and end_in returns."""
-
-    pants: int
-    kind: str  # "dcc" | "scc"
-    end_out: tuple[int, int]
-    end_in: tuple[int, int]
-
-
-# a node is one window endpoint, identified curve-side: (curve, side, strand)
-Node = tuple[int, int, int]
-
-
 @dataclass
 class Layout:
-    """Endpoint layout plus derived pairings for one coordinate vector.
+    """Endpoint layout of one coordinate vector on the flat strand index.
 
     ``pattern`` is the per-pants arc pattern ``validate`` returned for
-    ``coords``; the arcs and windows are built from it.
+    ``coords``.  Node ``(curve i, side, strand)`` has id
+    ``base[i] + side * q[i] + strand``; ``base[-1]`` is the node count.
+    ``windows`` maps every (pants, slot) to its node ids in window order.
+    Per node: ``window`` is its (pants, slot), ``arc_mate`` the other end
+    of its pants arc, and ``loop_sign`` the sign of the same-slot loop that
+    starts by arriving at it (0 when the arc runs between distinct slots).
     """
 
     surface: PantsDecomposition
     coords: DTCoords
     pattern: tuple[ArcCounts, ...]
-    arcs: list[PantsArc]
-    windows: dict[tuple[int, int], list[tuple]]  # (pants, slot) -> descriptors
-    node_at: dict[tuple[int, int, int], Node]  # (pants, slot, pos) -> node
-    window_of: dict[Node, tuple[int, int, int]]  # node -> (pants, slot, pos)
-    arc_step: dict[Node, tuple[Node, PantsArc]] = field(default_factory=dict)
+    base: tuple[int, ...]
+    windows: dict[tuple[int, int], range]
+    window: list[tuple[int, int]]
+    arc_mate: list[int]
+    loop_sign: list[int]
+
+    def node(self, curve: int, side: int, strand: int) -> int:
+        return self.base[curve] + side * self.coords.q[curve] + strand
 
 
-def _pants_arcs(pants: int, counts: ArcCounts) -> tuple[list[PantsArc], dict[int, list[tuple]]]:
-    """Arcs and window descriptor lists for one pants."""
-    arcs: list[PantsArc] = []
-    windows: dict[int, list[tuple]] = {}
+def _at(ids: range) -> slice:
+    """The list slice addressing the node ids of a window range, in order.
 
-    def blocks(slot: int) -> tuple[int, int, int]:
-        s = counts.scc[slot]
-        return s, counts.dcc_between(slot, succ(slot)), counts.dcc_between(slot, pred(slot))
-
-    for slot in (0, 1, 2):
-        s, nsucc, npred = blocks(slot)
-        desc: list[tuple] = [None] * (2 * s + nsucc + npred)
-        for k in range(1, s + 1):
-            desc[s - k] = ("scc_out", k)
-            desc[s + nsucc + k - 1] = ("scc_in", k)
-        for m in range(nsucc):
-            desc[s + m] = ("dcc", succ(slot), m)
-        for m in range(npred):
-            desc[2 * s + nsucc + m] = ("dcc", pred(slot), m)
-        windows[slot] = desc
-
-    for slot in (0, 1, 2):
-        s, nsucc, _ = blocks(slot)
-        for k in range(1, s + 1):
-            arcs.append(
-                PantsArc(
-                    pants,
-                    "scc",
-                    end_out=(slot, s - k),
-                    end_in=(slot, s + nsucc + k - 1),
-                )
-            )
-        # the family between `slot` and its successor, paired in reversed order
-        other = succ(slot)
-        n = nsucc
-        so, ns_o, _ = blocks(other)
-        pred_base = 2 * so + ns_o
-        for m in range(n):
-            arcs.append(
-                PantsArc(
-                    pants,
-                    "dcc",
-                    end_out=(slot, s + m),
-                    end_in=(other, pred_base + (n - 1 - m)),
-                )
-            )
-    return arcs, windows
+    A non-empty part of end B's window stops at ``base + q - 1 >= 0`` or
+    later, so its stop never reads as an index from the end of the list.
+    """
+    return slice(ids.start, ids.stop, ids.step)
 
 
 def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
     """Arrange all arc endpoints along the windows and pair them through
-    the pants; also translate window positions into curve-side nodes."""
+    the pants, on the flat strand index."""
     pattern = validate(surface, coords)
-    arcs: list[PantsArc] = []
-    windows: dict[tuple[int, int], list[tuple]] = {}
-    for pants, counts in enumerate(pattern):
-        pa, wd = _pants_arcs(pants, counts)
-        arcs.extend(pa)
-        for slot, desc in wd.items():
-            windows[(pants, slot)] = desc
-
-    node_at: dict[tuple[int, int, int], Node] = {}
-    window_of: dict[Node, tuple[int, int, int]] = {}
+    q = coords.q
+    base = tuple(accumulate((2 * qi for qi in q), initial=0))
+    size = base[-1]
+    windows: dict[tuple[int, int], range] = {
+        (pants, slot): range(0) for pants in range(surface.pants_count) for slot in (0, 1, 2)
+    }
+    window: list[tuple[int, int]] = [None] * size
     for g in surface.gluings:
-        q = coords.q[g.curve]
-        for side, (pants, slot) in enumerate((g.end_a, g.end_b)):
-            for pos in range(q):
-                strand = pos if side == 0 else q - 1 - pos
-                node = (g.curve, side, strand)
-                node_at[(pants, slot, pos)] = node
-                window_of[node] = (pants, slot, pos)
+        a, b, qi = base[g.curve], base[g.curve] + q[g.curve], q[g.curve]
+        # end A lists strands 0 .. q-1 along its window, end B lists them backwards
+        windows[g.end_a] = range(a, b)
+        windows[g.end_b] = range(b + qi - 1, b - 1, -1)
+        window[a:b] = [g.end_a] * qi
+        window[b:b + qi] = [g.end_b] * qi
 
-    layout = Layout(surface, coords, pattern, arcs, windows, node_at, window_of)
-    for arc in arcs:
-        a = node_at[(arc.pants,) + arc.end_out]
-        b = node_at[(arc.pants,) + arc.end_in]
-        layout.arc_step[a] = (b, arc)
-        layout.arc_step[b] = (a, arc)
-    return layout
+    arc_mate = [0] * size
+    loop_sign = [0] * size
+    for pants, counts in enumerate(pattern):
+        for slot in (0, 1, 2):
+            ids = windows[(pants, slot)]
+            s = counts.scc[slot]
+            n = counts.dcc_between(slot, succ(slot))
+            if s:
+                # same-boundary arc k (1..s) runs from position s-k to s+n+k-1
+                out, back = ids[:s], ids[s + n:2 * s + n]
+                arc_mate[_at(out)] = back[::-1]
+                arc_mate[_at(back)] = out[::-1]
+                loop_sign[_at(out)] = [-1] * s
+                loop_sign[_at(back)] = [1] * s
+            if n:
+                # the family to the successor slot ends in that slot's
+                # predecessor block, paired in reversed order
+                other = succ(slot)
+                first = 2 * counts.scc[other] + counts.dcc_between(other, succ(other))
+                here, there = ids[s:s + n], windows[(pants, other)][first:first + n]
+                arc_mate[_at(here)] = there[::-1]
+                arc_mate[_at(there)] = here[::-1]
+    return Layout(surface, coords, pattern, base, windows, window, arc_mate, loop_sign)
 
 
 @dataclass(frozen=True)
 class Matching:
-    """Order-preserving constant-shift matching across every annulus."""
+    """Order-preserving constant-shift matching across every annulus.
+
+    Per node: ``mate`` is the node across the annulus, ``wrap`` the signed
+    wraps of the strand joining them (the same at both ends).
+    """
 
     shifts: tuple[int, ...]  # per curve, equals the window twist
-    step: dict[Node, tuple[Node, int]]  # node -> (partner, signed wraps)
+    mate: list[int]
+    wrap: list[int]
 
 
 def match_strands(layout: Layout) -> Matching:
@@ -260,41 +250,60 @@ def match_strands(layout: Layout) -> Matching:
     realizable."""
     coords = layout.coords
     phat = pattern_twists(layout.surface, coords, layout.pattern)
-    step: dict[Node, tuple[Node, int]] = {}
-    for i in range(coords.xi):
-        q = coords.q[i]
+    size = layout.base[-1]
+    mate = [0] * size
+    wrap = [0] * size
+    for i, q in enumerate(coords.q):
         if q == 0:
             continue
-        for k in range(q):
-            j = (k + phat[i]) % q
-            wrap = (k + phat[i]) // q
-            step[(i, 0, k)] = ((i, 1, j), wrap)
-            step[(i, 1, j)] = ((i, 0, k), wrap)
-    return Matching(phat, step)
+        a, b = layout.base[i], layout.base[i] + q
+        w, r = divmod(phat[i], q)
+        # A-strand k meets B-strand (k + phat) % q after (k + phat) // q
+        # wraps: A-strands 0 .. q-r-1 meet B-strands r .. q-1 after w wraps,
+        # the last r A-strands meet B-strands 0 .. r-1 after w + 1
+        mate[a:b - r] = range(b + r, b + q)
+        mate[b - r:b] = range(b, b + r)
+        mate[b:b + r] = range(b - r, b)
+        mate[b + r:b + q] = range(a, b - r)
+        wrap[a:b - r] = wrap[b + r:b + q] = [w] * (q - r)
+        wrap[b - r:b] = wrap[b:b + r] = [w + 1] * r
+    return Matching(phat, mate, wrap)
 
 
-def _walk(layout: Layout, matching: Matching, start: Node) -> tuple[list[Token], set[Node]]:
-    tokens: list[Token] = []
-    seen: set[Node] = set()
-    node = start
-    while True:
-        seen.add(node)
-        partner, wrap = matching.step[node]
-        seen.add(partner)
-        op, os_, _ = layout.window_of[node]
-        ip, is_, _ = layout.window_of[partner]
-        tokens.append(Crossing(node[0], op, os_, ip, is_, wrap))
-        nxt, arc = layout.arc_step[partner]
-        pp, ps, ppos = layout.window_of[partner]
-        np_, ns, npos = layout.window_of[nxt]
-        if ps == ns:
-            arrived_at_in = (ps, ppos) == arc.end_in
-            tokens.append(SccLoop(pp, ps, +1 if arrived_at_in else -1))
-        else:
-            tokens.append(Conn(pp, ps, ns))
-        node = nxt
-        if node == start:
-            return tokens, seen
+class _Tokens(dict):
+    """Token per key, each distinct one built once by ``make``."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        tok = self[key] = self.make(*key)
+        return tok
+
+
+def _node_tokens(layout: Layout, matching: Matching) -> tuple[list[Crossing], list[Token]]:
+    """Per node: the crossing that leaves through it, and the traversal
+    that follows arriving through it.  Equal tokens are one instance."""
+    across: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    for g in layout.surface.gluings:
+        across[g.end_a] = (g.curve, g.end_b)
+        across[g.end_b] = (g.curve, g.end_a)
+
+    def crossing(out: tuple[int, int], wrap: int) -> Crossing:
+        curve, into = across[out]
+        return Crossing(curve, *out, *into, wrap)
+
+    def traversal(at: tuple[int, int], exit_: tuple[int, int], sign: int) -> Token:
+        pants, slot = at
+        return SccLoop(pants, slot, sign) if sign else Conn(pants, slot, exit_[1])
+
+    window = layout.window
+    exits = map(window.__getitem__, layout.arc_mate)
+    return (
+        list(map(_Tokens(crossing).__getitem__, zip(window, matching.wrap))),
+        list(map(_Tokens(traversal).__getitem__, zip(window, exits, layout.loop_sign))),
+    )
 
 
 def _check_scc_patterns(word: Word) -> None:
@@ -332,23 +341,39 @@ def extract_components(
     surface: PantsDecomposition, coords: DTCoords
 ) -> list[Component]:
     """Split the multicurve into connected components, each carrying its
-    compiled word and its share of the coordinates."""
+    compiled word and its share of the coordinates.
+
+    Each walk starts on the least unvisited node id and crosses through it.
+    """
     layout = layout_endpoints(surface, coords)
     matching = match_strands(layout)
+    crossing, traversal = _node_tokens(layout, matching)
+    mate, arc_mate = matching.mate, layout.arc_mate
     xi = surface.xi
 
     components: list[Component] = []
-    visited: set[Node] = set()
-    for node in sorted(matching.step):
-        if node in visited:
-            continue
-        tokens, seen = _walk(layout, matching, node)
-        visited |= seen
+    seen = bytearray(len(mate))
+    start = seen.find(0)
+    while start >= 0:
+        tokens: list[Token] = []
+        q = [0] * xi
+        phat = [0] * xi
+        node = start
+        while True:
+            partner = mate[node]
+            seen[node] = seen[partner] = 1
+            cross = crossing[node]
+            q[cross.curve] += 1
+            phat[cross.curve] += cross.twist
+            tokens.append(cross)
+            tokens.append(traversal[partner])
+            node = arc_mate[partner]
+            if node == start:
+                break
         word = Word(xi, tuple(tokens))
         _check_scc_patterns(word)
-        components.append(
-            Component(q=word.q_vector(), phat=word.twist_vector(), word=word)
-        )
+        components.append(Component(q=tuple(q), phat=tuple(phat), word=word))
+        start = seen.find(0, start + 1)
 
     # components parallel to a pants curve: q = 0 there, p copies
     for i in range(xi):
@@ -369,24 +394,24 @@ def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
 
 # -- stable text form -------------------------------------------------------
 
+def _token_text(tok: Token) -> str:
+    if isinstance(tok, Crossing):
+        return (
+            f"cross c={tok.curve + 1} out=({tok.out_pants},{slot_name(tok.out_slot)})"
+            f" in=({tok.in_pants},{slot_name(tok.in_slot)}) t={tok.twist}"
+        )
+    if isinstance(tok, Conn):
+        return f"conn p={tok.pants} in={slot_name(tok.in_slot)} out={slot_name(tok.out_slot)}"
+    return f"loop p={tok.pants} slot={slot_name(tok.slot)} s={tok.sign:+d}"
+
+
 def word_to_text(word: Word) -> str:
-    lines = []
-    for tok in word.tokens:
-        if isinstance(tok, Crossing):
-            lines.append(
-                f"cross c={tok.curve + 1} out=({tok.out_pants},{slot_name(tok.out_slot)})"
-                f" in=({tok.in_pants},{slot_name(tok.in_slot)}) t={tok.twist}"
-            )
-        elif isinstance(tok, Conn):
-            lines.append(
-                f"conn p={tok.pants} in={slot_name(tok.in_slot)}"
-                f" out={slot_name(tok.out_slot)}"
-            )
-        else:
-            lines.append(
-                f"loop p={tok.pants} slot={slot_name(tok.slot)} s={tok.sign:+d}"
-            )
-    return "\n".join(lines)
+    """One line per token.  Compiled words share one instance per distinct
+    token, so each instance is formatted once, looked up by its id."""
+    tokens = word.tokens
+    by_id = dict(zip(map(id, tokens), tokens))
+    text = {key: _token_text(tok) for key, tok in by_id.items()}
+    return "\n".join(map(text.__getitem__, map(id, tokens)))
 
 
 def _parse_end(text: str) -> tuple[int, int]:

@@ -76,19 +76,24 @@ class TestOracle:
         coords = DTCoords((2,), (2,))
         layout = layout_endpoints(surface, coords)
         matching = match_strands(layout)
+        assert oracle_check(surface, coords, layout, matching).simple
         bad = copy.deepcopy(layout)
-        a = bad.node_at[(0, SLOT_INF, 0)]
-        b = bad.node_at[(0, SLOT_INF, 1)]
-        bad.node_at[(0, SLOT_INF, 0)], bad.node_at[(0, SLOT_INF, 1)] = b, a
-        bad.window_of[a], bad.window_of[b] = bad.window_of[b], bad.window_of[a]
+        ids = list(bad.windows[(0, SLOT_INF)])
+        assert bad.arc_mate[ids[0]] == ids[1]
+        ids[0], ids[1] = ids[1], ids[0]
+        bad.windows[(0, SLOT_INF)] = ids
         report = oracle_check(surface, coords, bad, matching)
         assert not report.simple
 
     def test_layout_disagreeing_with_arc_counts_raises(self):
+        # drop the same-boundary arcs: their ends are left without a mate
         surface = four_holed_sphere()
         coords = DTCoords((2,), (0,))
         bad = copy.deepcopy(layout_endpoints(surface, coords))
-        bad.arcs = [arc for arc in bad.arcs if arc.kind != "scc"]
+        dropped = [node for node, sign in enumerate(bad.loop_sign) if sign]
+        assert dropped
+        for node in dropped:
+            bad.arc_mate[node] = -1
         with pytest.raises(RuntimeError, match="same-boundary arcs"):
             oracle_check(surface, coords, bad, match_strands(layout_endpoints(surface, coords)))
 
@@ -96,13 +101,15 @@ class TestOracle:
         # a non-constant shift makes strands cross in the annulus
         surface = four_holed_sphere()
         coords = DTCoords((4,), (0,))
-        matching = match_strands(layout_endpoints(surface, coords))
-        step = dict(matching.step)
-        (p0, w0), (p1, w1) = step[(0, 0, 0)], step[(0, 0, 1)]
-        step[(0, 0, 0)], step[(0, 0, 1)] = (p1, w1), (p0, w0)
-        step[p1] = ((0, 0, 0), w1)
-        step[p0] = ((0, 0, 1), w0)
-        bad = type(matching)(matching.shifts, step)
+        layout = layout_endpoints(surface, coords)
+        matching = match_strands(layout)
+        mate, wrap = list(matching.mate), list(matching.wrap)
+        a0, a1 = layout.node(0, 0, 0), layout.node(0, 0, 1)
+        (p0, w0), (p1, w1) = (mate[a0], wrap[a0]), (mate[a1], wrap[a1])
+        mate[a0], wrap[a0], mate[a1], wrap[a1] = p1, w1, p0, w0
+        mate[p1], wrap[p1] = a0, w1
+        mate[p0], wrap[p0] = a1, w0
+        bad = type(matching)(matching.shifts, mate, wrap)
         report = oracle_check(surface, coords, None, bad)
         assert not report.simple
 

@@ -1,0 +1,97 @@
+"""The flat strand index against the dict-based reference reconstruction.
+
+``reference_layout`` keeps the tuple-keyed layout, matching and walk that
+share no code with ``standardpos``'s flat index; both must give the same
+components, token for token, and the same errors.
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+
+from plumbtrace.dtcoords import DTCoords
+from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.standardpos import Crossing, extract_components, word_to_text
+from plumbtrace.surface import load_surface
+from reference_layout import reference_components, reference_text
+from tests_support import n1_surface, n2_surface
+
+ROOT = Path(__file__).resolve().parent.parent
+SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf")) + [
+    ROOT / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
+]
+SURFACES = {path.stem: load_surface(str(path)) for path in SURFACE_FILES}
+SURFACES.update(n1=n1_surface(), n2=n2_surface())
+
+
+def outcome(fn, surface, coords):
+    """The components, or the type and message of the error raised."""
+    try:
+        return fn(surface, coords)
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc), str(exc))
+
+
+def assert_same(surface, coords):
+    got = extract_components(surface, coords)
+    assert got == reference_components(surface, coords), coords
+    for comp in got:
+        if comp.word is not None:
+            assert word_to_text(comp.word) == reference_text(comp.word)
+    return got
+
+
+@pytest.mark.parametrize("max_q", [3, 12, 64])
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_components_match_reference(name, max_q):
+    surface = SURFACES[name]
+    cfg = FuzzConfig(surface, seed=max_q, max_q=max_q, max_abs_p=3 * max_q, count=30)
+    multi = parallel = 0
+    for coords in random_coords(cfg):
+        comps = assert_same(surface, coords)
+        multi += sum(c.word is not None for c in comps) > 1
+        parallel += any(c.word is None for c in comps)
+    # the sample reaches multi-component curves or parallel copies
+    assert multi + parallel
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_parallel_copies_and_multicurves(name):
+    surface = SURFACES[name]
+    xi = surface.xi
+    comps = assert_same(surface, DTCoords((0,) * xi, (3,) * xi))
+    assert len(comps) == 3 * xi and all(c.word is None for c in comps)
+    # n parallel copies of a connected curve have n times its coordinates
+    cfg = FuzzConfig(surface, seed=1, max_q=6, count=5, connected_only=True)
+    for coords in random_coords(cfg):
+        for n in (2, 3):
+            copies = DTCoords(tuple(n * v for v in coords.q), tuple(n * v for v in coords.p))
+            assert len(assert_same(surface, copies)) == n
+
+
+@pytest.mark.parametrize("name", sorted(SURFACES))
+def test_errors_match_reference(name):
+    surface = SURFACES[name]
+    rng = random.Random(name)
+    errors = 0
+    for _ in range(150):
+        q = tuple(rng.randint(0, 5) for _ in range(surface.xi))
+        p = tuple(rng.randint(-7, 7) for _ in range(surface.xi))
+        coords = DTCoords(q, p)
+        want = outcome(reference_components, surface, coords)
+        assert outcome(extract_components, surface, coords) == want, coords
+        errors += isinstance(want, tuple)
+    assert errors
+    wrong_length = DTCoords((2,) * (surface.xi + 1), (0,) * (surface.xi + 1))
+    assert outcome(extract_components, surface, wrong_length) == outcome(
+        reference_components, surface, wrong_length
+    )
+
+
+def test_equal_tokens_are_one_instance():
+    surface = SURFACES["genus_two"]
+    comps = extract_components(surface, DTCoords((64, 40, 30), (16, -50, 10)))
+    tokens = [tok for comp in comps for tok in comp.word.tokens]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens)) < len(tokens)
+    assert all(type(tok) is Crossing for tok in tokens[::2])

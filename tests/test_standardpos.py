@@ -23,67 +23,124 @@ from plumbtrace.surface import (
 )
 
 
+def window_ends(layout, pants, slot):
+    """Per window position, where its pants arc ends: ("loop", loop sign,
+    mate position) for a same-slot arc, ("arc", mate slot, mate position)
+    otherwise."""
+    out = []
+    for node in layout.windows[(pants, slot)]:
+        mate = layout.arc_mate[node]
+        mate_slot = layout.window[mate][1]
+        mate_pos = layout.windows[layout.window[mate]].index(mate)
+        if mate_slot == slot:
+            out.append(("loop", layout.loop_sign[node], mate_pos))
+        else:
+            out.append(("arc", mate_slot, mate_pos))
+    return out
+
+
+def named_steps(layout, matching):
+    """The matching keyed by (curve, side, strand): node -> (mate, wraps)."""
+    name = {
+        layout.node(curve, side, strand): (curve, side, strand)
+        for curve, q in enumerate(layout.coords.q)
+        for side in (0, 1)
+        for strand in range(q)
+    }
+    return {name[n]: (name[matching.mate[n]], matching.wrap[n]) for n in name}
+
+
 class TestLayout:
     def test_same_boundary_pair_alone(self):
-        # four-holed sphere dual: each pants sees totals (0, 0, 2)
+        # four-holed sphere dual: each pants sees totals (0, 0, 2); the
+        # outgoing end (loop sign -1 on arrival) comes first
         layout = layout_endpoints(four_holed_sphere(), DTCoords((2,), (0,)))
-        assert layout.windows[(0, SLOT_INF)] == [("scc_out", 1), ("scc_in", 1)]
-        assert layout.windows[(0, SLOT_0)] == []
+        assert window_ends(layout, 0, SLOT_INF) == [("loop", -1, 1), ("loop", 1, 0)]
+        assert window_ends(layout, 0, SLOT_0) == []
 
     def test_one_arc_per_pair(self):
         # genus two with q = (2, 2, 2): every pants has totals (2, 2, 2)
         layout = layout_endpoints(genus_two(), DTCoords((2, 2, 2), (0, 0, 0)))
-        assert layout.windows[(0, SLOT_0)] == [("dcc", SLOT_1, 0), ("dcc", SLOT_INF, 0)]
-        assert layout.windows[(0, SLOT_1)] == [("dcc", SLOT_INF, 0), ("dcc", SLOT_0, 0)]
-        assert layout.windows[(0, SLOT_INF)] == [("dcc", SLOT_0, 0), ("dcc", SLOT_1, 0)]
+        assert window_ends(layout, 0, SLOT_0) == [("arc", SLOT_1, 1), ("arc", SLOT_INF, 0)]
+        assert window_ends(layout, 0, SLOT_1) == [("arc", SLOT_INF, 1), ("arc", SLOT_0, 0)]
+        assert window_ends(layout, 0, SLOT_INF) == [("arc", SLOT_0, 1), ("arc", SLOT_1, 0)]
 
     def test_blocks_at_four_two_two(self):
         # genus two with q = (4, 2, 2): slot 0 orders successor block first
         layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
-        assert layout.windows[(0, SLOT_0)] == [
-            ("dcc", SLOT_1, 0),
-            ("dcc", SLOT_1, 1),
-            ("dcc", SLOT_INF, 0),
-            ("dcc", SLOT_INF, 1),
+        assert window_ends(layout, 0, SLOT_0) == [
+            ("arc", SLOT_1, 1),
+            ("arc", SLOT_1, 0),
+            ("arc", SLOT_INF, 1),
+            ("arc", SLOT_INF, 0),
         ]
 
     def test_parallel_family_pairs_reversed(self):
         layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
         # first arc of the (slot0, slot1) family in pants 0 ends at the last
         # position of slot 1's predecessor block
-        arcs = [
-            a
-            for a in layout.arcs
-            if a.pants == 0 and {a.end_out[0], a.end_in[0]} == {SLOT_0, SLOT_1}
+        family = [
+            (pos, end[2])
+            for pos, end in enumerate(window_ends(layout, 0, SLOT_0))
+            if end[:2] == ("arc", SLOT_1)
         ]
-        assert [(a.end_out, a.end_in) for a in arcs] == [
-            ((SLOT_0, 0), (SLOT_1, 1)),
-            ((SLOT_0, 1), (SLOT_1, 0)),
-        ]
+        assert family == [(0, 1), (1, 0)]
+        assert [end[:2] for end in window_ends(layout, 0, SLOT_1)[:2]] == [("arc", SLOT_0)] * 2
+
+    def test_node_ids_follow_tuple_order(self):
+        # ids increase in (curve, side, strand) order, so walks started from
+        # the least unvisited id keep the components' order
+        layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
+        names = sorted(
+            (c, side, k) for c, q in enumerate((4, 2, 2)) for side in (0, 1) for k in range(q)
+        )
+        assert [layout.node(*name) for name in names] == list(range(16))
+        assert layout.base == (0, 8, 12, 16)
+        for g in layout.surface.gluings:
+            strands = range(layout.coords.q[g.curve])
+            a, b = layout.windows[g.end_a], layout.windows[g.end_b]
+            assert list(a) == [layout.node(g.curve, 0, k) for k in strands]
+            # end B lists the strands in decreasing order along its window
+            assert list(b)[::-1] == [layout.node(g.curve, 1, k) for k in strands]
+            assert all(layout.window[n] == g.end_a for n in a)
+            assert all(layout.window[n] == g.end_b for n in b)
 
 
 class TestMatching:
     def test_straight_across(self):
         s = one_holed_torus()
-        m = match_strands(layout_endpoints(s, DTCoords((2,), (0,))))
+        layout = layout_endpoints(s, DTCoords((2,), (0,)))
+        m = match_strands(layout)
         assert m.shifts == (0,)
-        assert m.step[(0, 0, 0)] == ((0, 1, 0), 0)
-        assert m.step[(0, 0, 1)] == ((0, 1, 1), 0)
+        step = named_steps(layout, m)
+        assert step[(0, 0, 0)] == ((0, 1, 0), 0)
+        assert step[(0, 0, 1)] == ((0, 1, 1), 0)
 
     def test_shift_by_one(self):
         s = one_holed_torus()
-        m = match_strands(layout_endpoints(s, DTCoords((2,), (2,))))  # window twist 1
+        layout = layout_endpoints(s, DTCoords((2,), (2,)))  # window twist 1
+        m = match_strands(layout)
         assert m.shifts == (1,)
-        assert m.step[(0, 0, 0)] == ((0, 1, 1), 0)
-        assert m.step[(0, 0, 1)] == ((0, 1, 0), 1)
+        step = named_steps(layout, m)
+        assert step[(0, 0, 0)] == ((0, 1, 1), 0)
+        assert step[(0, 0, 1)] == ((0, 1, 0), 1)
+        # both ends of a strand carry its wraps
+        assert step[(0, 1, 0)] == ((0, 0, 1), 1)
 
     def test_wraps_sum_to_shift(self):
         s = four_holed_sphere()
         for p in (-6, -2, 0, 2, 6):
             coords = DTCoords((4,), (p,))
-            m = match_strands(layout_endpoints(s, coords))
-            total = sum(m.step[(0, 0, k)][1] for k in range(4))
+            layout = layout_endpoints(s, coords)
+            m = match_strands(layout)
+            step = named_steps(layout, m)
+            total = sum(step[(0, 0, k)][1] for k in range(4))
             assert total == m.shifts[0] == window_twists(s, coords)[0]
+            # an order-preserving matching with constant shift, an involution
+            assert [step[(0, 0, k)][0] for k in range(4)] == [
+                (0, 1, (k + m.shifts[0]) % 4) for k in range(4)
+            ]
+            assert all(m.mate[m.mate[n]] == n for n in range(len(m.mate)))
 
 
 class TestComponents:

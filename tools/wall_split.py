@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-time split of the trace pipeline: extraction, word_trace, rendering.
+"""Wall-time split of the pipeline: validation, extraction, evaluation, text.
 
 Run from the repository root, against the sources of any checkout:
 
@@ -8,10 +8,13 @@ Run from the repository root, against the sources of any checkout:
 It draws the benchmark's seeded curve list for the workload (the strata in
 ``pipebench/pool.json``, drawn as ``pipebench/run.py`` draws them) and
 times three layers over the whole list, each the best of ``--repeat``
-passes: ``extract_components`` of every curve, ``word_trace`` of every
-word, and ``str`` of every trace.  The benchmark's own spans do not wrap
-``word_trace``, so this split is the attribution of the evaluation time.
-Prints one JSON object of wall seconds.
+passes.  On ``deep`` and ``campaign`` these are ``extract_components`` of
+every curve, ``word_trace`` of every word, and ``str`` of every trace; the
+benchmark's own spans do not wrap ``word_trace``, so this split is the
+attribution of the evaluation time.  On ``layout`` they are ``validate``
+of every curve, ``extract_components`` of every curve and ``word_to_text``
+of every word, the stages of ``plumbtrace word``.  Prints one JSON object
+of wall seconds.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def best(repeat: int, fn) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding plumbtrace")
-    parser.add_argument("--workload", choices=("deep", "campaign"), default="deep")
+    parser.add_argument("--workload", choices=("deep", "campaign", "layout"), default="deep")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
@@ -55,6 +58,7 @@ def main() -> None:
     sys.path.insert(0, str(Path(args.src).resolve()))
     import plumbtrace as pt
     from plumbtrace.holonomy import word_trace
+    from plumbtrace.standardpos import word_to_text
 
     bench = load_bench()
     curves = bench.draw(bench.load_pool(args.workload), args.workload, args.seed)
@@ -67,12 +71,20 @@ def main() -> None:
         for comp in pt.extract_components(surface, coords)
         if comp.word is not None
     ]
-    traces = [word_trace(w) for w in words]
-    split = {
-        "extract_s": best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items]),
-        "word_trace_s": best(args.repeat, lambda: [word_trace(w) for w in words]),
-        "render_s": best(args.repeat, lambda: [str(t) for t in traces]),
-    }
+    extract_s = best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items])
+    if args.workload == "layout":
+        split = {
+            "validate_s": best(args.repeat, lambda: [pt.validate(s, c) for s, c in items]),
+            "extract_s": extract_s,
+            "word_text_s": best(args.repeat, lambda: [word_to_text(w) for w in words]),
+        }
+    else:
+        traces = [word_trace(w) for w in words]
+        split = {
+            "extract_s": extract_s,
+            "word_trace_s": best(args.repeat, lambda: [word_trace(w) for w in words]),
+            "render_s": best(args.repeat, lambda: [str(t) for t in traces]),
+        }
     print(json.dumps({"workload": args.workload, "seed": args.seed, "curves": len(items),
                       "words": len(words), **{k: round(v, 4) for k, v in split.items()}}))
 
