@@ -94,10 +94,6 @@ class OracleReport:
     components: int
     crossing_pairs: list[tuple]
 
-    @property
-    def ok(self) -> bool:
-        return self.simple
-
 
 def _interleaved(circuit_pos: dict, chord1: tuple, chord2: tuple) -> bool:
     """Two chords of one disk cross iff their endpoints interleave along
@@ -275,10 +271,6 @@ def oracle_check(
         components=_component_count(layout, matching, coords),
         crossing_pairs=crossing_pairs,
     )
-
-
-def chord_diagram_oracle(surface: PantsDecomposition, coords: DTCoords) -> OracleReport:
-    return oracle_check(surface, coords)
 
 
 def injectivity_scan(

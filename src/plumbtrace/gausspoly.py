@@ -8,9 +8,9 @@ Representation
 --------------
 A ``GaussPoly`` wraps a term dict mapping exponent tuples (one slot per
 variable) to nonzero ``(re, im)`` integer pairs.  The dict is the canonical
-form: two polynomials are equal iff their term dicts are equal.  The
-add/mul loops live in ``_poly_py``, the one arithmetic kernel, which is
-pure Python.  Holonomy words are multiplied out by
+form: two polynomials are equal iff their term dicts are equal.  A
+polynomial supports addition, subtraction, negation and scaling by one
+Gaussian integer, no products: holonomy words are multiplied out by
 ``holonomy.evaluate_word`` and, when only the trace is needed,
 ``holonomy.word_trace``; both hold each entry as one packed int and
 build ``GaussPoly`` values only at the end.
@@ -42,11 +42,8 @@ A unit coefficient on a nonconstant term is dropped: ``t1``, ``-t1``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
-
-from . import _poly_py
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,7 @@ class GaussPoly:
                 out[tuple(mono)] = (int(c[0]), int(c[1]))
         return cls(arity, out)
 
-    # -- ring operations ---------------------------------------------------
+    # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "GaussPoly") -> None:
         if self.arity != other.arity:
@@ -152,21 +149,41 @@ class GaussPoly:
 
     def __add__(self, other: "GaussPoly") -> "GaussPoly":
         self._check(other)
-        return GaussPoly(self.arity, _poly_py.padd(self.terms, other.terms))
+        out = dict(self.terms)
+        for m, (qr, qi) in other.terms.items():
+            pr, pi = out.get(m, (0, 0))
+            r = pr + qr
+            i = pi + qi
+            if r or i:
+                out[m] = (r, i)
+            elif m in out:
+                del out[m]
+        return GaussPoly(self.arity, out)
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
         self._check(other)
-        return GaussPoly(self.arity, _poly_py.padd(self.terms, _poly_py.pneg(other.terms)))
+        out = dict(self.terms)
+        for m, (qr, qi) in other.terms.items():
+            pr, pi = out.get(m, (0, 0))
+            r = pr - qr
+            i = pi - qi
+            if r or i:
+                out[m] = (r, i)
+            elif m in out:
+                del out[m]
+        return GaussPoly(self.arity, out)
 
     def __neg__(self) -> "GaussPoly":
-        return GaussPoly(self.arity, _poly_py.pneg(self.terms))
-
-    def __mul__(self, other: "GaussPoly") -> "GaussPoly":
-        self._check(other)
-        return GaussPoly(self.arity, _poly_py.pmul(self.terms, other.terms))
+        return GaussPoly(self.arity, {m: (-r, -i) for m, (r, i) in self.terms.items()})
 
     def scale(self, re: int, im: int = 0) -> "GaussPoly":
-        return GaussPoly(self.arity, _poly_py.pscale(self.terms, (re, im)))
+        """The product with the one Gaussian integer re + im*i."""
+        if not (re or im):
+            return GaussPoly(self.arity, {})
+        return GaussPoly(
+            self.arity,
+            {m: (r * re - i * im, r * im + i * re) for m, (r, i) in self.terms.items()},
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -206,23 +223,6 @@ class GaussPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=grlex_key)
-
-    def shift_var(self, index: int, c: int) -> "GaussPoly":
-        """Exact substitution t_{index+1} -> t_{index+1} + c (binomial expansion)."""
-        out: dict = {}
-        for mono, (r, i) in self.terms.items():
-            n = mono[index]
-            for j in range(n + 1):
-                coeff = math.comb(n, j) * c ** (n - j)
-                m = mono[:index] + (j,) + mono[index + 1 :]
-                ar, ai = out.get(m, (0, 0))
-                ar += r * coeff
-                ai += i * coeff
-                if ar or ai:
-                    out[m] = (ar, ai)
-                elif m in out:
-                    del out[m]
-        return GaussPoly(self.arity, out)
 
     def __str__(self) -> str:
         terms = self.terms
@@ -279,7 +279,11 @@ def canonical_sign(p: GaussPoly) -> GaussPoly:
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix over GaussPoly, row-major entries (a b; c d)."""
+    """2x2 matrix over GaussPoly, row-major entries (a b; c d).
+
+    A container for ``evaluate_word``'s result: it adds its diagonal for
+    the trace and prints itself, and has no other arithmetic.
+    """
 
     a: GaussPoly
     b: GaussPoly
@@ -295,54 +299,8 @@ class Mat2:
     def arity(self) -> int:
         return self.a.arity
 
-    @classmethod
-    def identity(cls, arity: int) -> "Mat2":
-        one = GaussPoly.const(arity, 1)
-        zero = GaussPoly.zero(arity)
-        return cls(one, zero, zero, one)
-
-    @classmethod
-    def of_ints(cls, arity: int, rows: tuple) -> "Mat2":
-        """Constant matrix from ((a, b), (c, d)); entries are ints or (re, im)."""
-        (a, b), (c, d) = rows
-
-        def lift(v):
-            if isinstance(v, tuple):
-                return GaussPoly.const(arity, v[0], v[1])
-            return GaussPoly.const(arity, v)
-
-        return cls(lift(a), lift(b), lift(c), lift(d))
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        a, b, c, d = _poly_py.mat_mul(
-            (self.a.terms, self.b.terms, self.c.terms, self.d.terms),
-            (other.a.terms, other.b.terms, other.c.terms, other.d.terms),
-        )
-        n = self.arity
-        return Mat2(GaussPoly(n, a), GaussPoly(n, b), GaussPoly(n, c), GaussPoly(n, d))
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def scale(self, re: int, im: int = 0) -> "Mat2":
-        return Mat2(
-            self.a.scale(re, im),
-            self.b.scale(re, im),
-            self.c.scale(re, im),
-            self.d.scale(re, im),
-        )
-
     def trace(self) -> GaussPoly:
         return self.a + self.d
-
-    def det(self) -> GaussPoly:
-        return self.a * self.d - self.b * self.c
-
-    def adjugate(self) -> "Mat2":
-        """(d -b; -c a); equals the inverse when det == 1."""
-        return Mat2(self.d, -self.b, -self.c, self.a)
 
     def entries(self) -> tuple[GaussPoly, GaussPoly, GaussPoly, GaussPoly]:
         return (self.a, self.b, self.c, self.d)

@@ -1,27 +1,12 @@
-"""Holonomy evaluation: constant matrices, word products, trace polynomials.
+"""Holonomy evaluation: word products and trace polynomials.
 
-All matrices act on the upper half plane chart of the triply punctured
-sphere whose cusps sit at 0, 1, inf.  The constants:
-
-  flip          J  = (-i 0; 0 i)        reverses direction in a strip
-  translation   T  = (1 t; 0 1)         the gluing parameter of one curve
-  slot_to_top   W0 = (1 -1; 1 0), W1 = (0 -1; 1 -1), Winf = Id
-                the rotation of the white triangle carrying a cusp to inf
-  cusp_path     (1 2; 0 1), Id, (1 0; 2 1)
-                paths from the white to the black basepoint across one seam
-  boundary_loop loops around the three cusps, built from cusp paths
-
-A crossing of pants curve i, leaving through slot e and entering through
-slot e', wrapping the annulus t times, contributes
-
-    W_e^-1 . eta_inf^-t . J^-1 . T_i^-1 . W_e'
-           = W_e^-1 . (i A_X) . W_e',     A_X = (1 X; 0 -1), X = -t_i - 2t
-
-and a same-slot return at slot e contributes W_e^-1 . eta_0^s . W_e, the
-loop around the chart cusp at 0 with sign s.  Traversals between distinct
-slots contribute nothing of their own: the two flanking rotations already
-encode them, reducing modulo sign to W0 or W1 by the relations
-W0.W1 = -Id, W0^2 = W1.
+A crossing of curve i, leaving through slot e and entering through slot e'
+with twist t, contributes W_e^-1 . (i A_X) . W_e', A_X = (1 X; 0 -1) and
+X = -t_i - 2t, where W_e is the integer rotation carrying cusp e to inf
+(``_SLOT_TO_TOP``).  A same-slot return at slot e with sign s contributes
+W_e^-1 . (1 0; 2s 1) . W_e.  ``tests/oracle.py`` derives these factors from
+the generator matrices and multiplies words out factor by factor, as the
+reference the tests compare against.
 
 Only the crossings depend on the gluing parameters, and every other
 matrix is an integer matrix, so a word with crossings c_1 .. c_q factors as
@@ -80,9 +65,6 @@ then it carries the sign of P.  Otherwise the leading term is taken as
 max(terms, key=grlex_key) over the unpacked terms.  The rule is exact
 either way and does not assume the top-term theorem.
 
-The generator products (``_crossing_factor``, ``_loop_factor``) stay as an
-independent path for ``inverse_word_holonomy`` and the tests.
-
 Everything is exact; determinants stay 1 factor by factor.
 """
 
@@ -110,102 +92,9 @@ class WordError(ValueError):
     """Malformed holonomy word."""
 
 
-@lru_cache(maxsize=None)
-def generators(arity: int) -> dict:
-    """The constant matrices at a given variable count, all of determinant 1."""
-    M = lambda rows: Mat2.of_ints(arity, rows)
-    g = {
-        "flip": M((((0, -1), 0), (0, (0, 1)))),  # (-i 0; 0 i)
-        "slot_to_top": (
-            M(((1, -1), (1, 0))),
-            M(((0, -1), (1, -1))),
-            Mat2.identity(arity),
-        ),
-        "cusp_path": (M(((1, 2), (0, 1))), Mat2.identity(arity), M(((1, 0), (2, 1)))),
-    }
-    paths = g["cusp_path"]
-    adj = lambda m: m.adjugate()  # inverse, since all determinants are 1
-    g["boundary_loop"] = (
-        paths[2] @ adj(paths[1]),  # around cusp 0: (1 0; 2 1)
-        paths[0] @ adj(paths[2]),  # around cusp 1: (-3 2; -2 1)
-        paths[1] @ adj(paths[0]),  # around cusp inf: (1 -2; 0 1)
-    )
-    return g
-
-
-def flip(arity: int) -> Mat2:
-    return generators(arity)["flip"]
-
-
-def translation(arity: int, curve: int) -> Mat2:
-    """(1 t_{curve+1}; 0 1)."""
-    t = GaussPoly.var(arity, curve)
-    one = GaussPoly.const(arity, 1)
-    zero = GaussPoly.zero(arity)
-    return Mat2(one, t, zero, one)
-
-
-def slot_to_top(arity: int, slot: int) -> Mat2:
-    return generators(arity)["slot_to_top"][slot]
-
-
-def boundary_loop(arity: int, slot: int) -> Mat2:
-    return generators(arity)["boundary_loop"][slot]
-
-
-def cusp_path(arity: int, slot: int) -> Mat2:
-    return generators(arity)["cusp_path"][slot]
-
-
-def _loop_inf_power(arity: int, n: int) -> Mat2:
-    """boundary_loop(inf)^n = (1 -2n; 0 1), exact for any integer n."""
-    one = GaussPoly.const(arity, 1)
-    zero = GaussPoly.zero(arity)
-    return Mat2(one, GaussPoly.const(arity, -2 * n), zero, one)
-
-
-def _loop_zero_power(arity: int, n: int) -> Mat2:
-    """boundary_loop(0)^n = (1 0; 2n 1)."""
-    one = GaussPoly.const(arity, 1)
-    zero = GaussPoly.zero(arity)
-    return Mat2(one, zero, GaussPoly.const(arity, 2 * n), one)
-
-
-def crossing_matrix(arity: int, curve: int, twist: int) -> Mat2:
-    """The slot-free core of one crossing: i * (1 X; 0 -1), X = -t_i - 2*twist.
-
-    Equals the generator product boundary_loop(inf)^{-twist} . flip^-1 .
-    translation^-1, which _crossing_factor multiplies out.
-    """
-    x = GaussPoly.var(arity, curve).scale(-1) + GaussPoly.const(arity, -2 * twist)
-    return Mat2(
-        GaussPoly.const(arity, 0, 1),
-        x.scale(0, 1),
-        GaussPoly.zero(arity),
-        GaussPoly.const(arity, 0, -1),
-    )
-
-
-def _crossing_factor(arity: int, tok: Crossing) -> Mat2:
-    g = generators(arity)
-    w_out = g["slot_to_top"][tok.out_slot]
-    w_in = g["slot_to_top"][tok.in_slot]
-    core = (
-        _loop_inf_power(arity, -tok.twist)
-        @ g["flip"].adjugate()
-        @ translation(arity, tok.curve).adjugate()
-    )
-    return w_out.adjugate() @ core @ w_in
-
-
-def _loop_factor(arity: int, tok: SccLoop) -> Mat2:
-    w = slot_to_top(arity, tok.slot)
-    return w.adjugate() @ _loop_zero_power(arity, tok.sign) @ w
-
-
 # -- integer word evaluation -------------------------------------------------
 
-# W0, W1, Winf as integer rows ((a, b), (c, d)), the same as generators()
+# W0, W1, Winf as integer rows ((a, b), (c, d))
 _SLOT_TO_TOP = (((1, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, 1)))
 
 
@@ -410,24 +299,6 @@ def word_trace(word: Word) -> GaussPoly:
     if not trace:
         raise ValueError("the trace polynomial is zero")
     return GaussPoly(word.arity, _canonical(trace, counts, width, _PHASES[len(steps) % 4]))
-
-
-def inverse_word_holonomy(word: Word) -> Mat2:
-    """Holonomy of the reversed word with every factor inverted.
-
-    Equals the matrix inverse of evaluate_word(word); kept as a separate
-    evaluation path for property tests.
-    """
-    if not word.tokens:
-        raise WordError("empty word")
-    arity = word.arity
-    out = Mat2.identity(arity)
-    for tok in reversed(word.tokens):
-        if isinstance(tok, Crossing):
-            out = out @ _crossing_factor(arity, tok).adjugate()
-        elif isinstance(tok, SccLoop):
-            out = out @ _loop_factor(arity, tok).adjugate()
-    return out
 
 
 # -- curve-level traces ------------------------------------------------------

@@ -314,11 +314,13 @@ def _check_scc_patterns(word: Word) -> None:
     would force a self-crossing, so hitting one means the layout or the
     matching is wrong upstream.  The constraint only binds when neither
     flanking crossing carries twist: wraps re-bracket the loop and
-    legitimately produce every pattern.
+    legitimately produce every pattern.  The walk emits (crossing,
+    traversal) pairs, so same-slot returns sit at odd positions only.
     """
     toks = word.tokens
     n = len(toks)
-    for idx, tok in enumerate(toks):
+    for idx in range(1, n, 2):
+        tok = toks[idx]
         if not isinstance(tok, SccLoop):
             continue
         cross_in = toks[(idx - 1) % n]
@@ -424,6 +426,14 @@ def _parse_end(text: str) -> tuple[int, int]:
     return int(pants), parse_slot(slot)
 
 
+# the fields each kind of token line must carry
+_TOKEN_FIELDS = {
+    "cross": ("c", "out", "in", "t"),
+    "conn": ("p", "in", "out"),
+    "loop": ("p", "slot", "s"),
+}
+
+
 def word_from_text(arity: int, text: str) -> Word:
     from .surface import parse_slot
 
@@ -433,7 +443,17 @@ def word_from_text(arity: int, text: str) -> Word:
         if not line or line.startswith("#"):
             continue
         kind, *parts = line.split()
-        fields = dict(p.split("=", 1) for p in parts)
+        if kind not in _TOKEN_FIELDS:
+            raise CoordError(f"unknown word token {kind!r}")
+        fields = {}
+        for part in parts:
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise CoordError(f"{kind} token: bad part {part!r}, expected key=value")
+            fields[key] = value
+        for key in _TOKEN_FIELDS[kind]:
+            if key not in fields:
+                raise CoordError(f"{kind} token: missing field {key!r}")
         if kind == "cross":
             op, os_ = _parse_end(fields["out"])
             ip, is_ = _parse_end(fields["in"])
@@ -444,10 +464,8 @@ def word_from_text(arity: int, text: str) -> Word:
             tokens.append(
                 Conn(int(fields["p"]), parse_slot(fields["in"]), parse_slot(fields["out"]))
             )
-        elif kind == "loop":
+        else:
             tokens.append(
                 SccLoop(int(fields["p"]), parse_slot(fields["slot"]), int(fields["s"]))
             )
-        else:
-            raise CoordError(f"unknown word token {kind!r}")
     return Word(arity, tuple(tokens))

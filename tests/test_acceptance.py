@@ -11,17 +11,23 @@ from pathlib import Path
 
 import pytest
 
+from oracle import (
+    BOUNDARY_LOOP,
+    SLOT_TO_TOP,
+    adjugate,
+    det,
+    identity,
+    matmul,
+    mul,
+    neg,
+    of_ints,
+    shift_var,
+)
 from plumbtrace import cli
 from plumbtrace.dtcoords import DTCoords, coords_from_triple, window_twists, triple_from_coords, twist_curve
-from plumbtrace.fuzz import FuzzConfig, chord_diagram_oracle, random_coords
+from plumbtrace.fuzz import FuzzConfig, oracle_check, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
-from plumbtrace.holonomy import (
-    boundary_loop,
-    component_trace,
-    evaluate_word,
-    slot_to_top,
-    trace_of_curve,
-)
+from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components
 from plumbtrace.surface import (
     four_holed_sphere,
@@ -81,14 +87,14 @@ def test_criterion_01_four_holed_golden_trace(capsys):
 def test_criterion_02_one_holed_golden_matrix(capsys):
     t = GaussPoly.var(1, 0)
     one = GaussPoly.const(1, 1)
-    target = Mat2(t - one, one, one, GaussPoly.zero(1)).scale(0, -1)
+    target = Mat2(*(e.scale(0, -1) for e in (t - one, one, one, GaussPoly.zero(1))))
 
     # the doubled dual: both components carry the same single-crossing word
     comps = extract_components(one_holed_torus(), DTCoords((2,), (0,)))
     assert len(comps) == 2
     for comp in comps:
         m = evaluate_word(comp.word)
-        assert m in (target, -target)
+        assert m in (target, neg(target))
     # the connected single copy evaluates on the nose
     single = extract_components(one_holed_torus(), DTCoords((1,), (0,)))[0]
     assert evaluate_word(single.word) == target
@@ -97,13 +103,11 @@ def test_criterion_02_one_holed_golden_matrix(capsys):
 
 
 def test_criterion_03_generator_identities(capsys):
-    ident = Mat2.identity(1)
-    assert (
-        boundary_loop(1, 0) @ boundary_loop(1, 2) @ boundary_loop(1, 1) == ident
-    )
-    w0, w1 = slot_to_top(1, 0), slot_to_top(1, 1)
-    assert w0 @ w1 == -ident
-    assert w0 @ w0 == w1
+    ident = identity(1)
+    assert matmul(*(of_ints(1, BOUNDARY_LOOP[s]) for s in (0, 2, 1))) == ident
+    w0, w1 = of_ints(1, SLOT_TO_TOP[0]), of_ints(1, SLOT_TO_TOP[1])
+    assert matmul(w0, w1) == neg(ident)
+    assert matmul(w0, w0) == w1
     with capsys.disabled():
         _report(3, "generator identities")
 
@@ -157,7 +161,7 @@ def test_criterion_07_oracle_agreement(capsys):
         for coords in random_coords(cfg):
             if sum(coords.q) > 8:
                 continue
-            report = chord_diagram_oracle(surface, coords)
+            report = oracle_check(surface, coords)
             assert report.simple, (coords, report.crossing_pairs)
             assert report.components == len(extract_components(surface, coords))
             agreed += 1
@@ -173,7 +177,7 @@ def _equivariance_sign() -> int:
     t0 = component_trace(extract_components(s11, base)[0])
     t1 = component_trace(extract_components(s11, twist_curve(base, 0, 1))[0])
     for sign in (2, -2):
-        if canonical_sign(t0.shift_var(0, sign)) == t1:
+        if canonical_sign(shift_var(t0, 0, sign)) == t1:
             return sign
     raise AssertionError("no substitution sign works on the one-holed torus")
 
@@ -189,7 +193,7 @@ def test_criterion_08_twist_equivariance(capsys):
                     continue
                 twisted = twist_curve(coords, i, 1)
                 got = component_trace(extract_components(surface, twisted)[0])
-                assert got == canonical_sign(base.shift_var(i, sign))
+                assert got == canonical_sign(shift_var(base, i, sign))
                 cases += 1
     assert cases >= 100
     with capsys.disabled():
@@ -222,16 +226,16 @@ def test_criterion_10_trace_identity(capsys):
         )
 
     def unimodular():
-        m = Mat2.identity(2)
+        m = identity(2)
         for _ in range(3):
-            m = m @ shear()
+            m = matmul(m, shear())
         return m
 
     for _ in range(1000):
         a, b = unimodular(), unimodular()
-        assert a.det() == b.det() == one
-        lhs = (a @ b).trace()
-        rhs = a.trace() * b.trace() - (a @ b.adjugate()).trace()
+        assert det(a) == det(b) == one
+        lhs = matmul(a, b).trace()
+        rhs = mul(a.trace(), b.trace()) - matmul(a, adjugate(b)).trace()
         assert lhs == rhs
     with capsys.disabled():
         _report(10, "trace identity on 1000 unimodular matrices")

@@ -7,7 +7,6 @@ import pytest
 from plumbtrace.dtcoords import DTCoords, window_twists, validate
 from plumbtrace.fuzz import (
     FuzzConfig,
-    chord_diagram_oracle,
     injectivity_scan,
     oracle_check,
     random_coords,
@@ -56,17 +55,17 @@ class TestSampler:
 
 class TestOracle:
     def test_four_holed_dual(self):
-        report = chord_diagram_oracle(four_holed_sphere(), DTCoords((2,), (0,)))
+        report = oracle_check(four_holed_sphere(), DTCoords((2,), (0,)))
         assert report.simple
         assert report.components == 1
 
     def test_doubled_dual(self):
-        report = chord_diagram_oracle(one_holed_torus(), DTCoords((2,), (0,)))
+        report = oracle_check(one_holed_torus(), DTCoords((2,), (0,)))
         assert report.simple
         assert report.components == 2
 
     def test_parallel_components_counted(self):
-        report = chord_diagram_oracle(four_holed_sphere(), DTCoords((0,), (3,)))
+        report = oracle_check(four_holed_sphere(), DTCoords((0,), (3,)))
         assert report.components == 3
 
     def test_swapped_endpoints_detected(self):
@@ -120,7 +119,7 @@ def test_oracle_agrees_with_extraction_on_fuzz():
         for coords in random_coords(cfg):
             if sum(coords.q) > 8:
                 continue
-            report = chord_diagram_oracle(surface, coords)
+            report = oracle_check(surface, coords)
             assert report.simple, (surface, coords, report.crossing_pairs)
             assert report.components == len(extract_components(surface, coords))
 

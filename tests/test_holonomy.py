@@ -8,7 +8,25 @@ from pathlib import Path
 
 import pytest
 
-from plumbtrace import _poly_py
+import oracle
+from oracle import (
+    BOUNDARY_LOOP,
+    CUSP_PATH,
+    FLIP,
+    SLOT_TO_TOP,
+    adjugate,
+    crossing_factor,
+    crossing_matrix,
+    det,
+    generator_product,
+    identity,
+    inverse_word_holonomy,
+    loop_factor,
+    matmul,
+    neg,
+    of_ints,
+    translation,
+)
 from plumbtrace.dtcoords import DTCoords
 from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign, grlex_key
@@ -16,23 +34,12 @@ from plumbtrace.holonomy import (
     WordError,
     _box,
     _canonical,
-    _crossing_factor,
-    _factor,
-    _loop_factor,
     _unpack,
     annulus_from_gluing_parameter,
-    boundary_loop,
-    crossing_matrix,
-    cusp_path,
     evaluate_word,
-    flip,
-    generators,
     gluing_parameter_from_annulus,
-    inverse_word_holonomy,
     joint_matrix,
-    slot_to_top,
     trace_of_curve,
-    translation,
     word_trace,
 )
 from plumbtrace.standardpos import (
@@ -58,22 +65,6 @@ SURFACE_FILES = sorted((Path(__file__).resolve().parent.parent / "surfaces").glo
 
 def C(arity, re, im=0):
     return GaussPoly.const(arity, re, im)
-
-
-def joint(arity, in_slot, loops, out_slot):
-    """A joint_matrix entry as a polynomial matrix."""
-    return Mat2.of_ints(arity, joint_matrix(in_slot, loops, out_slot))
-
-
-def generator_product(word):
-    """Oracle: left-to-right product of the generator-built factors."""
-    out = Mat2.identity(word.arity)
-    for tok in word.tokens:
-        if isinstance(tok, Crossing):
-            out = out @ _crossing_factor(word.arity, tok)
-        elif isinstance(tok, SccLoop):
-            out = out @ _loop_factor(word.arity, tok)
-    return out
 
 
 def sample_words():
@@ -121,43 +112,44 @@ def check_word_trace(word):
 
 class TestGenerators:
     def test_constants(self):
-        g = generators(1)
-        assert g["flip"] == Mat2.of_ints(1, (((0, -1), 0), (0, (0, 1))))
-        assert slot_to_top(1, SLOT_0) == Mat2.of_ints(1, ((1, -1), (1, 0)))
-        assert slot_to_top(1, SLOT_1) == Mat2.of_ints(1, ((0, -1), (1, -1)))
-        assert slot_to_top(1, SLOT_INF) == Mat2.identity(1)
-        assert boundary_loop(1, SLOT_0) == Mat2.of_ints(1, ((1, 0), (2, 1)))
-        assert boundary_loop(1, SLOT_1) == Mat2.of_ints(1, ((-3, 2), (-2, 1)))
-        assert boundary_loop(1, SLOT_INF) == Mat2.of_ints(1, ((1, -2), (0, 1)))
-        assert cusp_path(1, SLOT_0) == Mat2.of_ints(1, ((1, 2), (0, 1)))
-        assert cusp_path(1, SLOT_1) == Mat2.identity(1)
+        assert of_ints(1, FLIP) == Mat2(C(1, 0, -1), C(1, 0), C(1, 0), C(1, 0, 1))
+        assert SLOT_TO_TOP[SLOT_0] == ((1, -1), (1, 0))
+        assert SLOT_TO_TOP[SLOT_1] == ((0, -1), (1, -1))
+        assert of_ints(1, SLOT_TO_TOP[SLOT_INF]) == identity(1)
+        assert BOUNDARY_LOOP[SLOT_0] == ((1, 0), (2, 1))
+        assert BOUNDARY_LOOP[SLOT_1] == ((-3, 2), (-2, 1))
+        assert BOUNDARY_LOOP[SLOT_INF] == ((1, -2), (0, 1))
+        assert CUSP_PATH[SLOT_0] == ((1, 2), (0, 1))
+        assert of_ints(1, CUSP_PATH[SLOT_1]) == identity(1)
+
+    def test_boundary_loops_from_cusp_paths(self):
+        path = [of_ints(1, rows) for rows in CUSP_PATH]
+        for cusp, (a, b) in zip((SLOT_0, SLOT_1, SLOT_INF), ((2, 1), (0, 2), (1, 0))):
+            assert of_ints(1, BOUNDARY_LOOP[cusp]) == matmul(path[a], adjugate(path[b]))
 
     def test_determinants(self):
         one = C(1, 1)
-        for m in [flip(1), translation(1, 0)] + [
-            f(1, s) for s in (0, 1, 2) for f in (slot_to_top, boundary_loop, cusp_path)
+        tables = (SLOT_TO_TOP, BOUNDARY_LOOP, CUSP_PATH)
+        for m in [of_ints(1, FLIP), translation(1, 0)] + [
+            of_ints(1, table[s]) for s in (0, 1, 2) for table in tables
         ]:
-            assert m.det() == one
+            assert det(m) == one
 
     def test_rotation_relations(self):
-        w0, w1 = slot_to_top(1, SLOT_0), slot_to_top(1, SLOT_1)
-        assert w0 @ w1 == -Mat2.identity(1)
-        assert w0 @ w0 == w1
+        w0, w1 = of_ints(1, SLOT_TO_TOP[SLOT_0]), of_ints(1, SLOT_TO_TOP[SLOT_1])
+        assert matmul(w0, w1) == neg(identity(1))
+        assert matmul(w0, w0) == w1
 
     def test_boundary_loop_product_is_identity(self):
-        prod = (
-            boundary_loop(1, SLOT_0)
-            @ boundary_loop(1, SLOT_INF)
-            @ boundary_loop(1, SLOT_1)
-        )
-        assert prod == Mat2.identity(1)
+        loops = (of_ints(1, BOUNDARY_LOOP[s]) for s in (SLOT_0, SLOT_INF, SLOT_1))
+        assert matmul(*loops) == identity(1)
 
     def test_boundary_loops_parabolic(self):
         two = C(1, 2)
         for s in (0, 1, 2):
-            m = boundary_loop(1, s)
+            m = of_ints(1, BOUNDARY_LOOP[s])
             assert canonical_sign(m.trace()) == two
-            assert m != Mat2.identity(1) and m != -Mat2.identity(1)
+            assert m != identity(1) and m != neg(identity(1))
 
     def test_translation_is_parabolic(self):
         assert translation(3, 1).trace() == C(3, 2)
@@ -173,10 +165,10 @@ class TestCrossingMatrix:
     def test_matches_generator_product(self):
         # one positive wrap before the crossing
         arity, curve = 2, 1
-        expect = (
-            boundary_loop(arity, SLOT_INF).adjugate()
-            @ flip(arity).adjugate()
-            @ translation(arity, curve).adjugate()
+        expect = matmul(
+            adjugate(of_ints(arity, BOUNDARY_LOOP[SLOT_INF])),
+            adjugate(of_ints(arity, FLIP)),
+            adjugate(translation(arity, curve)),
         )
         assert crossing_matrix(arity, curve, 1) == expect
 
@@ -184,30 +176,28 @@ class TestCrossingMatrix:
         # a wrap emitted before the crossing (inverted loop) equals the same
         # wrap emitted after it (plain loop): the matrix is identical
         arity = 1
-        pre = boundary_loop(arity, SLOT_INF).adjugate() @ (
-            flip(arity).adjugate() @ translation(arity, 0).adjugate()
-        )
-        post = (
-            flip(arity).adjugate() @ translation(arity, 0).adjugate()
-        ) @ boundary_loop(arity, SLOT_INF)
+        loop = of_ints(arity, BOUNDARY_LOOP[SLOT_INF])
+        core = matmul(adjugate(of_ints(arity, FLIP)), adjugate(translation(arity, 0)))
+        pre = matmul(adjugate(loop), core)
+        post = matmul(core, loop)
         assert pre == post == crossing_matrix(arity, 0, 1)
 
     def test_determinant_one(self):
         for t in (-3, 0, 5):
-            assert crossing_matrix(2, 0, t).det() == C(2, 1)
+            assert det(crossing_matrix(2, 0, t)) == C(2, 1)
 
 
 class TestConnectorTable:
     def test_all_six_reduce(self):
-        w = [slot_to_top(1, s) for s in (SLOT_0, SLOT_1)]
+        w = [of_ints(1, SLOT_TO_TOP[s]) for s in (SLOT_0, SLOT_1)]
         for entry in (0, 1, 2):
             for exit_ in (0, 1, 2):
                 if entry == exit_:
                     continue
-                k = joint(1, entry, (), exit_)
+                k = of_ints(1, joint_matrix(entry, (), exit_))
                 # exit at predecessor -> +-W0, at successor -> +-W1
                 cls = 0 if exit_ == (entry + 2) % 3 else 1
-                assert k in (w[cls], -w[cls]), (entry, exit_)
+                assert k in (w[cls], neg(w[cls])), (entry, exit_)
 
 
 # loop runs between two crossings: none, one return either way at any slot,
@@ -230,13 +220,13 @@ class TestFactorTable:
                 for in_slot in (0, 1, 2):
                     for twist in range(-4, 5):
                         tok = Crossing(curve, 0, out_slot, 0, in_slot, twist)
-                        m = (
-                            joint(arity, SLOT_INF, (), out_slot)
-                            @ crossing_matrix(arity, curve, twist)
-                            @ joint(arity, in_slot, (), SLOT_INF)
+                        m = matmul(
+                            of_ints(arity, joint_matrix(SLOT_INF, (), out_slot)),
+                            crossing_matrix(arity, curve, twist),
+                            of_ints(arity, joint_matrix(in_slot, (), SLOT_INF)),
                         )
-                        assert m == _crossing_factor(arity, tok)
-                        assert m.det() == one
+                        assert m == crossing_factor(arity, tok)
+                        assert det(m) == one
 
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     def test_loop_entries_match_generator_product(self, arity):
@@ -244,13 +234,13 @@ class TestFactorTable:
         for in_slot in (0, 1, 2):
             for out_slot in (0, 1, 2):
                 for run in LOOP_RUNS:
-                    expect = slot_to_top(arity, in_slot)
+                    expect = of_ints(arity, SLOT_TO_TOP[in_slot])
                     for slot, sign in run:
-                        expect = expect @ _loop_factor(arity, SccLoop(0, slot, sign))
-                    expect = expect @ slot_to_top(arity, out_slot).adjugate()
-                    k = joint(arity, in_slot, run, out_slot)
+                        expect = matmul(expect, loop_factor(arity, SccLoop(0, slot, sign)))
+                    expect = matmul(expect, adjugate(of_ints(arity, SLOT_TO_TOP[out_slot])))
+                    k = of_ints(arity, joint_matrix(in_slot, run, out_slot))
                     assert k == expect, (in_slot, run, out_slot)
-                    assert k.det() == C(arity, 1)
+                    assert det(k) == C(arity, 1)
 
 
 class TestEvaluatorAgainstGeneratorProduct:
@@ -266,19 +256,20 @@ class TestEvaluatorAgainstGeneratorProduct:
 
     def test_inverse_is_adjugate_on_sample(self):
         for word in sample_words():
-            assert inverse_word_holonomy(word) == evaluate_word(word).adjugate()
+            assert inverse_word_holonomy(word) == adjugate(evaluate_word(word))
 
     def test_no_generic_products(self, monkeypatch):
+        # neither fast path reaches the reference's products
         words = sample_words()
 
         def refuse(*args):
             raise AssertionError("generic product called")
 
-        monkeypatch.setattr(Mat2, "__matmul__", refuse)
-        monkeypatch.setattr(_poly_py, "pmul", refuse)
-        monkeypatch.setattr(_poly_py, "mat_mul", refuse)
+        for name in ("pmul", "mat_mul", "_mul_into"):
+            monkeypatch.setattr(oracle, name, refuse)
         for word in words:
             evaluate_word(word)
+            word_trace(word)
 
 
 # hand-written words of shapes the compiler never emits, in the text form
@@ -343,7 +334,7 @@ class TestUnusualWords:
         assert len(word.crossings()) == q
         m = evaluate_word(word)
         assert m == generator_product(word)
-        assert m.det() == C(2, 1)
+        assert det(m) == C(2, 1)
         check_word_trace(word)
 
     @pytest.mark.parametrize("curve", [0, 3])
@@ -373,9 +364,8 @@ class TestWordTrace:
             raise AssertionError("matrix, sum or negated copy built")
 
         monkeypatch.setattr(Mat2, "__post_init__", refuse)
-        monkeypatch.setattr(GaussPoly, "__neg__", refuse)
-        monkeypatch.setattr(_poly_py, "padd", refuse)
-        monkeypatch.setattr(_poly_py, "pneg", refuse)
+        for name in ("__neg__", "__add__", "__sub__"):
+            monkeypatch.setattr(GaussPoly, name, refuse)
         for word in words:
             word_trace(word)
 
@@ -524,8 +514,8 @@ class TestGoldenEvaluations:
         m = evaluate_word(comps[0].word)
         t = GaussPoly.var(1, 0)
         one = C(1, 1)
-        target = Mat2(t - one, one, one, GaussPoly.zero(1)).scale(0, -1)
-        assert m in (target, -target)
+        target = Mat2(*(e.scale(0, -1) for e in (t - one, one, one, GaussPoly.zero(1))))
+        assert m in (target, neg(target))
         assert m == target  # this word comes out on the nose
 
     def test_four_holed_dual_worked_product(self):
@@ -549,7 +539,7 @@ class TestGoldenEvaluations:
         # the evaluator lifts every crossing with the same direction-reversal
         # matrix; the worked product flips the lift on the return crossing,
         # so the two differ by the overall projective sign
-        assert m == -target
+        assert m == neg(target)
         assert canonical_sign(m.trace()) == GaussPoly.from_terms(
             1, {(2,): 4, (1,): -8, (0,): 6}
         )
@@ -561,7 +551,7 @@ class TestGoldenEvaluations:
 
     def test_compiled_matrix_has_unit_determinant(self):
         comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
-        assert evaluate_word(comps[0].word).det() == C(1, 1)
+        assert det(evaluate_word(comps[0].word)) == C(1, 1)
 
     def test_empty_word_rejected(self):
         for evaluate in (evaluate_word, word_trace):
@@ -600,13 +590,13 @@ class TestInverseWord:
         comps = extract_components(four_holed_sphere(), DTCoords((2,), (2,)))
         word = comps[0].word
         m = evaluate_word(word)
-        assert inverse_word_holonomy(word) == m.adjugate()
-        assert m.adjugate().trace() == m.trace()  # det 1
+        assert inverse_word_holonomy(word) == adjugate(m)
+        assert adjugate(m).trace() == m.trace()  # det 1
 
     def test_single_crossing_self_inverse_up_to_sign(self):
         # the slot-free crossing core A satisfies A^-1 = -A
         m = crossing_matrix(1, 0, 2)
-        assert m.adjugate() == -m
+        assert adjugate(m) == neg(m)
 
     def test_reversed_word_same_canonical_trace(self):
         comps = extract_components(four_holed_sphere(), DTCoords((2,), (0,)))

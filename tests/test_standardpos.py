@@ -1,11 +1,14 @@
 """Curve reconstruction: endpoint layout, matching, components, words."""
 
-from plumbtrace.dtcoords import DTCoords, window_twists
+import pytest
+
+from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
 from plumbtrace.standardpos import (
     Conn,
     Crossing,
     SccLoop,
     Word,
+    _check_scc_patterns,
     extract_components,
     layout_endpoints,
     match_strands,
@@ -207,6 +210,19 @@ class TestWords:
         word = comps[0].word
         assert word_from_text(1, word_to_text(word)) == word
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("cross c=1", "cross token: missing field 'out'"),
+            ("cross c=1 out=(0,1) in=(1,0)", "cross token: missing field 't'"),
+            ("loop p=0 slot=inf", "loop token: missing field 's'"),
+            ("cross c1 out=(0,1)", "cross token: bad part 'c1'"),
+        ],
+    )
+    def test_malformed_token_line(self, line, message):
+        with pytest.raises(CoordError, match=message):
+            word_from_text(1, line)
+
 
 class TestSccCount:
     def test_four_holed_dual(self):
@@ -259,3 +275,16 @@ def test_twisted_same_slot_returns_compile():
     comps = extract_components(s, DTCoords((4, 2), (2, -4)))
     assert sorted(sum(c.q) for c in comps) == [2, 4]
 
+
+
+@pytest.mark.parametrize("sign,raises", [(+1, True), (-1, False)])
+def test_untwisted_same_slot_return_pattern(sign, raises):
+    # a return flanked by two successor turns must loop negatively
+    c = Crossing(0, 0, SLOT_INF, 1, SLOT_INF, 0)
+    loop = SccLoop(0, SLOT_INF, sign)
+    word = Word(1, (c, Conn(0, SLOT_0, SLOT_1), c, loop, c, Conn(0, SLOT_1, SLOT_INF)))
+    if raises:
+        with pytest.raises(AssertionError, match="non-embeddable"):
+            _check_scc_patterns(word)
+    else:
+        _check_scc_patterns(word)
