@@ -106,14 +106,14 @@ def _interleaved(circuit_pos: dict, chord1: tuple, chord2: tuple) -> bool:
     return inside1 != inside2
 
 
-def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
+def _pants_disks(counts: ArcCounts, layout: Layout, where: dict, pants: int):
     """Chords and boundary circuits of the two hexagon disks of one pants
     whose arc pattern is `counts`.
 
     Point names: ("w", slot, pos) window points, ("s", a, b, k) the k-th
     crossing point on the seam between slots a and b (a -> succ(a) order).
-    Window positions are read off the layout's window lists; a same-slot
-    arc starts its loop at its end nearer the window's 0 end.
+    Window positions are read off `where`, node -> (window, position); a
+    same-slot arc starts its loop at its end nearer the window's 0 end.
     """
     scc_slot = counts.scc_slot()
     s_count = counts.scc[scc_slot] if scc_slot is not None else 0
@@ -143,8 +143,8 @@ def _pants_disks(counts: ArcCounts, layout: Layout, pants: int):
 
     def end(node: int) -> tuple[int, int]:
         """(slot, window position) of a node."""
-        where = layout.window[node]
-        return where[1], layout.windows[where].index(node)
+        (_, slot), pos = where[node]
+        return slot, pos
 
     white_chords: list[tuple] = []
     black_chords: list[tuple] = []
@@ -188,25 +188,23 @@ def _disk_crossings(circuit: list, chords: list[tuple]) -> list[tuple]:
 
 
 def _annulus_crossings(
-    coords, layout: Layout, matching: Matching, curve: int
+    coords, layout: Layout, matching: Matching, where: dict, curve: int
 ) -> list[tuple]:
     """Strand crossings in the infinite-strip cover of one window annulus.
 
-    Strand ends are located through the layout's window lists (not the
-    node numbering), so a corrupted bridge between the two shows up here
-    as a crossing.
+    Strand ends are located through `where`, the inverted window lists
+    (not the node numbering), so a corrupted bridge between the two shows
+    up here as a crossing.
     """
     q = coords.q[curve]
     period = q + 1  # one spare cell where the transversal arc lives
 
-    def pos(node: int) -> int:
-        return layout.windows[layout.window[node]].index(node)
-
     strands = []
     for k in range(q):
         node = layout.node(curve, 0, k)
-        partner, wrap = matching.mate[node], matching.wrap[node]
-        strands.append((pos(node), (q - 1 - pos(partner)) + wrap * period, wrap))
+        partner, wrap = matching.mate[node], matching.crossing[node].twist
+        (_, pos), (_, partner_pos) = where[node], where[partner]
+        strands.append((pos, (q - 1 - partner_pos) + wrap * period, wrap))
     span = max((abs(w) for _, _, w in strands), default=0) + 2
     bad = []
     for i in range(len(strands)):
@@ -250,21 +248,32 @@ def oracle_check(
 
     Passing an explicit layout/matching lets negative controls corrupt the
     data and watch the oracle object.  The arc pattern is recomputed from
-    the coordinates, never read off the layout under test.
+    the coordinates, never read off the layout under test.  Strand ends are
+    located through the layout's ``windows`` lists, inverted once into
+    node -> (window, position), not through the node numbering, so window
+    lists that disagree with the arc pairing or the matching show up as
+    crossings.
     """
     pattern = validate(surface, coords)
     if layout is None:
         layout = layout_endpoints(surface, coords)
     if matching is None:
         matching = match_strands(layout)
+    where = {
+        node: (window, pos)
+        for window, ids in layout.windows.items()
+        for pos, node in enumerate(ids)
+    }
 
     crossing_pairs: list[tuple] = []
     for pants, counts in enumerate(pattern):
-        for circuit, chords in _pants_disks(counts, layout, pants):
+        for circuit, chords in _pants_disks(counts, layout, where, pants):
             crossing_pairs.extend(_disk_crossings(circuit, chords))
     for curve in range(surface.xi):
         if coords.q[curve]:
-            crossing_pairs.extend(_annulus_crossings(coords, layout, matching, curve))
+            crossing_pairs.extend(
+                _annulus_crossings(coords, layout, matching, where, curve)
+            )
 
     return OracleReport(
         simple=not crossing_pairs,

@@ -161,17 +161,7 @@ class GaussPoly:
         return GaussPoly(self.arity, out)
 
     def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, (qr, qi) in other.terms.items():
-            pr, pi = out.get(m, (0, 0))
-            r = pr - qr
-            i = pi - qi
-            if r or i:
-                out[m] = (r, i)
-            elif m in out:
-                del out[m]
-        return GaussPoly(self.arity, out)
+        return self + -other
 
     def __neg__(self) -> "GaussPoly":
         return GaussPoly(self.arity, {m: (-r, -i) for m, (r, i) in self.terms.items()})

@@ -30,15 +30,15 @@ Each window (pants, slot) is a ``range`` of node ids listed by window
 position: end A's window is ``range(base[i], base[i] + q_i)``, end B's
 lists side 1 backwards, because end B is enumerated in decreasing chart
 order (see the matching conventions).  The layout and the matching are
-per-node lists indexed by id: the node's window, the other end of its
-pants arc, the sign of the same-slot loop entered through it (0 for an arc
-between distinct slots), the node across the annulus and the wraps of that
-strand.  The blocks of a window and the runs of equal wraps are contiguous
-id ranges, so each list is filled by slice assignment.  From these lists
-every node gets the crossing that leaves through it and the traversal that
-follows arriving at it; tokens are frozen values, so one instance of each
-distinct token serves a whole call.  The walk then only indexes lists and
-marks visited ids in a ``bytearray``.
+per-node lists indexed by id: the other end of the node's pants arc, the
+traversal that follows arriving at the node, the node across the annulus
+and the crossing that leaves through the node.  Every node of one window
+block shares its traversal token and every strand end of one wrap run its
+crossing token, and blocks and runs are contiguous id ranges, so each list
+is filled by slice assignment, building each token once per non-empty
+block or run.  Tokens are frozen values, so that one instance serves the
+whole call.  The walk then only indexes lists and marks visited ids in a
+``bytearray``.
 
 Window conventions
 ------------------
@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .dtcoords import ArcCounts, CoordError, DTCoords, pattern_twists, validate
-from .surface import PantsDecomposition, pred, slot_name, succ
+from .surface import PantsDecomposition, parse_slot, pred, slot_name, succ
 
 # connector classes for a traversal between distinct slots of one pants
 TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
@@ -160,9 +160,10 @@ class Layout:
     ``coords``.  Node ``(curve i, side, strand)`` has id
     ``base[i] + side * q[i] + strand``; ``base[-1]`` is the node count.
     ``windows`` maps every (pants, slot) to its node ids in window order.
-    Per node: ``window`` is its (pants, slot), ``arc_mate`` the other end
-    of its pants arc, and ``loop_sign`` the sign of the same-slot loop that
-    starts by arriving at it (0 when the arc runs between distinct slots).
+    Per node: ``arc_mate`` is the other end of its pants arc, and
+    ``traversal`` the token for arriving at it and leaving through
+    ``arc_mate``: an ``SccLoop`` when both ends sit in one window, a
+    ``Conn`` otherwise.
     """
 
     surface: PantsDecomposition
@@ -170,9 +171,8 @@ class Layout:
     pattern: tuple[ArcCounts, ...]
     base: tuple[int, ...]
     windows: dict[tuple[int, int], range]
-    window: list[tuple[int, int]]
     arc_mate: list[int]
-    loop_sign: list[int]
+    traversal: list[Token]
 
     def node(self, curve: int, side: int, strand: int) -> int:
         return self.base[curve] + side * self.coords.q[curve] + strand
@@ -197,17 +197,14 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
     windows: dict[tuple[int, int], range] = {
         (pants, slot): range(0) for pants in range(surface.pants_count) for slot in (0, 1, 2)
     }
-    window: list[tuple[int, int]] = [None] * size
     for g in surface.gluings:
         a, b, qi = base[g.curve], base[g.curve] + q[g.curve], q[g.curve]
         # end A lists strands 0 .. q-1 along its window, end B lists them backwards
         windows[g.end_a] = range(a, b)
         windows[g.end_b] = range(b + qi - 1, b - 1, -1)
-        window[a:b] = [g.end_a] * qi
-        window[b:b + qi] = [g.end_b] * qi
 
     arc_mate = [0] * size
-    loop_sign = [0] * size
+    traversal: list[Token] = [None] * size
     for pants, counts in enumerate(pattern):
         for slot in (0, 1, 2):
             ids = windows[(pants, slot)]
@@ -218,8 +215,8 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 out, back = ids[:s], ids[s + n:2 * s + n]
                 arc_mate[_at(out)] = back[::-1]
                 arc_mate[_at(back)] = out[::-1]
-                loop_sign[_at(out)] = [-1] * s
-                loop_sign[_at(back)] = [1] * s
+                traversal[_at(out)] = [SccLoop(pants, slot, -1)] * s
+                traversal[_at(back)] = [SccLoop(pants, slot, 1)] * s
             if n:
                 # the family to the successor slot ends in that slot's
                 # predecessor block, paired in reversed order
@@ -228,20 +225,23 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 here, there = ids[s:s + n], windows[(pants, other)][first:first + n]
                 arc_mate[_at(here)] = there[::-1]
                 arc_mate[_at(there)] = here[::-1]
-    return Layout(surface, coords, pattern, base, windows, window, arc_mate, loop_sign)
+                traversal[_at(here)] = [Conn(pants, slot, other)] * n
+                traversal[_at(there)] = [Conn(pants, other, slot)] * n
+    return Layout(surface, coords, pattern, base, windows, arc_mate, traversal)
 
 
 @dataclass(frozen=True)
 class Matching:
     """Order-preserving constant-shift matching across every annulus.
 
-    Per node: ``mate`` is the node across the annulus, ``wrap`` the signed
-    wraps of the strand joining them (the same at both ends).
+    Per node: ``mate`` is the node across the annulus, ``crossing`` the
+    token for leaving through the node's window and arriving at ``mate``;
+    its ``twist`` is the signed wraps of the strand (the same at both ends).
     """
 
     shifts: tuple[int, ...]  # per curve, equals the window twist
     mate: list[int]
-    wrap: list[int]
+    crossing: list[Crossing]
 
 
 def match_strands(layout: Layout) -> Matching:
@@ -252,8 +252,9 @@ def match_strands(layout: Layout) -> Matching:
     phat = pattern_twists(layout.surface, coords, layout.pattern)
     size = layout.base[-1]
     mate = [0] * size
-    wrap = [0] * size
-    for i, q in enumerate(coords.q):
+    crossing: list[Crossing] = [None] * size
+    for g in layout.surface.gluings:
+        i, q = g.curve, coords.q[g.curve]
         if q == 0:
             continue
         a, b = layout.base[i], layout.base[i] + q
@@ -265,45 +266,12 @@ def match_strands(layout: Layout) -> Matching:
         mate[b - r:b] = range(b, b + r)
         mate[b:b + r] = range(b - r, b)
         mate[b + r:b + q] = range(a, b - r)
-        wrap[a:b - r] = wrap[b + r:b + q] = [w] * (q - r)
-        wrap[b - r:b] = wrap[b:b + r] = [w + 1] * r
-    return Matching(phat, mate, wrap)
-
-
-class _Tokens(dict):
-    """Token per key, each distinct one built once by ``make``."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        tok = self[key] = self.make(*key)
-        return tok
-
-
-def _node_tokens(layout: Layout, matching: Matching) -> tuple[list[Crossing], list[Token]]:
-    """Per node: the crossing that leaves through it, and the traversal
-    that follows arriving through it.  Equal tokens are one instance."""
-    across: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
-    for g in layout.surface.gluings:
-        across[g.end_a] = (g.curve, g.end_b)
-        across[g.end_b] = (g.curve, g.end_a)
-
-    def crossing(out: tuple[int, int], wrap: int) -> Crossing:
-        curve, into = across[out]
-        return Crossing(curve, *out, *into, wrap)
-
-    def traversal(at: tuple[int, int], exit_: tuple[int, int], sign: int) -> Token:
-        pants, slot = at
-        return SccLoop(pants, slot, sign) if sign else Conn(pants, slot, exit_[1])
-
-    window = layout.window
-    exits = map(window.__getitem__, layout.arc_mate)
-    return (
-        list(map(_Tokens(crossing).__getitem__, zip(window, matching.wrap))),
-        list(map(_Tokens(traversal).__getitem__, zip(window, exits, layout.loop_sign))),
-    )
+        crossing[a:b - r] = [Crossing(i, *g.end_a, *g.end_b, w)] * (q - r)
+        crossing[b + r:b + q] = [Crossing(i, *g.end_b, *g.end_a, w)] * (q - r)
+        if r:
+            crossing[b - r:b] = [Crossing(i, *g.end_a, *g.end_b, w + 1)] * r
+            crossing[b:b + r] = [Crossing(i, *g.end_b, *g.end_a, w + 1)] * r
+    return Matching(phat, mate, crossing)
 
 
 def _check_scc_patterns(word: Word) -> None:
@@ -349,8 +317,8 @@ def extract_components(
     """
     layout = layout_endpoints(surface, coords)
     matching = match_strands(layout)
-    crossing, traversal = _node_tokens(layout, matching)
-    mate, arc_mate = matching.mate, layout.arc_mate
+    mate, crossing = matching.mate, matching.crossing
+    arc_mate, traversal = layout.arc_mate, layout.traversal
     xi = surface.xi
 
     components: list[Component] = []
@@ -417,26 +385,23 @@ def word_to_text(word: Word) -> str:
 
 
 def _parse_end(text: str) -> tuple[int, int]:
-    from .surface import parse_slot
-
     inner = text.strip()
     if not (inner.startswith("(") and inner.endswith(")")):
-        raise CoordError(f"bad window {text!r}")
+        raise ValueError(text)
     pants, slot = inner[1:-1].split(",")
     return int(pants), parse_slot(slot)
 
 
-# the fields each kind of token line must carry
+# per kind of token line: the fields it must carry, in token order, each
+# with its reader
 _TOKEN_FIELDS = {
-    "cross": ("c", "out", "in", "t"),
-    "conn": ("p", "in", "out"),
-    "loop": ("p", "slot", "s"),
+    "cross": (("c", int), ("out", _parse_end), ("in", _parse_end), ("t", int)),
+    "conn": (("p", int), ("in", parse_slot), ("out", parse_slot)),
+    "loop": (("p", int), ("slot", parse_slot), ("s", int)),
 }
 
 
 def word_from_text(arity: int, text: str) -> Word:
-    from .surface import parse_slot
-
     tokens: list[Token] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -451,21 +416,21 @@ def word_from_text(arity: int, text: str) -> Word:
             if not eq:
                 raise CoordError(f"{kind} token: bad part {part!r}, expected key=value")
             fields[key] = value
-        for key in _TOKEN_FIELDS[kind]:
+        values = []
+        for key, read in _TOKEN_FIELDS[kind]:
             if key not in fields:
                 raise CoordError(f"{kind} token: missing field {key!r}")
+            try:
+                values.append(read(fields[key]))
+            except ValueError:
+                raise CoordError(
+                    f"{kind} token: field {key!r} has bad value {fields[key]!r}"
+                ) from None
         if kind == "cross":
-            op, os_ = _parse_end(fields["out"])
-            ip, is_ = _parse_end(fields["in"])
-            tokens.append(
-                Crossing(int(fields["c"]) - 1, op, os_, ip, is_, int(fields["t"]))
-            )
+            curve, out, into, twist = values
+            tokens.append(Crossing(curve - 1, *out, *into, twist))
         elif kind == "conn":
-            tokens.append(
-                Conn(int(fields["p"]), parse_slot(fields["in"]), parse_slot(fields["out"]))
-            )
+            tokens.append(Conn(*values))
         else:
-            tokens.append(
-                SccLoop(int(fields["p"]), parse_slot(fields["slot"]), int(fields["s"]))
-            )
+            tokens.append(SccLoop(*values))
     return Word(arity, tuple(tokens))

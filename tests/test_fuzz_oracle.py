@@ -11,7 +11,13 @@ from plumbtrace.fuzz import (
     oracle_check,
     random_coords,
 )
-from plumbtrace.standardpos import extract_components, layout_endpoints, match_strands
+from plumbtrace.standardpos import (
+    Matching,
+    SccLoop,
+    extract_components,
+    layout_endpoints,
+    match_strands,
+)
 from plumbtrace.surface import (
     SLOT_INF,
     four_holed_sphere,
@@ -89,7 +95,7 @@ class TestOracle:
         surface = four_holed_sphere()
         coords = DTCoords((2,), (0,))
         bad = copy.deepcopy(layout_endpoints(surface, coords))
-        dropped = [node for node, sign in enumerate(bad.loop_sign) if sign]
+        dropped = [node for node, tok in enumerate(bad.traversal) if isinstance(tok, SccLoop)]
         assert dropped
         for node in dropped:
             bad.arc_mate[node] = -1
@@ -102,13 +108,13 @@ class TestOracle:
         coords = DTCoords((4,), (0,))
         layout = layout_endpoints(surface, coords)
         matching = match_strands(layout)
-        mate, wrap = list(matching.mate), list(matching.wrap)
+        mate, crossing = list(matching.mate), list(matching.crossing)
         a0, a1 = layout.node(0, 0, 0), layout.node(0, 0, 1)
-        (p0, w0), (p1, w1) = (mate[a0], wrap[a0]), (mate[a1], wrap[a1])
-        mate[a0], wrap[a0], mate[a1], wrap[a1] = p1, w1, p0, w0
-        mate[p1], wrap[p1] = a0, w1
-        mate[p0], wrap[p0] = a1, w0
-        bad = type(matching)(matching.shifts, mate, wrap)
+        p0, p1 = mate[a0], mate[a1]
+        # a0 and a1 trade partners, each taking the other's strand wraps
+        mate[a0], mate[a1], mate[p1], mate[p0] = p1, p0, a0, a1
+        crossing[a0], crossing[a1] = crossing[a1], crossing[a0]
+        bad = Matching(matching.shifts, mate, crossing)
         report = oracle_check(surface, coords, None, bad)
         assert not report.simple
 

@@ -30,13 +30,16 @@ def window_ends(layout, pants, slot):
     """Per window position, where its pants arc ends: ("loop", loop sign,
     mate position) for a same-slot arc, ("arc", mate slot, mate position)
     otherwise."""
+    where = {
+        node: (window, pos)
+        for window, ids in layout.windows.items()
+        for pos, node in enumerate(ids)
+    }
     out = []
     for node in layout.windows[(pants, slot)]:
-        mate = layout.arc_mate[node]
-        mate_slot = layout.window[mate][1]
-        mate_pos = layout.windows[layout.window[mate]].index(mate)
+        (_, mate_slot), mate_pos = where[layout.arc_mate[node]]
         if mate_slot == slot:
-            out.append(("loop", layout.loop_sign[node], mate_pos))
+            out.append(("loop", layout.traversal[node].sign, mate_pos))
         else:
             out.append(("arc", mate_slot, mate_pos))
     return out
@@ -50,7 +53,7 @@ def named_steps(layout, matching):
         for side in (0, 1)
         for strand in range(q)
     }
-    return {name[n]: (name[matching.mate[n]], matching.wrap[n]) for n in name}
+    return {name[n]: (name[matching.mate[n]], matching.crossing[n].twist) for n in name}
 
 
 class TestLayout:
@@ -105,8 +108,10 @@ class TestLayout:
             assert list(a) == [layout.node(g.curve, 0, k) for k in strands]
             # end B lists the strands in decreasing order along its window
             assert list(b)[::-1] == [layout.node(g.curve, 1, k) for k in strands]
-            assert all(layout.window[n] == g.end_a for n in a)
-            assert all(layout.window[n] == g.end_b for n in b)
+            # the crossing leaving through a node leaves through its window
+            crossing = match_strands(layout).crossing
+            assert all((crossing[n].out_pants, crossing[n].out_slot) == g.end_a for n in a)
+            assert all((crossing[n].out_pants, crossing[n].out_slot) == g.end_b for n in b)
 
 
 class TestMatching:
@@ -217,6 +222,10 @@ class TestWords:
             ("cross c=1 out=(0,1) in=(1,0)", "cross token: missing field 't'"),
             ("loop p=0 slot=inf", "loop token: missing field 's'"),
             ("cross c1 out=(0,1)", "cross token: bad part 'c1'"),
+            ("cross c=1 out=(0,1,2) in=(1,0) t=0", "cross token: field 'out' has bad value"),
+            ("cross c=x out=(0,1) in=(1,0) t=0", "cross token: field 'c' has bad value 'x'"),
+            ("loop p=0 slot=1 s=z", "loop token: field 's' has bad value 'z'"),
+            ("conn p=q in=0 out=1", "conn token: field 'p' has bad value 'q'"),
         ],
     )
     def test_malformed_token_line(self, line, message):

@@ -110,6 +110,19 @@ class TestVerify:
         bad = check_trace_polynomial(scaled, (2,), (0,), 2)
         assert not bad.leading_ok
 
+    def test_term_above_degree_bounds_fails(self):
+        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
+        assert report.passed
+        cubed = report.trace + GaussPoly(1, {(3,): (1, 0)})
+        bad = check_trace_polynomial(cubed, (2,), (0,), report.h)
+        assert bad.leading_ok and all(c.ok for c in bad.subleading)
+        assert not bad.remainder_degree_ok
+        assert not bad.per_variable_degree_ok
+        assert bad.failures() == [
+            "remainder exceeds total degree bound",
+            "a variable exceeds its degree bound",
+        ]
+
     def test_subleading_linear_in_twist(self):
         # slope of the subleading coefficient in p equals the leading one
         lead = predict_top_terms(1, (3,), (1,), 0).coefficient((3,))
