@@ -1,6 +1,7 @@
 """Random coordinate streams and the independent embedding oracle."""
 
 import copy
+import hashlib
 
 import pytest
 
@@ -27,6 +28,7 @@ from plumbtrace.surface import (
 )
 
 SURFACES = [one_holed_torus(), four_holed_sphere(), twice_holed_torus(), genus_two()]
+STREAM_DIGEST = "6639ea171495b4f68aa793b741b61e39e727abfe08a3670104a081cadadafa8e"
 
 
 class TestSampler:
@@ -38,6 +40,21 @@ class TestSampler:
         a = list(random_coords(FuzzConfig(genus_two(), seed=1, count=25)))
         b = list(random_coords(FuzzConfig(genus_two(), seed=2, count=25)))
         assert a != b
+
+    def test_stream_golden(self):
+        # pins the exact draw sequence: seeds 0-2 on the four stock
+        # surfaces, with and without the connected-only filter
+        digest = hashlib.sha256()
+        for surface in SURFACES:
+            for seed in range(3):
+                for connected_only in (False, True):
+                    cfg = FuzzConfig(
+                        surface, seed=seed, count=20, connected_only=connected_only
+                    )
+                    for c in random_coords(cfg):
+                        line = f"{surface.curve_names()} {seed} {connected_only} {c.q} {c.p}"
+                        digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == STREAM_DIGEST
 
     def test_four_holed_sphere_parity(self):
         cfg = FuzzConfig(four_holed_sphere(), seed=3, max_q=2, count=50)
