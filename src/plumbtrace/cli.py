@@ -71,11 +71,10 @@ def _seed(args) -> int:
         raise CoordError(f"PLUMBTRACE_SEED must be an integer, got {text!r}") from None
 
 
-def _add_surface_coord_args(sub, coords: bool = True):
+def _add_surface_coord_args(sub):
     sub.add_argument("--surface", required=True, help="surface description file")
-    if coords:
-        sub.add_argument("--q", required=True, help="intersection numbers, e.g. 2,0")
-        sub.add_argument("--p", required=True, help="twists, e.g. 0,4")
+    sub.add_argument("--q", required=True, help="intersection numbers, e.g. 2,0")
+    sub.add_argument("--p", required=True, help="twists, e.g. 0,4")
     sub.add_argument("--format", choices=("text", "jsonl"), default="text")
 
 

@@ -10,13 +10,14 @@ positive.  Admissibility:
   (ii) the three intersection numbers at each pants have even sum, a curve
        glued to two slots of the same pants counting twice.
 
-Intersecting a single pants in ``x, y, z`` points forces the arc pattern:
-between boundaries X and Y run ``max(0, min((x+y-z)/2, x, y))`` arcs, and
-``max(0, (x-y-z)/2)`` arcs run from X back to itself.  At most one boundary
-of a pants can carry same-boundary arcs.  ``validate`` checks (i) and (ii)
-and returns this arc pattern, one ``ArcCounts`` per pants; everything
-downstream (twist conversion, layout, the same-boundary count ``h``) reads
-that value rather than recomputing it.
+Intersecting a single pants in ``x, y, z`` points forces the arc pattern.
+With ``half = (x+y+z)/2``, between boundaries X and Y run
+``max(0, min(half - z, x, y))`` arcs, and ``max(0, x - half)`` arcs run
+from X back to itself.  At most one boundary of a pants can carry
+same-boundary arcs, since two totals above ``half`` would exceed the sum.
+``validate`` checks (i) and (ii) and returns this arc pattern, one
+``ArcCounts`` per pants; everything downstream (twist conversion, layout,
+the same-boundary count ``h``) reads that value rather than recomputing it.
 
 Two twist scales are used.  The symmetric twist ``p`` above is what users
 supply; the window twist ``phat`` is the strand shift in the annulus once
@@ -71,12 +72,6 @@ class DTCoords:
         return len(self.q)
 
 
-def pants_x(surface: PantsDecomposition, coords: DTCoords, pants: int) -> tuple[int, int, int]:
-    """Intersection numbers of the curve with the three slots of one pants."""
-    data = surface.boundary_data(pants)
-    return tuple(0 if data[s] is None else coords.q[data[s]] for s in (0, 1, 2))
-
-
 def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, ...]:
     """Raise unless (q, p) satisfies the admissibility conditions; return
     the arc pattern of each pants, indexed by pants."""
@@ -88,8 +83,8 @@ def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, 
         if qi == 0 and pi < 0:
             raise NegativeTwistOnZeroLength(i)
     pattern = []
-    for pants in range(surface.pants_count):
-        x = pants_x(surface, coords, pants)
+    for pants, curves in enumerate(surface.slot_curves):
+        x = [0 if c is None else coords.q[c] for c in curves]
         if sum(x) % 2:
             raise ParityViolation(pants, sum(x))
         pattern.append(arc_counts(*x))
@@ -100,17 +95,17 @@ def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, 
 class ArcCounts:
     """Arc pattern of a curve inside one pants with slot totals (x0, x1, x2).
 
-    ``dcc[(a, b)]`` counts arcs between the slot-a and slot-b boundaries
-    (keys are the three sorted slot pairs); ``scc[a]`` counts arcs from the
-    slot-a boundary to itself.
+    ``dcc[c]`` counts arcs between the two slots other than c, so the arcs
+    between slots a and b are ``dcc[3 - a - b]``; ``scc[a]`` counts arcs
+    from the slot-a boundary to itself.
     """
 
     x: tuple[int, int, int]
-    dcc: dict[tuple[int, int], int]
+    dcc: tuple[int, int, int]
     scc: tuple[int, int, int]
 
     def dcc_between(self, a: int, b: int) -> int:
-        return self.dcc[(min(a, b), max(a, b))]
+        return self.dcc[3 - a - b]
 
     def scc_slot(self) -> int | None:
         """The unique slot carrying same-boundary arcs, or None."""
@@ -129,20 +124,15 @@ def arc_counts(x: int, y: int, z: int) -> ArcCounts:
         raise CoordError("negative intersection number")
     if (x + y + z) % 2:
         raise ParityViolation(-1, x + y + z)
-    v = (x, y, z)
-
-    def between(a: int, b: int) -> int:
-        c = 3 - a - b
-        return max(0, min((v[a] + v[b] - v[c]) // 2, v[a], v[b]))
-
-    def same(a: int) -> int:
-        b, c = [s for s in (0, 1, 2) if s != a]
-        return max(0, (v[a] - v[b] - v[c]) // 2)
-
+    half = (x + y + z) // 2
     return ArcCounts(
-        x=v,
-        dcc={(0, 1): between(0, 1), (0, 2): between(0, 2), (1, 2): between(1, 2)},
-        scc=(same(0), same(1), same(2)),
+        x=(x, y, z),
+        dcc=(
+            max(0, min(half - x, y, z)),
+            max(0, min(half - y, x, z)),
+            max(0, min(half - z, x, y)),
+        ),
+        scc=(max(0, x - half), max(0, y - half), max(0, z - half)),
     )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dtcoords import ArcCounts, CoordError, DTCoords, twist_correction, validate
+from .dtcoords import ArcCounts, CoordError, DTCoords, ParityViolation, twist_correction, validate
 from .standardpos import Layout, Matching, extract_components, layout_endpoints, match_strands
 from .surface import PantsDecomposition, pred, succ
 
@@ -35,24 +35,23 @@ class FuzzConfig:
     connected_only: bool = False
 
 
-def _sample_q(rng: random.Random, surface: PantsDecomposition, max_q: int) -> tuple[int, ...]:
+def _sample_q(
+    rng: random.Random, surface: PantsDecomposition, max_q: int
+) -> tuple[tuple[int, ...], tuple[ArcCounts, ...]]:
+    """An intersection vector even at every pants, and its arc pattern."""
+    zeros = (0,) * surface.xi
     for _ in range(100_000):
         q = tuple(rng.randint(0, max_q) for _ in range(surface.xi))
-        ok = True
-        for pants in range(surface.pants_count):
-            data = surface.boundary_data(pants)
-            total = sum(q[c] for c in data.values() if c is not None)
-            if total % 2:
-                ok = False
-                break
-        if ok:
-            return q
+        try:
+            return q, validate(surface, DTCoords(q, zeros))
+        except ParityViolation:
+            pass
     raise CoordError("could not sample an even intersection vector")
 
 
-def _repair_p(surface: PantsDecomposition, q: tuple[int, ...], p: list[int]) -> tuple[int, ...]:
-    # the arc pattern depends on q alone
-    pattern = validate(surface, DTCoords(q, (0,) * surface.xi))
+def _repair_p(
+    surface: PantsDecomposition, q: tuple[int, ...], pattern: tuple[ArcCounts, ...], p: list[int]
+) -> tuple[int, ...]:
     out = list(p)
     for i in range(surface.xi):
         if q[i] == 0:
@@ -77,9 +76,9 @@ def random_coords(cfg: FuzzConfig) -> list[DTCoords]:
         attempts += 1
         if attempts > 1000 * max(cfg.count, 1):
             raise CoordError("rejection sampling stalled; relax the config")
-        q = _sample_q(rng, cfg.surface, cfg.max_q)
+        q, pattern = _sample_q(rng, cfg.surface, cfg.max_q)
         p = [rng.randint(-cfg.max_abs_p, cfg.max_abs_p) for _ in range(cfg.surface.xi)]
-        coords = DTCoords(q, _repair_p(cfg.surface, q, p))
+        coords = DTCoords(q, _repair_p(cfg.surface, q, pattern, p))
         if cfg.connected_only and len(extract_components(cfg.surface, coords)) != 1:
             continue
         sample.append(coords)

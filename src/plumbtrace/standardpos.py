@@ -395,9 +395,9 @@ def _parse_end(text: str) -> tuple[int, int]:
 # per kind of token line: the fields it must carry, in token order, each
 # with its reader
 _TOKEN_FIELDS = {
-    "cross": (("c", int), ("out", _parse_end), ("in", _parse_end), ("t", int)),
-    "conn": (("p", int), ("in", parse_slot), ("out", parse_slot)),
-    "loop": (("p", int), ("slot", parse_slot), ("s", int)),
+    "cross": {"c": int, "out": _parse_end, "in": _parse_end, "t": int},
+    "conn": {"p": int, "in": parse_slot, "out": parse_slot},
+    "loop": {"p": int, "slot": parse_slot, "s": int},
 }
 
 
@@ -410,14 +410,19 @@ def word_from_text(arity: int, text: str) -> Word:
         kind, *parts = line.split()
         if kind not in _TOKEN_FIELDS:
             raise CoordError(f"unknown word token {kind!r}")
+        spec = _TOKEN_FIELDS[kind]
         fields = {}
         for part in parts:
             key, eq, value = part.partition("=")
             if not eq:
                 raise CoordError(f"{kind} token: bad part {part!r}, expected key=value")
+            if key not in spec:
+                raise CoordError(f"{kind} token: unknown field {key!r}")
+            if key in fields:
+                raise CoordError(f"{kind} token: repeated field {key!r}")
             fields[key] = value
         values = []
-        for key, read in _TOKEN_FIELDS[kind]:
+        for key, read in spec.items():
             if key not in fields:
                 raise CoordError(f"{kind} token: missing field {key!r}")
             try:

@@ -76,14 +76,24 @@ class PantsDecomposition:
     boundary: int
     pants_count: int
     gluings: tuple[Gluing, ...]
-    # (pants, slot) -> the gluing at that slot; derived from `gluings`
-    slot_table: dict[tuple[int, int], Gluing] = field(compare=False, repr=False)
-    unglued: tuple[tuple[int, int], ...] = field(default=())
+    # slot_curves[pants][slot]: index of the curve glued at that slot, or
+    # None for a free boundary; derived from `gluings`
+    slot_curves: tuple[tuple[int | None, ...], ...] = field(compare=False, repr=False)
 
     @property
     def xi(self) -> int:
         """Number of pants curves (= number of plumbing variables)."""
         return len(self.gluings)
+
+    @property
+    def unglued(self) -> tuple[tuple[int, int], ...]:
+        """Free (pants, slot) pairs in pants-then-slot order."""
+        return tuple(
+            (p, s)
+            for p, curves in enumerate(self.slot_curves)
+            for s, c in enumerate(curves)
+            if c is None
+        )
 
     def curve_names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.gluings)
@@ -92,16 +102,6 @@ class PantsDecomposition:
         """one-holed-torus if both ends of the gluing lie on the same pants."""
         g = self.gluings[curve]
         return ONE_HOLED_TORUS if g.end_a[0] == g.end_b[0] else FOUR_HOLED_SPHERE
-
-    def boundary_data(self, pants: int) -> dict[int, int | None]:
-        """Per slot: the glued curve index or None for a free boundary."""
-        if not 0 <= pants < self.pants_count:
-            raise SurfaceError(f"no pants {pants}")
-        table = self.slot_table
-        return {
-            s: (table[(pants, s)].curve if (pants, s) in table else None)
-            for s in (SLOT_0, SLOT_1, SLOT_INF)
-        }
 
 
 def build_surface(
@@ -117,7 +117,7 @@ def build_surface(
     """
     if pants_count < 1:
         raise SurfaceError("need at least one pants")
-    seen: set[tuple[int, int]] = set()
+    slot_curves: list[list[int | None]] = [[None] * 3 for _ in range(pants_count)]
     frozen = []
     for k, (name, end_a, end_b) in enumerate(gluings):
         for p, s in (end_a, end_b):
@@ -127,12 +127,10 @@ def build_surface(
                 raise SurfaceError(f"gluing {name!r} has bad slot {s}")
         if end_a == end_b:
             raise SurfaceError(f"gluing {name!r} glues slot {end_a} to itself")
-        for end in (end_a, end_b):
-            if end in seen:
-                raise SurfaceError(
-                    f"slot ({end[0]},{slot_name(end[1])}) used by two gluings"
-                )
-            seen.add(end)
+        for p, s in (end_a, end_b):
+            if slot_curves[p][s] is not None:
+                raise SurfaceError(f"slot ({p},{slot_name(s)}) used by two gluings")
+            slot_curves[p][s] = k
         frozen.append(Gluing(k, name, end_a, end_b))
 
     # gluing graph (pants = nodes) must be connected
@@ -150,13 +148,6 @@ def build_surface(
     if len(reach) != pants_count:
         raise SurfaceError("gluing graph is disconnected")
 
-    unglued = tuple(
-        (p, s)
-        for p in range(pants_count)
-        for s in (SLOT_0, SLOT_1, SLOT_INF)
-        if (p, s) not in seen
-    )
-
     xi = len(frozen)
     if pants_count != 2 * genus - 2 + boundary:
         raise SurfaceError(
@@ -168,15 +159,13 @@ def build_surface(
             f"declared genus {genus}, boundary {boundary} needs "
             f"{3 * genus - 3 + boundary} gluings, got {xi}"
         )
-    if len(unglued) != boundary:
-        raise SurfaceError(
-            f"{len(unglued)} free slots but declared boundary {boundary}"
-        )
-
-    slot_table = {g.end_a: g for g in frozen} | {g.end_b: g for g in frozen}
-    return PantsDecomposition(
-        genus, boundary, pants_count, tuple(frozen), slot_table, unglued
+    surface = PantsDecomposition(
+        genus, boundary, pants_count, tuple(frozen), tuple(map(tuple, slot_curves))
     )
+    free = len(surface.unglued)
+    if free != boundary:
+        raise SurfaceError(f"{free} free slots but declared boundary {boundary}")
+    return surface
 
 
 _GLUE_RE = re.compile(

@@ -57,8 +57,7 @@ def predict_top_terms(
             continue
         mono = tuple(q[k] - (1 if k == i else 0) for k in range(arity))
         factor = p[i] - q[i]
-        prev = terms.get(mono, (0, 0))
-        terms[mono] = (prev[0] + lead[0] * factor, prev[1] + lead[1] * factor)
+        terms[mono] = (lead[0] * factor, lead[1] * factor)
     return GaussPoly.from_terms(arity, terms)
 
 
@@ -155,7 +154,7 @@ def check_trace_polynomial(
         leading_ok=leading_ok,
     )
 
-    top = {lead_mono: (lead.re, lead.im)}
+    top = {lead_mono}
     for i in range(arity):
         if q[i] == 0:
             continue
@@ -165,12 +164,11 @@ def check_trace_polynomial(
         report.subleading.append(
             SubleadingCheck(i, observed, predicted, observed == predicted)
         )
-        top[mono] = (observed.re, observed.im)
+        top.add(mono)
 
-    remainder = trace - GaussPoly.from_terms(arity, top)
-    report.remainder_degree_ok = remainder.total_degree() <= q_tot - 2
-    # the remainder's monomials are among the trace's, so bounding the
-    # trace bounds both
+    report.remainder_degree_ok = all(
+        sum(m) <= q_tot - 2 for m in trace.terms if m not in top
+    )
     report.per_variable_degree_ok = all(trace.degree_in(i) <= q[i] for i in range(arity))
     return report
 

@@ -48,13 +48,13 @@ class TestValidate:
 class TestArcCounts:
     def test_all_equal(self):
         c = arc_counts(2, 2, 2)
-        assert all(v == 1 for v in c.dcc.values())
+        assert all(v == 1 for v in c.dcc)
         assert c.scc == (0, 0, 0)
 
     def test_single_same_boundary_arc(self):
         c = arc_counts(2, 0, 0)
         assert c.scc == (1, 0, 0)
-        assert all(v == 0 for v in c.dcc.values())
+        assert all(v == 0 for v in c.dcc)
 
     def test_four_two_two(self):
         c = arc_counts(4, 2, 2)
@@ -67,13 +67,11 @@ class TestArcCounts:
         with pytest.raises(ParityViolation):
             arc_counts(1, 0, 0)
 
-    @pytest.mark.parametrize("x", range(0, 41, 4))
+    @pytest.mark.parametrize("x", range(41))
     def test_slot_budget_identity(self, x):
         # every even-sum triple up to 40: arcs at a slot add up to its total
-        for y in range(0, 41, 2):
-            for z in range(x % 2, 41, 2):
-                if (x + y + z) % 2:
-                    continue
+        for y in range(41):
+            for z in range((x + y) % 2, 41, 2):
                 c = arc_counts(x, y, z)
                 for slot, total in enumerate((x, y, z)):
                     others = [s for s in (0, 1, 2) if s != slot]
@@ -83,6 +81,17 @@ class TestArcCounts:
                         + 2 * c.scc[slot]
                     )
                     assert budget == total
+
+    @pytest.mark.parametrize("x", range(41))
+    def test_same_boundary_arcs_pinned(self, x):
+        # with the slot budgets this fixes the whole pattern: (2, 2, 2) must
+        # not come out as one same-boundary arc plus two arcs between 1 and 2
+        for y in range(41):
+            for z in range((x + y) % 2, 41, 2):
+                v = (x, y, z)
+                c = arc_counts(*v)
+                assert sum(c.scc) == max(0, 2 * max(v) - sum(v)) // 2
+                assert sum(1 for n in c.scc if n) <= 1
 
 
 def n1_surface():

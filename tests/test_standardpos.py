@@ -226,6 +226,8 @@ class TestWords:
             ("cross c=x out=(0,1) in=(1,0) t=0", "cross token: field 'c' has bad value 'x'"),
             ("loop p=0 slot=1 s=z", "loop token: field 's' has bad value 'z'"),
             ("conn p=q in=0 out=1", "conn token: field 'p' has bad value 'q'"),
+            ("cross c=1 out=(0,1) in=(1,0) t=0 zz=3 t=5", "cross token: unknown field 'zz'"),
+            ("conn p=0 in=0 out=1 p=7", "conn token: repeated field 'p'"),
         ],
     )
     def test_malformed_token_line(self, line, message):

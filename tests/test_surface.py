@@ -52,14 +52,10 @@ def test_modular_kind():
     assert all(s20.modular_kind(i) == FOUR_HOLED_SPHERE for i in range(3))
 
 
-def test_boundary_data():
-    assert one_holed_torus().boundary_data(0) == {SLOT_0: 0, SLOT_1: None, SLOT_INF: 0}
-    assert four_holed_sphere().boundary_data(0) == {
-        SLOT_0: None,
-        SLOT_1: None,
-        SLOT_INF: 0,
-    }
-    assert genus_two().boundary_data(0) == {SLOT_0: 0, SLOT_1: 1, SLOT_INF: 2}
+def test_slot_curves():
+    assert one_holed_torus().slot_curves[0] == (0, None, 0)
+    assert four_holed_sphere().slot_curves[0] == (None, None, 0)
+    assert genus_two().slot_curves[0] == (0, 1, 2)
 
 
 def test_duplicate_slot_rejected():

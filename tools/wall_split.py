@@ -8,13 +8,14 @@ Run from the repository root, against the sources of any checkout:
 It draws the benchmark's seeded curve list for the workload (the strata in
 ``pipebench/pool.json``, drawn as ``pipebench/run.py`` draws them) and
 times three layers over the whole list, each the best of ``--repeat``
-passes.  On ``deep`` and ``campaign`` these are ``extract_components`` of
-every curve, ``word_trace`` of every word, and ``str`` of every trace; the
-benchmark's own spans do not wrap ``word_trace``, so this split is the
-attribution of the evaluation time.  On ``layout`` they are ``validate``
-of every curve, ``extract_components`` of every curve and ``word_to_text``
-of every word, the stages of ``plumbtrace word``.  Prints one JSON object
-of wall seconds.
+passes.  Every workload reports ``validate`` of every curve (``verify``
+validates each curve twice, once for its word and once for the
+same-boundary count) and ``extract_components`` of every curve.  On
+``deep`` and ``campaign`` it adds ``word_trace`` of every word and ``str``
+of every trace; the benchmark's own spans do not wrap ``word_trace``, so
+this split is the attribution of the evaluation time.  On ``layout`` it
+adds ``word_to_text`` of every word, the last stage of ``plumbtrace
+word``.  Prints one JSON object of wall seconds.
 """
 
 from __future__ import annotations
@@ -71,20 +72,16 @@ def main() -> None:
         for comp in pt.extract_components(surface, coords)
         if comp.word is not None
     ]
-    extract_s = best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items])
+    split = {
+        "validate_s": best(args.repeat, lambda: [pt.validate(s, c) for s, c in items]),
+        "extract_s": best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items]),
+    }
     if args.workload == "layout":
-        split = {
-            "validate_s": best(args.repeat, lambda: [pt.validate(s, c) for s, c in items]),
-            "extract_s": extract_s,
-            "word_text_s": best(args.repeat, lambda: [word_to_text(w) for w in words]),
-        }
+        split["word_text_s"] = best(args.repeat, lambda: [word_to_text(w) for w in words])
     else:
         traces = [word_trace(w) for w in words]
-        split = {
-            "extract_s": extract_s,
-            "word_trace_s": best(args.repeat, lambda: [word_trace(w) for w in words]),
-            "render_s": best(args.repeat, lambda: [str(t) for t in traces]),
-        }
+        split["word_trace_s"] = best(args.repeat, lambda: [word_trace(w) for w in words])
+        split["render_s"] = best(args.repeat, lambda: [str(t) for t in traces])
     print(json.dumps({"workload": args.workload, "seed": args.seed, "curves": len(items),
                       "words": len(words), **{k: round(v, 4) for k, v in split.items()}}))
 
