@@ -107,13 +107,6 @@ class ArcCounts:
     def dcc_between(self, a: int, b: int) -> int:
         return self.dcc[3 - a - b]
 
-    def scc_slot(self) -> int | None:
-        """The unique slot carrying same-boundary arcs, or None."""
-        for s, n in enumerate(self.scc):
-            if n:
-                return s
-        return None
-
     def total_scc(self) -> int:
         return sum(self.scc)
 

@@ -197,18 +197,6 @@ class GaussPoly:
         c = self.terms.get(tuple(mono), (0, 0))
         return GaussInt(*c)
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def degree_in(self, index: int) -> int:
-        """Degree in variable `index` (0-based); -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m[index] for m in self.terms)
-
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")

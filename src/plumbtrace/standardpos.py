@@ -77,8 +77,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .dtcoords import ArcCounts, CoordError, DTCoords, pattern_twists, validate
-from .surface import PantsDecomposition, parse_slot, pred, slot_name, succ
+from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
+from .surface import PantsDecomposition, pred, slot_name, succ
 
 # connector classes for a traversal between distinct slots of one pants
 TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
@@ -137,10 +137,6 @@ class Word:
     arity: int
     tokens: tuple[Token, ...]
 
-    def crossings(self) -> list[Crossing]:
-        return [t for t in self.tokens if isinstance(t, Crossing)]
-
-
 
 @dataclass(frozen=True)
 class Component:
@@ -173,9 +169,6 @@ class Layout:
     windows: dict[tuple[int, int], range]
     arc_mate: list[int]
     traversal: list[Token]
-
-    def node(self, curve: int, side: int, strand: int) -> int:
-        return self.base[curve] + side * self.coords.q[curve] + strand
 
 
 def _at(ids: range) -> slice:
@@ -383,59 +376,3 @@ def word_to_text(word: Word) -> str:
     text = {key: _token_text(tok) for key, tok in by_id.items()}
     return "\n".join(map(text.__getitem__, map(id, tokens)))
 
-
-def _parse_end(text: str) -> tuple[int, int]:
-    inner = text.strip()
-    if not (inner.startswith("(") and inner.endswith(")")):
-        raise ValueError(text)
-    pants, slot = inner[1:-1].split(",")
-    return int(pants), parse_slot(slot)
-
-
-# per kind of token line: the fields it must carry, in token order, each
-# with its reader
-_TOKEN_FIELDS = {
-    "cross": {"c": int, "out": _parse_end, "in": _parse_end, "t": int},
-    "conn": {"p": int, "in": parse_slot, "out": parse_slot},
-    "loop": {"p": int, "slot": parse_slot, "s": int},
-}
-
-
-def word_from_text(arity: int, text: str) -> Word:
-    tokens: list[Token] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *parts = line.split()
-        if kind not in _TOKEN_FIELDS:
-            raise CoordError(f"unknown word token {kind!r}")
-        spec = _TOKEN_FIELDS[kind]
-        fields = {}
-        for part in parts:
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise CoordError(f"{kind} token: bad part {part!r}, expected key=value")
-            if key not in spec:
-                raise CoordError(f"{kind} token: unknown field {key!r}")
-            if key in fields:
-                raise CoordError(f"{kind} token: repeated field {key!r}")
-            fields[key] = value
-        values = []
-        for key, read in spec.items():
-            if key not in fields:
-                raise CoordError(f"{kind} token: missing field {key!r}")
-            try:
-                values.append(read(fields[key]))
-            except ValueError:
-                raise CoordError(
-                    f"{kind} token: field {key!r} has bad value {fields[key]!r}"
-                ) from None
-        if kind == "cross":
-            curve, out, into, twist = values
-            tokens.append(Crossing(curve - 1, *out, *into, twist))
-        elif kind == "conn":
-            tokens.append(Conn(*values))
-        else:
-            tokens.append(SccLoop(*values))
-    return Word(arity, tuple(tokens))

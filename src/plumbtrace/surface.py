@@ -28,9 +28,6 @@ SLOT_0, SLOT_1, SLOT_INF = 0, 1, 2
 SLOT_NAMES = {SLOT_0: "0", SLOT_1: "1", SLOT_INF: "inf"}
 _SLOT_VALUES = {"0": SLOT_0, "1": SLOT_1, "inf": SLOT_INF, "2": SLOT_INF}
 
-ONE_HOLED_TORUS = "one-holed-torus"
-FOUR_HOLED_SPHERE = "four-holed-sphere"
-
 
 class SurfaceError(ValueError):
     """Invalid pants decomposition or unparseable surface description."""
@@ -94,14 +91,6 @@ class PantsDecomposition:
             for s, c in enumerate(curves)
             if c is None
         )
-
-    def curve_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.gluings)
-
-    def modular_kind(self, curve: int) -> str:
-        """one-holed-torus if both ends of the gluing lie on the same pants."""
-        g = self.gluings[curve]
-        return ONE_HOLED_TORUS if g.end_a[0] == g.end_b[0] else FOUR_HOLED_SPHERE
 
 
 def build_surface(

@@ -20,18 +20,13 @@ the four Gaussian units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
+from operator import itemgetter
 
 from .dtcoords import CoordError, DTCoords, validate
 from .gausspoly import GaussInt, GaussPoly
-from .holonomy import WordError, component_trace
-from .standardpos import (
-    Conn,
-    Crossing,
-    SccLoop,
-    Word,
-    extract_components,
-    scc_count,
-)
+from .holonomy import component_trace
+from .standardpos import extract_components, scc_count
 from .surface import PantsDecomposition
 
 _UNITS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
@@ -166,10 +161,13 @@ def check_trace_polynomial(
         )
         top.add(mono)
 
-    report.remainder_degree_ok = all(
-        sum(m) <= q_tot - 2 for m in trace.terms if m not in top
+    # both bounds scan the terms in C, with no Python step per term
+    terms = trace.terms
+    rest = filterfalse(top.__contains__, terms)
+    report.remainder_degree_ok = max(map(sum, rest), default=-1) <= q_tot - 2
+    report.per_variable_degree_ok = all(
+        max(map(itemgetter(i), terms), default=-1) <= q[i] for i in range(arity)
     )
-    report.per_variable_degree_ok = all(trace.degree_in(i) <= q[i] for i in range(arity))
     return report
 
 
@@ -208,47 +206,3 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
     h = scc_count(surface, coords)
     return check_trace_polynomial(trace, comp.q, coords.p, h)
 
-
-# -- star-twist consistency check -------------------------------------------
-
-def p_star_check(
-    word: Word, p: tuple[int, ...], phat: tuple[int, ...]
-) -> dict[int, tuple[int, int]]:
-    """Consistency of connector context against the twist conversion.
-
-    For a connected word without same-slot returns, each crossing picks up a
-    context correction from its two neighbouring traversals: +1 when the
-    following traversal turns to the predecessor slot, +1 when the preceding
-    traversal turns to the successor slot.  Summing over the crossings of
-    curve i must give exactly 2*phat_i + q_i - p_i.  Returns
-    {curve: (lhs, rhs)}.  Raises CoordError on mismatch or on words with
-    same-slot returns, and WordError on a crossing not flanked by traversals.
-    """
-    toks = word.tokens
-    n = len(toks)
-    if any(isinstance(t, SccLoop) for t in toks):
-        raise CoordError("star-twist check applies to words without same-slot returns")
-    kappa = [0] * word.arity
-    q = [0] * word.arity
-    for idx, tok in enumerate(toks):
-        if not isinstance(tok, Crossing):
-            continue
-        before = toks[(idx - 1) % n]
-        after = toks[(idx + 1) % n]
-        if not (isinstance(before, Conn) and isinstance(after, Conn)):
-            raise WordError(f"crossing at token {idx} is not flanked by traversals")
-        kappa[tok.curve] += (after.turn() == "pred") + (before.turn() == "succ")
-        q[tok.curve] += 1
-    out: dict[int, tuple[int, int]] = {}
-    for i in range(word.arity):
-        if q[i] == 0:
-            continue
-        lhs = p[i] + kappa[i]
-        rhs = 2 * phat[i] + q[i]
-        out[i] = (lhs, rhs)
-        if lhs != rhs:
-            raise CoordError(
-                f"curve {i}: context corrections {kappa[i]} inconsistent with "
-                f"twist conversion ({lhs} != {rhs})"
-            )
-    return out

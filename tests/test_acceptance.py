@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from embedding_oracle import oracle_check
 from oracle import (
     BOUNDARY_LOOP,
     SLOT_TO_TOP,
@@ -25,7 +26,7 @@ from oracle import (
 )
 from plumbtrace import cli
 from plumbtrace.dtcoords import DTCoords, coords_from_triple, window_twists, triple_from_coords, twist_curve
-from plumbtrace.fuzz import FuzzConfig, oracle_check, random_coords
+from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
 from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components

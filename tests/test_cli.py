@@ -58,7 +58,7 @@ def test_convert_twist_golden(capsys):
 def test_word_round_trip(capsys):
     from plumbtrace.gausspoly import canonical_sign
     from plumbtrace.holonomy import evaluate_word
-    from plumbtrace.standardpos import word_from_text
+    from word_text import word_from_text
 
     code, word_out, _ = run(capsys, "word", "--surface", S04, "--q", "2", "--p", "4")
     assert code == 0
@@ -163,6 +163,23 @@ def test_kra_round_trip(capsys):
     code, out, _ = run(capsys, "kra", "--to-tau", str(t_k))
     assert code == 0
     assert abs(complex(out.strip()) - (1 + 4j)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--from-tau", "0-1000j"),  # exp overflows
+        ("--from-tau", "0+1000j"),  # exp underflows to 0, which --to-tau refuses
+        ("--to-tau", "nan"),
+        ("--to-tau", "inf"),
+        ("--from-tau", "inf"),
+    ],
+)
+def test_kra_refuses_values_outside_the_domain(capsys, flag, value):
+    code, out, err = run(capsys, "kra", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_kra_requires_exactly_one_direction(capsys):

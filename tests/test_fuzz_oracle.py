@@ -5,13 +5,9 @@ import hashlib
 
 import pytest
 
+from embedding_oracle import injectivity_scan, oracle_check
 from plumbtrace.dtcoords import DTCoords, window_twists, validate
-from plumbtrace.fuzz import (
-    FuzzConfig,
-    injectivity_scan,
-    oracle_check,
-    random_coords,
-)
+from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.standardpos import (
     Matching,
     SccLoop,
@@ -26,6 +22,7 @@ from plumbtrace.surface import (
     one_holed_torus,
     twice_holed_torus,
 )
+from tests_support import node_id
 
 SURFACES = [one_holed_torus(), four_holed_sphere(), twice_holed_torus(), genus_two()]
 STREAM_DIGEST = "6639ea171495b4f68aa793b741b61e39e727abfe08a3670104a081cadadafa8e"
@@ -52,7 +49,7 @@ class TestSampler:
                         surface, seed=seed, count=20, connected_only=connected_only
                     )
                     for c in random_coords(cfg):
-                        line = f"{surface.curve_names()} {seed} {connected_only} {c.q} {c.p}"
+                        line = f"{tuple(g.name for g in surface.gluings)} {seed} {connected_only} {c.q} {c.p}"
                         digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == STREAM_DIGEST
 
@@ -126,7 +123,7 @@ class TestOracle:
         layout = layout_endpoints(surface, coords)
         matching = match_strands(layout)
         mate, crossing = list(matching.mate), list(matching.crossing)
-        a0, a1 = layout.node(0, 0, 0), layout.node(0, 0, 1)
+        a0, a1 = node_id(layout, 0, 0, 0), node_id(layout, 0, 0, 1)
         p0, p1 = mate[a0], mate[a1]
         # a0 and a1 trade partners, each taking the other's strand wraps
         mate[a0], mate[a1], mate[p1], mate[p0] = p1, p0, a0, a1

@@ -48,7 +48,6 @@ from plumbtrace.standardpos import (
     SccLoop,
     Word,
     extract_components,
-    word_from_text,
 )
 from plumbtrace.surface import (
     SLOT_0,
@@ -59,6 +58,8 @@ from plumbtrace.surface import (
     load_surface,
     one_holed_torus,
 )
+from tests_support import crossings, degree_in, total_degree
+from word_text import word_from_text
 
 SURFACE_FILES = sorted((Path(__file__).resolve().parent.parent / "surfaces").glob("*.surf"))
 
@@ -331,7 +332,7 @@ class TestUnusualWords:
     def test_phase_in_every_residue(self, q):
         # the crossings' units i are applied once as i^q: cover q mod 4
         word = word_from_text(2, chain(q))
-        assert len(word.crossings()) == q
+        assert len(crossings(word)) == q
         m = evaluate_word(word)
         assert m == generator_product(word)
         assert det(m) == C(2, 1)
@@ -351,7 +352,7 @@ class TestWordTrace:
     def test_sample_covers_every_arity_and_residue(self):
         words = trace_sample_words()
         assert {w.arity for w in words} == {1, 2, 3, 4}
-        assert {len(w.crossings()) % 4 for w in words} == {0, 1, 2, 3}
+        assert {len(crossings(w)) % 4 for w in words} == {0, 1, 2, 3}
 
     def test_matches_full_matrix_on_sample(self):
         for word in trace_sample_words():
@@ -623,9 +624,9 @@ def test_degree_bounds():
     for q, p in [((1, 1, 0), (1, 1, 0)), ((2, 2, 2), (0, 0, 0)), ((1, 1, 2), (1, 1, 0))]:
         coords = DTCoords(q, p)
         for comp, trace in trace_of_curve(s, coords):
-            assert trace.total_degree() <= sum(comp.q)
+            assert total_degree(trace) <= sum(comp.q)
             for i in range(3):
-                assert trace.degree_in(i) <= comp.q[i]
+                assert degree_in(trace, i) <= comp.q[i]
 
 
 class TestAnnulusParameter:

@@ -1,5 +1,7 @@
 """Curve reconstruction: endpoint layout, matching, components, words."""
 
+import math
+
 import pytest
 
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
@@ -13,7 +15,6 @@ from plumbtrace.standardpos import (
     layout_endpoints,
     match_strands,
     scc_count,
-    word_from_text,
     word_to_text,
 )
 from plumbtrace.surface import (
@@ -24,6 +25,8 @@ from plumbtrace.surface import (
     genus_two,
     one_holed_torus,
 )
+from tests_support import crossings, node_id
+from word_text import word_from_text
 
 
 def window_ends(layout, pants, slot):
@@ -48,7 +51,7 @@ def window_ends(layout, pants, slot):
 def named_steps(layout, matching):
     """The matching keyed by (curve, side, strand): node -> (mate, wraps)."""
     name = {
-        layout.node(curve, side, strand): (curve, side, strand)
+        node_id(layout, curve, side, strand): (curve, side, strand)
         for curve, q in enumerate(layout.coords.q)
         for side in (0, 1)
         for strand in range(q)
@@ -100,14 +103,14 @@ class TestLayout:
         names = sorted(
             (c, side, k) for c, q in enumerate((4, 2, 2)) for side in (0, 1) for k in range(q)
         )
-        assert [layout.node(*name) for name in names] == list(range(16))
+        assert [node_id(layout, *name) for name in names] == list(range(16))
         assert layout.base == (0, 8, 12, 16)
         for g in layout.surface.gluings:
             strands = range(layout.coords.q[g.curve])
             a, b = layout.windows[g.end_a], layout.windows[g.end_b]
-            assert list(a) == [layout.node(g.curve, 0, k) for k in strands]
+            assert list(a) == [node_id(layout, g.curve, 0, k) for k in strands]
             # end B lists the strands in decreasing order along its window
-            assert list(b)[::-1] == [layout.node(g.curve, 1, k) for k in strands]
+            assert list(b)[::-1] == [node_id(layout, g.curve, 1, k) for k in strands]
             # the crossing leaving through a node leaves through its window
             crossing = match_strands(layout).crossing
             assert all((crossing[n].out_pants, crossing[n].out_slot) == g.end_a for n in a)
@@ -191,7 +194,7 @@ class TestWords:
         word = comps[0].word
         kinds = [type(t).__name__ for t in word.tokens]
         assert kinds == ["Crossing", "SccLoop", "Crossing", "SccLoop"]
-        assert sorted(t.twist for t in word.crossings()) == [-1, 0]
+        assert sorted(t.twist for t in crossings(word)) == [-1, 0]
         loops = [t for t in word.tokens if isinstance(t, SccLoop)]
         assert sorted(l.sign for l in loops) == [-1, 1]
 
@@ -233,6 +236,37 @@ class TestWords:
     def test_malformed_token_line(self, line, message):
         with pytest.raises(CoordError, match=message):
             word_from_text(1, line)
+
+
+# per one-variable surface: how many (q, p) with 1 <= q <= 40 and |p| <= 60
+# are admissible (p even, and q even too on the sphere), and the closed-form
+# component count of the curve (q, p)
+CLOSED_FORM_COUNTS = [
+    (one_holed_torus, 2440, lambda q, p: math.gcd(q, p // 2)),
+    (four_holed_sphere, 1220, lambda q, p: math.gcd(q // 2, p // 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "factory,admissible,count", CLOSED_FORM_COUNTS, ids=["one_holed_torus", "four_holed_sphere"]
+)
+def test_closed_form_component_counts(factory, admissible, count):
+    # an oracle that shares no code with layout, matching or the walk
+    surface = factory()
+    seen = 0
+    for q in range(1, 41):
+        for p in range(-60, 61):
+            coords = DTCoords((q,), (p,))
+            try:
+                components = extract_components(surface, coords)
+            except CoordError:
+                continue
+            seen += 1
+            assert len(components) == count(q, p), coords
+    assert seen == admissible
+    # q = 0: p parallel copies of the pants curve
+    for p in range(61):
+        assert len(extract_components(surface, DTCoords((0,), (p,)))) == p
 
 
 class TestSccCount:

@@ -3,8 +3,6 @@
 import pytest
 
 from plumbtrace.surface import (
-    FOUR_HOLED_SPHERE,
-    ONE_HOLED_TORUS,
     SLOT_0,
     SLOT_1,
     SLOT_INF,
@@ -43,13 +41,6 @@ def test_genus_two_from_euler_bookkeeping():
 def test_slot_count_invariant(factory):
     s = factory()
     assert 3 * s.pants_count == 2 * s.xi + len(s.unglued)
-
-
-def test_modular_kind():
-    assert one_holed_torus().modular_kind(0) == ONE_HOLED_TORUS
-    assert four_holed_sphere().modular_kind(0) == FOUR_HOLED_SPHERE
-    s20 = genus_two()
-    assert all(s20.modular_kind(i) == FOUR_HOLED_SPHERE for i in range(3))
 
 
 def test_slot_curves():
@@ -97,7 +88,7 @@ def test_parse_round_trip_and_determinism():
     s1 = parse_surface(text)
     s2 = parse_surface(text)
     assert s1 == s2 == twice_holed_torus()
-    assert s1.curve_names() == ("a", "b")
+    assert tuple(g.name for g in s1.gluings) == ("a", "b")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from embedding_oracle import p_star_check
 from plumbtrace import verifier
 from plumbtrace.dtcoords import (
     CoordError,
@@ -14,9 +15,9 @@ from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
 from plumbtrace.surface import four_holed_sphere, genus_two, one_holed_torus
+from tests_support import crossings
 from plumbtrace.verifier import (
     check_trace_polynomial,
-    p_star_check,
     predict_top_terms,
     verify,
 )
@@ -176,7 +177,7 @@ class TestStarTwist:
         s = one_holed_torus()
         coords = DTCoords((1,), (0,))
         word = extract_components(s, coords)[0].word
-        crossing = word.crossings()[0]
+        crossing = crossings(word)[0]
         bad = Word(word.arity, (crossing, crossing))
         with pytest.raises(WordError, match="not flanked by traversals"):
             p_star_check(bad, coords.p, window_twists(s, coords))

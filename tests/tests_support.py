@@ -1,5 +1,6 @@
-"""Shared fixture surfaces for the test suite."""
+"""Shared fixture surfaces and small helpers for the test suite."""
 
+from plumbtrace.standardpos import Crossing
 from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, build_surface
 
 
@@ -23,3 +24,24 @@ def n2_surface():
             ("d", (1, SLOT_0), (2, SLOT_1)),
         ],
     )
+
+
+def node_id(layout, curve, side, strand):
+    """Id of node (curve, side, strand) on the flat strand index of
+    ``standardpos``: ``base[curve] + side * q[curve] + strand``."""
+    return layout.base[curve] + side * layout.coords.q[curve] + strand
+
+
+def crossings(word):
+    """The crossing tokens of a word, in word order."""
+    return [t for t in word.tokens if isinstance(t, Crossing)]
+
+
+def total_degree(poly):
+    """Total degree; -1 for the zero polynomial."""
+    return max(map(sum, poly.terms), default=-1)
+
+
+def degree_in(poly, index):
+    """Degree in variable `index` (0-based); -1 for the zero polynomial."""
+    return max((m[index] for m in poly.terms), default=-1)
