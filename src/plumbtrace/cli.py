@@ -230,9 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connected-only", action="store_true")
     p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("kra", help="convert between annulus and gluing parameters")
-    p.add_argument("--to-tau", help="annulus parameter t_K, e.g. 0.5+0.1j")
-    p.add_argument("--from-tau", help="gluing parameter tau, e.g. 1+4j")
+    p = sub.add_parser(
+        "kra",
+        help="convert between annulus and gluing parameters",
+        description="Convert between the annulus parameter t_K and the gluing "
+        "parameter tau.  A value that starts with '-' must be joined to its "
+        "flag with '=', as in --from-tau=-1e308j: as a separate word, "
+        "-1e308j would be read as an option.",
+    )
+    p.add_argument("--to-tau", help="annulus parameter t_K, e.g. 0.5+0.1j or --to-tau=-0.5+0.1j")
+    p.add_argument("--from-tau", help="gluing parameter tau, e.g. 1+4j or --from-tau=-1e308j")
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.set_defaults(func=cmd_kra)
 

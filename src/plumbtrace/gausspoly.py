@@ -6,26 +6,34 @@ No floating point ever enters; coefficients are arbitrary-precision.
 
 Representation
 --------------
-A ``GaussPoly`` wraps a term dict mapping exponent tuples (one slot per
-variable) to nonzero ``(re, im)`` integer pairs.  The dict is the canonical
-form: two polynomials are equal iff their term dicts are equal.  A
-polynomial supports addition, subtraction, negation and scaling by one
-Gaussian integer, no products: holonomy words are multiplied out by
-``holonomy.evaluate_word`` and, when only the trace is needed,
-``holonomy.word_trace``; both hold each entry as one packed int and
-build ``GaussPoly`` values only at the end.
+A ``GaussPoly`` holds its terms in one of two forms.  The term dict maps
+exponent tuples (one slot per variable) to nonzero ``(re, im)`` integer
+pairs; it is the canonical form, and two polynomials are equal iff their
+term dicts are equal.  The packed form is what ``holonomy`` computes: the
+one signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
+``prod_k [0, n_k]`` (``_box``), with slot width ``B`` and a flag saying
+whether every coefficient is real or every one imaginary (``from_packed``).
+A packed polynomial builds its term dict with ``_unpack`` the first time
+``terms`` is read and keeps it; ``str`` never builds it, rendering
+straight from the slots (``_render_slots``).  Everything else (equality,
+``coefficient``, ``canonical_sign``, the arithmetic) reads ``terms``, so
+both forms behave alike.  A polynomial supports addition, subtraction,
+negation and scaling by one Gaussian integer, no products: holonomy words
+are multiplied out by ``holonomy.evaluate_word`` and, when only the trace
+is needed, ``holonomy.word_trace``; the results of both stay packed.
 
 Monomial order
 --------------
 Graded lexicographic with t1 < t2 < ...: compare total degree first, then
 exponent tuples reading the last variable as most significant.  Rendering
 lists terms in descending order of this key, and ``canonical_sign`` signs
-a polynomial by its greatest term.  ``holonomy`` packs a whole polynomial
-into one int, one slot per monomial of its exponent box in
-``itertools.product`` order, which is not this order; it reads the
-canonical sign of a trace off the box's corner slot, the greatest
-monomial of the box, and only when that slot is zero looks for the
-greatest term with ``grlex_key``.
+a polynomial by its greatest term.  The packed box lists monomials in
+``itertools.product`` order, which is not this order; ``_grlex_keys``
+gives each slot the int ``sum_k e_k * (size + rank_k)``, where ``rank_k``
+is the stride of t_k in the box read with t1 lowest, so that one int sort
+of the slots is the graded-lex order of their monomials.  The renderer
+sorts by these keys, and ``_lead_sign``, which signs a packed trace,
+takes the greatest of them when the box's corner slot is zero.
 
 Text grammar (stable; golden tests are byte-exact)
 --------------------------------------------------
@@ -42,6 +50,8 @@ A unit coefficient on a nonconstant term is dropped: ``t1``, ``-t1``,
 
 from __future__ import annotations
 
+import itertools
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -87,19 +97,145 @@ def _coeff_str(c: tuple[int, int], bare: bool = False) -> str:
     return s if bare else f"({s})"
 
 
+# -- the packed form ---------------------------------------------------------
+
+def _box(counts) -> tuple[list[int], int]:
+    """Mixed-radix strides and size of the exponent box prod_k [0, counts[k]].
+
+    idx(e) = sum_k e_k * strides[k], radix counts[k] + 1, t_n lowest, so
+    itertools.product over the box lists exponent tuples in index order.
+    """
+    strides, size = [0] * len(counts), 1
+    for k in reversed(range(len(counts))):
+        strides[k] = size
+        size *= counts[k] + 1
+    return strides, size
+
+
+def _slots(packed: int, size: int, width: int):
+    """The slots of a packed int in index order, each biased by half.
+
+    Adding half = 2^(width-1) to every slot makes each one a non-negative
+    value below 2^width (|c| < 2^(width-1)), so the bytes of the biased int
+    are the slots side by side; a slot reads half exactly when it is zero.
+    Returns (slots, half).
+    """
+    nbytes, half = width // 8, 1 << (width - 1)
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
+    raw = memoryview((packed + bias).to_bytes(size * nbytes, sys.byteorder))
+    if width == 32:
+        return raw.cast("I"), half
+    if width == 64:
+        return raw.cast("Q"), half
+    step = range(0, len(raw), nbytes)
+    return [int.from_bytes(raw[i : i + nbytes], sys.byteorder) for i in step], half
+
+
+def _nonzero(slots, half) -> list[int]:
+    """Indices of the nonzero slots, in index order."""
+    return list(itertools.compress(range(len(slots)), map(half.__ne__, slots)))
+
+
+def _unpack(packed: int, counts, width: int, imag: bool) -> dict:
+    """The term dict of a packed int, each coefficient real or imaginary."""
+    slots, half = _slots(packed, _box(counts)[1], width)
+    monos = itertools.product(*(range(c + 1) for c in counts))
+    if imag:
+        return {m: (0, v - half) for m, v in zip(monos, slots) if v != half}
+    return {m: (v - half, 0) for m, v in zip(monos, slots) if v != half}
+
+
+def _box_table(levels, start):
+    """[levels[0][e_0] + ... + levels[n-1][e_(n-1)] + start] over the box,
+    in index order: one pass per variable, starting from the last."""
+    table = [start]
+    for level in reversed(levels):
+        table = [a + b for a in level for b in table]
+    return table
+
+
+def _grlex_keys(counts) -> list[int]:
+    """Per slot, sum_k e_k * (size + rank_k) with rank_k the stride of t_k
+    in the box read with t1 lowest: total degree times size plus a rank
+    below size, so one int sort of the keys is the graded-lex order."""
+    size, rank, levels = _box(counts)[1], 1, []
+    for n in counts:
+        levels.append(range(0, (n + 1) * (size + rank), size + rank))
+        rank *= n + 1
+    return _box_table(levels, 0)
+
+
+def _lead_sign(packed: int, counts, width: int) -> int:
+    """The sign, 1 or -1, of the graded-lex leading coefficient of a nonzero
+    packed polynomial.
+
+    The corner slot prod_k t_k^counts[k] is the graded-lex greatest monomial
+    of the box.  It is nonzero exactly when |packed| >= 2^((size-1)*width - 1),
+    the lower slots summing to less, and then it has the sign of packed.
+    Otherwise the leading slot is the nonzero one of greatest key.
+    """
+    size = _box(counts)[1]
+    if packed.bit_length() >= (size - 1) * width:
+        lead = packed  # a nonzero corner
+    else:
+        slots, half = _slots(packed, size, width)
+        j = max(_nonzero(slots, half), key=_grlex_keys(counts).__getitem__)
+        lead = slots[j] - half
+    return -1 if lead < 0 else 1
+
+
+def _render_slots(packed: int, counts, width: int, imag: bool) -> str:
+    """The text of a packed polynomial, read straight from its slots.
+
+    Monomial strings come from one table over the box, built from the
+    per-variable pieces "*tk", "*tk^2", ...; the nonzero slots are sorted
+    once by ``_grlex_keys``.  Every coefficient is real, or every one is
+    imaginary, so one format covers all terms.
+    """
+    if not packed:
+        return "0"
+    slots, half = _slots(packed, _box(counts)[1], width)
+    order = _nonzero(slots, half)
+    order.sort(key=_grlex_keys(counts).__getitem__, reverse=True)
+    pieces = [
+        [""] + [f"*t{k}" if e == 1 else f"*t{k}^{e}" for e in range(1, n + 1)]
+        for k, n in enumerate(counts, 1)
+    ]
+    monos = _box_table(pieces, "")
+    unit = "i" if imag else ""
+    chunks: list[str] = []
+    append = chunks.append
+    for j in order:
+        c = slots[j] - half
+        if c < 0:
+            append(" - ")
+            c = -c
+        else:
+            append(" + ")
+        if c != 1:
+            append(f"{c}{unit}{monos[j]}")
+        elif imag:
+            append(f"i{monos[j]}")
+        else:
+            append(monos[j][1:] or "1")  # a unit on a monomial is dropped
+    chunks[0] = "-" if chunks[0] == " - " else ""
+    return "".join(chunks)
+
+
 class GaussPoly:
     """Immutable sparse polynomial over the Gaussian integers.
 
     Construct through the classmethods (``zero``, ``const``, ``var``,
-    ``from_terms``); the raw constructor trusts its input dict to be
-    canonical and takes ownership of it.
+    ``from_terms``, ``from_packed``); the raw constructor trusts its input
+    dict to be canonical and takes ownership of it.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms", "_packed")
 
     def __init__(self, arity: int, terms: dict):
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("GaussPoly is immutable")
@@ -140,6 +276,27 @@ class GaussPoly:
             if c[0] or c[1]:
                 out[tuple(mono)] = (int(c[0]), int(c[1]))
         return cls(arity, out)
+
+    @classmethod
+    def from_packed(
+        cls, arity: int, packed: int, counts, width: int, imag: bool
+    ) -> "GaussPoly":
+        """The polynomial sum_e c_e t^e held as packed = sum_e c_e 2^(width*idx(e))
+        over the box prod_k [0, counts[k]], each c_e real, or each imaginary
+        if `imag`; every |c_e| must be below 2^(width - 1), and width is 32,
+        64 or a multiple of 8.  The term dict is built on first read."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
+        object.__setattr__(poly, "_terms", None)
+        object.__setattr__(poly, "_packed", (packed, tuple(counts), width, imag))
+        return poly
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: (re, im)} over the nonzero terms."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", _unpack(*self._packed))
+        return self._terms
 
     # -- arithmetic --------------------------------------------------------
 
@@ -203,7 +360,9 @@ class GaussPoly:
         return max(self.terms, key=grlex_key)
 
     def __str__(self) -> str:
-        terms = self.terms
+        if self._packed is not None:
+            return _render_slots(*self._packed)
+        terms = self._terms
         if not terms:
             return "0"
         # pieces[k][e] renders t_{k+1}^e, built once for the largest exponent

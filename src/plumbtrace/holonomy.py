@@ -21,12 +21,12 @@ at either end of the word the missing rotation is Winf = Id).
 Packing.  A word with n_k crossings of curve k has no exponent of t_k above
 n_k, so every entry lives in the box prod_k [0, n_k].  Its index is the
 mixed-radix number idx(e) = sum_k e_k * stride_k with radix n_k + 1 and t_n
-lowest (``_box``), so ``itertools.product`` over the box lists exponent
-tuples in index order.  An entry sum_e c_e t^e is held as the one int
+lowest (``gausspoly._box``), so ``itertools.product`` over the box lists
+exponent tuples in index order.  An entry sum_e c_e t^e is held as the one int
 P = sum_e c_e * 2^(B * idx(e)) (Kronecker substitution), the slots signed.
 Multiplying by t_k is a left shift by stride_k * B, and add, subtract and
 small-int multiply act slot by slot; all are exact on P whatever the size
-of the slots, so only the final unpack needs |c_e| < 2^(B - 1).  Each
+of the slots, so only reading the slots needs |c_e| < 2^(B - 1).  Each
 crossing step is then a few C-level operations on the two rows (x y):
 
     t = (x << stride_k * B) + y,   col_c = a_c * x - k1c * t
@@ -46,24 +46,30 @@ diagonal bounds (not their max: the diagonal terms can add up).  Every
 coefficient satisfies |c| <= ||.||_1 <= bound < 2^(B - 1).  B is rounded
 up to 32 or 64, or to whole bytes beyond that (``_slot_width``).
 
-Unpack.  Once per entry (``_unpack``): add the bias 2^(B-1) * sum_i 2^(iB),
-which makes every slot a non-negative value below 2^B; take the bytes of
-the biased int in native order, read them as unsigned 32- or 64-bit slots
-with ``memoryview.cast`` (or slice each wider slot), subtract 2^(B-1) and
-zip the slots with the exponent tuples, skipping zeros.  The q units i
-are applied there as the single phase i^q, each coefficient landing in the
-real or the imaginary part.
+Unpack.  Nothing here unpacks.  The q units i are applied once, as the
+single phase i^q: the packed entries are multiplied by its real or its
+imaginary part, and ``GaussPoly.from_packed`` keeps each as (P, counts,
+B, imag), every coefficient landing in the real part, or every one in
+the imaginary part.  Printing reads the slots directly; the term dict is
+built only when a caller reads ``.terms`` (``gausspoly._unpack``): add
+the bias 2^(B-1) * sum_i 2^(iB), which makes every slot a non-negative
+value below 2^B, take the bytes of the biased int in native order, read
+them as unsigned 32- or 64-bit slots with ``memoryview.cast`` (or slice
+each wider slot), subtract 2^(B-1) and zip the slots with the exponent
+tuples, skipping zeros.
 
-Sign rule.  ``evaluate_word`` lifts the four entries for the full matrix.
+Sign rule.  ``evaluate_word`` keeps the four entries as they come.
 ``word_trace``, which every curve-level trace uses, needs only the trace:
 it runs the same rows through every step but the last, computes only the
-two diagonal entries against K_q, and signs their packed sum before the
-one unpack (``_canonical``).  The corner slot prod_k t_k^n_k is the
-graded-lex greatest monomial of the box; it is nonzero exactly when
+two diagonal entries against K_q, and signs their packed sum by negating
+the int (``_canonical``).  The sign is read off the packed int by
+``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the graded-lex
+greatest monomial of the box; it is nonzero exactly when
 |P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
-then it carries the sign of P.  Otherwise the leading term is taken as
-max(terms, key=grlex_key) over the unpacked terms.  The rule is exact
-either way and does not assume the top-term theorem.
+then it carries the sign of P.  Otherwise the leading slot is the
+nonzero slot of greatest ``gausspoly._grlex_keys`` key, the same keys
+the renderer sorts by, and its sign decides.  The rule is exact either
+way and does not assume the top-term theorem.
 
 Everything is exact; determinants stay 1 factor by factor.
 """
@@ -71,12 +77,10 @@ Everything is exact; determinants stay 1 factor by factor.
 from __future__ import annotations
 
 import cmath
-import itertools
-import sys
 from functools import lru_cache
 
 from .dtcoords import DTCoords
-from .gausspoly import GaussPoly, Mat2, grlex_key
+from .gausspoly import GaussPoly, Mat2, _box, _lead_sign
 from .standardpos import (
     Component,
     Conn,
@@ -164,19 +168,6 @@ def _factor(word: Word):
     return joints[0], steps, counts
 
 
-def _box(counts) -> tuple[list[int], int]:
-    """Mixed-radix strides and size of the exponent box prod_k [0, counts[k]].
-
-    idx(e) = sum_k e_k * strides[k], radix counts[k] + 1, t_n lowest, so
-    itertools.product over the box lists exponent tuples in index order.
-    """
-    strides, size = [0] * len(counts), 1
-    for k in reversed(range(len(counts))):
-        strides[k] = size
-        size *= counts[k] + 1
-    return strides, size
-
-
 def _l1_bounds(k0, steps):
     """Bounds on the L1 norms of the four entries of K_0 . prod_j A_j . K_j.
 
@@ -213,31 +204,6 @@ def _multiply(k0, steps, shifts):
     return (x0, y0), (x1, y1)
 
 
-def _unpack(packed: int, counts, width: int, imag: bool) -> dict:
-    """GaussPoly terms of the packed int, each coefficient real or imaginary.
-
-    Adding 2^(width-1) to every slot makes each slot a non-negative value
-    below 2^width (|c| < 2^(width-1)), so the bytes of the biased int are the
-    slots side by side.
-    """
-    size = _box(counts)[1]
-    nbytes, half = width // 8, 1 << (width - 1)
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    raw = memoryview((packed + bias).to_bytes(size * nbytes, sys.byteorder))
-    if width == 32:
-        slots = raw.cast("I")
-    elif width == 64:
-        slots = raw.cast("Q")
-    else:
-        slots = [
-            int.from_bytes(raw[i : i + nbytes], sys.byteorder) for i in range(0, len(raw), nbytes)
-        ]
-    monos = itertools.product(*(range(c + 1) for c in counts))
-    if imag:
-        return {m: (0, v - half) for m, v in zip(monos, slots) if v != half}
-    return {m: (v - half, 0) for m, v in zip(monos, slots) if v != half}
-
-
 _PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q by q mod 4
 
 
@@ -248,8 +214,7 @@ def evaluate_word(word: Word) -> Mat2:
     where K_j = joint_matrix(...) collects every constant between crossing
     j and crossing j + 1.  All of these are integer matrices, so the rows
     of the running product are multiplied out as packed ints and the units
-    i are applied once, as i^q for q crossings, when the four entries are
-    unpacked to Gaussian polynomials.
+    i are applied once, as i^q for q crossings, to the four packed entries.
     """
     k0, steps, counts = _factor(word)
     strides, _ = _box(counts)
@@ -257,27 +222,24 @@ def evaluate_word(word: Word) -> Mat2:
     rows = _multiply(k0, steps, [s * width for s in strides])
     ur, ui = _PHASES[len(steps) % 4]
     unit = ur + ui  # exactly one of ur, ui is nonzero
-    entries = (_unpack(unit * e, counts, width, bool(ui)) for row in rows for e in row)
-    return Mat2(*(GaussPoly(word.arity, terms) for terms in entries))
+    return Mat2(
+        *(
+            GaussPoly.from_packed(word.arity, unit * e, counts, width, bool(ui))
+            for row in rows
+            for e in row
+        )
+    )
 
 
-def _canonical(trace: int, counts, width: int, phase) -> dict:
-    """The terms of phase times trace (packed) or of its negative, whichever
-    has a graded-lex leading coefficient with re > 0, or re == 0 and im > 0.
+def _canonical(trace: int, counts, width: int, phase) -> int:
+    """phase times trace (packed) or its negative, whichever has a graded-lex
+    leading coefficient with re > 0, or re == 0 and im > 0.
 
-    The corner slot prod_k t_k^counts[k] is the graded-lex greatest monomial
-    of the box.  It is nonzero exactly when |trace| >= 2^((size-1)*width - 1),
-    the lower slots summing to less, and then it has the sign of trace.
-    Otherwise the leading term is found among the unpacked terms.
+    A phase of +-1 or +-i puts every coefficient in the real or in the
+    imaginary part, so either way the rule is the sign of the leading slot.
     """
-    ur, ui = phase
-    if trace.bit_length() >= (_box(counts)[1] - 1) * width:
-        return _unpack(abs(trace), counts, width, bool(ui))  # a positive corner
-    terms = _unpack((ur + ui) * trace, counts, width, bool(ui))
-    r, i = terms[max(terms, key=grlex_key)]
-    if r + i < 0:
-        return {m: (-r, -i) for m, (r, i) in terms.items()}
-    return terms
+    packed = (phase[0] + phase[1]) * trace
+    return -packed if _lead_sign(packed, counts, width) < 0 else packed
 
 
 def word_trace(word: Word) -> GaussPoly:
@@ -285,7 +247,7 @@ def word_trace(word: Word) -> GaussPoly:
 
     The rows run from K_0 through every crossing but the last, as in
     evaluate_word.  The last step computes only the two diagonal entries,
-    and their packed sum is signed and unpacked once (``_canonical``).  The
+    and their packed sum is signed (``_canonical``) and kept packed.  The
     slot width covers the sum of the two diagonal L1 bounds.
     """
     k0, steps, counts = _factor(word)
@@ -298,7 +260,9 @@ def word_trace(word: Word) -> GaussPoly:
     trace = a0 * x0 - k10 * ((x0 << s) + y0) + a1 * x1 - k11 * ((x1 << s) + y1)
     if not trace:
         raise ValueError("the trace polynomial is zero")
-    return GaussPoly(word.arity, _canonical(trace, counts, width, _PHASES[len(steps) % 4]))
+    phase = _PHASES[len(steps) % 4]
+    packed = _canonical(trace, counts, width, phase)
+    return GaussPoly.from_packed(word.arity, packed, counts, width, bool(phase[1]))
 
 
 # -- curve-level traces ------------------------------------------------------

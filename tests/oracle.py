@@ -6,7 +6,10 @@ builds every crossing and every same-slot return from the generator
 matrices below and multiplies sparse term dicts pairwise, where
 ``evaluate_word`` and ``word_trace`` fold every constant into integer
 joints and run packed big-int rows.  Only the value types ``GaussPoly`` and
-``Mat2`` and the word tokens come from the package.
+``Mat2`` and the word tokens come from the package.  For words too large
+for term dicts, ``point_product`` and ``point_trace`` multiply the same
+factors out as numbers at one point modulo a prime (a Schwartz-Zippel
+check), and ``point_value`` evaluates a polynomial's terms there.
 
 All matrices act on the upper half plane chart of the triply punctured
 sphere whose cusps sit at 0, 1, inf.  The constants:
@@ -205,3 +208,100 @@ def inverse_word_holonomy(word) -> Mat2:
         elif isinstance(tok, SccLoop):
             out = matmul(out, adjugate(loop_factor(word.arity, tok)))
     return out
+
+
+# -- point evaluation --------------------------------------------------------
+# A word's holonomy at one point t of (Z[i]/P61)^arity, multiplied out as
+# numeric 2x2 matrices from SLOT_TO_TOP, the crossing core and the loop
+# matrices alone.  P61 = 2^61 - 1 is a prime = 3 mod 4, so Z[i]/P61 is a
+# field, and two distinct polynomials of total degree <= d agree at a
+# uniformly random point with probability at most d / P61^2.
+
+P61 = (1 << 61) - 1
+
+
+def _gmul(x, y):
+    (a, b), (c, d) = x, y
+    return ((a * c - b * d) % P61, (a * d + b * c) % P61)
+
+
+def _gadd(x, y):
+    return ((x[0] + y[0]) % P61, (x[1] + y[1]) % P61)
+
+
+def _point_matmul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (
+        (_gadd(_gmul(a, e), _gmul(b, g)), _gadd(_gmul(a, f), _gmul(b, h))),
+        (_gadd(_gmul(c, e), _gmul(d, g)), _gadd(_gmul(c, f), _gmul(d, h))),
+    )
+
+
+def _point_of_ints(rows):
+    return tuple(tuple((v % P61, 0) for v in row) for row in rows)
+
+
+def _int_adjugate(rows):
+    (a, b), (c, d) = rows
+    return ((d, -b), (-c, a))
+
+
+def _int_matmul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def point_product(word, point):
+    """The holonomy of `word` at t_{k+1} = point[k], each point[k] an
+    (re, im) pair mod P61, as rows ((a, b), (c, d)) of such pairs.
+
+    A crossing contributes W_out^-1 . i(1 X; 0 -1) . W_in with
+    X = -t - 2*twist, and a same-slot return at slot s with sign +-1
+    contributes W_s^-1 . BOUNDARY_LOOP[0]^(+-1) . W_s.
+    """
+    i, minus_i, zero = (0, 1), (0, P61 - 1), (0, 0)
+    out = _point_of_ints(((1, 0), (0, 1)))
+    for tok in word.tokens:
+        if isinstance(tok, Crossing):
+            t = point[tok.curve]
+            x = ((-t[0] - 2 * tok.twist) % P61, -t[1] % P61)
+            core = ((i, _gmul(i, x)), (zero, minus_i))
+            factor = _point_matmul(
+                _point_matmul(_point_of_ints(_int_adjugate(SLOT_TO_TOP[tok.out_slot])), core),
+                _point_of_ints(SLOT_TO_TOP[tok.in_slot]),
+            )
+        elif isinstance(tok, SccLoop):
+            loop = BOUNDARY_LOOP[0] if tok.sign > 0 else _int_adjugate(BOUNDARY_LOOP[0])
+            w = SLOT_TO_TOP[tok.slot]
+            factor = _point_of_ints(_int_matmul(_int_matmul(_int_adjugate(w), loop), w))
+        else:
+            continue
+        out = _point_matmul(out, factor)
+    return out
+
+
+def point_trace(word, point):
+    """The trace of the word's holonomy at `point` (see point_product)."""
+    (a, _), (_, d) = point_product(word, point)
+    return _gadd(a, d)
+
+
+def point_value(poly: GaussPoly, point):
+    """poly at t_{k+1} = point[k], as an (re, im) pair mod P61."""
+    top = [max((m[k] for m in poly.terms), default=0) for k in range(poly.arity)]
+    powers = []
+    for t, n in zip(point, top):
+        row = [(1, 0)]
+        for _ in range(n):
+            row.append(_gmul(row[-1], t))
+        powers.append(row)
+    re = im = 0
+    for mono, c in poly.terms.items():
+        for row, e in zip(powers, mono):
+            if e:
+                c = _gmul(c, row[e])
+        re += c[0]
+        im += c[1]
+    return (re % P61, im % P61)

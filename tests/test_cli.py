@@ -182,6 +182,30 @@ def test_kra_refuses_values_outside_the_domain(capsys, flag, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--from-tau", "--to-tau"])
+def test_kra_takes_a_negative_value_in_the_equals_form(capsys, flag):
+    code, out, err = run(capsys, "kra", f"{flag}=-1+4j")
+    assert code == 0 and complex(out.strip()) and err == ""
+    # a separate "-1+4j" is read as an option, as the kra help says
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "kra", flag, "-1+4j")
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_kra_refuses_a_negative_value_out_of_range(capsys):
+    code, out, err = run(capsys, "kra", "--from-tau=-1e308j")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: gluing parameter")
+
+
+def test_kra_help_names_the_equals_form(capsys):
+    with pytest.raises(SystemExit):
+        run(capsys, "kra", "--help")
+    assert "--from-tau=-1e308j" in capsys.readouterr().out
+
+
 def test_kra_requires_exactly_one_direction(capsys):
     code, _, err = run(capsys, "kra")
     assert code == 2

@@ -138,6 +138,40 @@ def test_rendering_arity_four(terms, expected):
     assert str(GaussPoly.from_terms(4, terms)) == expected
 
 
+# one variable, counts (1,): the constant sits in slot 0 and t1 in slot 1,
+# so packed = c1 * 2^32 + c0
+@pytest.mark.parametrize(
+    "packed,imag,expected",
+    [
+        (1, True, "i"),
+        (-1, True, "-i"),
+        (1, False, "1"),
+        (-1, False, "-1"),
+        ((1 << 32) + 1, True, "i*t1 + i"),
+        ((1 << 32) - 1, True, "i*t1 - i"),
+        (-(1 << 32) - 1, True, "-i*t1 - i"),
+        (-(1 << 32) + 1, False, "-t1 + 1"),
+        ((3 << 32) - 7, True, "3i*t1 - 7i"),
+        (-5 << 32, False, "-5*t1"),
+        (0, True, "0"),
+    ],
+)
+def test_packed_rendering(packed, imag, expected):
+    poly = GaussPoly.from_packed(1, packed, (1,), 32, imag)
+    assert str(poly) == expected
+    assert str(GaussPoly(1, poly.terms)) == expected  # the dict renderer agrees
+    assert poly.is_zero() == (expected == "0")
+
+
+def test_packed_terms_are_built_once_and_compare_with_dict_built():
+    poly = GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+    assert poly.terms is poly.terms
+    assert poly == P(2, {(0, 1): 2, (0, 0): -3})
+    assert poly.coefficient((0, 1)) == GaussInt(2)
+    assert canonical_sign(-poly) == poly
+    assert hash(poly) == hash(P(2, {(0, 1): 2, (0, 0): -3}))
+
+
 def _reference_str(poly):
     """Oracle: the grammar rendered term by term, monomial by monomial."""
     chunks = []

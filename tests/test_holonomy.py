@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -28,13 +29,12 @@ from oracle import (
     translation,
 )
 from plumbtrace.dtcoords import DTCoords
+from plumbtrace import gausspoly
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign, grlex_key
+from plumbtrace.gausspoly import GaussPoly, Mat2, _box, _unpack, canonical_sign, grlex_key
 from plumbtrace.holonomy import (
     WordError,
-    _box,
     _canonical,
-    _unpack,
     annulus_from_gluing_parameter,
     evaluate_word,
     gluing_parameter_from_annulus,
@@ -61,7 +61,10 @@ from plumbtrace.surface import (
 from tests_support import crossings, degree_in, total_degree
 from word_text import word_from_text
 
-SURFACE_FILES = sorted((Path(__file__).resolve().parent.parent / "surfaces").glob("*.surf"))
+ROOT = Path(__file__).resolve().parent.parent
+SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
+# the benchmark's surface, read here and never written
+GENUS_TWO_ONE_HOLE = ROOT / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
 
 
 def C(arity, re, im=0):
@@ -411,6 +414,31 @@ class TestDenseLayout:
                 assert list(got) == order
                 assert got == {m: (0, c) if imag else (c, 0) for m, c in terms.items()}
 
+    @pytest.mark.parametrize("width", [32, 64, 72, 136])
+    @pytest.mark.parametrize("counts", BOXES)
+    def test_slot_render_is_the_dict_render(self, counts, width):
+        # every box, zero crossing counts included, at every kind of slot:
+        # read as 32- or 64-bit words or sliced out of the bytes
+        rng = random.Random(f"render:{counts}:{width}")
+        for corner in (True, False):
+            terms = random_terms(rng, counts, width, corner)
+            packed = pack(terms, counts, width)
+            for imag in (False, True):
+                poly = GaussPoly.from_packed(len(counts), packed, counts, width, imag)
+                lifted = {m: (0, c) if imag else (c, 0) for m, c in terms.items()}
+                assert str(poly) == str(GaussPoly.from_terms(len(counts), lifted))
+
+    @pytest.mark.parametrize("width", [32, 64, 72])
+    def test_zero_counts_keep_the_variable_numbers(self, width):
+        # t1 and t4 have no axis in the box [0, 0] x [0, 2] x [0, 1] x [0, 0]
+        counts = [0, 2, 1, 0]
+        terms = {(0, 2, 1, 0): 1, (0, 0, 1, 0): -3, (0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
+        packed = pack(terms, counts, width)
+        real = GaussPoly.from_packed(4, packed, counts, width, False)
+        imag = GaussPoly.from_packed(4, packed, counts, width, True)
+        assert str(real) == "t2^2*t3 - 3*t3 + t2 + 1"
+        assert str(imag) == "i*t2^2*t3 - 3i*t3 + i*t2 + i"
+
     @pytest.mark.parametrize("width", [32, 64, 72])
     @pytest.mark.parametrize("counts", BOXES)
     def test_lead_is_the_grlex_greatest_term(self, counts, width):
@@ -427,15 +455,145 @@ class TestDenseLayout:
                 for ur, ui in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                     poly = GaussPoly(len(counts), {m: (ur * c, ui * c) for m, c in terms.items()})
                     got = _canonical(pack(terms, counts, width), counts, width, (ur, ui))
-                    assert got == canonical_sign(poly).terms
+                    assert _unpack(got, counts, width, bool(ui)) == canonical_sign(poly).terms
 
     def test_lead_sign_is_not_the_packed_sign(self):
         # t2 - t1 + 1: the highest slot holds t1, the graded-lex lead is t2
         terms = {(0, 1): 1, (1, 0): -1, (0, 0): 1}
         packed = pack(terms, [1, 1], 32)
         assert packed < 0
-        got = _canonical(packed, [1, 1], 32, (1, 0))
+        got = _unpack(_canonical(packed, [1, 1], 32, (1, 0)), [1, 1], 32, False)
         assert got == {(0, 1): (1, 0), (1, 0): (-1, 0), (0, 0): (1, 0)}
+
+
+@functools.cache
+def deep_words():
+    """Words of seeded connected curves with q_i <= 8 on genus two with one
+    hole, the size of the benchmark's deep workload."""
+    surface = load_surface(str(GENUS_TWO_ONE_HOLE))
+    cfg = FuzzConfig(surface, seed=3, max_q=8, max_abs_p=8, count=25, connected_only=True)
+    return tuple(extract_components(surface, c)[0].word for c in random_coords(cfg))
+
+
+def render_sample_words():
+    """Words of seeded connected curves on the stock surfaces and on genus
+    two with one hole."""
+    return tuple(sample_words()) + deep_words()
+
+
+class TestSlotRenderer:
+    def test_sample_covers_every_residue_and_slot_kind(self):
+        words = render_sample_words()
+        assert {len(crossings(w)) % 4 for w in words} == {0, 1, 2, 3}
+        assert {word_trace(w)._packed[2] for w in words} >= {32, 64}
+
+    def test_trace_matches_dict_renderer(self):
+        for word in render_sample_words():
+            p = word_trace(word)
+            assert str(p) == str(GaussPoly(p.arity, p.terms)), word
+
+    def test_matrix_entries_match_dict_renderer(self):
+        for word in render_sample_words():
+            m = evaluate_word(word)
+            dict_built = Mat2(*(GaussPoly(e.arity, e.terms) for e in m.entries()))
+            assert str(m) == str(dict_built), word
+
+    def test_zero_matrix_entry_renders_as_0(self):
+        comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
+        m = evaluate_word(comps[0].word)
+        assert m.d.is_zero() and str(m.d) == "0"
+        assert str(m) == "[[-i*t1 + i, -i], [-i, 0]]"
+
+    def test_rendering_builds_no_term_dict(self, monkeypatch):
+        words = render_sample_words()[::7]
+
+        def refuse(*args):
+            raise AssertionError("term dict built")
+
+        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        for word in words:
+            str(word_trace(word))
+            str(evaluate_word(word))
+
+
+# -- point-evaluation oracle -------------------------------------------------
+
+# connected curves with a q_i of 32 on genus two with one hole: 7,113 terms
+# in 80-bit slots and 10,020 terms in 144-bit slots
+MAX_Q_32 = [((32, 8, 4, 4), (-18, 8, -18, 26)), ((1, 32, 30, 4), (-18, -26, 7, -17))]
+
+
+def random_point(rng, arity):
+    return [(rng.randrange(oracle.P61), rng.randrange(oracle.P61)) for _ in range(arity)]
+
+
+def agrees_up_to_sign(poly, word, point):
+    """Whether poly at point is +- the trace of word's holonomy there."""
+    re, im = oracle.point_trace(word, point)
+    return oracle.point_value(poly, point) in ((re, im), (-re % oracle.P61, -im % oracle.P61))
+
+
+def flip_twist(word):
+    """The word with the first nonzero twist negated, or None."""
+    return _mutate_first(
+        word, Crossing, lambda t: t.twist, lambda t: dataclasses.replace(t, twist=-t.twist)
+    )
+
+
+def swap_slots(word):
+    """The word with the first crossing between distinct slots reversed, or None."""
+    return _mutate_first(
+        word,
+        Crossing,
+        lambda t: t.out_slot != t.in_slot,
+        lambda t: dataclasses.replace(t, out_slot=t.in_slot, in_slot=t.out_slot),
+    )
+
+
+def drop_loop(word):
+    """The word without its first same-slot return, or None."""
+    return _mutate_first(word, SccLoop, lambda t: True, None)
+
+
+def _mutate_first(word, kind, applies, change):
+    tokens = list(word.tokens)
+    for j, tok in enumerate(tokens):
+        if isinstance(tok, kind) and applies(tok):
+            tokens[j : j + 1] = [] if change is None else [change(tok)]
+            return Word(word.arity, tuple(tokens))
+    return None
+
+
+class TestPointOracle:
+    def test_trace_matches_on_deep_sample(self):
+        rng = random.Random("deep")
+        for word in deep_words():
+            assert agrees_up_to_sign(word_trace(word), word, random_point(rng, word.arity))
+
+    def test_matrix_entries_match_on_deep_sample(self):
+        rng = random.Random("matrix")
+        for word in deep_words()[:8]:
+            point = random_point(rng, word.arity)
+            (a, b), (c, d) = oracle.point_product(word, point)
+            got = [oracle.point_value(e, point) for e in evaluate_word(word).entries()]
+            assert got == [a, b, c, d]
+
+    @pytest.mark.parametrize("q,p", MAX_Q_32)
+    def test_trace_matches_at_max_q_32(self, q, p):
+        surface = load_surface(str(GENUS_TWO_ONE_HOLE))
+        (comp,) = extract_components(surface, DTCoords(q, p))
+        point = random_point(random.Random(f"{q}"), 4)
+        assert agrees_up_to_sign(word_trace(comp.word), comp.word, point)
+
+    @pytest.mark.parametrize("mutate", [flip_twist, drop_loop, swap_slots])
+    def test_mutation_is_caught(self, mutate):
+        # a kernel that misread these tokens would evaluate the mutated word
+        rng = random.Random(mutate.__name__)
+        pairs = [(w, mutate(w)) for w in deep_words()]
+        pairs = [(w, m) for w, m in pairs if m is not None]
+        assert len(pairs) >= 10
+        for word, mutated in pairs:
+            assert not agrees_up_to_sign(word_trace(mutated), word, random_point(rng, word.arity))
 
 
 def with_twists(word, twists):
