@@ -90,7 +90,7 @@ def cmd_trace(args) -> int:
             "parallel_to": None if comp.parallel_to is None else comp.parallel_to + 1,
             "trace": str(trace),
         }
-        text = f"component {idx} q={list(comp.q)} trace={trace}"
+        text = f"component {idx} q={list(comp.q)} trace={record['trace']}"
         if args.matrix and comp.word is not None:
             record["matrix"] = str(evaluate_word(comp.word))
             text += f" matrix={record['matrix']}"
@@ -127,7 +127,7 @@ def _verify_one(args, surface, coords) -> bool:
     record = report.to_record()
     record["kind"] = "verify"
     status = "PASS" if report.passed else "FAIL"
-    text = f"{status} q={list(coords.q)} p={list(coords.p)} trace={report.trace}"
+    text = f"{status} q={list(coords.q)} p={list(coords.p)} trace={record['trace']}"
     if not report.passed:
         text += " | " + "; ".join(report.failures())
     _emit(args, record, text)

@@ -13,10 +13,12 @@ term dicts are equal.  The packed form is what ``holonomy`` computes: the
 one signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
 ``prod_k [0, n_k]`` (``_box``), with slot width ``B`` and a flag saying
 whether every coefficient is real or every one imaginary (``from_packed``).
-A packed polynomial builds its term dict with ``_unpack`` the first time
-``terms`` is read and keeps it; ``str`` never builds it, rendering
-straight from the slots (``_render_slots``).  Everything else (equality,
-``coefficient``, ``canonical_sign``, the arithmetic) reads ``terms``, so
+A packed polynomial reads its slots once, the first time ``str`` or
+``coefficient`` needs them, and keeps that view; it builds its term dict
+with ``_unpack`` the first time ``terms`` is read and keeps that too.  ``str`` renders straight from the slot view
+(``_render_slots``), ``coefficient`` reads one slot, and ``degree_bounds``
+is the box's crossing counts, so none of them builds the dict.  Everything
+else (equality, ``canonical_sign``, the arithmetic) reads ``terms``, so
 both forms behave alike.  A polynomial supports addition, subtraction,
 negation and scaling by one Gaussian integer, no products: holonomy words
 are multiplied out by ``holonomy.evaluate_word`` and, when only the trace
@@ -53,7 +55,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,14 @@ def _lead_sign(packed: int, counts, width: int) -> int:
     return -1 if lead < 0 else 1
 
 
-def _render_slots(packed: int, counts, width: int, imag: bool) -> str:
-    """The text of a packed polynomial, read straight from its slots.
+def _render_slots(slots, half: int, counts, imag: bool) -> str:
+    """The text of a nonzero packed polynomial, read straight from its slots.
 
     Monomial strings come from one table over the box, built from the
     per-variable pieces "*tk", "*tk^2", ...; the nonzero slots are sorted
     once by ``_grlex_keys``.  Every coefficient is real, or every one is
     imaginary, so one format covers all terms.
     """
-    if not packed:
-        return "0"
-    slots, half = _slots(packed, _box(counts)[1], width)
     order = _nonzero(slots, half)
     order.sort(key=_grlex_keys(counts).__getitem__, reverse=True)
     pieces = [
@@ -230,12 +229,13 @@ class GaussPoly:
     dict to be canonical and takes ownership of it.
     """
 
-    __slots__ = ("arity", "_terms", "_packed")
+    __slots__ = ("arity", "_terms", "_packed", "_view")
 
     def __init__(self, arity: int, terms: dict):
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_packed", None)
+        object.__setattr__(self, "_view", None)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("GaussPoly is immutable")
@@ -284,12 +284,21 @@ class GaussPoly:
         """The polynomial sum_e c_e t^e held as packed = sum_e c_e 2^(width*idx(e))
         over the box prod_k [0, counts[k]], each c_e real, or each imaginary
         if `imag`; every |c_e| must be below 2^(width - 1), and width is 32,
-        64 or a multiple of 8.  The term dict is built on first read."""
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "_terms", None)
+        64 or a multiple of 8.  The slots are read, and the term dict is
+        built, on first use."""
+        poly = cls(arity, None)
         object.__setattr__(poly, "_packed", (packed, tuple(counts), width, imag))
         return poly
+
+    def _slot_view(self):
+        """(slots, half, strides) of a packed polynomial: its slots in index
+        order, each biased by half (``_slots``), and the box's strides.
+        Read on first use and kept."""
+        if self._view is None:
+            packed, counts, width, _ = self._packed
+            strides, size = _box(counts)
+            object.__setattr__(self, "_view", (*_slots(packed, size, width), strides))
+        return self._view
 
     @property
     def terms(self) -> dict:
@@ -348,11 +357,32 @@ class GaussPoly:
         return not self.terms
 
     def coefficient(self, mono: tuple[int, ...]) -> GaussInt:
-        """Stored coefficient of `mono`, or zero if absent."""
+        """Stored coefficient of `mono`, or zero if absent.
+
+        A packed polynomial reads the one slot of `mono`, zero outside its box.
+        """
         if len(mono) != self.arity:
             raise ValueError("monomial length does not match arity")
-        c = self.terms.get(tuple(mono), (0, 0))
-        return GaussInt(*c)
+        if self._packed is None:
+            return GaussInt(*self._terms.get(tuple(mono), (0, 0)))
+        counts, imag = self._packed[1], self._packed[3]
+        if not all(0 <= e <= n for e, n in zip(mono, counts)):
+            return GaussInt()
+        slots, half, strides = self._slot_view()
+        c = slots[sum(map(mul, mono, strides))] - half
+        return GaussInt(0, c) if imag else GaussInt(c, 0)
+
+    def degree_bounds(self) -> tuple[int, ...]:
+        """Per variable, a bound on its exponent in the nonzero terms.
+
+        For a packed polynomial these are the box's crossing counts, which
+        zero outer slots may exceed; for a dict one they are the exact
+        maxima, -1 for the zero polynomial.
+        """
+        if self._packed is not None:
+            return self._packed[1]
+        terms = self._terms
+        return tuple(max(map(itemgetter(k), terms), default=-1) for k in range(self.arity))
 
     def leading_monomial(self) -> tuple[int, ...]:
         if not self.terms:
@@ -361,7 +391,11 @@ class GaussPoly:
 
     def __str__(self) -> str:
         if self._packed is not None:
-            return _render_slots(*self._packed)
+            packed, counts, _, imag = self._packed
+            if not packed:
+                return "0"
+            slots, half, _ = self._slot_view()
+            return _render_slots(slots, half, counts, imag)
         terms = self._terms
         if not terms:
             return "0"

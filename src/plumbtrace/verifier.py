@@ -15,13 +15,25 @@ coefficients off the canonical form, and checks each clause; since the
 overall sign of a holonomy trace is a free choice, the leading coefficient
 is accepted as either +i^q 2^h or -i^q 2^h, which also pins the unit modulo
 the four Gaussian units.
+
+The check reads only the xi + 1 top coefficients, one ``coefficient`` call
+each, which on a packed trace is one slot.  The two degree clauses come
+from the trace's ``degree_bounds`` when these are at most q: in the box
+prod_i [0, q_i] the only monomials of total degree q_tot - 1 or more are q
+itself and the q - e_i with q_i >= 1, which are exactly the monomials the
+coefficient clauses read, so every other term has total degree at most
+q_tot - 2 and no variable exceeds q_i.  That holds for any polynomial
+whose terms lie in the box; it is read off the representation (a packed
+trace's box is its crossing counts, which equal q for a connected curve)
+and does not assume the shape being checked.  Only when a bound exceeds
+q somewhere, as for a corrupted polynomial, are the terms scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from operator import itemgetter
+from operator import itemgetter, le
 
 from .dtcoords import CoordError, DTCoords, validate
 from .gausspoly import GaussInt, GaussPoly
@@ -161,6 +173,10 @@ def check_trace_polynomial(
         )
         top.add(mono)
 
+    # Inside the box [0, q] both degree clauses hold (module docstring); an
+    # empty remainder reads degree -1, so q_tot = 0 takes the scan.
+    if q_tot and all(map(le, trace.degree_bounds(), q)):
+        return report
     # both bounds scan the terms in C, with no Python step per term
     terms = trace.terms
     rest = filterfalse(top.__contains__, terms)

@@ -1,11 +1,12 @@
 """Command-line interface: output formats, exit codes, round trips."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from plumbtrace import cli
+from plumbtrace import cli, gausspoly
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
@@ -95,7 +96,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         trace = "0"
 
         def to_record(self):
-            return {"passed": False}
+            return {"passed": False, "trace": self.trace}
 
         def failures(self):
             return ["forced failure"]
@@ -104,6 +105,57 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--surface", S04, "--q", "2", "--p", "0")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+G2_CURVE = ("--surface", str(SURFACES / "genus_two.surf"), "--q=1,1,2", "--p=1,1,0")
+G2_TRACE = "t1*t2*t3^2 - 2*t1*t2*t3 + 2*t2*t3 + 2*t1*t3 + t1*t2 - 2*t2 - 2*t1 + 2"
+FUZZ_5 = ("--surface", S12, "--fuzz", "5", "--seed", "0", "--max-q", "3")
+
+
+@pytest.mark.parametrize(
+    "argv,lines,expected",
+    [
+        (("trace", *G2_CURVE), 1, f"component 0 q=[1, 1, 2] trace={G2_TRACE}\n"),
+        (
+            ("trace", *G2_CURVE, "--format", "jsonl"),
+            1,
+            '{"component": 0, "kind": "trace", "parallel_to": null, "phat": [1, 0, 0], '
+            f'"q": [1, 1, 2], "trace": "{G2_TRACE}"}}\n',
+        ),
+        (("verify", *G2_CURVE), 1, f"PASS q=[1, 1, 2] p=[1, 1, 0] trace={G2_TRACE}\n"),
+        (
+            ("verify", *G2_CURVE, "--format", "jsonl"),
+            1,
+            '{"h": 0, "kind": "verify", "leading": "1", "leading_ok": true, '
+            '"p": [1, 1, 0], "passed": true, "per_variable_degree_ok": true, '
+            '"q": [1, 1, 2], "remainder_degree_ok": true, "subleading": ['
+            '{"curve": 1, "observed": "0", "ok": true, "predicted": "0"}, '
+            '{"curve": 2, "observed": "0", "ok": true, "predicted": "0"}, '
+            '{"curve": 3, "observed": "-2", "ok": true, "predicted": "-2"}], '
+            f'"trace": "{G2_TRACE}"}}\n',
+        ),
+        (("verify", *FUZZ_5), 5, "9262903721d32b6e"),
+        (("verify", *FUZZ_5, "--format", "jsonl"), 5, "445d055e924f7b5c"),
+    ],
+)
+def test_each_trace_line_renders_its_trace_once(capsys, monkeypatch, argv, lines, expected):
+    # one slot render per printed trace, and the same bytes as before the
+    # string was reused (long outputs are pinned by their sha256 prefix)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return render(*args)
+
+    render = gausspoly._render_slots
+    monkeypatch.setattr(gausspoly, "_render_slots", counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == len(calls) == lines
+    if len(expected) == 16:
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+    else:
+        assert out == expected
 
 
 def test_input_error_exit_code(capsys):

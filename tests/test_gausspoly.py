@@ -1,11 +1,15 @@
 """Exact polynomial and matrix arithmetic."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from oracle import adjugate, det, identity, matmul, mul, pmul, shift_var
+from plumbtrace import gausspoly
 from plumbtrace.gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign, grlex_key
-from tests_support import total_degree
+from tests_support import BOXES, pack, random_terms, total_degree
 
 
 def P(arity, terms):
@@ -63,6 +67,45 @@ class TestCoefficient:
 
     def test_single_term(self):
         assert P(2, {(1, 1): (1, 1)}).coefficient((1, 1)) == GaussInt(1, 1)
+
+
+class TestPackedCoefficient:
+    @pytest.mark.parametrize("width", [32, 64, 72])
+    @pytest.mark.parametrize("counts", BOXES)
+    def test_one_slot_is_the_dict_coefficient(self, monkeypatch, counts, width):
+        # every monomial of the box, the corner included, one step past it
+        # on each axis and one step below it, read without a term dict
+        def refuse(*args):
+            raise AssertionError("term dict built")
+
+        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        rng = random.Random(f"coefficient:{counts}:{width}")
+        probes = list(itertools.product(*(range(-1, n + 2) for n in counts)))
+        for corner in (True, False):
+            terms = random_terms(rng, counts, width, corner)
+            packed = pack(terms, counts, width)
+            for imag in (False, True):
+                poly = GaussPoly.from_packed(len(counts), packed, counts, width, imag)
+                lifted = P(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
+                for mono in probes:
+                    assert poly.coefficient(mono) == lifted.coefficient(mono), mono
+                corner_c = terms.get(tuple(counts), 0)
+                assert poly.coefficient(tuple(counts)) == (
+                    GaussInt(0, corner_c) if imag else GaussInt(corner_c)
+                )
+
+    def test_wrong_length_is_refused(self):
+        poly = GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+        for mono in ((1,), (0, 1, 0)):
+            with pytest.raises(ValueError, match="arity"):
+                poly.coefficient(mono)
+
+    def test_degree_bounds(self):
+        # the box for a packed polynomial, the exact maxima for a dict one
+        poly = GaussPoly.from_packed(3, (2 << 32) - 3, (0, 2, 1), 32, False)  # 2*t3 - 3
+        assert poly.degree_bounds() == (0, 2, 1)
+        assert GaussPoly(3, poly.terms).degree_bounds() == (0, 0, 1)
+        assert GaussPoly.zero(2).degree_bounds() == (-1, -1)
 
 
 class TestCanonicalSign:

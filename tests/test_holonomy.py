@@ -58,7 +58,7 @@ from plumbtrace.surface import (
     load_surface,
     one_holed_torus,
 )
-from tests_support import crossings, degree_in, total_degree
+from tests_support import BOXES, crossings, degree_in, pack, random_terms, total_degree
 from word_text import word_from_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -372,26 +372,6 @@ class TestWordTrace:
             monkeypatch.setattr(GaussPoly, name, refuse)
         for word in words:
             word_trace(word)
-
-
-BOXES = [[1], [3, 2], [2, 0, 3, 1], [0, 2, 1, 0]]  # crossing counts per curve
-
-
-def pack(terms, counts, width):
-    """sum c_e * 2^(width * idx(e)), idx from _box's strides."""
-    strides, _ = _box(counts)
-    return sum(c << width * sum(e * s for e, s in zip(m, strides)) for m, c in terms.items())
-
-
-def random_terms(rng, counts, width, corner):
-    """Coefficients on the whole box, a few zero, some at the slot limits
-    (|c| < 2^(width - 1), so that -c fits too); the corner
-    prod_k t_k^counts[k] is zero unless `corner`."""
-    top = (1 << (width - 1)) - 1
-    box = list(itertools.product(*(range(c + 1) for c in counts)))
-    terms = {m: rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)]) for m in box}
-    terms[tuple(counts)] = rng.choice([1, -1, top, -top]) if corner else 0
-    return {m: c for m, c in terms.items() if c}
 
 
 class TestDenseLayout:

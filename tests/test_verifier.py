@@ -1,9 +1,12 @@
 """Top-term prediction and verification."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from embedding_oracle import p_star_check
-from plumbtrace import verifier
+from plumbtrace import gausspoly, verifier
 from plumbtrace.dtcoords import (
     CoordError,
     DTCoords,
@@ -14,13 +17,17 @@ from plumbtrace.dtcoords import (
 from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
-from plumbtrace.surface import four_holed_sphere, genus_two, one_holed_torus
-from tests_support import crossings
+from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.surface import four_holed_sphere, genus_two, load_surface, one_holed_torus
+from tests_support import crossings, pack
 from plumbtrace.verifier import (
     check_trace_polynomial,
     predict_top_terms,
     verify,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
 
 
 class TestPredict:
@@ -131,6 +138,106 @@ class TestVerify:
             poly = predict_top_terms(1, (3,), (p,), 0)
             assert poly.coefficient((2,)).re == lead.re * (p - 3)
             assert poly.coefficient((2,)).im == lead.im * (p - 3)
+
+
+def campaign_pool():
+    """Every distinct curve of the benchmark's campaign pool (read only)."""
+    strata = json.loads((ROOT / "pipebench" / "pool.json").read_text())["workloads"]["campaign"]
+    return sorted({(name, tuple(q), tuple(p)) for stratum in strata for name, q, p, _ in stratum})
+
+
+def repacked(report, counts, extra=()):
+    """report.trace packed into the box prod_k [0, counts[k]], 64-bit slots,
+    with the terms `extra` ((monomial, coefficient) pairs) added, and the
+    dict copy of the same polynomial."""
+    terms = report.trace.terms
+    imag = any(i for _, i in terms.values())
+    ints = {m: i if imag else r for m, (r, i) in terms.items()}
+    for mono, c in extra:
+        ints[mono] = ints.get(mono, 0) + c
+    packed = GaussPoly.from_packed(len(counts), pack(ints, counts, 64), counts, 64, imag)
+    lifted = {m: (0, c) if imag else (c, 0) for m, c in ints.items()}
+    return packed, GaussPoly.from_terms(len(counts), lifted)
+
+
+class TestPackedCheck:
+    def test_packed_is_the_dict_check_on_the_campaign_pool(self):
+        surfaces = {}
+        pool = campaign_pool()
+        assert len(pool) > 600
+        for name, q, p in pool:
+            if name not in surfaces:
+                surfaces[name] = load_surface(str(ROOT / "surfaces" / f"{name}.surf"))
+            report = verify(surfaces[name], DTCoords(q, p))
+            assert report.passed, (name, q, p)
+            trace = report.trace
+            dict_copy = GaussPoly.from_terms(trace.arity, trace.terms)
+            again = check_trace_polynomial(dict_copy, report.q, report.p, report.h)
+            assert report.to_record() == again.to_record(), (name, q, p)
+
+    # genus two, q = (1, 1, 2): a real trace with the box (1, 1, 2)
+    @pytest.mark.parametrize(
+        "extra,remainder_ok",
+        [
+            (((0, 0, 3), 1), False),  # t3^3: degree 3 > q_tot - 2
+            (((2, 0, 0), -5), True),  # t1^2: degree 2 = q_tot - 2
+            (((2, 1, 2), 7), False),  # the corner of the larger box
+            (((0, 2, 0), 1), True),
+        ],
+    )
+    def test_nonzero_slot_beyond_q_fails_as_the_dict_copy(self, extra, remainder_ok):
+        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        for counts in ((2, 2, 3), (2, 2, 2), (3, 1, 4)):
+            if any(e > n for e, n in zip(extra[0], counts)):
+                continue
+            packed, dict_copy = repacked(report, counts, [extra])
+            bad = check_trace_polynomial(packed, report.q, report.p, report.h)
+            assert not bad.per_variable_degree_ok
+            assert bad.remainder_degree_ok == remainder_ok
+            assert bad.leading_ok and all(c.ok for c in bad.subleading)
+            again = check_trace_polynomial(dict_copy, report.q, report.p, report.h)
+            assert bad.to_record() == again.to_record()
+
+    @pytest.mark.parametrize(
+        "surface,q,p",
+        [
+            (genus_two(), (1, 1, 2), (1, 1, 0)),  # real coefficients
+            (one_holed_torus(), (1,), (0,)),  # imaginary coefficients
+            (four_holed_sphere(), (2,), (0,)),
+        ],
+    )
+    def test_zero_slots_beyond_q_pass(self, surface, q, p):
+        report = verify(surface, DTCoords(q, p))
+        assert report.passed
+        for grow in range(1, 3):
+            counts = tuple(n + grow for n in report.q)
+            packed, _ = repacked(report, counts)
+            again = check_trace_polynomial(packed, report.q, report.p, report.h)
+            assert again.to_record() == report.to_record()
+
+    def test_no_crossing_keeps_the_scan(self):
+        # with q_tot = 0 the box rule does not apply: the scan reads the
+        # empty remainder as degree -1 > q_tot - 2, packed and dict alike
+        for two in (GaussPoly.from_packed(1, 2, (0,), 32, False), GaussPoly.const(1, 2)):
+            report = check_trace_polynomial(two, (0,), (1,), 1)
+            assert report.leading_ok and report.per_variable_degree_ok
+            assert not report.remainder_degree_ok
+
+    def test_verify_builds_no_term_dict(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("term dict built")
+
+        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        checked = 0
+        for path in SURFACE_FILES:
+            surface = load_surface(str(path))
+            cfg = FuzzConfig(surface, seed=5, max_q=5, max_abs_p=6, count=10, connected_only=True)
+            for coords in random_coords(cfg):
+                report = verify(surface, coords)
+                assert report.passed
+                report.to_record()
+                checked += 1
+        assert checked == 10 * len(SURFACE_FILES)
 
 
 def test_campaign_on_four_curve_surface():

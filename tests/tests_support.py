@@ -1,5 +1,8 @@
 """Shared fixture surfaces and small helpers for the test suite."""
 
+import itertools
+
+from plumbtrace.gausspoly import _box
 from plumbtrace.standardpos import Crossing
 from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, build_surface
 
@@ -45,3 +48,23 @@ def total_degree(poly):
 def degree_in(poly, index):
     """Degree in variable `index` (0-based); -1 for the zero polynomial."""
     return max((m[index] for m in poly.terms), default=-1)
+
+
+BOXES = [[1], [3, 2], [2, 0, 3, 1], [0, 2, 1, 0]]  # crossing counts per curve
+
+
+def pack(terms, counts, width):
+    """sum c_e * 2^(width * idx(e)), idx from _box's strides."""
+    strides, _ = _box(counts)
+    return sum(c << width * sum(e * s for e, s in zip(m, strides)) for m, c in terms.items())
+
+
+def random_terms(rng, counts, width, corner):
+    """Coefficients on the whole box, a few zero, some at the slot limits
+    (|c| < 2^(width - 1), so that -c fits too); the corner
+    prod_k t_k^counts[k] is zero unless `corner`."""
+    top = (1 << (width - 1)) - 1
+    box = list(itertools.product(*(range(c + 1) for c in counts)))
+    terms = {m: rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)]) for m in box}
+    terms[tuple(counts)] = rng.choice([1, -1, top, -top]) if corner else 0
+    return {m: c for m, c in terms.items() if c}

@@ -7,15 +7,21 @@ Run from the repository root, against the sources of any checkout:
 
 It draws the benchmark's seeded curve list for the workload (the strata in
 ``pipebench/pool.json``, drawn as ``pipebench/run.py`` draws them) and
-times three layers over the whole list, each the best of ``--repeat``
+times the layers over the whole list, each the best of ``--repeat``
 passes.  Every workload reports ``validate`` of every curve (``verify``
 validates each curve twice, once for its word and once for the
 same-boundary count) and ``extract_components`` of every curve.  On
 ``deep`` and ``campaign`` it adds ``word_trace`` of every word and ``str``
 of every trace; the benchmark's own spans do not wrap ``word_trace``, so
-this split is the attribution of the evaluation time.  On ``layout`` it
-adds ``word_to_text`` of every word, the last stage of ``plumbtrace
-word``.  Prints one JSON object of wall seconds.
+this split is the attribution of the evaluation time.  On ``campaign`` it
+also times ``check_trace_polynomial`` of every trace, the top-term check
+of ``verify``.  A packed trace reads its slots on first use and keeps
+them, so each pass of ``str`` and of the check runs on fresh
+``GaussPoly.from_packed`` copies, made outside the timed region: each of
+the two times includes one slot read per trace, which ``verify`` makes
+once, in the check.  On ``layout`` it adds ``word_to_text`` of every
+word, the last stage of ``plumbtrace word``.  Prints one JSON object of
+wall seconds.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ def load_bench():
     return module
 
 
-def best(repeat: int, fn) -> float:
+def best(repeat: int, fn, fresh=lambda: None) -> float:
+    """The least time of `repeat` calls fn(fresh()), fresh() left untimed."""
     times = []
     for _ in range(repeat):
+        arg = fresh()
         t0 = time.perf_counter()
-        fn()
+        fn(arg)
         times.append(time.perf_counter() - t0)
     return min(times)
 
@@ -60,28 +68,41 @@ def main() -> None:
     import plumbtrace as pt
     from plumbtrace.holonomy import word_trace
     from plumbtrace.standardpos import word_to_text
+    from plumbtrace.verifier import check_trace_polynomial
 
     bench = load_bench()
     curves = bench.draw(bench.load_pool(args.workload), args.workload, args.seed)
     surfaces = {c.surface: pt.load_surface(str(bench.surface_path(c.surface))) for c in curves}
     items = [(surfaces[c.surface], pt.DTCoords(c.q, c.p)) for c in curves]
 
-    words = [
-        comp.word
+    comps = [
+        (surface, coords, comp)
         for surface, coords in items
         for comp in pt.extract_components(surface, coords)
         if comp.word is not None
     ]
+    words = [comp.word for _, _, comp in comps]
     split = {
-        "validate_s": best(args.repeat, lambda: [pt.validate(s, c) for s, c in items]),
-        "extract_s": best(args.repeat, lambda: [pt.extract_components(s, c) for s, c in items]),
+        "validate_s": best(args.repeat, lambda _: [pt.validate(s, c) for s, c in items]),
+        "extract_s": best(args.repeat, lambda _: [pt.extract_components(s, c) for s, c in items]),
     }
     if args.workload == "layout":
-        split["word_text_s"] = best(args.repeat, lambda: [word_to_text(w) for w in words])
+        split["word_text_s"] = best(args.repeat, lambda _: [word_to_text(w) for w in words])
     else:
         traces = [word_trace(w) for w in words]
-        split["word_trace_s"] = best(args.repeat, lambda: [word_trace(w) for w in words])
-        split["render_s"] = best(args.repeat, lambda: [str(t) for t in traces])
+
+        def fresh():
+            return [pt.GaussPoly.from_packed(t.arity, *t._packed) for t in traces]
+
+        split["word_trace_s"] = best(args.repeat, lambda _: [word_trace(w) for w in words])
+        split["render_s"] = best(args.repeat, lambda ts: [str(t) for t in ts], fresh)
+    if args.workload == "campaign":
+        clauses = [(comp.q, coords.p, pt.scc_count(s, coords)) for s, coords, comp in comps]
+        split["check_s"] = best(
+            args.repeat,
+            lambda ts: [check_trace_polynomial(t, *c) for t, c in zip(ts, clauses)],
+            fresh,
+        )
     print(json.dumps({"workload": args.workload, "seed": args.seed, "curves": len(items),
                       "words": len(words), **{k: round(v, 4) for k, v in split.items()}}))
 
