@@ -1,10 +1,12 @@
 """Curve reconstruction: endpoint layout, matching, components, words."""
 
+import hashlib
 import math
 
 import pytest
 
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
+from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.standardpos import (
     Conn,
     Crossing,
@@ -27,6 +29,10 @@ from plumbtrace.surface import (
 )
 from tests_support import crossings, node_id
 from word_text import word_from_text
+
+# sha256 of the word text of the seed-14 genus-two sample in
+# TestWords.test_word_text_golden, one newline after each word
+WORD_TEXT_DIGEST = "efb70259107c3babc9f7ed1af20778aee4994b9c8da3de4cebcff36dc3d54f77"
 
 
 def window_ends(layout, pants, slot):
@@ -217,6 +223,20 @@ class TestWords:
         comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
         word = comps[0].word
         assert word_from_text(1, word_to_text(word)) == word
+
+    def test_word_text_golden(self):
+        # pins the text of every word of a seeded genus-two sample at
+        # max q 256, where most curves split into several components
+        s = genus_two()
+        digest = hashlib.sha256()
+        multi = 0
+        for coords in random_coords(FuzzConfig(s, seed=14, max_q=256, max_abs_p=600, count=40)):
+            words = [c.word for c in extract_components(s, coords) if c.word is not None]
+            multi += len(words) > 1
+            for word in words:
+                digest.update(word_to_text(word).encode() + b"\n")
+        assert multi == 28
+        assert digest.hexdigest() == WORD_TEXT_DIGEST
 
     @pytest.mark.parametrize(
         "line,message",
