@@ -38,7 +38,10 @@ crossing token, and blocks and runs are contiguous id ranges, so each list
 is filled by slice assignment, building each token once per non-empty
 block or run.  Tokens are frozen values, so that one instance serves the
 whole call.  The walk then only indexes lists and marks visited ids in a
-``bytearray``.
+``bytearray``.  A token's line of the stable text form is its ``text``, a
+cached property rather than a field: it is formatted on the first read,
+which only ``word_to_text`` makes, and kept in the instance, so a token
+shared by several words of one call is formatted once.
 
 Window conventions
 ------------------
@@ -75,7 +78,9 @@ the negative direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 
 from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
 from .surface import PantsDecomposition, pred, slot_name, succ
@@ -98,6 +103,14 @@ class Crossing:
     in_slot: int
     twist: int
 
+    @cached_property
+    def text(self) -> str:
+        """This token's line in ``word_to_text``."""
+        return (
+            f"cross c={self.curve + 1} out=({self.out_pants},{slot_name(self.out_slot)})"
+            f" in=({self.in_pants},{slot_name(self.in_slot)}) t={self.twist}"
+        )
+
 
 @dataclass(frozen=True)
 class Conn:
@@ -115,6 +128,11 @@ class Conn:
             return TURN_SUCC
         raise AssertionError("degenerate traversal")
 
+    @cached_property
+    def text(self) -> str:
+        """This token's line in ``word_to_text``."""
+        return f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}"
+
 
 @dataclass(frozen=True)
 class SccLoop:
@@ -124,6 +142,11 @@ class SccLoop:
     pants: int
     slot: int
     sign: int
+
+    @cached_property
+    def text(self) -> str:
+        """This token's line in ``word_to_text``."""
+        return f"loop p={self.pants} slot={slot_name(self.slot)} s={self.sign:+d}"
 
 
 Token = Crossing | Conn | SccLoop
@@ -357,22 +380,8 @@ def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
 
 # -- stable text form -------------------------------------------------------
 
-def _token_text(tok: Token) -> str:
-    if isinstance(tok, Crossing):
-        return (
-            f"cross c={tok.curve + 1} out=({tok.out_pants},{slot_name(tok.out_slot)})"
-            f" in=({tok.in_pants},{slot_name(tok.in_slot)}) t={tok.twist}"
-        )
-    if isinstance(tok, Conn):
-        return f"conn p={tok.pants} in={slot_name(tok.in_slot)} out={slot_name(tok.out_slot)}"
-    return f"loop p={tok.pants} slot={slot_name(tok.slot)} s={tok.sign:+d}"
-
-
 def word_to_text(word: Word) -> str:
-    """One line per token.  Compiled words share one instance per distinct
-    token, so each instance is formatted once, looked up by its id."""
-    tokens = word.tokens
-    by_id = dict(zip(map(id, tokens), tokens))
-    text = {key: _token_text(tok) for key, tok in by_id.items()}
-    return "\n".join(map(text.__getitem__, map(id, tokens)))
-
+    """One line per token: its ``text``.  A token formats its line on the
+    first read and keeps it, so an instance that several words of one
+    ``extract_components`` call share is formatted once."""
+    return "\n".join(map(attrgetter("text"), word.tokens))

@@ -28,7 +28,7 @@ from oracle import (
     of_ints,
     translation,
 )
-from plumbtrace.dtcoords import DTCoords
+from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace import gausspoly
 from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, _box, _unpack, canonical_sign, grlex_key
@@ -722,6 +722,43 @@ class TestTraceOfCurve:
         results = trace_of_curve(one_holed_torus(), DTCoords((2,), (2,)))
         assert len(results) == 1
         assert results[0][1] == GaussPoly.from_terms(1, {(2,): 1, (0,): 1})
+
+    def test_farey_recursion_on_one_holed_torus(self):
+        # Keen-Series: for neighbours, |q1 p2 - q2 p1| = 2 (p counts half
+        # twists), tr(sum) and tr(difference), each up to sign, add up to
+        # tr1 * tr2; at other determinants the relation never holds
+        surface = one_holed_torus()
+        traces = {}
+
+        def trace(q, p):
+            """The trace of the curve (q, p), alias (-q, -p), or None
+            unless it is one connected curve."""
+            if q < 0:
+                q, p = -q, -p
+            if (q, p) not in traces:
+                try:
+                    results = trace_of_curve(surface, DTCoords((q,), (p,)))
+                except CoordError:
+                    results = []
+                traces[q, p] = results[0][1] if len(results) == 1 else None
+            return traces[q, p]
+
+        curves = [(q, p) for q in range(1, 6) for p in range(-7, 8) if trace(q, p) is not None]
+        assert len(curves) == 25
+        held = {True: 0, False: 0}
+        pairs = {True: 0, False: 0}
+        for (q1, p1), (q2, p2) in itertools.combinations(curves, 2):
+            total, diff = trace(q1 + q2, p1 + p2), trace(q1 - q2, p1 - p2)
+            if total is None or diff is None:
+                continue
+            product = oracle.mul(trace(q1, p1), trace(q2, p2))
+            neighbours = abs(q1 * p2 - q2 * p1) == 2
+            pairs[neighbours] += 1
+            held[neighbours] += any(
+                a + b == product for a in (total, -total) for b in (diff, -diff)
+            )
+        assert pairs == {True: 36, False: 92}
+        assert held == {True: 36, False: 0}
 
 
 class TestInverseWord:

@@ -1,10 +1,12 @@
 """Curve reconstruction: endpoint layout, matching, components, words."""
 
+import dataclasses
 import hashlib
 import math
 
 import pytest
 
+from plumbtrace import standardpos
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
 from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.standardpos import (
@@ -258,6 +260,56 @@ class TestWords:
             word_from_text(1, line)
 
 
+class TestTokenText:
+    """A token's line is a cached property, kept on the instance, and no
+    field: equality, hashing and freezing see only the fields."""
+
+    TOKENS = (
+        Crossing(1, 0, SLOT_INF, 1, SLOT_0, -2),
+        Conn(0, SLOT_0, SLOT_1),
+        SccLoop(1, SLOT_INF, -1),
+    )
+
+    def test_shared_tokens_are_formatted_once(self, monkeypatch):
+        s = genus_two()
+        coords = DTCoords((2, 2, 4), (2, 2, 0))
+        expected = [word_to_text(c.word) for c in extract_components(s, coords)]
+        first, second = (c.word for c in extract_components(s, coords))
+        # two parallel copies: the second word holds only tokens of the first
+        assert set(map(id, second.tokens)) <= set(map(id, first.tokens))
+        assert word_to_text(first) == expected[0]
+        assert all("text" in vars(tok) for tok in first.tokens)
+
+        def refuse(slot):
+            raise AssertionError("slot name read again")
+
+        monkeypatch.setattr(standardpos, "slot_name", refuse)
+        with pytest.raises(AssertionError, match="read again"):
+            assert Conn(0, SLOT_0, SLOT_1).text
+        assert word_to_text(second) == expected[1]
+
+    @pytest.mark.parametrize("tok", TOKENS, ids=lambda tok: type(tok).__name__)
+    def test_text_is_not_a_field(self, tok):
+        fresh = dataclasses.replace(tok)
+        assert tok.text
+        assert "text" in vars(tok) and "text" not in vars(fresh)
+        assert tok == fresh and hash(tok) == hash(fresh) and repr(tok) == repr(fresh)
+        assert "text" not in {f.name for f in dataclasses.fields(tok)}
+
+    def test_replace_renders_the_new_twist(self):
+        tok = self.TOKENS[0]
+        assert tok.text == "cross c=2 out=(0,inf) in=(1,0) t=-2"
+        assert dataclasses.replace(tok, twist=3).text == "cross c=2 out=(0,inf) in=(1,0) t=3"
+
+    @pytest.mark.parametrize("tok", TOKENS, ids=lambda tok: type(tok).__name__)
+    def test_tokens_stay_frozen(self, tok):
+        assert tok.text
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(tok, dataclasses.fields(tok)[0].name, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tok.text = "edited"
+
+
 # per one-variable surface: how many (q, p) with 1 <= q <= 40 and |p| <= 60
 # are admissible (p even, and q even too on the sphere), and the closed-form
 # component count of the curve (q, p)
@@ -312,7 +364,6 @@ def test_is_connected():
 def test_word_structure_on_fuzz():
     # words alternate crossing/traversal, and every between-slot traversal
     # reduces to one of the two connector classes
-    from plumbtrace.fuzz import FuzzConfig, random_coords
     from plumbtrace.surface import twice_holed_torus
 
     s = twice_holed_torus()

@@ -1,5 +1,6 @@
 """Top-term prediction and verification."""
 
+import itertools
 import json
 from pathlib import Path
 
@@ -18,7 +19,13 @@ from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.surface import four_holed_sphere, genus_two, load_surface, one_holed_torus
+from plumbtrace.surface import (
+    four_holed_sphere,
+    genus_two,
+    load_surface,
+    one_holed_torus,
+    twice_holed_torus,
+)
 from tests_support import crossings, pack
 from plumbtrace.verifier import (
     check_trace_polynomial,
@@ -252,6 +259,25 @@ def test_campaign_on_four_curve_surface():
         if sum(coords.q) == 0:
             continue
         assert verify(surface, coords).passed
+
+
+def test_exhaustive_box_on_twice_holed_torus():
+    # every (q, p) with q_i <= 4 and |p_i| <= 5, so zero entries of q and
+    # twists at the parity edge are all reached, which sampling can miss
+    surface = twice_holed_torus()
+    admissible = connected = passed = 0
+    for q in itertools.product(range(5), repeat=2):
+        for p in itertools.product(range(-5, 6), repeat=2):
+            coords = DTCoords(q, p)
+            try:
+                components = extract_components(surface, coords)
+            except CoordError:
+                continue
+            admissible += 1
+            if len(components) == 1:
+                connected += 1
+                passed += verify(surface, coords).passed
+    assert (admissible, connected, passed) == (400, 166, 166)
 
 
 class TestStarTwist:

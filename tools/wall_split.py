@@ -20,8 +20,11 @@ them, so each pass of ``str`` and of the check runs on fresh
 ``GaussPoly.from_packed`` copies, made outside the timed region: each of
 the two times includes one slot read per trace, which ``verify`` makes
 once, in the check.  On ``layout`` it adds ``word_to_text`` of every
-word, the last stage of ``plumbtrace word``.  Prints one JSON object of
-wall seconds.
+word, the last stage of ``plumbtrace word``.  A token keeps its line once
+formatted, so each pass of ``word_to_text`` runs on words extracted
+afresh, outside the timed region: like ``plumbtrace word``, each pass
+formats every token instance once.  Prints one JSON object of wall
+seconds.
 """
 
 from __future__ import annotations
@@ -75,19 +78,26 @@ def main() -> None:
     surfaces = {c.surface: pt.load_surface(str(bench.surface_path(c.surface))) for c in curves}
     items = [(surfaces[c.surface], pt.DTCoords(c.q, c.p)) for c in curves]
 
-    comps = [
-        (surface, coords, comp)
-        for surface, coords in items
-        for comp in pt.extract_components(surface, coords)
-        if comp.word is not None
-    ]
+    def extracted():
+        return [
+            (surface, coords, comp)
+            for surface, coords in items
+            for comp in pt.extract_components(surface, coords)
+            if comp.word is not None
+        ]
+
+    comps = extracted()
     words = [comp.word for _, _, comp in comps]
     split = {
         "validate_s": best(args.repeat, lambda _: [pt.validate(s, c) for s, c in items]),
         "extract_s": best(args.repeat, lambda _: [pt.extract_components(s, c) for s, c in items]),
     }
     if args.workload == "layout":
-        split["word_text_s"] = best(args.repeat, lambda _: [word_to_text(w) for w in words])
+        split["word_text_s"] = best(
+            args.repeat,
+            lambda ws: [word_to_text(w) for w in ws],
+            lambda: [comp.word for _, _, comp in extracted()],
+        )
     else:
         traces = [word_trace(w) for w in words]
 
