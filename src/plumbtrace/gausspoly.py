@@ -21,8 +21,8 @@ is the box's crossing counts, so none of them builds the dict.  Everything
 else (equality, ``canonical_sign``, the arithmetic) reads ``terms``, so
 both forms behave alike.  A polynomial supports addition, subtraction,
 negation and scaling by one Gaussian integer, no products: holonomy words
-are multiplied out by ``holonomy.evaluate_word`` and, when only the trace
-is needed, ``holonomy.word_trace``; the results of both stay packed.
+are multiplied out by one packed evaluation in ``holonomy``, which both
+``evaluate_word`` and ``word_trace`` read; the results of both stay packed.
 
 Monomial order
 --------------

@@ -40,31 +40,33 @@ alone (``_l1_bounds``).  For polynomials x, y and integers a, k
 
 by the triangle inequality and because multiplying by t_k only moves
 monomials, so ||t_k.x||_1 = ||x||_1; a constant entry v has norm |v|.
-Tracked entry by entry through the steps, this bounds the L1 norm of every
-entry of the product, and the trace's norm is at most the *sum* of the two
-diagonal bounds (not their max: the diagonal terms can add up).  Every
-coefficient satisfies |c| <= ||.||_1 <= bound < 2^(B - 1).  B is rounded
-up to 32 or 64, or to whole bytes beyond that (``_slot_width``).
+Tracked entry by entry through the steps, this gives bounds b00, b01, b10,
+b11 on the L1 norms of the four entries of the product.  One width serves
+both results: B holds max(b00 + b11, b01, b10), which covers every entry
+(b00 and b11 are each at most their sum) and the trace, whose norm is at
+most the *sum* of the two diagonal bounds (not their max: the diagonal
+terms can add up).  Every coefficient satisfies |c| <= ||.||_1 <= bound <
+2^(B - 1).  B is rounded up to 32 or 64, or to whole bytes beyond that
+(``_slot_width``).
 
 Unpack.  Nothing here unpacks.  The q units i are applied once, as the
-single phase i^q: the packed entries are multiplied by its real or its
-imaginary part, and ``GaussPoly.from_packed`` keeps each as (P, counts,
-B, imag), every coefficient landing in the real part, or every one in
-the imaginary part.  Printing reads the slots directly; the term dict is
-built only when a caller reads ``.terms`` (``gausspoly._unpack``): add
-the bias 2^(B-1) * sum_i 2^(iB), which makes every slot a non-negative
-value below 2^B, take the bytes of the biased int in native order, read
-them as unsigned 32- or 64-bit slots with ``memoryview.cast`` (or slice
-each wider slot), subtract 2^(B-1) and zip the slots with the exponent
-tuples, skipping zeros.
+single phase i^q = unit * (i if imag else 1), unit = +-1: the packed
+entries are multiplied by unit, and ``GaussPoly.from_packed`` keeps each
+as (P, counts, B, imag), every coefficient landing in the real part, or
+every one in the imaginary part.  Printing reads the slots directly; the
+term dict is built only when a caller reads ``.terms``
+(``gausspoly._unpack``): add the bias 2^(B-1) * sum_i 2^(iB), which makes
+every slot a non-negative value below 2^B, take the bytes of the biased
+int in native order, read them as unsigned 32- or 64-bit slots with
+``memoryview.cast`` (or slice each wider slot), subtract 2^(B-1) and zip
+the slots with the exponent tuples, skipping zeros.
 
-Sign rule.  ``evaluate_word`` keeps the four entries as they come.
-``word_trace``, which every curve-level trace uses, needs only the trace:
-it runs the same rows through every step but the last, computes only the
-two diagonal entries against K_q, and signs their packed sum by negating
-the int (``_canonical``).  The sign is read off the packed int by
-``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the graded-lex
-greatest monomial of the box; it is nonzero exactly when
+Sign rule.  Both results come from one evaluation (``_evaluate``).
+``evaluate_word`` keeps the four entries as they come.  ``word_trace``,
+which every curve-level trace uses, adds the two packed diagonal entries
+and signs the sum by negating the int.  The sign is read off the packed
+int by ``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the
+graded-lex greatest monomial of the box; it is nonzero exactly when
 |P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
 then it carries the sign of P.  Otherwise the leading slot is the
 nonzero slot of greatest ``gausspoly._grlex_keys`` key, the same keys
@@ -204,7 +206,20 @@ def _multiply(k0, steps, shifts):
     return (x0, y0), (x1, y1)
 
 
-_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^q by q mod 4
+def _evaluate(word: Word):
+    """The one evaluation: (rows, counts, width, unit, imag).
+
+    rows are the packed rows of K_0 . prod_j A_j . K_j, in slots of width
+    bits that hold every entry and the sum of the two diagonal entries
+    (``_l1_bounds``), and i^q = unit * (i if imag else 1) for the word's
+    q crossings.
+    """
+    k0, steps, counts = _factor(word)
+    (b00, b01), (b10, b11) = _l1_bounds(k0, steps)
+    width = _slot_width(max(b00 + b11, b01, b10))
+    rows = _multiply(k0, steps, [s * width for s in _box(counts)[0]])
+    q = len(steps)
+    return rows, counts, width, 1 - (q & 2), bool(q & 1)
 
 
 def evaluate_word(word: Word) -> Mat2:
@@ -216,53 +231,30 @@ def evaluate_word(word: Word) -> Mat2:
     of the running product are multiplied out as packed ints and the units
     i are applied once, as i^q for q crossings, to the four packed entries.
     """
-    k0, steps, counts = _factor(word)
-    strides, _ = _box(counts)
-    width = _slot_width(max(max(row) for row in _l1_bounds(k0, steps)))
-    rows = _multiply(k0, steps, [s * width for s in strides])
-    ur, ui = _PHASES[len(steps) % 4]
-    unit = ur + ui  # exactly one of ur, ui is nonzero
+    rows, counts, width, unit, imag = _evaluate(word)
     return Mat2(
         *(
-            GaussPoly.from_packed(word.arity, unit * e, counts, width, bool(ui))
+            GaussPoly.from_packed(word.arity, unit * e, counts, width, imag)
             for row in rows
             for e in row
         )
     )
 
 
-def _canonical(trace: int, counts, width: int, phase) -> int:
-    """phase times trace (packed) or its negative, whichever has a graded-lex
-    leading coefficient with re > 0, or re == 0 and im > 0.
-
-    A phase of +-1 or +-i puts every coefficient in the real or in the
-    imaginary part, so either way the rule is the sign of the leading slot.
-    """
-    packed = (phase[0] + phase[1]) * trace
-    return -packed if _lead_sign(packed, counts, width) < 0 else packed
-
-
 def word_trace(word: Word) -> GaussPoly:
-    """canonical_sign(evaluate_word(word).trace()), from the diagonal alone.
+    """canonical_sign(evaluate_word(word).trace()), kept packed.
 
-    The rows run from K_0 through every crossing but the last, as in
-    evaluate_word.  The last step computes only the two diagonal entries,
-    and their packed sum is signed (``_canonical``) and kept packed.  The
-    slot width covers the sum of the two diagonal L1 bounds.
+    The packed sum of the two diagonal entries of ``_evaluate``, times i^q,
+    negated when its graded-lex leading coefficient is negative
+    (``_lead_sign``).
     """
-    k0, steps, counts = _factor(word)
-    (b00, _), (_, b11) = _l1_bounds(k0, steps)
-    width = _slot_width(b00 + b11)
-    shifts = [s * width for s in _box(counts)[0]]
-    (x0, y0), (x1, y1) = _multiply(k0, steps[:-1], shifts)
-    curve, a0, k10, a1, k11 = steps[-1]
-    s = shifts[curve]
-    trace = a0 * x0 - k10 * ((x0 << s) + y0) + a1 * x1 - k11 * ((x1 << s) + y1)
+    ((x0, _), (_, y1)), counts, width, unit, imag = _evaluate(word)
+    trace = unit * (x0 + y1)
     if not trace:
         raise ValueError("the trace polynomial is zero")
-    phase = _PHASES[len(steps) % 4]
-    packed = _canonical(trace, counts, width, phase)
-    return GaussPoly.from_packed(word.arity, packed, counts, width, bool(phase[1]))
+    if _lead_sign(trace, counts, width) < 0:
+        trace = -trace
+    return GaussPoly.from_packed(word.arity, trace, counts, width, imag)
 
 
 # -- curve-level traces ------------------------------------------------------

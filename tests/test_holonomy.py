@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import functools
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -31,10 +32,17 @@ from oracle import (
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace import gausspoly
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, Mat2, _box, _unpack, canonical_sign, grlex_key
+from plumbtrace.gausspoly import (
+    GaussPoly,
+    Mat2,
+    _box,
+    _lead_sign,
+    _unpack,
+    canonical_sign,
+    grlex_key,
+)
 from plumbtrace.holonomy import (
     WordError,
-    _canonical,
     annulus_from_gluing_parameter,
     evaluate_word,
     gluing_parameter_from_annulus,
@@ -374,6 +382,12 @@ class TestWordTrace:
             word_trace(word)
 
 
+def lead_signed(packed, counts, width):
+    """The packed polynomial negated when its graded-lex leading coefficient
+    is negative, as word_trace signs the trace."""
+    return -packed if _lead_sign(packed, counts, width) < 0 else packed
+
+
 class TestDenseLayout:
     @pytest.mark.parametrize("counts", BOXES)
     def test_index_is_a_bijection_in_product_order(self, counts):
@@ -434,7 +448,7 @@ class TestDenseLayout:
                 assert (lead == tuple(counts)) == corner
                 for ur, ui in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                     poly = GaussPoly(len(counts), {m: (ur * c, ui * c) for m, c in terms.items()})
-                    got = _canonical(pack(terms, counts, width), counts, width, (ur, ui))
+                    got = lead_signed((ur + ui) * pack(terms, counts, width), counts, width)
                     assert _unpack(got, counts, width, bool(ui)) == canonical_sign(poly).terms
 
     def test_lead_sign_is_not_the_packed_sign(self):
@@ -442,7 +456,7 @@ class TestDenseLayout:
         terms = {(0, 1): 1, (1, 0): -1, (0, 0): 1}
         packed = pack(terms, [1, 1], 32)
         assert packed < 0
-        got = _unpack(_canonical(packed, [1, 1], 32, (1, 0)), [1, 1], 32, False)
+        got = _unpack(lead_signed(packed, [1, 1], 32), [1, 1], 32, False)
         assert got == {(0, 1): (1, 0), (1, 0): (-1, 0), (0, 0): (1, 0)}
 
 
@@ -544,7 +558,38 @@ def _mutate_first(word, kind, applies, change):
     return None
 
 
+@functools.cache
+def pool_words(workload):
+    """The word of every distinct curve in one workload of the benchmark's
+    pool (read only); every such curve is connected."""
+    strata = json.loads((ROOT / "pipebench" / "pool.json").read_text())["workloads"][workload]
+    curves = sorted({(name, tuple(q), tuple(p)) for s in strata for name, q, p, _ in s})
+    surfaces = {}
+    for name in {name for name, _, _ in curves}:
+        paths = (d / f"{name}.surf" for d in (ROOT / "surfaces", GENUS_TWO_ONE_HOLE.parent))
+        surfaces[name] = load_surface(str(next(p for p in paths if p.exists())))
+    return tuple(
+        extract_components(surfaces[name], DTCoords(q, p))[0].word for name, q, p in curves
+    )
+
+
 class TestPointOracle:
+    @pytest.mark.parametrize("workload,distinct", [("campaign", 651), ("deep", 200)])
+    def test_trace_matches_on_the_benchmark_pool(self, workload, distinct):
+        words = pool_words(workload)
+        assert len(words) == distinct and None not in words
+        rng = random.Random(workload)
+        for word in words:
+            assert agrees_up_to_sign(word_trace(word), word, random_point(rng, word.arity)), word
+
+    def test_matrix_entries_match_on_the_campaign_pool(self):
+        rng = random.Random("campaign matrices")
+        for word in pool_words("campaign"):
+            point = random_point(rng, word.arity)
+            (a, b), (c, d) = oracle.point_product(word, point)
+            got = [oracle.point_value(e, point) for e in evaluate_word(word).entries()]
+            assert got == [a, b, c, d], word
+
     def test_trace_matches_on_deep_sample(self):
         rng = random.Random("deep")
         for word in deep_words():
@@ -576,6 +621,63 @@ class TestPointOracle:
             assert not agrees_up_to_sign(word_trace(mutated), word, random_point(rng, word.arity))
 
 
+# -- sympy oracle --------------------------------------------------------------
+
+# W0, W1, Winf: the rotations carrying cusp 0, 1, inf to inf, written out here
+# so that this oracle shares no constant with the package or tests/oracle.py
+SYMPY_ROTATIONS = (((1, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, 1)))
+
+
+def sympy_words():
+    """Words of connected curves with 1 <= q_tot <= 6 on the stock surfaces."""
+    words = []
+    for path in SURFACE_FILES:
+        surface = load_surface(str(path))
+        cfg = FuzzConfig(surface, seed=0, max_q=3, max_abs_p=6, count=10, connected_only=True)
+        for coords in random_coords(cfg):
+            if 1 <= sum(coords.q) <= 6:
+                words.append(extract_components(surface, coords)[0].word)
+    return words
+
+
+def sympy_holonomy(sympy, word):
+    """The word's holonomy as a sympy matrix, factor by factor: a crossing is
+    W_out^-1 . i(1 X; 0 -1) . W_in with X = -t_k - 2*twist, a same-slot
+    return W_s^-1 . (1 0; 2s 1) . W_s; and the variables t1 .. tn."""
+    ts = sympy.symbols(f"t1:{word.arity + 1}")
+    rotation = [sympy.Matrix(w) for w in SYMPY_ROTATIONS]
+    m = sympy.eye(2)
+    for tok in word.tokens:
+        if isinstance(tok, Crossing):
+            x = -ts[tok.curve] - 2 * tok.twist
+            core = sympy.I * sympy.Matrix([[1, x], [0, -1]])
+            m = m * rotation[tok.out_slot].inv() * core * rotation[tok.in_slot]
+        elif isinstance(tok, SccLoop):
+            w = rotation[tok.slot]
+            m = m * w.inv() * sympy.Matrix([[1, 0], [2 * tok.sign, 1]]) * w
+    return m, ts
+
+
+def sympy_terms(sympy, expr, ts):
+    """expr as an exact {exponents: (re, im)} dict of its nonzero terms."""
+    poly = sympy.Poly(sympy.expand(expr), *ts, domain="ZZ_I")
+    return {m: (int(sympy.re(c)), int(sympy.im(c))) for m, c in poly.terms() if c}
+
+
+class TestSympyOracle:
+    def test_traces_and_matrices_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        words = sympy_words()
+        assert len(words) == 36
+        for word in words:
+            m, ts = sympy_holonomy(sympy, word)
+            got = [e.terms for e in evaluate_word(word).entries()]
+            assert got == [sympy_terms(sympy, e, ts) for e in m], word
+            trace = sympy_terms(sympy, m.trace(), ts)
+            negated = {mono: (-re, -im) for mono, (re, im) in trace.items()}
+            assert trace and word_trace(word).terms in (trace, negated), word
+
+
 def with_twists(word, twists):
     """The word with its crossings' twists replaced, in order."""
     twists = iter(twists)
@@ -595,6 +697,12 @@ def max_coefficient(poly):
 # one crossing and a same-slot return: the trace is 2i*t1 + 4*twist*i, whose
 # constant is the sum of two diagonal constants of about 2*twist each
 SUM_OF_DIAGONALS = "cross c=1 out=(0,1) in=(1,1) t={}\nloop p=0 slot=1 s=-1"
+# one crossing between the cusps at infinity: the L1 bounds of the entries
+# are (1, 2*|twist| + 1, 0, 1), so the (0, 1) entry, whose constant is
+# 2*twist, outgrows the diagonal sum; the trace is zero
+OFF_DIAGONAL = "cross c=1 out=(0,inf) in=(1,inf) t={}"
+# (word, twist = +-(2^(bits - shift) - {1, 0}), the polynomial at the edge)
+EDGE_WORDS = [(SUM_OF_DIAGONALS, 2, Mat2.trace), (OFF_DIAGONAL, 1, lambda m: m.b)]
 
 
 class TestKernelEdges:
@@ -602,12 +710,13 @@ class TestKernelEdges:
     @pytest.mark.parametrize("twist_sign", [1, -1])
     @pytest.mark.parametrize("above", [False, True])
     def test_coefficients_either_side_of_a_machine_word(self, bits, twist_sign, above):
-        twist = twist_sign * ((1 << (bits - 2)) - (0 if above else 1))
-        word = word_from_text(1, SUM_OF_DIAGONALS.format(twist))
-        m = generator_product(word)
-        assert (max_coefficient(m.trace()) >= 1 << bits) == above
-        assert evaluate_word(word) == m
-        check_word_trace(word)
+        for text, shift, edge in EDGE_WORDS:
+            twist = twist_sign * ((1 << (bits - shift)) - (0 if above else 1))
+            word = word_from_text(1, text.format(twist))
+            m = generator_product(word)
+            assert (max_coefficient(edge(m)) >= 1 << bits) == above, text
+            assert evaluate_word(word) == m, text
+            check_word_trace(word)
 
     @pytest.mark.parametrize("q", [2, 5, 8])
     def test_twists_near_2_to_100(self, q):

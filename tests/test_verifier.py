@@ -12,7 +12,9 @@ from plumbtrace.dtcoords import (
     CoordError,
     DTCoords,
     NegativeTwistOnZeroLength,
+    ParityViolation,
     twist_curve,
+    validate,
     window_twists,
 )
 from plumbtrace.gausspoly import GaussPoly
@@ -261,13 +263,25 @@ def test_campaign_on_four_curve_surface():
         assert verify(surface, coords).passed
 
 
-def test_exhaustive_box_on_twice_holed_torus():
-    # every (q, p) with q_i <= 4 and |p_i| <= 5, so zero entries of q and
-    # twists at the parity edge are all reached, which sampling can miss
-    surface = twice_holed_torus()
+@pytest.mark.parametrize(
+    "make_surface,max_q,max_abs_p,pinned",
+    [
+        pytest.param(twice_holed_torus, 4, 5, (400, 166, 166), id="twice_holed_torus"),
+        pytest.param(genus_two, 3, 4, (2920, 591, 591), id="genus_two"),
+    ],
+)
+def test_exhaustive_box(make_surface, max_q, max_abs_p, pinned):
+    # every (q, p) with q_i <= max_q and |p_i| <= max_abs_p, so zero entries
+    # of q and twists at the parity edge are all reached, which sampling can
+    # miss; a q odd at some pants is refused whatever p is, so it is skipped
+    surface = make_surface()
     admissible = connected = passed = 0
-    for q in itertools.product(range(5), repeat=2):
-        for p in itertools.product(range(-5, 6), repeat=2):
+    for q in itertools.product(range(max_q + 1), repeat=surface.xi):
+        try:
+            validate(surface, DTCoords(q, (0,) * surface.xi))
+        except ParityViolation:
+            continue
+        for p in itertools.product(range(-max_abs_p, max_abs_p + 1), repeat=surface.xi):
             coords = DTCoords(q, p)
             try:
                 components = extract_components(surface, coords)
@@ -277,7 +291,7 @@ def test_exhaustive_box_on_twice_holed_torus():
             if len(components) == 1:
                 connected += 1
                 passed += verify(surface, coords).passed
-    assert (admissible, connected, passed) == (400, 166, 166)
+    assert (admissible, connected, passed) == pinned
 
 
 class TestStarTwist:
