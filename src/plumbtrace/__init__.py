@@ -21,7 +21,7 @@ from .dtcoords import (
     twist_curve,
     validate,
 )
-from .gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign
+from .gausspoly import GaussInt, GaussPoly, Mat2
 from .holonomy import (
     annulus_from_gluing_parameter,
     evaluate_word,
@@ -48,7 +48,7 @@ from .surface import (
     parse_surface,
     twice_holed_torus,
 )
-from .verifier import TopTermReport, predict_top_terms, verify
+from .verifier import TopTermReport, verify
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "annulus_from_gluing_parameter",
     "arc_counts",
     "build_surface",
-    "canonical_sign",
     "coords_from_triple",
     "window_twists",
     "dual_curve_coords",
@@ -85,7 +84,6 @@ __all__ = [
     "match_strands",
     "one_holed_torus",
     "parse_surface",
-    "predict_top_terms",
     "scc_count",
     "trace_of_curve",
     "twice_holed_torus",

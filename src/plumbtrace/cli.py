@@ -20,9 +20,9 @@ import sys
 from .dtcoords import CoordError, DTCoords, window_twists
 from .holonomy import (
     annulus_from_gluing_parameter,
-    evaluate_word,
+    component_trace,
     gluing_parameter_from_annulus,
-    trace_of_curve,
+    trace_and_matrix,
 )
 from .standardpos import extract_components, word_to_text
 from .surface import SurfaceError, load_surface
@@ -81,7 +81,13 @@ def _add_surface_coord_args(sub):
 def cmd_trace(args) -> int:
     surface = load_surface(args.surface)
     coords = _coords_from_args(args)
-    for idx, (comp, trace) in enumerate(trace_of_curve(surface, coords)):
+    results = []  # every trace is computed before the first line is printed
+    for comp in extract_components(surface, coords):
+        if args.matrix and comp.word is not None:
+            results.append((comp, *trace_and_matrix(comp.word)))  # one evaluation
+        else:
+            results.append((comp, component_trace(comp), None))
+    for idx, (comp, trace, matrix) in enumerate(results):
         record = {
             "kind": "trace",
             "component": idx,
@@ -91,8 +97,8 @@ def cmd_trace(args) -> int:
             "trace": str(trace),
         }
         text = f"component {idx} q={list(comp.q)} trace={record['trace']}"
-        if args.matrix and comp.word is not None:
-            record["matrix"] = str(evaluate_word(comp.word))
+        if matrix is not None:
+            record["matrix"] = str(matrix)
             text += f" matrix={record['matrix']}"
         _emit(args, record, text)
     return EXIT_OK

@@ -6,36 +6,32 @@ No floating point ever enters; coefficients are arbitrary-precision.
 
 Representation
 --------------
-A ``GaussPoly`` holds its terms in one of two forms.  The term dict maps
-exponent tuples (one slot per variable) to nonzero ``(re, im)`` integer
-pairs; it is the canonical form, and two polynomials are equal iff their
-term dicts are equal.  The packed form is what ``holonomy`` computes: the
-one signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
-``prod_k [0, n_k]`` (``_box``), with slot width ``B`` and a flag saying
-whether every coefficient is real or every one imaginary (``from_packed``).
-A packed polynomial reads its slots once, the first time ``str`` or
-``coefficient`` needs them, and keeps that view; it builds its term dict
-with ``_unpack`` the first time ``terms`` is read and keeps that too.  ``str`` renders straight from the slot view
+A ``GaussPoly`` is what ``holonomy`` computes: the one signed int
+``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box ``prod_k [0, n_k]``
+(``_box``), with slot width ``B`` and a flag saying whether every
+coefficient is real or every one imaginary (``from_packed``).  It reads
+its slots once, the first time ``str`` or ``coefficient`` needs them, and
+keeps that view.  ``str`` renders straight from the slot view
 (``_render_slots``), ``coefficient`` reads one slot, and ``degree_bounds``
-is the box's crossing counts, so none of them builds the dict.  Everything
-else (equality, ``canonical_sign``, the arithmetic) reads ``terms``, so
-both forms behave alike.  A polynomial supports addition, subtraction,
-negation and scaling by one Gaussian integer, no products: holonomy words
+is the box's crossing counts, so none of them builds a term dict.  The
+read-only ``terms`` view, built by ``_unpack`` on first read and kept, is
+what equality compares.  A polynomial has no arithmetic: holonomy words
 are multiplied out by one packed evaluation in ``holonomy``, which both
-``evaluate_word`` and ``word_trace`` read; the results of both stay packed.
+``evaluate_word`` and ``word_trace`` read.  The term-dict polynomial the
+tests compare against lives in ``tests/oracle.py``.
 
 Monomial order
 --------------
 Graded lexicographic with t1 < t2 < ...: compare total degree first, then
 exponent tuples reading the last variable as most significant.  Rendering
-lists terms in descending order of this key, and ``canonical_sign`` signs
-a polynomial by its greatest term.  The packed box lists monomials in
-``itertools.product`` order, which is not this order; ``_grlex_keys``
-gives each slot the int ``sum_k e_k * (size + rank_k)``, where ``rank_k``
-is the stride of t_k in the box read with t1 lowest, so that one int sort
-of the slots is the graded-lex order of their monomials.  The renderer
-sorts by these keys, and ``_lead_sign``, which signs a packed trace,
-takes the greatest of them when the box's corner slot is zero.
+lists terms in descending order of this key, and a trace is signed by its
+greatest term.  The packed box lists monomials in ``itertools.product``
+order, which is not this order; ``_grlex_keys`` gives each slot the int
+``sum_k e_k * (size + rank_k)``, where ``rank_k`` is the stride of t_k in
+the box read with t1 lowest, so that one int sort of the slots is the
+graded-lex order of their monomials.  The renderer sorts by these keys,
+and ``_lead_sign``, which signs a packed trace, takes the greatest of
+them when the box's corner slot is zero.
 
 Text grammar (stable; golden tests are byte-exact)
 --------------------------------------------------
@@ -47,7 +43,9 @@ Coefficients render as ``4``, ``i``, ``4i`` for pure real/imaginary values
 (sign pulled out into the joining operator) and as a parenthesised pair
 ``(3+2i)``, ``(-3+2i)``, ``(3-i)`` for mixed values (sign kept inside).
 A unit coefficient on a nonconstant term is dropped: ``t1``, ``-t1``,
-``i*t1``.
+``i*t1``.  A packed polynomial's coefficients are all real or all
+imaginary, so only the reference renderer meets the mixed form.  A
+``GaussInt`` prints bare, sign inline: ``3+2i``, ``-i``, ``4``.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -75,28 +73,13 @@ class GaussInt:
         return bool(self.re or self.im)
 
     def __str__(self) -> str:
-        return _coeff_str((self.re, self.im), bare=True)
-
-
-def grlex_key(mono: tuple[int, ...]) -> tuple:
-    """Sort key realizing the graded-lex order with t1 < t2 < ...."""
-    return (sum(mono), tuple(reversed(mono)))
-
-
-def _coeff_str(c: tuple[int, int], bare: bool = False) -> str:
-    """Render one Gaussian integer; `bare` keeps the sign inline (for GaussInt)."""
-    r, i = c
-    if i == 0:
-        return str(r)
-    if r == 0:
-        if i == 1:
-            return "i"
-        if i == -1:
-            return "-i"
-        return f"{i}i"
-    im = "+i" if i == 1 else ("-i" if i == -1 else f"{i:+d}i")
-    s = f"{r}{im}"
-    return s if bare else f"({s})"
+        r, i = self.re, self.im
+        if i == 0:
+            return str(r)
+        im = "i" if i == 1 else ("-i" if i == -1 else f"{i}i")
+        if r == 0:
+            return im
+        return f"{r}{im}" if im[0] == "-" else f"{r}+{im}"
 
 
 # -- the packed form ---------------------------------------------------------
@@ -222,60 +205,16 @@ def _render_slots(slots, half: int, counts, imag: bool) -> str:
 
 
 class GaussPoly:
-    """Immutable sparse polynomial over the Gaussian integers.
+    """Immutable polynomial over the Gaussian integers, held packed.
 
-    Construct through the classmethods (``zero``, ``const``, ``var``,
-    ``from_terms``, ``from_packed``); the raw constructor trusts its input
-    dict to be canonical and takes ownership of it.
+    Built by ``from_packed``; ``terms`` reads it as a term dict, which is
+    what ``==`` compares.
     """
 
-    __slots__ = ("arity", "_terms", "_packed", "_view")
-
-    def __init__(self, arity: int, terms: dict):
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_packed", None)
-        object.__setattr__(self, "_view", None)
+    __slots__ = ("arity", "_packed", "_view", "_terms")
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("GaussPoly is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity: int) -> "GaussPoly":
-        return cls(arity, {})
-
-    @classmethod
-    def const(cls, arity: int, re: int, im: int = 0) -> "GaussPoly":
-        if re == 0 and im == 0:
-            return cls(arity, {})
-        return cls(arity, {(0,) * arity: (re, im)})
-
-    @classmethod
-    def var(cls, arity: int, index: int) -> "GaussPoly":
-        """The variable t_{index+1} (index is 0-based)."""
-        if not 0 <= index < arity:
-            raise ValueError(f"variable index {index} out of range for arity {arity}")
-        mono = tuple(1 if k == index else 0 for k in range(arity))
-        return cls(arity, {mono: (1, 0)})
-
-    @classmethod
-    def from_terms(cls, arity: int, terms: dict) -> "GaussPoly":
-        """Build from {exponent tuple: (re, im) or GaussInt}, pruning zeros."""
-        out = {}
-        for mono, c in terms.items():
-            if isinstance(c, GaussInt):
-                c = (c.re, c.im)
-            elif isinstance(c, int):
-                c = (c, 0)
-            if len(mono) != arity:
-                raise ValueError("monomial length does not match arity")
-            if any(e < 0 for e in mono):
-                raise ValueError("negative exponent")
-            if c[0] or c[1]:
-                out[tuple(mono)] = (int(c[0]), int(c[1]))
-        return cls(arity, out)
 
     @classmethod
     def from_packed(
@@ -286,14 +225,16 @@ class GaussPoly:
         if `imag`; every |c_e| must be below 2^(width - 1), and width is 32,
         64 or a multiple of 8.  The slots are read, and the term dict is
         built, on first use."""
-        poly = cls(arity, None)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "arity", arity)
         object.__setattr__(poly, "_packed", (packed, tuple(counts), width, imag))
+        object.__setattr__(poly, "_view", None)
+        object.__setattr__(poly, "_terms", None)
         return poly
 
     def _slot_view(self):
-        """(slots, half, strides) of a packed polynomial: its slots in index
-        order, each biased by half (``_slots``), and the box's strides.
-        Read on first use and kept."""
+        """(slots, half, strides): the slots in index order, each biased by
+        half (``_slots``), and the box's strides.  Read on first use and kept."""
         if self._view is None:
             packed, counts, width, _ = self._packed
             strides, size = _box(counts)
@@ -302,44 +243,11 @@ class GaussPoly:
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: (re, im)} over the nonzero terms."""
+        """{exponent tuple: (re, im)} over the nonzero terms, built on first
+        read (``_unpack``) and kept."""
         if self._terms is None:
             object.__setattr__(self, "_terms", _unpack(*self._packed))
         return self._terms
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "GaussPoly") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "GaussPoly") -> "GaussPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for m, (qr, qi) in other.terms.items():
-            pr, pi = out.get(m, (0, 0))
-            r = pr + qr
-            i = pi + qi
-            if r or i:
-                out[m] = (r, i)
-            elif m in out:
-                del out[m]
-        return GaussPoly(self.arity, out)
-
-    def __sub__(self, other: "GaussPoly") -> "GaussPoly":
-        return self + -other
-
-    def __neg__(self) -> "GaussPoly":
-        return GaussPoly(self.arity, {m: (-r, -i) for m, (r, i) in self.terms.items()})
-
-    def scale(self, re: int, im: int = 0) -> "GaussPoly":
-        """The product with the one Gaussian integer re + im*i."""
-        if not (re or im):
-            return GaussPoly(self.arity, {})
-        return GaussPoly(
-            self.arity,
-            {m: (r * re - i * im, r * im + i * re) for m, (r, i) in self.terms.items()},
-        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -348,23 +256,10 @@ class GaussPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self.terms.items())))
-
-    # -- queries -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient(self, mono: tuple[int, ...]) -> GaussInt:
-        """Stored coefficient of `mono`, or zero if absent.
-
-        A packed polynomial reads the one slot of `mono`, zero outside its box.
-        """
+        """The coefficient of `mono`: its one slot, zero outside the box."""
         if len(mono) != self.arity:
             raise ValueError("monomial length does not match arity")
-        if self._packed is None:
-            return GaussInt(*self._terms.get(tuple(mono), (0, 0)))
         counts, imag = self._packed[1], self._packed[3]
         if not all(0 <= e <= n for e, n in zip(mono, counts)):
             return GaussInt()
@@ -373,87 +268,27 @@ class GaussPoly:
         return GaussInt(0, c) if imag else GaussInt(c, 0)
 
     def degree_bounds(self) -> tuple[int, ...]:
-        """Per variable, a bound on its exponent in the nonzero terms.
-
-        For a packed polynomial these are the box's crossing counts, which
-        zero outer slots may exceed; for a dict one they are the exact
-        maxima, -1 for the zero polynomial.
-        """
-        if self._packed is not None:
-            return self._packed[1]
-        terms = self._terms
-        return tuple(max(map(itemgetter(k), terms), default=-1) for k in range(self.arity))
-
-    def leading_monomial(self) -> tuple[int, ...]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        """Per variable, a bound on its exponent in the nonzero terms: the
+        box's crossing counts, which zero outer slots may exceed."""
+        return self._packed[1]
 
     def __str__(self) -> str:
-        if self._packed is not None:
-            packed, counts, _, imag = self._packed
-            if not packed:
-                return "0"
-            slots, half, _ = self._slot_view()
-            return _render_slots(slots, half, counts, imag)
-        terms = self._terms
-        if not terms:
+        packed, counts, _, imag = self._packed
+        if not packed:
             return "0"
-        # pieces[k][e] renders t_{k+1}^e, built once for the largest exponent
-        top = max(map(max, terms)) if self.arity else 0
-        pieces = [
-            ["", f"t{k}"] + [f"t{k}^{e}" for e in range(2, top + 1)]
-            for k in range(1, self.arity + 1)
-        ]
-        # descending grlex_key order from two stable sorts on C-level keys:
-        # reversed exponent tuple first, then total degree
-        order = sorted(terms, key=itemgetter(slice(None, None, -1)), reverse=True)
-        order.sort(key=sum, reverse=True)
-        chunks: list[str] = []
-        for mono in order:
-            r, i = terms[mono]
-            if not i:
-                neg = r < 0
-                body = str(abs(r))
-            elif not r:
-                neg = i < 0
-                body = "i" if abs(i) == 1 else f"{abs(i)}i"
-            else:
-                neg = False
-                body = _coeff_str((r, i))
-            ms = "*".join([p[e] for p, e in zip(pieces, mono) if e])
-            if ms:
-                body = ms if body == "1" else f"{body}*{ms}"
-            if chunks:
-                chunks.append(f" - {body}" if neg else f" + {body}")
-            else:
-                chunks.append(f"-{body}" if neg else body)
-        return "".join(chunks)
+        slots, half, _ = self._slot_view()
+        return _render_slots(slots, half, counts, imag)
 
     def __repr__(self) -> str:
         return f"GaussPoly({self})"
-
-
-def canonical_sign(p: GaussPoly) -> GaussPoly:
-    """Fix the overall +- ambiguity of a nonzero polynomial.
-
-    Returns p or -p, whichever makes the coefficient of the graded-lex
-    greatest monomial have re > 0, or re == 0 and im > 0.
-    """
-    if p.is_zero():
-        raise ValueError("canonical_sign of the zero polynomial")
-    r, i = p.terms[p.leading_monomial()]
-    if r < 0 or (r == 0 and i < 0):
-        return -p
-    return p
 
 
 @dataclass(frozen=True)
 class Mat2:
     """2x2 matrix over GaussPoly, row-major entries (a b; c d).
 
-    A container for ``evaluate_word``'s result: it adds its diagonal for
-    the trace and prints itself, and has no other arithmetic.
+    A container for ``evaluate_word``'s result: it prints itself and has
+    no arithmetic.
     """
 
     a: GaussPoly
@@ -469,9 +304,6 @@ class Mat2:
     @property
     def arity(self) -> int:
         return self.a.arity
-
-    def trace(self) -> GaussPoly:
-        return self.a + self.d
 
     def entries(self) -> tuple[GaussPoly, GaussPoly, GaussPoly, GaussPoly]:
         return (self.a, self.b, self.c, self.d)

@@ -49,22 +49,19 @@ terms can add up).  Every coefficient satisfies |c| <= ||.||_1 <= bound <
 2^(B - 1).  B is rounded up to 32 or 64, or to whole bytes beyond that
 (``_slot_width``).
 
-Unpack.  Nothing here unpacks.  The q units i are applied once, as the
-single phase i^q = unit * (i if imag else 1), unit = +-1: the packed
-entries are multiplied by unit, and ``GaussPoly.from_packed`` keeps each
-as (P, counts, B, imag), every coefficient landing in the real part, or
-every one in the imaginary part.  Printing reads the slots directly; the
-term dict is built only when a caller reads ``.terms``
-(``gausspoly._unpack``): add the bias 2^(B-1) * sum_i 2^(iB), which makes
-every slot a non-negative value below 2^B, take the bytes of the biased
-int in native order, read them as unsigned 32- or 64-bit slots with
-``memoryview.cast`` (or slice each wider slot), subtract 2^(B-1) and zip
-the slots with the exponent tuples, skipping zeros.
+Phase.  The q units i are applied once, as the single phase
+i^q = unit * (i if imag else 1), unit = +-1: the packed entries are
+multiplied by unit, and ``GaussPoly.from_packed`` keeps each as
+(P, counts, B, imag), every coefficient landing in the real part, or every
+one in the imaginary part.  Nothing here builds a term dict: ``gausspoly``
+reads the slots in place to sign a trace, print a polynomial or give one
+coefficient.
 
-Sign rule.  Both results come from one evaluation (``_evaluate``).
-``evaluate_word`` keeps the four entries as they come.  ``word_trace``,
-which every curve-level trace uses, adds the two packed diagonal entries
-and signs the sum by negating the int.  The sign is read off the packed
+Sign rule.  Both results come from one evaluation (``_evaluate``), and
+``trace_and_matrix`` builds both from the same one.  ``evaluate_word``
+keeps the four entries as they come.  ``word_trace``, which every
+curve-level trace uses, adds the two packed diagonal entries and signs
+the sum by negating the int.  The sign is read off the packed
 int by ``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the
 graded-lex greatest monomial of the box; it is nonzero exactly when
 |P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
@@ -222,6 +219,26 @@ def _evaluate(word: Word):
     return rows, counts, width, 1 - (q & 2), bool(q & 1)
 
 
+def _matrix(arity: int, rows, counts, width, unit, imag) -> Mat2:
+    """The four packed entries of one evaluation, times i^q."""
+    return Mat2(
+        *(GaussPoly.from_packed(arity, unit * e, counts, width, imag) for row in rows for e in row)
+    )
+
+
+def _trace(arity: int, rows, counts, width, unit, imag) -> GaussPoly:
+    """The signed trace of one evaluation: the packed sum of its two
+    diagonal entries, times i^q, negated when its graded-lex leading
+    coefficient is negative (``_lead_sign``)."""
+    (x0, _), (_, y1) = rows
+    trace = unit * (x0 + y1)
+    if not trace:
+        raise ValueError("the trace polynomial is zero")
+    if _lead_sign(trace, counts, width) < 0:
+        trace = -trace
+    return GaussPoly.from_packed(arity, trace, counts, width, imag)
+
+
 def evaluate_word(word: Word) -> Mat2:
     """Exact holonomy of a compiled word (left-to-right product).
 
@@ -231,39 +248,32 @@ def evaluate_word(word: Word) -> Mat2:
     of the running product are multiplied out as packed ints and the units
     i are applied once, as i^q for q crossings, to the four packed entries.
     """
-    rows, counts, width, unit, imag = _evaluate(word)
-    return Mat2(
-        *(
-            GaussPoly.from_packed(word.arity, unit * e, counts, width, imag)
-            for row in rows
-            for e in row
-        )
-    )
+    return _matrix(word.arity, *_evaluate(word))
 
 
 def word_trace(word: Word) -> GaussPoly:
-    """canonical_sign(evaluate_word(word).trace()), kept packed.
+    """The trace of the word's holonomy, signed so that its graded-lex
+    leading coefficient is positive, kept packed.
 
     The packed sum of the two diagonal entries of ``_evaluate``, times i^q,
-    negated when its graded-lex leading coefficient is negative
-    (``_lead_sign``).
+    negated when that leading coefficient is negative (``_lead_sign``).
+    A zero trace has no sign and is refused.
     """
-    ((x0, _), (_, y1)), counts, width, unit, imag = _evaluate(word)
-    trace = unit * (x0 + y1)
-    if not trace:
-        raise ValueError("the trace polynomial is zero")
-    if _lead_sign(trace, counts, width) < 0:
-        trace = -trace
-    return GaussPoly.from_packed(word.arity, trace, counts, width, imag)
+    return _trace(word.arity, *_evaluate(word))
+
+
+def trace_and_matrix(word: Word) -> tuple[GaussPoly, Mat2]:
+    """``word_trace(word)`` and ``evaluate_word(word)`` from one evaluation."""
+    evaluation = _evaluate(word)
+    return _trace(word.arity, *evaluation), _matrix(word.arity, *evaluation)
 
 
 # -- curve-level traces ------------------------------------------------------
 
 def component_trace(component: Component) -> GaussPoly:
     """Canonical trace polynomial of one connected component."""
-    if component.word is None:
-        arity = len(component.q)
-        return GaussPoly.const(arity, 2)
+    if component.word is None:  # parabolic: the constant 2, in one slot
+        return GaussPoly.from_packed(len(component.q), 2, (0,) * len(component.q), 32, False)
     return word_trace(component.word)
 
 

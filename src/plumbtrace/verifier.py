@@ -17,16 +17,17 @@ is accepted as either +i^q 2^h or -i^q 2^h, which also pins the unit modulo
 the four Gaussian units.
 
 The check reads only the xi + 1 top coefficients, one ``coefficient`` call
-each, which on a packed trace is one slot.  The two degree clauses come
-from the trace's ``degree_bounds`` when these are at most q: in the box
-prod_i [0, q_i] the only monomials of total degree q_tot - 1 or more are q
-itself and the q - e_i with q_i >= 1, which are exactly the monomials the
-coefficient clauses read, so every other term has total degree at most
-q_tot - 2 and no variable exceeds q_i.  That holds for any polynomial
-whose terms lie in the box; it is read off the representation (a packed
-trace's box is its crossing counts, which equal q for a connected curve)
-and does not assume the shape being checked.  Only when a bound exceeds
-q somewhere, as for a corrupted polynomial, are the terms scanned.
+each, which reads one slot.  The two degree clauses come from the trace's
+``degree_bounds`` when these are at most q: in the box prod_i [0, q_i] the
+only monomials of total degree q_tot - 1 or more are q itself and the
+q - e_i with q_i >= 1, which are exactly the monomials the coefficient
+clauses read, so every other term has total degree at most q_tot - 2 and
+no variable exceeds q_i.  That holds for any polynomial whose terms lie in
+the box; it is read off the representation (a trace's box is its crossing
+counts, which equal q for a connected curve) and does not assume the shape
+being checked.  Only a polynomial whose box exceeds q somewhere, as a
+corrupted one's may, is scanned term by term through its ``terms`` view:
+its outer slots may all be zero, so the box alone cannot decide.
 """
 
 from __future__ import annotations
@@ -48,24 +49,6 @@ def _unit_times_power(q_tot: int, h: int) -> tuple[int, int]:
     """i^q_tot * 2^h as a coefficient pair."""
     r, i = _UNITS[q_tot % 4]
     return (r * 2**h, i * 2**h)
-
-
-def predict_top_terms(
-    arity: int, q: tuple[int, ...], p: tuple[int, ...], h: int
-) -> GaussPoly:
-    """The two top graded orders of the expected trace, sign not yet fixed."""
-    q_tot = sum(q)
-    if q_tot < 1:
-        raise CoordError("top-term prediction needs at least one crossing")
-    lead = _unit_times_power(q_tot, h)
-    terms: dict = {tuple(q): lead}
-    for i in range(arity):
-        if q[i] == 0:
-            continue
-        mono = tuple(q[k] - (1 if k == i else 0) for k in range(arity))
-        factor = p[i] - q[i]
-        terms[mono] = (lead[0] * factor, lead[1] * factor)
-    return GaussPoly.from_terms(arity, terms)
 
 
 @dataclass
@@ -208,17 +191,19 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
     comp = components[0]
     trace = component_trace(comp)
     if sum(comp.q) == 0:
-        ok = trace == GaussPoly.const(surface.xi, 2)
-        report = TopTermReport(
+        # the constant 2 of a parallel component: its one slot, and the
+        # scan only if the box is larger than that slot
+        zeros = (0,) * surface.xi
+        lead = trace.coefficient(zeros)
+        ok = lead == GaussInt(2) and (not any(trace.degree_bounds()) or len(trace.terms) == 1)
+        return TopTermReport(
             q=comp.q,
             p=coords.p,
             h=0,
             trace=trace,
-            leading_monomial=(0,) * surface.xi,
-            leading=trace.coefficient((0,) * surface.xi),
+            leading_monomial=zeros,
+            leading=lead,
             leading_ok=ok,
         )
-        return report
     h = scc_count(surface, coords)
     return check_trace_polynomial(trace, comp.q, coords.p, h)
-

@@ -5,8 +5,12 @@ evaluator is tested against.  It shares no code with that evaluator: it
 builds every crossing and every same-slot return from the generator
 matrices below and multiplies sparse term dicts pairwise, where
 ``evaluate_word`` and ``word_trace`` fold every constant into integer
-joints and run packed big-int rows.  Only the value types ``GaussPoly`` and
-``Mat2`` and the word tokens come from the package.  For words too large
+joints and run packed big-int rows.  Only the word tokens come from the
+package.  Its values are its own: ``Poly``, a polynomial held as the term
+dict of its nonzero terms, with its own arithmetic, sign rule
+(``canonical_sign``) and renderer, and ``Mat``, a 2x2 matrix of them.
+``lift`` reads a library polynomial or matrix into this form through its
+``terms``, which is how the tests compare the two.  For words too large
 for term dicts, ``point_product`` and ``point_trace`` multiply the same
 factors out as numbers at one point modulo a prime (a Schwartz-Zippel
 check), and ``point_value`` evaluates a polynomial's terms there.
@@ -37,9 +41,9 @@ adjugate is the inverse.
 """
 
 import math
-from operator import add
+from operator import add, itemgetter
+from typing import NamedTuple
 
-from plumbtrace.gausspoly import GaussPoly, Mat2
 from plumbtrace.standardpos import Crossing, SccLoop
 
 # integer rows ((a, b), (c, d)); an entry (re, im) is a Gaussian integer
@@ -84,40 +88,178 @@ def mat_mul(A, B):
     )
 
 
+def grlex_key(mono: tuple[int, ...]) -> tuple:
+    """Sort key realizing the graded-lex order with t1 < t2 < ...."""
+    return (sum(mono), tuple(reversed(mono)))
+
+
+class Poly:
+    """A polynomial in Z[i][t1, ..., tn], held as the term dict of its
+    nonzero terms, {exponent tuple: (re, im)}.
+
+    Built from any {exponent tuple: int or (re, im)} dict, zeros dropped.
+    """
+
+    __slots__ = ("arity", "terms")
+
+    def __init__(self, arity: int, terms=()):
+        self.arity = arity
+        self.terms = {}
+        for mono, c in dict(terms).items():
+            r, i = (c, 0) if isinstance(c, int) else c
+            if len(mono) != arity:
+                raise ValueError("monomial length does not match arity")
+            if r or i:
+                self.terms[tuple(mono)] = (r, i)
+
+    @classmethod
+    def const(cls, arity: int, re: int, im: int = 0) -> "Poly":
+        return cls(arity, {(0,) * arity: (re, im)})
+
+    @classmethod
+    def var(cls, arity: int, index: int) -> "Poly":
+        """The variable t_{index+1} (index is 0-based)."""
+        if not 0 <= index < arity:
+            raise ValueError(f"variable index {index} out of range for arity {arity}")
+        return cls(arity, {tuple(int(k == index) for k in range(arity)): 1})
+
+    def __add__(self, other: "Poly") -> "Poly":
+        _check(self, other)
+        out = dict(self.terms)
+        for m, (r, i) in other.terms.items():
+            pr, pi = out.get(m, (0, 0))
+            out[m] = (pr + r, pi + i)
+        return Poly(self.arity, out)
+
+    def __neg__(self) -> "Poly":
+        return Poly(self.arity, {m: (-r, -i) for m, (r, i) in self.terms.items()})
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + -other
+
+    def scale(self, re: int, im: int = 0) -> "Poly":
+        """The product with the one Gaussian integer re + im*i."""
+        return Poly(
+            self.arity,
+            {m: (r * re - i * im, r * im + i * re) for m, (r, i) in self.terms.items()},
+        )
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and (self.arity, self.terms) == (other.arity, other.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, mono) -> tuple[int, int]:
+        return self.terms.get(tuple(mono), (0, 0))
+
+    def leading_monomial(self) -> tuple[int, ...]:
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading monomial")
+        return max(self.terms, key=grlex_key)
+
+    def __str__(self) -> str:
+        """The text grammar of ``plumbtrace.gausspoly``, term by term in
+        descending graded-lex order, mixed coefficients included."""
+        terms = self.terms
+        if not terms:
+            return "0"
+        # descending grlex_key order from two stable sorts: reversed
+        # exponent tuple first, then total degree
+        order = sorted(terms, key=itemgetter(slice(None, None, -1)), reverse=True)
+        order.sort(key=sum, reverse=True)
+        chunks: list[str] = []
+        for mono in order:
+            r, i = terms[mono]
+            if not i:
+                neg, body = r < 0, str(abs(r))
+            elif not r:
+                neg, body = i < 0, "i" if abs(i) == 1 else f"{abs(i)}i"
+            else:  # mixed: parenthesised, the sign kept inside
+                im = "+i" if i == 1 else ("-i" if i == -1 else f"{i:+d}i")
+                neg, body = False, f"({r}{im})"
+            ms = "*".join(
+                f"t{k}" if e == 1 else f"t{k}^{e}" for k, e in enumerate(mono, 1) if e
+            )
+            if ms:
+                body = ms if body == "1" else f"{body}*{ms}"
+            if chunks:
+                chunks.append(f" - {body}" if neg else f" + {body}")
+            else:
+                chunks.append(f"-{body}" if neg else body)
+        return "".join(chunks)
+
+    def __repr__(self) -> str:
+        return f"Poly({self})"
+
+
+def canonical_sign(p: Poly) -> Poly:
+    """p or -p, whichever makes the coefficient of the graded-lex greatest
+    monomial have re > 0, or re == 0 and im > 0."""
+    if p.is_zero():
+        raise ValueError("canonical_sign of the zero polynomial")
+    r, i = p.terms[p.leading_monomial()]
+    return -p if r < 0 or (r == 0 and i < 0) else p
+
+
+class Mat(NamedTuple):
+    """2x2 matrix of ``Poly``, row-major entries (a b; c d)."""
+
+    a: Poly
+    b: Poly
+    c: Poly
+    d: Poly
+
+    @property
+    def arity(self) -> int:
+        return self.a.arity
+
+    def trace(self) -> Poly:
+        return self.a + self.d
+
+
+def lift(value):
+    """The oracle form of a library ``GaussPoly`` or ``Mat2``, read through
+    the ``terms`` of each polynomial."""
+    if hasattr(value, "entries"):
+        return Mat(*map(lift, value.entries()))
+    return Poly(value.arity, value.terms)
+
+
 def _check(*values):
     if len({v.arity for v in values}) > 1:
         raise ValueError(f"arity mismatch: {[v.arity for v in values]}")
 
 
-def mul(x: GaussPoly, y: GaussPoly) -> GaussPoly:
+def mul(x: Poly, y: Poly) -> Poly:
     _check(x, y)
-    return GaussPoly(x.arity, pmul(x.terms, y.terms))
+    return Poly(x.arity, pmul(x.terms, y.terms))
 
 
-def matmul(*factors: Mat2) -> Mat2:
+def matmul(*factors: Mat) -> Mat:
     """The left-to-right product of one or more matrices."""
     _check(*factors)
     out = factors[0]
     for m in factors[1:]:
-        entries = mat_mul([e.terms for e in out.entries()], [e.terms for e in m.entries()])
-        out = Mat2(*(GaussPoly(out.arity, t) for t in entries))
+        entries = mat_mul([e.terms for e in out], [e.terms for e in m])
+        out = Mat(*(Poly(out.arity, t) for t in entries))
     return out
 
 
-def neg(m: Mat2) -> Mat2:
-    return Mat2(*(-e for e in m.entries()))
+def neg(m: Mat) -> Mat:
+    return Mat(*(-e for e in m))
 
 
-def det(m: Mat2) -> GaussPoly:
+def det(m: Mat) -> Poly:
     return mul(m.a, m.d) - mul(m.b, m.c)
 
 
-def adjugate(m: Mat2) -> Mat2:
+def adjugate(m: Mat) -> Mat:
     """(d -b; -c a); equals the inverse when det == 1."""
-    return Mat2(m.d, -m.b, -m.c, m.a)
+    return Mat(m.d, -m.b, -m.c, m.a)
 
 
-def shift_var(p: GaussPoly, index: int, c: int) -> GaussPoly:
+def shift_var(p: Poly, index: int, c: int) -> Poly:
     """Exact substitution t_{index+1} -> t_{index+1} + c (binomial expansion)."""
     out: dict = {}
     for mono, (r, i) in p.terms.items():
@@ -126,52 +268,59 @@ def shift_var(p: GaussPoly, index: int, c: int) -> GaussPoly:
             coeff = math.comb(n, j) * c ** (n - j)
             m = mono[:index] + (j,) + mono[index + 1 :]
             ar, ai = out.get(m, (0, 0))
-            ar += r * coeff
-            ai += i * coeff
-            if ar or ai:
-                out[m] = (ar, ai)
-            else:
-                out.pop(m, None)
-    return GaussPoly(p.arity, out)
+            out[m] = (ar + r * coeff, ai + i * coeff)
+    return Poly(p.arity, out)
+
+
+def predict_top_terms(arity: int, q, p, h: int) -> Poly:
+    """The two top graded orders the paper predicts for the trace of a
+    connected curve with intersection numbers q, twists p and h
+    same-boundary arcs, up to the overall sign:
+
+        i^q_tot * 2^h * (t^q + sum_i (p_i - q_i) * t^(q - e_i)).
+    """
+    q_tot = sum(q)
+    if q_tot < 1:
+        raise ValueError("top-term prediction needs at least one crossing")
+    r, i = ((1, 0), (0, 1), (-1, 0), (0, -1))[q_tot % 4]  # i^q_tot
+    lead = (r * 2**h, i * 2**h)
+    terms = {tuple(q): lead}
+    for k in range(arity):
+        if q[k]:
+            mono = tuple(e - (j == k) for j, e in enumerate(q))
+            terms[mono] = (lead[0] * (p[k] - q[k]), lead[1] * (p[k] - q[k]))
+    return Poly(arity, terms)
 
 
 # -- generator matrices and word factors -------------------------------------
 
-def of_ints(arity: int, rows) -> Mat2:
+def of_ints(arity: int, rows) -> Mat:
     """Constant matrix from ((a, b), (c, d)); entries are ints or (re, im)."""
-    def lift(v):
-        return GaussPoly.const(arity, *v) if isinstance(v, tuple) else GaussPoly.const(arity, v)
-
     (a, b), (c, d) = rows
-    return Mat2(lift(a), lift(b), lift(c), lift(d))
+    return Mat(*(Poly(arity, {(0,) * arity: v}) for v in (a, b, c, d)))
 
 
-def identity(arity: int) -> Mat2:
+def identity(arity: int) -> Mat:
     return of_ints(arity, ((1, 0), (0, 1)))
 
 
-def translation(arity: int, curve: int) -> Mat2:
+def translation(arity: int, curve: int) -> Mat:
     """(1 t_{curve+1}; 0 1)."""
-    one = GaussPoly.const(arity, 1)
-    return Mat2(one, GaussPoly.var(arity, curve), GaussPoly.zero(arity), one)
+    one = Poly.const(arity, 1)
+    return Mat(one, Poly.var(arity, curve), Poly(arity), one)
 
 
-def crossing_matrix(arity: int, curve: int, twist: int) -> Mat2:
+def crossing_matrix(arity: int, curve: int, twist: int) -> Mat:
     """The slot-free core of one crossing: i * (1 X; 0 -1), X = -t_i - 2*twist.
 
     Equals the generator product BOUNDARY_LOOP[inf]^-twist . FLIP^-1 .
     translation^-1, which crossing_factor multiplies out.
     """
-    x = GaussPoly.var(arity, curve).scale(-1) + GaussPoly.const(arity, -2 * twist)
-    return Mat2(
-        GaussPoly.const(arity, 0, 1),
-        x.scale(0, 1),
-        GaussPoly.zero(arity),
-        GaussPoly.const(arity, 0, -1),
-    )
+    x = Poly.var(arity, curve).scale(-1) + Poly.const(arity, -2 * twist)
+    return Mat(Poly.const(arity, 0, 1), x.scale(0, 1), Poly(arity), Poly.const(arity, 0, -1))
 
 
-def crossing_factor(arity: int, tok: Crossing) -> Mat2:
+def crossing_factor(arity: int, tok: Crossing) -> Mat:
     return matmul(
         adjugate(of_ints(arity, SLOT_TO_TOP[tok.out_slot])),
         of_ints(arity, ((1, 2 * tok.twist), (0, 1))),  # BOUNDARY_LOOP[inf]^-twist
@@ -181,13 +330,13 @@ def crossing_factor(arity: int, tok: Crossing) -> Mat2:
     )
 
 
-def loop_factor(arity: int, tok: SccLoop) -> Mat2:
+def loop_factor(arity: int, tok: SccLoop) -> Mat:
     w = of_ints(arity, SLOT_TO_TOP[tok.slot])
     loop = of_ints(arity, ((1, 0), (2 * tok.sign, 1)))  # BOUNDARY_LOOP[0]^sign
     return matmul(adjugate(w), loop, w)
 
 
-def generator_product(word) -> Mat2:
+def generator_product(word) -> Mat:
     """Left-to-right product of the generator-built factors of a word."""
     out = identity(word.arity)
     for tok in word.tokens:
@@ -198,7 +347,7 @@ def generator_product(word) -> Mat2:
     return out
 
 
-def inverse_word_holonomy(word) -> Mat2:
+def inverse_word_holonomy(word) -> Mat:
     """Holonomy of the reversed word with every factor inverted, the matrix
     inverse of generator_product(word) built the other way round."""
     out = identity(word.arity)
@@ -288,7 +437,7 @@ def point_trace(word, point):
     return _gadd(a, d)
 
 
-def point_value(poly: GaussPoly, point):
+def point_value(poly, point):
     """poly at t_{k+1} = point[k], as an (re, im) pair mod P61."""
     top = [max((m[k] for m in poly.terms), default=0) for k in range(poly.arity)]
     powers = []

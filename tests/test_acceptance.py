@@ -15,9 +15,13 @@ from embedding_oracle import oracle_check
 from oracle import (
     BOUNDARY_LOOP,
     SLOT_TO_TOP,
+    Mat,
+    Poly,
     adjugate,
+    canonical_sign,
     det,
     identity,
+    lift,
     matmul,
     mul,
     neg,
@@ -27,7 +31,6 @@ from oracle import (
 from plumbtrace import cli
 from plumbtrace.dtcoords import DTCoords, coords_from_triple, window_twists, triple_from_coords, twist_curve
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, Mat2, canonical_sign
 from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components
 from plumbtrace.surface import (
@@ -86,19 +89,19 @@ def test_criterion_01_four_holed_golden_trace(capsys):
 
 
 def test_criterion_02_one_holed_golden_matrix(capsys):
-    t = GaussPoly.var(1, 0)
-    one = GaussPoly.const(1, 1)
-    target = Mat2(*(e.scale(0, -1) for e in (t - one, one, one, GaussPoly.zero(1))))
+    t = Poly.var(1, 0)
+    one = Poly.const(1, 1)
+    target = Mat(*(e.scale(0, -1) for e in (t - one, one, one, Poly(1))))
 
     # the doubled dual: both components carry the same single-crossing word
     comps = extract_components(one_holed_torus(), DTCoords((2,), (0,)))
     assert len(comps) == 2
     for comp in comps:
-        m = evaluate_word(comp.word)
+        m = lift(evaluate_word(comp.word))
         assert m in (target, neg(target))
     # the connected single copy evaluates on the nose
     single = extract_components(one_holed_torus(), DTCoords((1,), (0,)))[0]
-    assert evaluate_word(single.word) == target
+    assert lift(evaluate_word(single.word)) == target
     with capsys.disabled():
         _report(2, "one-holed-torus golden matrix")
 
@@ -138,8 +141,8 @@ def test_criterion_05_pants_curves_parabolic(capsys):
             )
             results = trace_of_curve(surface, coords)
             assert len(results) == 1
-            two = GaussPoly.const(surface.xi, 2)
-            assert results[0][1] == two
+            two = Poly.const(surface.xi, 2)
+            assert lift(results[0][1]) == two
     with capsys.disabled():
         _report(5, "pants-curve components trace to 2")
 
@@ -175,8 +178,8 @@ def _equivariance_sign() -> int:
     """The global substitution sign, pinned on the one-holed torus."""
     s11 = one_holed_torus()
     base = DTCoords((1,), (0,))
-    t0 = component_trace(extract_components(s11, base)[0])
-    t1 = component_trace(extract_components(s11, twist_curve(base, 0, 1))[0])
+    t0 = lift(component_trace(extract_components(s11, base)[0]))
+    t1 = lift(component_trace(extract_components(s11, twist_curve(base, 0, 1))[0]))
     for sign in (2, -2):
         if canonical_sign(shift_var(t0, 0, sign)) == t1:
             return sign
@@ -188,12 +191,12 @@ def test_criterion_08_twist_equivariance(capsys):
     cases = 0
     for surface, max_q in CAMPAIGN:
         for coords in _connected_samples(surface, min(max_q, 6), seed=808, count=15):
-            base = component_trace(extract_components(surface, coords)[0])
+            base = lift(component_trace(extract_components(surface, coords)[0]))
             for i in range(surface.xi):
                 if coords.q[i] == 0:
                     continue
                 twisted = twist_curve(coords, i, 1)
-                got = component_trace(extract_components(surface, twisted)[0])
+                got = lift(component_trace(extract_components(surface, twisted)[0]))
                 assert got == canonical_sign(shift_var(base, i, sign))
                 cases += 1
     assert cases >= 100
@@ -213,16 +216,16 @@ def test_criterion_09_triple_round_trip(capsys):
 
 def test_criterion_10_trace_identity(capsys):
     rng = random.Random(1010)
-    one = GaussPoly.const(2, 1)
-    zero = GaussPoly.zero(2)
+    one = Poly.const(2, 1)
+    zero = Poly(2)
 
     def shear():
-        entry = GaussPoly.from_terms(
+        entry = Poly(
             2,
             {(rng.randint(0, 2), rng.randint(0, 2)): (rng.randint(-3, 3),
                                                        rng.randint(-3, 3))},
         )
-        return Mat2(one, entry, zero, one) if rng.random() < 0.5 else Mat2(
+        return Mat(one, entry, zero, one) if rng.random() < 0.5 else Mat(
             one, zero, entry, one
         )
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from plumbtrace import cli, gausspoly
+from plumbtrace import cli, gausspoly, holonomy
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
@@ -34,6 +34,29 @@ def test_trace_matrix_flag(capsys):
     assert "matrix=[[-i*t1 + i, -i], [-i, 0]]" in out
 
 
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (("--surface", S11, "--q", "2", "--p", "0"), 2),  # two copies of one word
+        (("--surface", str(SURFACES / "genus_two.surf"), "--q=1,8,1", "--p=-11,-18,9"), 1),
+        (("--surface", S04, "--q", "0", "--p", "1"), 0),  # parallel: no word
+    ],
+)
+def test_trace_matrix_evaluates_each_word_once(capsys, monkeypatch, argv, words):
+    # the printed trace and the printed matrix come from one evaluation
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return evaluate(word)
+
+    evaluate = holonomy._evaluate
+    monkeypatch.setattr(holonomy, "_evaluate", counted)
+    code, out, _ = run(capsys, "trace", *argv, "--matrix")
+    assert code == 0
+    assert len(calls) == out.count(" matrix=") == words
+
+
 def test_trace_jsonl_schema(capsys):
     code, out, _ = run(
         capsys,
@@ -57,7 +80,7 @@ def test_convert_twist_golden(capsys):
 
 
 def test_word_round_trip(capsys):
-    from plumbtrace.gausspoly import canonical_sign
+    from oracle import canonical_sign, lift
     from plumbtrace.holonomy import evaluate_word
     from word_text import word_from_text
 
@@ -67,7 +90,7 @@ def test_word_round_trip(capsys):
     word = word_from_text(1, body)
 
     code, trace_out, _ = run(capsys, "trace", "--surface", S04, "--q", "2", "--p", "4")
-    reparsed = str(canonical_sign(evaluate_word(word).trace()))
+    reparsed = str(canonical_sign(lift(evaluate_word(word)).trace()))
     assert f"trace={reparsed}" in trace_out
 
 
@@ -286,7 +309,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(surface, coords):
         raise KeyError("lost slot")
 
-    monkeypatch.setattr(cli, "trace_of_curve", broken)
+    monkeypatch.setattr(cli, "extract_components", broken)
     code, out, err = run(capsys, "trace", "--surface", S04, "--q", "2", "--p", "0")
     assert code == cli.EXIT_INTERNAL_ERROR == 3
     assert out == ""
@@ -321,7 +344,7 @@ def test_runtime_error_is_internal_error(capsys, monkeypatch):
     def broken(surface, coords):
         raise RuntimeError("layout and arc counts disagree")
 
-    monkeypatch.setattr(cli, "trace_of_curve", broken)
+    monkeypatch.setattr(cli, "extract_components", broken)
     code, out, err = run(capsys, "trace", "--surface", S04, "--q", "2", "--p", "0")
     assert code == cli.EXIT_INTERNAL_ERROR
     assert out == ""

@@ -1,4 +1,5 @@
-"""Exact polynomial and matrix arithmetic."""
+"""The packed polynomial, and the oracle's term-dict polynomial and matrix
+arithmetic that the tests compare it against."""
 
 import itertools
 import random
@@ -6,19 +7,28 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracle import adjugate, det, identity, matmul, mul, pmul, shift_var
+from oracle import (
+    Mat,
+    Poly,
+    adjugate,
+    canonical_sign,
+    det,
+    grlex_key,
+    identity,
+    lift,
+    matmul,
+    mul,
+    pmul,
+    shift_var,
+)
 from plumbtrace import gausspoly
-from plumbtrace.gausspoly import GaussInt, GaussPoly, Mat2, canonical_sign, grlex_key
-from tests_support import BOXES, pack, random_terms, total_degree
+from plumbtrace.gausspoly import GaussInt, GaussPoly
+from tests_support import BOXES, pack, packed_poly, random_terms, total_degree
 
-
-def P(arity, terms):
-    return GaussPoly.from_terms(arity, terms)
-
-
-T1 = GaussPoly.var(1, 0)
-ONE = GaussPoly.const(1, 1)
-I = GaussPoly.const(1, 0, 1)
+P = Poly
+T1 = Poly.var(1, 0)
+ONE = Poly.const(1, 1)
+I = Poly.const(1, 0, 1)
 
 
 class TestAdd:
@@ -37,7 +47,7 @@ class TestAdd:
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
-            T1 + GaussPoly.var(2, 0)
+            T1 + Poly.var(2, 0)
 
 
 class TestMul:
@@ -45,19 +55,19 @@ class TestMul:
         assert mul(T1 + ONE, T1 - ONE) == P(1, {(2,): 1, (0,): -1})
 
     def test_imaginary_unit_squares_to_minus_one(self):
-        assert mul(I, I) == GaussPoly.const(1, -1)
+        assert mul(I, I) == Poly.const(1, -1)
 
     def test_scaled_square(self):
-        four = GaussPoly.const(1, 4)
+        four = Poly.const(1, 4)
         assert mul(mul(four, T1 - ONE), T1 - ONE) == P(1, {(2,): 4, (1,): -8, (0,): 4})
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
-            mul(T1, GaussPoly.var(3, 1))
+            mul(T1, Poly.var(3, 1))
 
 
 class TestCoefficient:
-    poly = P(1, {(2,): -4, (1,): 8, (0,): -6})
+    poly = packed_poly(1, {(2,): -4, (1,): 8, (0,): -6})
 
     def test_reads_stored(self):
         assert self.poly.coefficient((2,)) == GaussInt(-4)
@@ -66,7 +76,7 @@ class TestCoefficient:
         assert self.poly.coefficient((3,)) == GaussInt(0)
 
     def test_single_term(self):
-        assert P(2, {(1, 1): (1, 1)}).coefficient((1, 1)) == GaussInt(1, 1)
+        assert packed_poly(2, {(1, 1): 1}, imag=True).coefficient((1, 1)) == GaussInt(0, 1)
 
 
 class TestPackedCoefficient:
@@ -88,7 +98,8 @@ class TestPackedCoefficient:
                 poly = GaussPoly.from_packed(len(counts), packed, counts, width, imag)
                 lifted = P(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
                 for mono in probes:
-                    assert poly.coefficient(mono) == lifted.coefficient(mono), mono
+                    got = poly.coefficient(mono)
+                    assert (got.re, got.im) == lifted.coefficient(mono), mono
                 corner_c = terms.get(tuple(counts), 0)
                 assert poly.coefficient(tuple(counts)) == (
                     GaussInt(0, corner_c) if imag else GaussInt(corner_c)
@@ -101,11 +112,11 @@ class TestPackedCoefficient:
                 poly.coefficient(mono)
 
     def test_degree_bounds(self):
-        # the box for a packed polynomial, the exact maxima for a dict one
+        # the box, which a zero outer slot may exceed, not the exact maxima
         poly = GaussPoly.from_packed(3, (2 << 32) - 3, (0, 2, 1), 32, False)  # 2*t3 - 3
         assert poly.degree_bounds() == (0, 2, 1)
-        assert GaussPoly(3, poly.terms).degree_bounds() == (0, 0, 1)
-        assert GaussPoly.zero(2).degree_bounds() == (-1, -1)
+        assert set(poly.terms) == {(0, 0, 1), (0, 0, 0)}
+        assert GaussPoly.from_packed(2, 0, (1, 0), 32, False).degree_bounds() == (1, 0)
 
 
 class TestCanonicalSign:
@@ -114,7 +125,7 @@ class TestCanonicalSign:
         assert canonical_sign(poly) == P(1, {(2,): 4, (1,): -8, (0,): 6})
 
     def test_positive_constant_fixed(self):
-        two = GaussPoly.const(1, 2)
+        two = Poly.const(1, 2)
         assert canonical_sign(two) == two
 
     def test_negative_imaginary_flips(self):
@@ -122,7 +133,7 @@ class TestCanonicalSign:
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            canonical_sign(GaussPoly.zero(1))
+            canonical_sign(Poly(1))
 
 
 def test_kernel_exact_at_big_coefficients():
@@ -130,6 +141,15 @@ def test_kernel_exact_at_big_coefficients():
     p = {(1, 0, 0): (big, -big)}
     q = {(0, 1, 0): (big, big)}
     assert pmul(p, q) == {(1, 1, 0): (2 * big * big, 0)}
+
+
+def assert_packed_renders_alike(poly):
+    """The slot renderer prints `poly` as the oracle does, whenever its
+    coefficients are all real or all imaginary, as a packed one's are."""
+    for imag in (False, True):
+        if all(c[not imag] == 0 for c in poly.terms.values()):
+            ints = {m: c[imag] for m, c in poly.terms.items()}
+            assert str(packed_poly(poly.arity, ints, imag=imag)) == str(poly)
 
 
 def test_grlex_rendering_order():
@@ -152,7 +172,9 @@ def test_grlex_rendering_order():
 )
 def test_rendering_grammar(terms, expected):
     arity = len(next(iter(terms), (0,)))
-    assert str(GaussPoly.from_terms(arity, terms)) == expected
+    poly = Poly(arity, terms)
+    assert str(poly) == expected
+    assert_packed_renders_alike(poly)
 
 
 @pytest.mark.parametrize(
@@ -178,7 +200,9 @@ def test_rendering_grammar(terms, expected):
     ],
 )
 def test_rendering_arity_four(terms, expected):
-    assert str(GaussPoly.from_terms(4, terms)) == expected
+    poly = Poly(4, terms)
+    assert str(poly) == expected
+    assert_packed_renders_alike(poly)
 
 
 # one variable, counts (1,): the constant sits in slot 0 and t1 in slot 1,
@@ -202,17 +226,21 @@ def test_rendering_arity_four(terms, expected):
 def test_packed_rendering(packed, imag, expected):
     poly = GaussPoly.from_packed(1, packed, (1,), 32, imag)
     assert str(poly) == expected
-    assert str(GaussPoly(1, poly.terms)) == expected  # the dict renderer agrees
-    assert poly.is_zero() == (expected == "0")
+    assert str(lift(poly)) == expected  # the oracle's renderer agrees
+    assert (not poly.terms) == (expected == "0")
 
 
 def test_packed_terms_are_built_once_and_compare_with_dict_built():
     poly = GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
     assert poly.terms is poly.terms
-    assert poly == P(2, {(0, 1): 2, (0, 0): -3})
+    assert lift(poly) == P(2, {(0, 1): 2, (0, 0): -3})
     assert poly.coefficient((0, 1)) == GaussInt(2)
-    assert canonical_sign(-poly) == poly
-    assert hash(poly) == hash(P(2, {(0, 1): 2, (0, 0): -3}))
+    assert canonical_sign(-lift(poly)) == lift(poly)
+    # equality reads the terms, whatever the box and the slot width
+    wider = GaussPoly.from_packed(2, (2 << 64) - 3, (1, 1), 64, False)
+    assert poly == wider and poly.degree_bounds() != wider.degree_bounds()
+    assert poly != GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, True)
+    assert poly != GaussPoly.from_packed(3, (2 << 32) - 3, (0, 1, 0), 32, False)
 
 
 def _reference_str(poly):
@@ -247,9 +275,7 @@ def test_shift_var_binomial():
 
 coeffs = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 monos = st.tuples(st.integers(0, 3), st.integers(0, 3))
-polys = st.dictionaries(monos, coeffs, max_size=5).map(
-    lambda d: GaussPoly.from_terms(2, d)
-)
+polys = st.dictionaries(monos, coeffs, max_size=5).map(lambda d: Poly(2, d))
 
 
 @given(polys, polys, polys)
@@ -271,12 +297,13 @@ wide_polys = st.dictionaries(
     st.tuples(*[st.integers(0, 12)] * 4),
     st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
     max_size=8,
-).map(lambda d: GaussPoly.from_terms(4, d))
+).map(lambda d: Poly(4, d))
 
 
 @given(wide_polys)
 def test_rendering_matches_reference(p):
     assert str(p) == _reference_str(p)
+    assert_packed_renders_alike(p)
 
 
 @given(polys)
@@ -292,7 +319,7 @@ def _random_unimodular(rng, arity=2, steps=3):
     """Random det-1 matrix: product of elementary shears with poly entries."""
     m = identity(arity)
     for _ in range(steps):
-        entry = GaussPoly.from_terms(
+        entry = Poly(
             arity,
             {
                 (rng.randint(0, 2), rng.randint(0, 2)): (
@@ -301,12 +328,12 @@ def _random_unimodular(rng, arity=2, steps=3):
                 )
             },
         )
-        one = GaussPoly.const(arity, 1)
-        zero = GaussPoly.zero(arity)
+        one = Poly.const(arity, 1)
+        zero = Poly(arity)
         if rng.random() < 0.5:
-            m = matmul(m, Mat2(one, entry, zero, one))
+            m = matmul(m, Mat(one, entry, zero, one))
         else:
-            m = matmul(m, Mat2(one, zero, entry, one))
+            m = matmul(m, Mat(one, zero, entry, one))
     return m
 
 
@@ -314,7 +341,7 @@ def test_det_multiplicative_and_trace_identity():
     import random
 
     rng = random.Random(42)
-    one = GaussPoly.const(2, 1)
+    one = Poly.const(2, 1)
     for _ in range(60):
         a = _random_unimodular(rng)
         b = _random_unimodular(rng)
@@ -328,7 +355,7 @@ def test_det_multiplicative_and_trace_identity():
 def test_matmul_identity_and_arity_guard():
     m = _random_unimodular(__import__("random").Random(7))
     assert matmul(m, identity(2)) == m
-    assert identity(2).trace() == GaussPoly.const(2, 2)
+    assert identity(2).trace() == Poly.const(2, 2)
     with pytest.raises(ValueError):
         matmul(m, identity(3))
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from embedding_oracle import p_star_check
+from oracle import Poly, lift, predict_top_terms
 from plumbtrace import gausspoly, verifier
 from plumbtrace.dtcoords import (
     CoordError,
@@ -17,7 +18,7 @@ from plumbtrace.dtcoords import (
     validate,
     window_twists,
 )
-from plumbtrace.gausspoly import GaussPoly
+from plumbtrace.gausspoly import GaussPoly, _box
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
 from plumbtrace.fuzz import FuzzConfig, random_coords
@@ -29,11 +30,7 @@ from plumbtrace.surface import (
     twice_holed_torus,
 )
 from tests_support import crossings, pack
-from plumbtrace.verifier import (
-    check_trace_polynomial,
-    predict_top_terms,
-    verify,
-)
+from plumbtrace.verifier import check_trace_polynomial, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
@@ -42,25 +39,44 @@ SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
 class TestPredict:
     def test_four_holed_dual(self):
         # q=2, p=0, h=2: -4 t^2 + 8 t
-        assert predict_top_terms(1, (2,), (0,), 2) == GaussPoly.from_terms(
-            1, {(2,): -4, (1,): 8}
-        )
+        assert predict_top_terms(1, (2,), (0,), 2) == Poly(1, {(2,): -4, (1,): 8})
 
     def test_single_crossing_family(self):
         # q=1, p=0, h=0: i*(t - 1)
-        assert predict_top_terms(1, (1,), (0,), 0) == GaussPoly.from_terms(
-            1, {(1,): (0, 1), (0,): (0, -1)}
-        )
+        assert predict_top_terms(1, (1,), (0,), 0) == Poly(1, {(1,): (0, 1), (0,): (0, -1)})
 
     def test_two_variable(self):
         # q=(1,1), p=(0,0), h=0: -(t1 t2 - t2 - t1)
-        assert predict_top_terms(2, (1, 1), (0, 0), 0) == GaussPoly.from_terms(
+        assert predict_top_terms(2, (1, 1), (0, 0), 0) == Poly(
             2, {(1, 1): -1, (0, 1): 1, (1, 0): 1}
         )
 
     def test_zero_crossing_rejected(self):
-        with pytest.raises(CoordError):
+        with pytest.raises(ValueError):
             predict_top_terms(2, (0, 0), (1, 0), 0)
+
+    def test_top_terms_of_verified_traces(self):
+        # the oracle's prediction, read off the trace's terms with no help
+        # from the check, on seeded curves of every stock surface
+        checked = 0
+        for path in SURFACE_FILES:
+            surface = load_surface(str(path))
+            cfg = FuzzConfig(surface, seed=9, max_q=4, max_abs_p=6, count=8, connected_only=True)
+            for coords in random_coords(cfg):
+                report = verify(surface, coords)
+                if not sum(report.q):
+                    continue
+                predicted = predict_top_terms(surface.xi, report.q, report.p, report.h)
+                top = [report.q] + [
+                    tuple(e - (j == k) for j, e in enumerate(report.q))
+                    for k in range(surface.xi)
+                    if report.q[k]
+                ]
+                trace = lift(report.trace)
+                got = Poly(surface.xi, {m: trace.coefficient(m) for m in top})
+                assert got in (predicted, -predicted), coords
+                checked += 1
+        assert checked >= 25
 
 
 class TestVerify:
@@ -101,36 +117,43 @@ class TestVerify:
             verify(genus_two(), DTCoords((0, 0, 0), (2, 0, -1)))
 
     def test_corrupted_subleading_fails_with_curve_index(self):
-        s = genus_two()
-        coords = DTCoords((1, 1, 2), (1, 1, 0))
-        comp = extract_components(s, coords)[0]
-        from plumbtrace.holonomy import component_trace
-        from plumbtrace.standardpos import scc_count
-
-        trace = component_trace(comp)
-        # flip the subleading coefficient of curve 3
-        bad_mono = (1, 1, 1)
-        bad = trace.terms.copy()
-        r, i = bad[bad_mono]
-        bad[bad_mono] = (-r, -i)
-        corrupted = GaussPoly(3, bad)
-        report = check_trace_polynomial(
-            corrupted, comp.q, coords.p, scc_count(s, coords)
-        )
-        assert not report.passed
-        failing = [c.curve for c in report.subleading if not c.ok]
-        assert failing == [2]
+        # one subleading slot of the packed trace off by one, either way:
+        # exactly that curve's check fails
+        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        packed, counts, width, imag = report.trace._packed
+        strides, _ = _box(counts)
+        for curve in range(3):
+            mono = tuple(e - (k == curve) for k, e in enumerate(report.q))
+            one = 1 << width * sum(e * s for e, s in zip(mono, strides))
+            for delta in (one, -one):
+                corrupted = GaussPoly.from_packed(3, packed + delta, counts, width, imag)
+                bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
+                assert [c.curve for c in bad.subleading if not c.ok] == [curve]
+                assert bad.leading_ok and bad.remainder_degree_ok and bad.per_variable_degree_ok
 
     def test_corrupted_leading_unit_fails(self):
-        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
-        scaled = report.trace.scale(0, 1)  # multiply by i: wrong unit class
-        bad = check_trace_polynomial(scaled, (2,), (0,), 2)
-        assert not bad.leading_ok
+        # the imag flag flipped: every coefficient times a unit +-i, so the
+        # leading one leaves the class +-i^q 2^h and the subleading stay
+        # consistent with it; real and imaginary traces alike
+        for surface, q, p in [
+            (four_holed_sphere(), (2,), (0,)),
+            (one_holed_torus(), (1,), (0,)),
+            (genus_two(), (1, 1, 2), (1, 1, 0)),
+        ]:
+            report = verify(surface, DTCoords(q, p))
+            packed, counts, width, imag = report.trace._packed
+            flipped = GaussPoly.from_packed(surface.xi, packed, counts, width, not imag)
+            bad = check_trace_polynomial(flipped, report.q, report.p, report.h)
+            assert not bad.leading_ok and all(c.ok for c in bad.subleading), q
+            assert bad.failures() == [
+                f"leading coefficient {bad.leading} is not a unit * 2^{report.h}"
+            ]
 
     def test_term_above_degree_bounds_fails(self):
+        # the box widened by one on t1, with a nonzero outer slot t1^3
         report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
         assert report.passed
-        cubed = report.trace + GaussPoly(1, {(3,): (1, 0)})
+        cubed = repacked(report, (3,), [((3,), 1)])
         bad = check_trace_polynomial(cubed, (2,), (0,), report.h)
         assert bad.leading_ok and all(c.ok for c in bad.subleading)
         assert not bad.remainder_degree_ok
@@ -140,13 +163,27 @@ class TestVerify:
             "a variable exceeds its degree bound",
         ]
 
+    def test_parallel_component_reads_its_one_slot(self, monkeypatch):
+        # q_tot = 0: the constant 2 in one slot passes; in a larger box it
+        # passes while every outer slot is zero, and fails otherwise
+        surface, coords = four_holed_sphere(), DTCoords((0,), (1,))
+        assert verify(surface, coords).passed
+        for packed, counts, passed in [
+            (2, (1,), True),
+            ((1 << 32) + 2, (1,), False),
+            (3, (0,), False),
+            (-2, (0,), False),
+        ]:
+            trace = GaussPoly.from_packed(1, packed, counts, 32, False)
+            monkeypatch.setattr(verifier, "component_trace", lambda comp: trace)
+            assert verify(surface, coords).passed == passed, (packed, counts)
+
     def test_subleading_linear_in_twist(self):
         # slope of the subleading coefficient in p equals the leading one
-        lead = predict_top_terms(1, (3,), (1,), 0).coefficient((3,))
+        lead_re, lead_im = predict_top_terms(1, (3,), (1,), 0).coefficient((3,))
         for p in (1, 3, 5):
             poly = predict_top_terms(1, (3,), (p,), 0)
-            assert poly.coefficient((2,)).re == lead.re * (p - 3)
-            assert poly.coefficient((2,)).im == lead.im * (p - 3)
+            assert poly.coefficient((2,)) == (lead_re * (p - 3), lead_im * (p - 3))
 
 
 def campaign_pool():
@@ -157,20 +194,20 @@ def campaign_pool():
 
 def repacked(report, counts, extra=()):
     """report.trace packed into the box prod_k [0, counts[k]], 64-bit slots,
-    with the terms `extra` ((monomial, coefficient) pairs) added, and the
-    dict copy of the same polynomial."""
+    with the terms `extra` ((monomial, coefficient) pairs) added."""
     terms = report.trace.terms
     imag = any(i for _, i in terms.values())
     ints = {m: i if imag else r for m, (r, i) in terms.items()}
     for mono, c in extra:
         ints[mono] = ints.get(mono, 0) + c
-    packed = GaussPoly.from_packed(len(counts), pack(ints, counts, 64), counts, 64, imag)
-    lifted = {m: (0, c) if imag else (c, 0) for m, c in ints.items()}
-    return packed, GaussPoly.from_terms(len(counts), lifted)
+    return GaussPoly.from_packed(len(counts), pack(ints, counts, 64), counts, 64, imag)
 
 
 class TestPackedCheck:
     def test_packed_is_the_dict_check_on_the_campaign_pool(self):
+        # the box read against the term scan: the same trace in a box one
+        # larger on every variable, whose outer slots are all zero, takes
+        # the scan of its terms and must give the same report
         surfaces = {}
         pool = campaign_pool()
         assert len(pool) > 600
@@ -179,9 +216,8 @@ class TestPackedCheck:
                 surfaces[name] = load_surface(str(ROOT / "surfaces" / f"{name}.surf"))
             report = verify(surfaces[name], DTCoords(q, p))
             assert report.passed, (name, q, p)
-            trace = report.trace
-            dict_copy = GaussPoly.from_terms(trace.arity, trace.terms)
-            again = check_trace_polynomial(dict_copy, report.q, report.p, report.h)
+            wider = repacked(report, tuple(n + 1 for n in report.q))
+            again = check_trace_polynomial(wider, report.q, report.p, report.h)
             assert report.to_record() == again.to_record(), (name, q, p)
 
     # genus two, q = (1, 1, 2): a real trace with the box (1, 1, 2)
@@ -195,17 +231,22 @@ class TestPackedCheck:
         ],
     )
     def test_nonzero_slot_beyond_q_fails_as_the_dict_copy(self, extra, remainder_ok):
+        # the scan finds the one outer term in every box that holds it, and
+        # reports what the oracle's terms say of the degrees
         report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        boxes = 0
         for counts in ((2, 2, 3), (2, 2, 2), (3, 1, 4)):
             if any(e > n for e, n in zip(extra[0], counts)):
                 continue
-            packed, dict_copy = repacked(report, counts, [extra])
+            packed = repacked(report, counts, [extra])
             bad = check_trace_polynomial(packed, report.q, report.p, report.h)
             assert not bad.per_variable_degree_ok
             assert bad.remainder_degree_ok == remainder_ok
             assert bad.leading_ok and all(c.ok for c in bad.subleading)
-            again = check_trace_polynomial(dict_copy, report.q, report.p, report.h)
-            assert bad.to_record() == again.to_record()
+            terms = lift(packed).terms
+            assert extra[0] in terms and len(terms) == len(report.trace.terms) + 1
+            boxes += 1
+        assert boxes >= 2
 
     @pytest.mark.parametrize(
         "surface,q,p",
@@ -216,21 +257,24 @@ class TestPackedCheck:
         ],
     )
     def test_zero_slots_beyond_q_pass(self, surface, q, p):
+        # a box larger than q, on one variable or on all, with every outer
+        # slot zero: the scan is exact, so the check still passes
         report = verify(surface, DTCoords(q, p))
         assert report.passed
-        for grow in range(1, 3):
-            counts = tuple(n + grow for n in report.q)
-            packed, _ = repacked(report, counts)
+        boxes = [tuple(n + grow for n in report.q) for grow in (1, 2)]
+        boxes += [tuple(n + (j == k) for j, n in enumerate(report.q)) for k in range(surface.xi)]
+        for counts in boxes:
+            packed = repacked(report, counts)
             again = check_trace_polynomial(packed, report.q, report.p, report.h)
-            assert again.to_record() == report.to_record()
+            assert again.to_record() == report.to_record(), counts
 
     def test_no_crossing_keeps_the_scan(self):
         # with q_tot = 0 the box rule does not apply: the scan reads the
-        # empty remainder as degree -1 > q_tot - 2, packed and dict alike
-        for two in (GaussPoly.from_packed(1, 2, (0,), 32, False), GaussPoly.const(1, 2)):
-            report = check_trace_polynomial(two, (0,), (1,), 1)
-            assert report.leading_ok and report.per_variable_degree_ok
-            assert not report.remainder_degree_ok
+        # empty remainder as degree -1 > q_tot - 2
+        two = GaussPoly.from_packed(1, 2, (0,), 32, False)
+        report = check_trace_polynomial(two, (0,), (1,), 1)
+        assert report.leading_ok and report.per_variable_degree_ok
+        assert not report.remainder_degree_ok
 
     def test_verify_builds_no_term_dict(self, monkeypatch):
         def refuse(*args):

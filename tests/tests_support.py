@@ -2,9 +2,9 @@
 
 import itertools
 
-from plumbtrace.gausspoly import _box
+from plumbtrace.gausspoly import GaussPoly, _box
 from plumbtrace.standardpos import Crossing
-from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, build_surface
+from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, SurfaceError, build_surface
 
 
 def n1_surface():
@@ -27,6 +27,24 @@ def n2_surface():
             ("d", (1, SLOT_0), (2, SLOT_1)),
         ],
     )
+
+
+def random_surface(genus, boundary, rng, tries=1000):
+    """A pants decomposition of the surface of genus `genus` with `boundary`
+    holes, its slots paired at random: the slots of the 2g - 2 + b pants
+    are shuffled, the first 2 * xi of them are paired in order into the xi
+    gluings, and the rest are the holes.  A pairing ``build_surface``
+    refuses (its gluing graph is disconnected) is shuffled again."""
+    pants, xi = 2 * genus - 2 + boundary, 3 * genus - 3 + boundary
+    slots = [(p, s) for p in range(pants) for s in (SLOT_0, SLOT_1, SLOT_INF)]
+    for _ in range(tries):
+        rng.shuffle(slots)
+        gluings = [(f"c{k + 1}", slots[2 * k], slots[2 * k + 1]) for k in range(xi)]
+        try:
+            return build_surface(genus, boundary, pants, gluings)
+        except SurfaceError:
+            continue
+    raise AssertionError(f"no connected pairing for genus {genus}, {boundary} holes")
 
 
 def node_id(layout, curve, side, strand):
@@ -68,3 +86,12 @@ def random_terms(rng, counts, width, corner):
     terms = {m: rng.choice([0, 1, -1, top, -top, rng.randint(-top, top)]) for m in box}
     terms[tuple(counts)] = rng.choice([1, -1, top, -top]) if corner else 0
     return {m: c for m, c in terms.items() if c}
+
+
+def packed_poly(arity, terms, counts=None, width=64, imag=False):
+    """The ``GaussPoly`` of {monomial: int coefficient}, each coefficient
+    real, or each imaginary if `imag`, packed into the box `counts`
+    (default: the smallest box that holds the terms)."""
+    if counts is None:
+        counts = [max((m[k] for m in terms), default=0) for k in range(arity)]
+    return GaussPoly.from_packed(arity, pack(terms, counts, width), counts, width, imag)
