@@ -32,6 +32,14 @@ crossing step is then a few C-level operations on the two rows (x y):
     t = (x << stride_k * B) + y,   col_c = a_c * x - k1c * t
 
 for column c of (x y) . A_X . K_j, with a_c = k0c - 2 * twist * k1c.
+The joints are products of W0 and W1, so almost every a_c and k1c is 0 or
++-1, and ``_column`` multiplies by neither: a zero term is left out, and a
+factor +-1 becomes an add, a subtract or a negation.  CPython multiplies a
+big int by a one-digit int in a full pass over its digits, as slow as an
+add, and subtracting 0 is another full pass, while a negation is a copy.
+In the two commonest step shapes of the benchmark's ``deep`` words, three
+of the four multipliers are +-1 and one is 0, and a row step falls from
+about seven full passes over its ints to three.
 
 Slot width.  B is fixed before any arithmetic, from the joints and twists
 alone (``_l1_bounds``).  For polynomials x, y and integers a, k
@@ -51,24 +59,24 @@ terms can add up).  Every coefficient satisfies |c| <= ||.||_1 <= bound <
 
 Phase.  The q units i are applied once, as the single phase
 i^q = unit * (i if imag else 1), unit = +-1: the packed entries are
-multiplied by unit, and ``GaussPoly.from_packed`` keeps each as
-(P, counts, B, imag), every coefficient landing in the real part, or every
-one in the imaginary part.  Nothing here builds a term dict: ``gausspoly``
-reads the slots in place to sign a trace, print a polynomial or give one
-coefficient.
+negated when unit is -1 (the signed trace needs no unit, see below), and
+``GaussPoly.from_packed`` keeps each as (P, counts, B, imag), every
+coefficient landing in the real part, or every one in the imaginary part.
+Nothing here builds a term dict: ``gausspoly`` reads the slots in place to
+sign a trace, print a polynomial or give one coefficient.
 
 Sign rule.  Both results come from one evaluation (``_evaluate``), and
 ``trace_and_matrix`` builds both from the same one.  ``evaluate_word``
 keeps the four entries as they come.  ``word_trace``, which every
 curve-level trace uses, adds the two packed diagonal entries and signs
-the sum by negating the int.  The sign is read off the packed
-int by ``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the
-graded-lex greatest monomial of the box; it is nonzero exactly when
-|P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
-then it carries the sign of P.  Otherwise the leading slot is the
-nonzero slot of greatest ``gausspoly._grlex_keys`` key, the same keys
-the renderer sorts by, and its sign decides.  The rule is exact either
-way and does not assume the top-term theorem.
+the sum by negating the int; unit would only flip the sign this fixes.
+The sign is read off the packed int by ``gausspoly._lead_sign``: the
+corner slot prod_k t_k^n_k is the graded-lex greatest monomial of the box;
+it is nonzero exactly when |P| >= 2^((size - 1) * B - 1), since the slots
+below it sum to less, and then it carries the sign of P.  Otherwise the
+leading slot is the nonzero slot of greatest ``gausspoly._grlex_keys``
+key, the same keys the renderer sorts by, and its sign decides.  The rule
+is exact either way and does not assume the top-term theorem.
 
 Everything is exact; determinants stay 1 factor by factor.
 """
@@ -192,14 +200,24 @@ def _slot_width(bound: int) -> int:
     return -(-bits // 8) * 8
 
 
+def _column(a, x, k, t):
+    """a*x - k*t, with no multiply by 0 or +-1 (see Packing)."""
+    if k == 0:
+        return x if a == 1 else -x if a == -1 else a * x
+    if a == 0:
+        return -t if k == 1 else t if k == -1 else -k * t
+    ax = x if a == 1 else -x if a == -1 else a * x
+    return ax - t if k == 1 else ax + t if k == -1 else ax - k * t
+
+
 def _multiply(k0, steps, shifts):
     """The packed rows of K_0 . prod_j A_j . K_j, one step per crossing."""
     (x0, y0), (x1, y1) = k0  # constants sit in slot 0
     for curve, a0, k10, a1, k11 in steps:
         s = shifts[curve]
         t0, t1 = (x0 << s) + y0, (x1 << s) + y1  # t.x + y
-        x0, y0 = a0 * x0 - k10 * t0, a1 * x0 - k11 * t0
-        x1, y1 = a0 * x1 - k10 * t1, a1 * x1 - k11 * t1
+        x0, y0 = _column(a0, x0, k10, t0), _column(a1, x0, k11, t0)
+        x1, y1 = _column(a0, x1, k10, t1), _column(a1, x1, k11, t1)
     return (x0, y0), (x1, y1)
 
 
@@ -222,16 +240,21 @@ def _evaluate(word: Word):
 def _matrix(arity: int, rows, counts, width, unit, imag) -> Mat2:
     """The four packed entries of one evaluation, times i^q."""
     return Mat2(
-        *(GaussPoly.from_packed(arity, unit * e, counts, width, imag) for row in rows for e in row)
+        *(
+            GaussPoly.from_packed(arity, e if unit > 0 else -e, counts, width, imag)
+            for row in rows
+            for e in row
+        )
     )
 
 
 def _trace(arity: int, rows, counts, width, unit, imag) -> GaussPoly:
     """The signed trace of one evaluation: the packed sum of its two
-    diagonal entries, times i^q, negated when its graded-lex leading
-    coefficient is negative (``_lead_sign``)."""
+    diagonal entries, negated when its graded-lex leading coefficient is
+    negative (``_lead_sign``), in the real or imaginary part as i^q says.
+    The sign rule undoes any real factor +-1, so ``unit`` is not applied."""
     (x0, _), (_, y1) = rows
-    trace = unit * (x0 + y1)
+    trace = x0 + y1
     if not trace:
         raise ValueError("the trace polynomial is zero")
     if _lead_sign(trace, counts, width) < 0:
@@ -277,6 +300,27 @@ def component_trace(component: Component) -> GaussPoly:
     return word_trace(component.word)
 
 
+def once_per_word(components: list[Component], evaluate) -> list:
+    """evaluate(component) for each component, called once per distinct word.
+
+    Parallel copies of a component carry equal words, and share the value of
+    the first copy (the components with no word share one too).  Words are
+    compared with ==, never hashed: the components of one extraction share
+    their token instances, so the tuple comparison stops at identity, where
+    a hash would run the dataclass ``__hash__`` of every token in Python.
+    """
+    seen, values = [], []  # seen: (word, value) per distinct word
+    for comp in components:
+        for word, value in seen:
+            if word == comp.word:
+                break
+        else:
+            value = evaluate(comp)
+            seen.append((comp.word, value))
+        values.append(value)
+    return values
+
+
 def trace_of_curve(
     surface: PantsDecomposition, coords: DTCoords
 ) -> list[tuple[Component, GaussPoly]]:
@@ -284,9 +328,10 @@ def trace_of_curve(
 
     Components parallel to a pants curve report the constant 2 (their
     holonomy is parabolic); every other component is compiled and its word
-    evaluated exactly.
+    evaluated exactly, once per distinct word (``once_per_word``).
     """
-    return [(c, component_trace(c)) for c in extract_components(surface, coords)]
+    components = extract_components(surface, coords)
+    return list(zip(components, once_per_word(components, component_trace)))
 
 
 # -- plumbing-parameter conversion -------------------------------------------

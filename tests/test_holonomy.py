@@ -40,6 +40,8 @@ from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.gausspoly import GaussPoly, Mat2, _box, _lead_sign, _unpack
 from plumbtrace.holonomy import (
     WordError,
+    _column,
+    _multiply,
     annulus_from_gluing_parameter,
     evaluate_word,
     gluing_parameter_from_annulus,
@@ -758,6 +760,61 @@ class TestKernelEdges:
             word = word_from_text(arity, text)
             assert lift(evaluate_word(word)) == generator_product(word)
             check_word_trace(word)
+
+
+# one multiplier of each class the kernel tells apart: 0, 1, -1 and any other
+MULTIPLIER_CLASSES = (
+    lambda rng: 0,
+    lambda rng: 1,
+    lambda rng: -1,
+    lambda rng: rng.choice([2, -2, 3, -5]) * rng.choice([1, rng.getrandbits(70) + 1]),
+)
+
+
+def big_int(rng):
+    """A random signed int of 0 to about 4,000 bits, or 0 or +-1."""
+    n = rng.choice([0, 1, -1, rng.getrandbits(rng.randint(1, 4000))])
+    return -n if rng.random() < 0.5 else n
+
+
+def plain_multiply(k0, steps, shifts):
+    """The crossing steps of ``_multiply`` with every multiply written out."""
+    (x0, y0), (x1, y1) = k0
+    for curve, a0, k10, a1, k11 in steps:
+        t0, t1 = (x0 << shifts[curve]) + y0, (x1 << shifts[curve]) + y1
+        x0, y0 = a0 * x0 - k10 * t0, a1 * x0 - k11 * t0
+        x1, y1 = a0 * x1 - k10 * t1, a1 * x1 - k11 * t1
+    return (x0, y0), (x1, y1)
+
+
+class TestSkipRule:
+    """The kernel multiplies by no 0 or +-1, and must give the ints of the
+    plain a*x - k*t loop."""
+
+    @pytest.mark.parametrize("a_class", range(4))
+    @pytest.mark.parametrize("k_class", range(4))
+    def test_column_is_a_x_minus_k_t(self, a_class, k_class):
+        rng = random.Random(f"column:{a_class}:{k_class}")
+        for _ in range(50):
+            a, k = MULTIPLIER_CLASSES[a_class](rng), MULTIPLIER_CLASSES[k_class](rng)
+            x, t = big_int(rng), big_int(rng)
+            assert _column(a, x, k, t) == a * x - k * t
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_multiply_is_the_plain_loop(self, seed):
+        rng = random.Random(f"multiply:{seed}")
+        arity = rng.randint(1, 3)
+        shifts = [rng.choice([32, 64, 72]) * rng.randint(1, 9) for _ in range(arity)]
+
+        def multiplier():
+            return rng.choice(MULTIPLIER_CLASSES)(rng)
+
+        k0 = ((multiplier(), multiplier()), (multiplier(), big_int(rng)))
+        steps = [
+            (rng.randrange(arity), multiplier(), multiplier(), multiplier(), multiplier())
+            for _ in range(rng.randint(1, 12))
+        ]
+        assert _multiply(k0, steps, shifts) == plain_multiply(k0, steps, shifts)
 
 
 class TestGoldenEvaluations:
