@@ -22,7 +22,6 @@ from .holonomy import (
     annulus_from_gluing_parameter,
     component_trace,
     gluing_parameter_from_annulus,
-    once_per_word,
     trace_and_matrix,
 )
 from .standardpos import extract_components, word_to_text
@@ -82,15 +81,13 @@ def _add_surface_coord_args(sub):
 def cmd_trace(args) -> int:
     surface = load_surface(args.surface)
     coords = _coords_from_args(args)
-    components = extract_components(surface, coords)
-
-    def evaluate(comp):
+    results = []  # every trace is computed before the first line is printed
+    for comp in extract_components(surface, coords):
         if args.matrix and comp.word is not None:
-            return trace_and_matrix(comp.word)  # one evaluation
-        return component_trace(comp), None
-
-    results = once_per_word(components, evaluate)  # all before the first line
-    for idx, (comp, (trace, matrix)) in enumerate(zip(components, results)):
+            results.append((comp, *trace_and_matrix(comp.word)))  # one evaluation
+        else:
+            results.append((comp, component_trace(comp), None))
+    for idx, (comp, trace, matrix) in enumerate(results):
         record = {
             "kind": "trace",
             "component": idx,

