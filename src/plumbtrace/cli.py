@@ -21,8 +21,8 @@ from .dtcoords import CoordError, DTCoords, window_twists
 from .holonomy import (
     annulus_from_gluing_parameter,
     component_trace,
+    evaluate_word,
     gluing_parameter_from_annulus,
-    trace_and_matrix,
 )
 from .standardpos import extract_components, word_to_text
 from .surface import SurfaceError, load_surface
@@ -84,7 +84,8 @@ def cmd_trace(args) -> int:
     results = []  # every trace is computed before the first line is printed
     for comp in extract_components(surface, coords):
         if args.matrix and comp.word is not None:
-            results.append((comp, *trace_and_matrix(comp.word)))  # one evaluation
+            matrix = evaluate_word(comp.word)  # one evaluation for both
+            results.append((comp, matrix.trace(), matrix))
         else:
             results.append((comp, component_trace(comp), None))
     for idx, (comp, trace, matrix) in enumerate(results):

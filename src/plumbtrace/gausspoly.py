@@ -6,19 +6,21 @@ No floating point ever enters; coefficients are arbitrary-precision.
 
 Representation
 --------------
-A ``GaussPoly`` is what ``holonomy`` computes: the one signed int
-``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box ``prod_k [0, n_k]``
-(``_box``), with slot width ``B`` and a flag saying whether every
-coefficient is real or every one imaginary (``from_packed``).  It reads
-its slots once, the first time ``str`` or ``coefficient`` needs them, and
-keeps that view.  ``str`` renders straight from the slot view
+A ``GaussPoly`` is one entry, or the trace, of what ``holonomy`` computes:
+the one signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
+``prod_k [0, n_k]`` (``_box``), with slot width ``B`` and a flag saying
+whether every coefficient is real or every one imaginary (``from_packed``).
+It reads its slots once, the first time ``str`` or ``coefficient`` needs
+them, and keeps that view.  ``str`` renders straight from the slot view
 (``_render_slots``), ``coefficient`` reads one slot, and ``degree_bounds``
 is the box's crossing counts, so none of them builds a term dict.  The
 read-only ``terms`` view, built by ``_unpack`` on first read and kept, is
-what equality compares.  A polynomial has no arithmetic: holonomy words
-are multiplied out by one packed evaluation in ``holonomy``, which both
-``evaluate_word`` and ``word_trace`` read.  The term-dict polynomial the
-tests compare against lives in ``tests/oracle.py``.
+what equality compares.  A polynomial has no arithmetic: a holonomy word is
+multiplied out once, by ``holonomy.evaluate_word``, into a ``Mat2`` that
+holds the product's two packed rows; ``Mat2.trace`` adds and signs the
+packed diagonal, and ``Mat2.entries`` builds the four entries on demand.
+The term-dict polynomial the tests compare against lives in
+``tests/oracle.py``.
 
 Monomial order
 --------------
@@ -283,30 +285,47 @@ class GaussPoly:
         return f"GaussPoly({self})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Mat2:
-    """2x2 matrix over GaussPoly, row-major entries (a b; c d).
+    """The packed product of a holonomy word, 2x2 over GaussPoly with
+    row-major entries (a b; c d).
 
-    A container for ``evaluate_word``'s result: it prints itself and has
-    no arithmetic.
+    ``holonomy.evaluate_word`` builds it from the two packed rows
+    ((a, b), (c, d)) of its one evaluation; the four entries share one box
+    ``counts``, slot ``width`` and ``imag`` flag (``GaussPoly.from_packed``),
+    so they share one arity by construction.  ``trace`` adds and signs the
+    packed diagonal; ``entries`` and ``str`` build the four polynomials on
+    each call, so a trace alone builds none of them.  It has no arithmetic.
     """
 
-    a: GaussPoly
-    b: GaussPoly
-    c: GaussPoly
-    d: GaussPoly
-
-    def __post_init__(self):
-        n = self.a.arity
-        if not (self.b.arity == self.c.arity == self.d.arity == n):
-            raise ValueError("arity mismatch between matrix entries")
-
-    @property
-    def arity(self) -> int:
-        return self.a.arity
+    arity: int
+    rows: tuple[tuple[int, int], tuple[int, int]]
+    counts: tuple[int, ...]
+    width: int
+    imag: bool
 
     def entries(self) -> tuple[GaussPoly, GaussPoly, GaussPoly, GaussPoly]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(
+            GaussPoly.from_packed(self.arity, e, self.counts, self.width, self.imag)
+            for row in self.rows
+            for e in row
+        )
+
+    def trace(self) -> GaussPoly:
+        """The trace a + d, negated when its graded-lex leading coefficient
+        is negative (``_lead_sign``), so that a real factor +-1 of the
+        matrix does not change it.  A zero trace has no sign and is refused."""
+        (a, _), (_, d) = self.rows
+        trace = a + d
+        if not trace:
+            raise ValueError("the trace polynomial is zero")
+        if _lead_sign(trace, self.counts, self.width) < 0:
+            trace = -trace
+        return GaussPoly.from_packed(self.arity, trace, self.counts, self.width, self.imag)
 
     def __str__(self) -> str:
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+        a, b, c, d = self.entries()
+        return f"[[{a}, {b}], [{c}, {d}]]"
+
+    def __repr__(self) -> str:  # the rows' ints can pass the int-to-str limit
+        return f"Mat2({self})"

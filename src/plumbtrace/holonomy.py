@@ -57,26 +57,29 @@ terms can add up).  Every coefficient satisfies |c| <= ||.||_1 <= bound <
 2^(B - 1).  B is rounded up to 32 or 64, or to whole bytes beyond that
 (``_slot_width``).
 
-Phase.  The q units i are applied once, as the single phase
-i^q = unit * (i if imag else 1), unit = +-1: the packed entries are
-negated when unit is -1 (the signed trace needs no unit, see below), and
-``GaussPoly.from_packed`` keeps each as (P, counts, B, imag), every
-coefficient landing in the real part, or every one in the imaginary part.
-Nothing here builds a term dict: ``gausspoly`` reads the slots in place to
-sign a trace, print a polynomial or give one coefficient.
+Phase.  The q units i multiply out to i^q, one of +-1 and +-i.  Its real
+unit is folded into K_0: when it is -1 (q = 2, 3 mod 4), the integer rows
+of K_0 are negated before ``_multiply``, which negates the whole product,
+so no packed int is ever negated for the phase.  What is left of i^q is
+the flag ``imag``, for the real or the imaginary part: every coefficient of
+the product lands in the one, or every one in the other.  Nothing here
+builds a term dict: ``gausspoly`` reads the slots in place to sign a trace,
+print a polynomial or give one coefficient.
 
-Sign rule.  Both results come from one evaluation (``_evaluate``), and
-``trace_and_matrix`` builds both from the same one.  ``evaluate_word``
-keeps the four entries as they come.  ``word_trace``, which every
-curve-level trace uses, adds the two packed diagonal entries and signs
-the sum by negating the int; unit would only flip the sign this fixes.
-The sign is read off the packed int by ``gausspoly._lead_sign``: the
-corner slot prod_k t_k^n_k is the graded-lex greatest monomial of the box;
-it is nonzero exactly when |P| >= 2^((size - 1) * B - 1), since the slots
-below it sum to less, and then it carries the sign of P.  Otherwise the
-leading slot is the nonzero slot of greatest ``gausspoly._grlex_keys``
-key, the same keys the renderer sorts by, and its sign decides.  The rule
-is exact either way and does not assume the top-term theorem.
+Sign rule.  ``evaluate_word`` is the one evaluation: it returns the packed
+product as a ``gausspoly.Mat2``.  ``word_trace``, which every curve-level
+trace uses, is ``evaluate_word(word).trace()``, and ``trace --matrix``
+prints the trace and the matrix of one ``evaluate_word``.  ``Mat2.trace``
+adds the two packed diagonal entries and negates the sum when its
+graded-lex leading coefficient is negative, so the real unit of i^q
+cancels out of every trace.  The sign is read off the packed int by
+``gausspoly._lead_sign``: the corner slot prod_k t_k^n_k is the graded-lex
+greatest monomial of the box; it is nonzero exactly when
+|P| >= 2^((size - 1) * B - 1), since the slots below it sum to less, and
+then it carries the sign of P.  Otherwise the leading slot is the nonzero
+slot of greatest ``gausspoly._grlex_keys`` key, the same keys the renderer
+sorts by, and its sign decides.  The rule is exact either way and does not
+assume the top-term theorem.
 
 Everything is exact; determinants stay 1 factor by factor.
 """
@@ -87,7 +90,7 @@ import cmath
 from functools import lru_cache
 
 from .dtcoords import DTCoords
-from .gausspoly import GaussPoly, Mat2, _box, _lead_sign
+from .gausspoly import GaussPoly, Mat2, _box
 from .standardpos import (
     Component,
     Conn,
@@ -172,7 +175,7 @@ def _factor(word: Word):
         counts[tok.curve] += 1
         twice = 2 * tok.twist
         steps.append((tok.curve, k00 - twice * k10, k10, k01 - twice * k11, k11))
-    return joints[0], steps, counts
+    return joints[0], steps, tuple(counts)
 
 
 def _l1_bounds(k0, steps):
@@ -221,76 +224,33 @@ def _multiply(k0, steps, shifts):
     return (x0, y0), (x1, y1)
 
 
-def _evaluate(word: Word):
-    """The one evaluation: (rows, counts, width, unit, imag).
-
-    rows are the packed rows of K_0 . prod_j A_j . K_j, in slots of width
-    bits that hold every entry and the sum of the two diagonal entries
-    (``_l1_bounds``), and i^q = unit * (i if imag else 1) for the word's
-    q crossings.
-    """
-    k0, steps, counts = _factor(word)
-    (b00, b01), (b10, b11) = _l1_bounds(k0, steps)
-    width = _slot_width(max(b00 + b11, b01, b10))
-    rows = _multiply(k0, steps, [s * width for s in _box(counts)[0]])
-    q = len(steps)
-    return rows, counts, width, 1 - (q & 2), bool(q & 1)
-
-
-def _matrix(arity: int, rows, counts, width, unit, imag) -> Mat2:
-    """The four packed entries of one evaluation, times i^q."""
-    return Mat2(
-        *(
-            GaussPoly.from_packed(arity, e if unit > 0 else -e, counts, width, imag)
-            for row in rows
-            for e in row
-        )
-    )
-
-
-def _trace(arity: int, rows, counts, width, _unit, imag) -> GaussPoly:
-    """The signed trace of one evaluation: the packed sum of its two
-    diagonal entries, negated when its graded-lex leading coefficient is
-    negative (``_lead_sign``), in the real or imaginary part as i^q says.
-    The sign rule absorbs the real factor +-1 of i^q, so ``_unit`` is
-    taken only to match the tuple ``_evaluate`` returns, and never read."""
-    (x0, _), (_, y1) = rows
-    trace = x0 + y1
-    if not trace:
-        raise ValueError("the trace polynomial is zero")
-    if _lead_sign(trace, counts, width) < 0:
-        trace = -trace
-    return GaussPoly.from_packed(arity, trace, counts, width, imag)
-
-
 def evaluate_word(word: Word) -> Mat2:
-    """Exact holonomy of a compiled word (left-to-right product).
+    """Exact holonomy of a compiled word (left-to-right product), packed.
 
     With A_X = (1 X; 0 -1) the word factors as K_0 . prod_j (i A_j) . K_j,
     where K_j = joint_matrix(...) collects every constant between crossing
     j and crossing j + 1.  All of these are integer matrices, so the rows
-    of the running product are multiplied out as packed ints and the units
-    i are applied once, as i^q for q crossings, to the four packed entries.
+    of the running product are multiplied out as packed ints, in slots of
+    width bits that hold every entry and the sum of the two diagonal
+    entries (``_l1_bounds``).  The units i are applied once, as i^q for q
+    crossings: its real unit in K_0, its imaginary one as ``imag``.
     """
-    return _matrix(word.arity, *_evaluate(word))
+    k0, steps, counts = _factor(word)
+    q = len(steps)
+    if q & 2:  # i^q is -1 or -i
+        (a, b), (c, d) = k0
+        k0 = (-a, -b), (-c, -d)
+    (b00, b01), (b10, b11) = _l1_bounds(k0, steps)
+    width = _slot_width(max(b00 + b11, b01, b10))
+    rows = _multiply(k0, steps, [s * width for s in _box(counts)[0]])
+    return Mat2(word.arity, rows, counts, width, bool(q & 1))
 
 
 def word_trace(word: Word) -> GaussPoly:
     """The trace of the word's holonomy, signed so that its graded-lex
-    leading coefficient is positive, kept packed.
-
-    The packed sum of the two diagonal entries of ``_evaluate``, negated
-    when that leading coefficient is negative (``_lead_sign``).  Of i^q
-    only ``imag`` is kept, for the real or imaginary part: the sign rule
-    absorbs the real unit +-1.  A zero trace has no sign and is refused.
-    """
-    return _trace(word.arity, *_evaluate(word))
-
-
-def trace_and_matrix(word: Word) -> tuple[GaussPoly, Mat2]:
-    """``word_trace(word)`` and ``evaluate_word(word)`` from one evaluation."""
-    evaluation = _evaluate(word)
-    return _trace(word.arity, *evaluation), _matrix(word.arity, *evaluation)
+    leading coefficient is positive, kept packed (``Mat2.trace``).  A zero
+    trace has no sign and is refused."""
+    return evaluate_word(word).trace()
 
 
 # -- curve-level traces ------------------------------------------------------

@@ -4,16 +4,17 @@ This is the independent path that ``plumbtrace.holonomy``'s packed
 evaluator is tested against.  It shares no code with that evaluator: it
 builds every crossing and every same-slot return from the generator
 matrices below and multiplies sparse term dicts pairwise, where
-``evaluate_word`` and ``word_trace`` fold every constant into integer
-joints and run packed big-int rows.  Only the word tokens come from the
-package.  Its values are its own: ``Poly``, a polynomial held as the term
-dict of its nonzero terms, with its own arithmetic, sign rule
-(``canonical_sign``) and renderer, and ``Mat``, a 2x2 matrix of them.
-``lift`` reads a library polynomial or matrix into this form through its
-``terms``, which is how the tests compare the two.  For words too large
-for term dicts, ``point_product`` and ``point_trace`` multiply the same
-factors out as numbers at one point modulo a prime (a Schwartz-Zippel
-check), and ``point_value`` evaluates a polynomial's terms there.
+``evaluate_word``, the one evaluation that ``word_trace`` also reads,
+folds every constant into integer joints and runs packed big-int rows.
+Only the word tokens come from the package.  Its values are its own:
+``Poly``, a polynomial held as the term dict of its nonzero terms, with
+its own arithmetic, sign rule (``canonical_sign``) and renderer, and
+``Mat``, a 2x2 matrix of them.  ``lift`` reads a library polynomial or
+matrix into this form through its ``terms``, which is how the tests
+compare the two.  For words too large for term dicts, ``point_product``
+and ``point_trace`` multiply the same factors out as numbers at one point
+modulo a prime (a Schwartz-Zippel check), and ``point_value`` evaluates a
+polynomial's terms there.
 
 All matrices act on the upper half plane chart of the triply punctured
 sphere whose cusps sit at 0, 1, inf.  The constants:

@@ -43,15 +43,16 @@ def test_trace_matrix_flag(capsys):
     ],
 )
 def test_trace_matrix_evaluates_each_word_once(capsys, monkeypatch, argv, words):
-    # the printed trace and the printed matrix come from one evaluation
+    # the printed trace and the printed matrix come from one evaluation;
+    # `cli` binds `evaluate_word` itself, so count the kernel's first step
     calls = []
 
     def counted(word):
         calls.append(word)
-        return evaluate(word)
+        return factor(word)
 
-    evaluate = holonomy._evaluate
-    monkeypatch.setattr(holonomy, "_evaluate", counted)
+    factor = holonomy._factor
+    monkeypatch.setattr(holonomy, "_factor", counted)
     code, out, _ = run(capsys, "trace", *argv, "--matrix")
     assert code == 0
     assert len(calls) == out.count(" matrix=") == words

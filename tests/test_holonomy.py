@@ -37,7 +37,7 @@ from oracle import (
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace import gausspoly
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, Mat2, _box, _lead_sign, _unpack
+from plumbtrace.gausspoly import GaussPoly, _box, _lead_sign, _unpack
 from plumbtrace.holonomy import (
     WordError,
     _column,
@@ -46,7 +46,6 @@ from plumbtrace.holonomy import (
     evaluate_word,
     gluing_parameter_from_annulus,
     joint_matrix,
-    trace_and_matrix,
     trace_of_curve,
     word_trace,
 )
@@ -368,25 +367,24 @@ class TestWordTrace:
     def test_matches_full_matrix_on_sample(self):
         for word in trace_sample_words():
             check_word_trace(word)
-
-    def test_trace_and_matrix_is_both_results(self):
-        for word in trace_sample_words():
-            trace, matrix = trace_and_matrix(word)
-            assert trace == word_trace(word) and matrix == evaluate_word(word), word
-            assert str(trace) == str(word_trace(word)) and str(matrix) == str(evaluate_word(word))
+            assert str(evaluate_word(word).trace()) == str(word_trace(word)), word
 
     def test_no_matrix_sum_or_negation(self, monkeypatch):
         # GaussPoly has no sum or negation to call; the trace is summed and
-        # signed as one packed int, and no Mat2 is built for it
+        # signed as one packed int, and the matrix entries are never built
         words = trace_sample_words()
+        calls = []
 
-        def refuse(*args):
-            raise AssertionError("matrix built")
+        def counted(cls, *args):
+            calls.append(args)
+            return from_packed(cls, *args)
 
         assert not any(hasattr(GaussPoly, name) for name in ("__neg__", "__add__", "__sub__"))
-        monkeypatch.setattr(Mat2, "__post_init__", refuse)
+        from_packed = GaussPoly.from_packed.__func__
+        monkeypatch.setattr(GaussPoly, "from_packed", classmethod(counted))
         for word in words:
             word_trace(word)
+        assert len(calls) == len(words)
 
 
 def lead_signed(packed, counts, width):
@@ -501,7 +499,8 @@ class TestSlotRenderer:
     def test_zero_matrix_entry_renders_as_0(self):
         comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
         m = evaluate_word(comps[0].word)
-        assert not m.d.terms and str(m.d) == "0"
+        d = m.entries()[3]
+        assert not d.terms and str(d) == "0"
         assert str(m) == "[[-i*t1 + i, -i], [-i, 0]]"
 
     def test_rendering_builds_no_term_dict(self, monkeypatch):

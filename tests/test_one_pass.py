@@ -1,20 +1,32 @@
 """Each entry point validates a curve once and reads every later stage's
-arc pattern from that one pass."""
+arc pattern from that one pass, and evaluates each word once, through
+``holonomy.evaluate_word`` and ``Mat2.trace``: the two calls the
+benchmark's tracer wraps to time evaluation and the trace, so an entry
+point that went round them would leave those spans empty."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from plumbtrace import cli, dtcoords
+from plumbtrace import cli, dtcoords, holonomy
+from plumbtrace.dtcoords import DTCoords
 from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.gausspoly import Mat2
 from plumbtrace.holonomy import trace_of_curve
+from plumbtrace.standardpos import extract_components
 from plumbtrace.surface import load_surface
 from plumbtrace.verifier import verify
 
-SURFACES = sorted(
-    str(p) for p in (Path(__file__).resolve().parent.parent / "surfaces").glob("*.surf")
-)
+SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
+SURFACES = sorted(str(p) for p in SURFACE_DIR.glob("*.surf"))
+# curves with more than one component: two parallel copies of one word; four
+# components, two of them copies; one component parallel to a pants curve
+MULTI = [
+    ("one_holed_torus", (2,), (0,)),
+    ("genus_two", (6, 1, 1), (6, 5, -7)),
+    ("four_holed_sphere", (0,), (1,)),
+]
 
 
 @pytest.fixture
@@ -71,3 +83,66 @@ def test_verify_validates_twice(calls, path):
     calls.update(validate=0, arc_counts=0)
     assert verify(surface, coords).passed
     assert calls == {"validate": 2, "arc_counts": 2 * surface.pants_count}
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Count calls of `holonomy.evaluate_word`, under every name a
+    plumbtrace module binds it to, and of `Mat2.trace`."""
+    counts = {"evaluate_word": 0, "trace": 0}
+    evaluate_word, trace = holonomy.evaluate_word, Mat2.trace
+
+    def counted_evaluate(word):
+        counts["evaluate_word"] += 1
+        return evaluate_word(word)
+
+    def counted_trace(matrix):
+        counts["trace"] += 1
+        return trace(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "plumbtrace" and getattr(module, "evaluate_word", None) is evaluate_word:
+            monkeypatch.setattr(module, "evaluate_word", counted_evaluate)
+    monkeypatch.setattr(Mat2, "trace", counted_trace)
+    return counts
+
+
+def curves():
+    """(surface file, coordinates): each stock surface's connected curve,
+    then the MULTI curves."""
+    out = [(path, connected_curve(path)[1]) for path in SURFACES]
+    out += [(str(SURFACE_DIR / f"{name}.surf"), DTCoords(q, p)) for name, q, p in MULTI]
+    return out
+
+
+def word_count(surface, coords):
+    return sum(c.word is not None for c in extract_components(surface, coords))
+
+
+def test_verify_evaluates_its_word_once(evaluations):
+    for path in SURFACES:
+        surface, coords = connected_curve(path)
+        evaluations.update(evaluate_word=0, trace=0)
+        assert verify(surface, coords).passed
+        assert evaluations == {"evaluate_word": 1, "trace": 1}, path
+
+
+def test_trace_of_curve_evaluates_each_word_once(evaluations):
+    for path, coords in curves():
+        surface = load_surface(path)
+        words = word_count(surface, coords)
+        evaluations.update(evaluate_word=0, trace=0)
+        trace_of_curve(surface, coords)
+        assert evaluations == {"evaluate_word": words, "trace": words}, (path, coords)
+
+
+@pytest.mark.parametrize("matrix", [False, True])
+def test_trace_command_evaluates_each_word_once(evaluations, matrix):
+    for path, coords in curves():
+        words = word_count(load_surface(path), coords)
+        evaluations.update(evaluate_word=0, trace=0)
+        q = ",".join(map(str, coords.q))
+        p = ",".join(map(str, coords.p))
+        argv = ["trace", "--surface", path, f"--q={q}", f"--p={p}"]
+        assert cli.run(argv + ["--matrix"] * matrix) == 0
+        assert evaluations == {"evaluate_word": words, "trace": words}, (path, coords)
