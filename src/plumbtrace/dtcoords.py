@@ -36,6 +36,7 @@ q the realizable p fill one parity class); it is reported, never rounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .surface import PantsDecomposition, pred
 
@@ -111,8 +112,18 @@ class ArcCounts:
         return sum(self.scc)
 
 
+# slot-total triples whose arc pattern ``arc_counts`` keeps
+ARC_COUNTS_CACHE = 4096
+
+
+@lru_cache(maxsize=ARC_COUNTS_CACHE)
 def arc_counts(x: int, y: int, z: int) -> ArcCounts:
-    """Arc pattern for slot totals (x, y, z); the totals must have even sum."""
+    """Arc pattern for slot totals (x, y, z); the totals must have even sum.
+
+    The result is frozen and a pure function of the totals, so it is
+    interned across calls in a bounded cache: equal totals share one
+    instance while they are among the ``ARC_COUNTS_CACHE`` used last.
+    """
     if x < 0 or y < 0 or z < 0:
         raise CoordError("negative intersection number")
     if (x + y + z) % 2:

@@ -36,12 +36,15 @@ and the crossing that leaves through the node.  Every node of one window
 block shares its traversal token and every strand end of one wrap run its
 crossing token, and blocks and runs are contiguous id ranges, so each list
 is filled by slice assignment, building each token once per non-empty
-block or run.  Tokens are frozen values, so that one instance serves the
-whole call.  The walk then only indexes lists and marks visited ids in a
-``bytearray``.  A token's line of the stable text form is its ``text``, a
-cached property rather than a field: it is formatted on the first read,
-which only ``word_to_text`` makes, and kept in the instance, so a token
-shared by several words of one call is formatted once.
+block or run.  Tokens are frozen values, built through bounded
+least-recently-used caches, so that equal values are interned across
+calls: one instance serves the whole call and every later call that
+builds the same token while it is cached.  The walk then only indexes
+lists and marks visited ids in a ``bytearray``.  A token's line of the
+stable text form is its ``text``, a cached property rather than a field: it
+is formatted on the first read, which only ``word_to_text`` makes, and kept
+in the instance, so a token shared by several words, of one call or of
+many, is formatted once.
 
 Window conventions
 ------------------
@@ -78,7 +81,7 @@ the negative direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
@@ -88,6 +91,30 @@ from .surface import PantsDecomposition, pred, slot_name, succ
 # connector classes for a traversal between distinct slots of one pants
 TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
 TURN_SUCC = "succ"  # exit slot is the entry slot's successor
+
+
+class _cached_text:
+    """A cached property for a token's ``text``, stored like a field, with
+    ``object.__setattr__``, where ``functools.cached_property`` writes into
+    the instance ``__dict__``.  On CPython 3.11 asking for ``__dict__``
+    moves an instance's attributes out of the inline storage that the
+    interpreter reads fastest, and an interned token is read again by every
+    later walk that meets it."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, token, owner=None):
+        if token is None:
+            return self
+        value = self.fn(token)
+        # the instance value shadows this non-data descriptor from now on
+        object.__setattr__(token, self.name, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -103,7 +130,7 @@ class Crossing:
     in_slot: int
     twist: int
 
-    @cached_property
+    @_cached_text
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return (
@@ -128,7 +155,7 @@ class Conn:
             return TURN_SUCC
         raise AssertionError("degenerate traversal")
 
-    @cached_property
+    @_cached_text
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}"
@@ -143,13 +170,21 @@ class SccLoop:
     slot: int
     sign: int
 
-    @cached_property
+    @_cached_text
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return f"loop p={self.pants} slot={slot_name(self.slot)} s={self.sign:+d}"
 
 
 Token = Crossing | Conn | SccLoop
+
+# the constructors the layout and the matching build tokens with: equal
+# values share one frozen instance, and so one formatted ``text``, across
+# calls; each cache keeps the TOKEN_CACHE values used last
+TOKEN_CACHE = 4096
+_crossing = lru_cache(maxsize=TOKEN_CACHE)(Crossing)
+_conn = lru_cache(maxsize=TOKEN_CACHE)(Conn)
+_scc_loop = lru_cache(maxsize=TOKEN_CACHE)(SccLoop)
 
 
 @dataclass(frozen=True)
@@ -231,8 +266,8 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 out, back = ids[:s], ids[s + n:2 * s + n]
                 arc_mate[_at(out)] = back[::-1]
                 arc_mate[_at(back)] = out[::-1]
-                traversal[_at(out)] = [SccLoop(pants, slot, -1)] * s
-                traversal[_at(back)] = [SccLoop(pants, slot, 1)] * s
+                traversal[_at(out)] = [_scc_loop(pants, slot, -1)] * s
+                traversal[_at(back)] = [_scc_loop(pants, slot, 1)] * s
             if n:
                 # the family to the successor slot ends in that slot's
                 # predecessor block, paired in reversed order
@@ -241,8 +276,8 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 here, there = ids[s:s + n], windows[(pants, other)][first:first + n]
                 arc_mate[_at(here)] = there[::-1]
                 arc_mate[_at(there)] = here[::-1]
-                traversal[_at(here)] = [Conn(pants, slot, other)] * n
-                traversal[_at(there)] = [Conn(pants, other, slot)] * n
+                traversal[_at(here)] = [_conn(pants, slot, other)] * n
+                traversal[_at(there)] = [_conn(pants, other, slot)] * n
     return Layout(surface, coords, pattern, base, windows, arc_mate, traversal)
 
 
@@ -282,11 +317,11 @@ def match_strands(layout: Layout) -> Matching:
         mate[b - r:b] = range(b, b + r)
         mate[b:b + r] = range(b - r, b)
         mate[b + r:b + q] = range(a, b - r)
-        crossing[a:b - r] = [Crossing(i, *g.end_a, *g.end_b, w)] * (q - r)
-        crossing[b + r:b + q] = [Crossing(i, *g.end_b, *g.end_a, w)] * (q - r)
+        crossing[a:b - r] = [_crossing(i, *g.end_a, *g.end_b, w)] * (q - r)
+        crossing[b + r:b + q] = [_crossing(i, *g.end_b, *g.end_a, w)] * (q - r)
         if r:
-            crossing[b - r:b] = [Crossing(i, *g.end_a, *g.end_b, w + 1)] * r
-            crossing[b:b + r] = [Crossing(i, *g.end_b, *g.end_a, w + 1)] * r
+            crossing[b - r:b] = [_crossing(i, *g.end_a, *g.end_b, w + 1)] * r
+            crossing[b:b + r] = [_crossing(i, *g.end_b, *g.end_a, w + 1)] * r
     return Matching(phat, mate, crossing)
 
 
@@ -382,6 +417,6 @@ def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
 
 def word_to_text(word: Word) -> str:
     """One line per token: its ``text``.  A token formats its line on the
-    first read and keeps it, so an instance that several words of one
-    ``extract_components`` call share is formatted once."""
+    first read and keeps it, so an instance that several words share, of one
+    ``extract_components`` call or, interned, of many, is formatted once."""
     return "\n".join(map(attrgetter("text"), word.tokens))

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,29 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--surface", S04, "--q", "2", "--p", "0")
     assert code == 1
     assert out.startswith("FAIL")
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
+    # `verify --fuzz ... | head -1`: the reader goes away after one line;
+    # that is no input error, and the output still buffered is sent to the
+    # null device, so the flush at exit raises nothing either
+    with open(tmp_path / "stdout", "w") as sink:
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.run(["verify", "--surface", S04, "--fuzz", "3", "--seed", "7", "--max-q", "4"])
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 G2_CURVE = ("--surface", str(SURFACES / "genus_two.surf"), "--q=1,1,2", "--p=1,1,0")

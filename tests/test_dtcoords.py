@@ -1,7 +1,11 @@
 """Coordinate admissibility, arc counts, and twist conversions."""
 
+import dataclasses
+from itertools import product
+
 import pytest
 
+from plumbtrace import dtcoords
 from plumbtrace.dtcoords import (
     CoordError,
     DTCoords,
@@ -67,20 +71,33 @@ class TestArcCounts:
         with pytest.raises(ParityViolation):
             arc_counts(1, 0, 0)
 
+    @staticmethod
+    def slot_budgets(c):
+        """Per slot a: 2*scc[a] plus the arcs from a to the other two slots."""
+        return tuple(
+            2 * c.scc[a] + sum(c.dcc_between(a, b) for b in (0, 1, 2) if b != a)
+            for a in (0, 1, 2)
+        )
+
     @pytest.mark.parametrize("x", range(41))
     def test_slot_budget_identity(self, x):
-        # every even-sum triple up to 40: arcs at a slot add up to its total
+        # every even-sum triple up to 40, more than eight times the cache
+        # bound, so values come from evicted and refilled entries alike:
+        # arcs at a slot add up to its total
         for y in range(41):
             for z in range((x + y) % 2, 41, 2):
-                c = arc_counts(x, y, z)
-                for slot, total in enumerate((x, y, z)):
-                    others = [s for s in (0, 1, 2) if s != slot]
-                    budget = (
-                        c.dcc_between(slot, others[0])
-                        + c.dcc_between(slot, others[1])
-                        + 2 * c.scc[slot]
-                    )
-                    assert budget == total
+                assert self.slot_budgets(arc_counts(x, y, z)) == (x, y, z)
+
+    def test_interned_across_calls(self):
+        triples = [v for v in product(range(13), repeat=3) if sum(v) % 2 == 0]
+        assert len(triples) < dtcoords.ARC_COUNTS_CACHE
+        first = [arc_counts(*v) for v in triples]
+        for v, c in zip(triples, first):
+            assert arc_counts(*v) is c
+            assert c.x == v and self.slot_budgets(c) == v
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                c.scc = (0, 0, 0)
+        assert arc_counts.cache_info().maxsize == dtcoords.ARC_COUNTS_CACHE
 
     @pytest.mark.parametrize("x", range(41))
     def test_same_boundary_arcs_pinned(self, x):

@@ -310,6 +310,50 @@ class TestTokenText:
             tok.text = "edited"
 
 
+class TestTokenInterning:
+    """The layout and the matching build tokens through bounded caches, so a
+    token value that several calls produce is one instance, formatted once."""
+
+    FIRST = DTCoords((4, 1, 1), (-2, -3, -3))
+    SECOND = DTCoords((4, 1, 1), (-2, -1, -3))  # twists of one curve differ
+
+    @staticmethod
+    def tokens(coords):
+        return [tok for comp in extract_components(genus_two(), coords) for tok in comp.word.tokens]
+
+    def test_equal_tokens_are_one_instance(self):
+        first = {tok: tok for tok in self.tokens(self.FIRST)}
+        second = self.tokens(self.SECOND)
+        shared = [tok for tok in second if tok in first]
+        assert {type(tok) for tok in shared} == {Crossing, Conn, SccLoop}
+        assert len(shared) < len(second)
+        assert all(first[tok] is tok for tok in shared)
+
+    def test_replace_is_not_shared(self):
+        tok = self.tokens(self.FIRST)[0]
+        fresh = dataclasses.replace(tok)
+        assert fresh == tok and fresh is not tok
+        assert self.tokens(self.FIRST)[0] is tok
+
+    def test_text_is_formatted_once_across_calls(self, monkeypatch):
+        first = set(self.tokens(self.FIRST))
+        assert all(tok.text for tok in first)
+
+        def refuse(slot):
+            raise AssertionError("slot name read again")
+
+        monkeypatch.setattr(standardpos, "slot_name", refuse)
+        with pytest.raises(AssertionError, match="read again"):
+            assert Conn(0, SLOT_0, SLOT_1).text
+        shared = [tok for tok in self.tokens(self.SECOND) if tok in first]
+        assert shared and all(tok.text for tok in shared)
+
+    @pytest.mark.parametrize("make", ["_crossing", "_conn", "_scc_loop"])
+    def test_caches_are_bounded(self, make):
+        assert getattr(standardpos, make).cache_info().maxsize == standardpos.TOKEN_CACHE
+        assert isinstance(standardpos.TOKEN_CACHE, int)
+
+
 # per one-variable surface: how many (q, p) with 1 <= q <= 40 and |p| <= 60
 # are admissible (p even, and q even too on the sphere), and the closed-form
 # component count of the curve (q, p)

@@ -14,6 +14,7 @@ from plumbtrace.dtcoords import (
     DTCoords,
     NegativeTwistOnZeroLength,
     ParityViolation,
+    twist_correction,
     twist_curve,
     validate,
     window_twists,
@@ -25,6 +26,7 @@ from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.surface import (
     four_holed_sphere,
     genus_two,
+    genus_two_one_hole,
     load_surface,
     one_holed_torus,
     twice_holed_torus,
@@ -307,30 +309,46 @@ def test_campaign_on_four_curve_surface():
         assert verify(surface, coords).passed
 
 
+def realizable_twists(surface, q, max_abs_p):
+    """Per curve, the twists |p_i| <= max_abs_p that name a curve with these
+    intersection numbers: p_i >= 0 where q_i = 0, else the one parity class
+    that makes the window twist (p_i - q_i + correction) / 2 an integer."""
+    pattern = validate(surface, DTCoords(q, (0,) * surface.xi))
+    out = []
+    for i, qi in enumerate(q):
+        if qi == 0:
+            out.append(range(max_abs_p + 1))
+        else:
+            first = -max_abs_p + (-max_abs_p - qi + twist_correction(surface, pattern, i)) % 2
+            out.append(range(first, max_abs_p + 1, 2))
+    return out
+
+
 @pytest.mark.parametrize(
     "make_surface,max_q,max_abs_p,pinned",
     [
         pytest.param(twice_holed_torus, 4, 5, (400, 166, 166), id="twice_holed_torus"),
         pytest.param(genus_two, 3, 4, (2920, 591, 591), id="genus_two"),
+        pytest.param(genus_two_one_hole, 2, 3, (4890, 519, 519), id="genus_two_one_hole"),
     ],
 )
 def test_exhaustive_box(make_surface, max_q, max_abs_p, pinned):
-    # every (q, p) with q_i <= max_q and |p_i| <= max_abs_p, so zero entries
-    # of q and twists at the parity edge are all reached, which sampling can
-    # miss; a q odd at some pants is refused whatever p is, so it is skipped
+    # every admissible (q, p) with q_i <= max_q and |p_i| <= max_abs_p, so
+    # zero entries of q and twists at the parity edge are all reached, which
+    # sampling can miss; a q odd at some pants is refused whatever p is, and
+    # only the realizable twists of the others are drawn, each of which must
+    # be accepted: the pinned count, taken over every p in the box, shows
+    # that none is missed
     surface = make_surface()
     admissible = connected = passed = 0
     for q in itertools.product(range(max_q + 1), repeat=surface.xi):
         try:
-            validate(surface, DTCoords(q, (0,) * surface.xi))
+            twists = realizable_twists(surface, q, max_abs_p)
         except ParityViolation:
             continue
-        for p in itertools.product(range(-max_abs_p, max_abs_p + 1), repeat=surface.xi):
+        for p in itertools.product(*twists):
             coords = DTCoords(q, p)
-            try:
-                components = extract_components(surface, coords)
-            except CoordError:
-                continue
+            components = extract_components(surface, coords)
             admissible += 1
             if len(components) == 1:
                 connected += 1
