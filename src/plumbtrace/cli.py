@@ -5,7 +5,8 @@ subcommand that reads a surface validates it before touching coordinates.
 Output is plain text or JSON lines (--format jsonl); JSON field names are
 part of the stable interface.  Exit codes: 0 success, 1 verification
 failure, 2 input error, 3 internal error (a fault in plumbtrace itself,
-reported as one ``internal error:`` line, never as a traceback).
+reported as one ``internal error:`` line, never as a traceback), 141 standard
+output closed by its reader before the run ended (nothing on stderr).
 ``--seed`` defaults to the PLUMBTRACE_SEED environment variable, read only
 by the subcommands that draw curves.
 """
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+# the reader closed standard output; a shell reports 128 + SIGPIPE for a
+# process that the signal ends, and Python ignores the signal
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -259,13 +263,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # the reader closed standard output, as `| head` does: not an input
-        # error; what is still buffered, flushed at exit, goes to the null
-        # device instead of raising a second BrokenPipeError
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OK
+        # the reader closed standard output, as `| head` does: no input
+        # error, but no success either, since the curves not yet printed
+        # were not checked
+        return EXIT_BROKEN_PIPE
     except (SurfaceError, CoordError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -275,7 +276,18 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # what is still buffered would raise again in the flush at exit:
+        # send it to the null device, so that stderr stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -81,7 +81,7 @@ the negative direction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
@@ -91,30 +91,6 @@ from .surface import PantsDecomposition, pred, slot_name, succ
 # connector classes for a traversal between distinct slots of one pants
 TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
 TURN_SUCC = "succ"  # exit slot is the entry slot's successor
-
-
-class _cached_text:
-    """A cached property for a token's ``text``, stored like a field, with
-    ``object.__setattr__``, where ``functools.cached_property`` writes into
-    the instance ``__dict__``.  On CPython 3.11 asking for ``__dict__``
-    moves an instance's attributes out of the inline storage that the
-    interpreter reads fastest, and an interned token is read again by every
-    later walk that meets it."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, token, owner=None):
-        if token is None:
-            return self
-        value = self.fn(token)
-        # the instance value shadows this non-data descriptor from now on
-        object.__setattr__(token, self.name, value)
-        return value
 
 
 @dataclass(frozen=True)
@@ -130,7 +106,7 @@ class Crossing:
     in_slot: int
     twist: int
 
-    @_cached_text
+    @cached_property
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return (
@@ -155,7 +131,7 @@ class Conn:
             return TURN_SUCC
         raise AssertionError("degenerate traversal")
 
-    @_cached_text
+    @cached_property
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}"
@@ -170,7 +146,7 @@ class SccLoop:
     slot: int
     sign: int
 
-    @_cached_text
+    @cached_property
     def text(self) -> str:
         """This token's line in ``word_to_text``."""
         return f"loop p={self.pants} slot={slot_name(self.slot)} s={self.sign:+d}"

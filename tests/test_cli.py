@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
 S11 = str(SURFACES / "one_holed_torus.surf")
 S12 = str(SURFACES / "twice_holed_torus.surf")
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -133,27 +135,55 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.startswith("FAIL")
 
 
-def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path):
+def test_closed_stdout_in_run(capsys, monkeypatch):
     # `verify --fuzz ... | head -1`: the reader goes away after one line;
-    # that is no input error, and the output still buffered is sent to the
-    # null device, so the flush at exit raises nothing either
-    with open(tmp_path / "stdout", "w") as sink:
+    # that is no input error and prints nothing, but the curves not yet
+    # printed were not checked, so it is no success either; `run` leaves the
+    # process's descriptors alone, so a stdout without one is fine
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
 
-        class ClosedPipe:
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
+        def flush(self):
+            pass
 
-            def flush(self):
-                pass
-
-            def fileno(self):
-                return sink.fileno()
-
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        code = cli.run(["verify", "--surface", S04, "--fuzz", "3", "--seed", "7", "--max-q", "4"])
-        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
-    assert code == 0
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.run(["verify", "--surface", S04, "--fuzz", "3", "--seed", "7", "--max-q", "4"])
+    assert code == cli.EXIT_BROKEN_PIPE == 141
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the whole output fits the buffer: the flush in `main` meets the
+        # closed pipe
+        ("verify", "--surface", S04, "--fuzz", "3", "--seed", "7", "--max-q", "4"),
+        # more than a buffer: a write inside the command meets it
+        ("random", "--surface", S04, "--count", "1000"),
+    ],
+    ids=["at_exit", "while_running"],
+)
+def test_closed_stdout_process(argv):
+    # a pipe whose read end is closed before the process starts, so every
+    # write to it fails; the buffered rest must not raise again at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe is by default
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumbtrace.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
 
 
 G2_CURVE = ("--surface", str(SURFACES / "genus_two.surf"), "--q=1,1,2", "--p=1,1,0")

@@ -325,20 +325,21 @@ def realizable_twists(surface, q, max_abs_p):
 
 
 @pytest.mark.parametrize(
-    "make_surface,max_q,max_abs_p,pinned",
+    "make_surface,max_q,max_abs_p,every_p,pinned",
     [
-        pytest.param(twice_holed_torus, 4, 5, (400, 166, 166), id="twice_holed_torus"),
-        pytest.param(genus_two, 3, 4, (2920, 591, 591), id="genus_two"),
-        pytest.param(genus_two_one_hole, 2, 3, (4890, 519, 519), id="genus_two_one_hole"),
+        pytest.param(twice_holed_torus, 4, 5, True, (400, 166, 166), id="twice_holed_torus"),
+        pytest.param(genus_two, 3, 4, True, (2920, 591, 591), id="genus_two"),
+        # 7^4 twists per q in the full box, too slow to try them all
+        pytest.param(genus_two_one_hole, 2, 3, False, (4890, 519, 519), id="genus_two_one_hole"),
     ],
 )
-def test_exhaustive_box(make_surface, max_q, max_abs_p, pinned):
+def test_exhaustive_box(make_surface, max_q, max_abs_p, every_p, pinned):
     # every admissible (q, p) with q_i <= max_q and |p_i| <= max_abs_p, so
     # zero entries of q and twists at the parity edge are all reached, which
-    # sampling can miss; a q odd at some pants is refused whatever p is, and
-    # only the realizable twists of the others are drawn, each of which must
-    # be accepted: the pinned count, taken over every p in the box, shows
-    # that none is missed
+    # sampling can miss; a q odd at some pants is refused whatever p is, so
+    # it is skipped.  With every_p, every p in the box is tried and exactly
+    # the realizable twists must be accepted; otherwise only the realizable
+    # twists are drawn, and each must be accepted
     surface = make_surface()
     admissible = connected = passed = 0
     for q in itertools.product(range(max_q + 1), repeat=surface.xi):
@@ -346,9 +347,19 @@ def test_exhaustive_box(make_surface, max_q, max_abs_p, pinned):
             twists = realizable_twists(surface, q, max_abs_p)
         except ParityViolation:
             continue
-        for p in itertools.product(*twists):
+        if every_p:
+            box = itertools.product(range(-max_abs_p, max_abs_p + 1), repeat=surface.xi)
+        else:
+            box = itertools.product(*twists)
+        for p in box:
             coords = DTCoords(q, p)
-            components = extract_components(surface, coords)
+            realizable = all(map(range.__contains__, twists, p))
+            try:
+                components = extract_components(surface, coords)
+            except CoordError:
+                assert not realizable, coords
+                continue
+            assert realizable, coords
             admissible += 1
             if len(components) == 1:
                 connected += 1
