@@ -57,7 +57,7 @@ class NegativeTwistOnZeroLength(CoordError):
         super().__init__(f"curve {curve}: q=0 needs twist >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DTCoords:
     q: tuple[int, ...]
     p: tuple[int, ...]
@@ -92,7 +92,7 @@ def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, 
     return tuple(pattern)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcCounts:
     """Arc pattern of a curve inside one pants with slot totals (x0, x1, x2).
 

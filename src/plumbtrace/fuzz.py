@@ -17,7 +17,7 @@ from .standardpos import extract_components
 from .surface import PantsDecomposition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzConfig:
     surface: PantsDecomposition
     seed: int = 0

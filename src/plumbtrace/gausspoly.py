@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from operator import mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussInt:
     """A Gaussian integer re + im*i with exact integer components."""
 
@@ -234,6 +234,11 @@ class GaussPoly:
         object.__setattr__(poly, "_terms", None)
         return poly
 
+    def __reduce__(self):
+        # copy and pickle the packed form only: the slot view may be a
+        # memoryview, which does not pickle, and both caches are rebuilt
+        return GaussPoly.from_packed, (self.arity, *self._packed)
+
     def _slot_view(self):
         """(slots, half, strides): the slots in index order, each biased by
         half (``_slots``), and the box's strides.  Read on first use and kept."""
@@ -285,7 +290,7 @@ class GaussPoly:
         return f"GaussPoly({self})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Mat2:
     """The packed product of a holonomy word, 2x2 over GaussPoly with
     row-major entries (a b; c d).

@@ -36,15 +36,17 @@ and the crossing that leaves through the node.  Every node of one window
 block shares its traversal token and every strand end of one wrap run its
 crossing token, and blocks and runs are contiguous id ranges, so each list
 is filled by slice assignment, building each token once per non-empty
-block or run.  Tokens are frozen values, built through bounded
+block or run.  Tokens are frozen, slotted values, built through bounded
 least-recently-used caches, so that equal values are interned across
 calls: one instance serves the whole call and every later call that
 builds the same token while it is cached.  The walk then only indexes
 lists and marks visited ids in a ``bytearray``.  A token's line of the
-stable text form is its ``text``, a cached property rather than a field: it
-is formatted on the first read, which only ``word_to_text`` makes, and kept
-in the instance, so a token shared by several words, of one call or of
-many, is formatted once.
+stable text form is its ``text``, a field that takes no part in
+construction, equality, hashing or ``repr``: ``__post_init__`` formats it
+when the token is built, and the caches build a token only on a miss, so
+a token shared by several words, of one call or of many, is formatted
+once.  Every record here is slotted, so no token, word or component
+carries an instance dict.
 
 Window conventions
 ------------------
@@ -80,8 +82,8 @@ the negative direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from operator import attrgetter
 
@@ -93,7 +95,7 @@ TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
 TURN_SUCC = "succ"  # exit slot is the entry slot's successor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossing:
     """One crossing of a pants curve: leaves a pants through `out_slot`'s
     window, re-enters the surface at `in_slot`'s window, wrapping the
@@ -105,17 +107,17 @@ class Crossing:
     in_pants: int
     in_slot: int
     twist: int
+    text: str = field(init=False, compare=False, repr=False)  # line in word_to_text
 
-    @cached_property
-    def text(self) -> str:
-        """This token's line in ``word_to_text``."""
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "text",
             f"cross c={self.curve + 1} out=({self.out_pants},{slot_name(self.out_slot)})"
-            f" in=({self.in_pants},{slot_name(self.in_slot)}) t={self.twist}"
+            f" in=({self.in_pants},{slot_name(self.in_slot)}) t={self.twist}",
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conn:
     """Traversal of a pants between two distinct slots (no holonomy factor
     of its own; the slot data lives in the adjacent crossings)."""
@@ -123,6 +125,13 @@ class Conn:
     pants: int
     in_slot: int
     out_slot: int
+    text: str = field(init=False, compare=False, repr=False)  # line in word_to_text
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "text",
+            f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}",
+        )
 
     def turn(self) -> str:
         if self.out_slot == pred(self.in_slot):
@@ -131,13 +140,8 @@ class Conn:
             return TURN_SUCC
         raise AssertionError("degenerate traversal")
 
-    @cached_property
-    def text(self) -> str:
-        """This token's line in ``word_to_text``."""
-        return f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SccLoop:
     """Same-slot return: the curve re-emerges from the window it entered,
     looping once around the slot's successor boundary with the given sign."""
@@ -145,25 +149,27 @@ class SccLoop:
     pants: int
     slot: int
     sign: int
+    text: str = field(init=False, compare=False, repr=False)  # line in word_to_text
 
-    @cached_property
-    def text(self) -> str:
-        """This token's line in ``word_to_text``."""
-        return f"loop p={self.pants} slot={slot_name(self.slot)} s={self.sign:+d}"
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "text", f"loop p={self.pants} slot={slot_name(self.slot)} s={self.sign:+d}"
+        )
 
 
 Token = Crossing | Conn | SccLoop
 
 # the constructors the layout and the matching build tokens with: equal
 # values share one frozen instance, and so one formatted ``text``, across
-# calls; each cache keeps the TOKEN_CACHE values used last
+# calls, and a token is built, and its line formatted, only on a miss; each
+# cache keeps the TOKEN_CACHE values used last
 TOKEN_CACHE = 4096
 _crossing = lru_cache(maxsize=TOKEN_CACHE)(Crossing)
 _conn = lru_cache(maxsize=TOKEN_CACHE)(Conn)
 _scc_loop = lru_cache(maxsize=TOKEN_CACHE)(SccLoop)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """Cyclic token word of one connected component, starting on a crossing
     and alternating crossing / traversal."""
@@ -172,7 +178,7 @@ class Word:
     tokens: tuple[Token, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     """One connected component of the reconstructed multicurve."""
 
@@ -182,7 +188,7 @@ class Component:
     parallel_to: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Layout:
     """Endpoint layout of one coordinate vector on the flat strand index.
 
@@ -257,7 +263,7 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
     return Layout(surface, coords, pattern, base, windows, arc_mate, traversal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Matching:
     """Order-preserving constant-shift matching across every annulus.
 
@@ -392,7 +398,8 @@ def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
 # -- stable text form -------------------------------------------------------
 
 def word_to_text(word: Word) -> str:
-    """One line per token: its ``text``.  A token formats its line on the
-    first read and keeps it, so an instance that several words share, of one
-    ``extract_components`` call or, interned, of many, is formatted once."""
+    """One line per token: its ``text``.  A token formats its line when it
+    is built and keeps it in a slot, so an instance that several words
+    share, of one ``extract_components`` call or, interned, of many, is
+    formatted once, and printing a word formats nothing."""
     return "\n".join(map(attrgetter("text"), word.tokens))

@@ -53,7 +53,7 @@ def pred(slot: int) -> int:
     return (slot + 2) % 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gluing:
     """One pants curve: two glued slot ends, unordered as a pair.
 
@@ -67,7 +67,7 @@ class Gluing:
     end_b: tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PantsDecomposition:
     genus: int
     boundary: int

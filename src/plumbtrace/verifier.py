@@ -51,7 +51,7 @@ def _unit_times_power(q_tot: int, h: int) -> tuple[int, int]:
     return (r * 2**h, i * 2**h)
 
 
-@dataclass
+@dataclass(slots=True)
 class SubleadingCheck:
     curve: int
     observed: GaussInt
@@ -59,7 +59,7 @@ class SubleadingCheck:
     ok: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class TopTermReport:
     q: tuple[int, ...]
     p: tuple[int, ...]

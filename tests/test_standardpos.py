@@ -28,6 +28,7 @@ from plumbtrace.surface import (
     four_holed_sphere,
     genus_two,
     one_holed_torus,
+    slot_name,
 )
 from tests_support import crossings, node_id
 from word_text import word_from_text
@@ -260,9 +261,13 @@ class TestWords:
             word_from_text(1, line)
 
 
+def refuse_slot_name(slot):
+    raise AssertionError("slot name read again")
+
+
 class TestTokenText:
-    """A token's line is a cached property, kept on the instance, and no
-    field: equality, hashing and freezing see only the fields."""
+    """A token's line is a slotted field, formatted when the token is built:
+    equality, hashing, ``repr`` and freezing see only the other fields."""
 
     TOKENS = (
         Crossing(1, 0, SLOT_INF, 1, SLOT_0, -2),
@@ -274,27 +279,24 @@ class TestTokenText:
         s = genus_two()
         coords = DTCoords((2, 2, 4), (2, 2, 0))
         expected = [word_to_text(c.word) for c in extract_components(s, coords)]
+        monkeypatch.setattr(standardpos, "slot_name", refuse_slot_name)
+        with pytest.raises(AssertionError, match="read again"):
+            Conn(0, SLOT_0, SLOT_1)
+        # built again from the interning caches: nothing is formatted anew
         first, second = (c.word for c in extract_components(s, coords))
         # two parallel copies: the second word holds only tokens of the first
         assert set(map(id, second.tokens)) <= set(map(id, first.tokens))
-        assert word_to_text(first) == expected[0]
-        assert all("text" in vars(tok) for tok in first.tokens)
-
-        def refuse(slot):
-            raise AssertionError("slot name read again")
-
-        monkeypatch.setattr(standardpos, "slot_name", refuse)
-        with pytest.raises(AssertionError, match="read again"):
-            assert Conn(0, SLOT_0, SLOT_1).text
-        assert word_to_text(second) == expected[1]
+        assert [word_to_text(first), word_to_text(second)] == expected
 
     @pytest.mark.parametrize("tok", TOKENS, ids=lambda tok: type(tok).__name__)
-    def test_text_is_not_a_field(self, tok):
+    def test_text_takes_no_part_in_comparison(self, tok):
+        assert not hasattr(tok, "__dict__")
+        text = {f.name: f for f in dataclasses.fields(tok)}["text"]
+        assert not (text.init or text.compare or text.repr)
         fresh = dataclasses.replace(tok)
-        assert tok.text
-        assert "text" in vars(tok) and "text" not in vars(fresh)
+        assert fresh.text == tok.text and fresh.text
+        object.__setattr__(fresh, "text", "edited")
         assert tok == fresh and hash(tok) == hash(fresh) and repr(tok) == repr(fresh)
-        assert "text" not in {f.name for f in dataclasses.fields(tok)}
 
     def test_replace_renders_the_new_twist(self):
         tok = self.TOKENS[0]
@@ -336,17 +338,25 @@ class TestTokenInterning:
         assert self.tokens(self.FIRST)[0] is tok
 
     def test_text_is_formatted_once_across_calls(self, monkeypatch):
-        first = set(self.tokens(self.FIRST))
-        assert all(tok.text for tok in first)
+        makes = (standardpos._crossing, standardpos._conn, standardpos._scc_loop)
+        for make in makes:
+            make.cache_clear()
+        self.tokens(self.FIRST)
+        before = [make.cache_info().misses for make in makes]
+        reads = []
 
-        def refuse(slot):
-            raise AssertionError("slot name read again")
+        def counted(slot):
+            reads.append(slot)
+            return slot_name(slot)
 
-        monkeypatch.setattr(standardpos, "slot_name", refuse)
-        with pytest.raises(AssertionError, match="read again"):
-            assert Conn(0, SLOT_0, SLOT_1).text
-        shared = [tok for tok in self.tokens(self.SECOND) if tok in first]
-        assert shared and all(tok.text for tok in shared)
+        monkeypatch.setattr(standardpos, "slot_name", counted)
+        self.tokens(self.SECOND)
+        # only a cache miss builds a token, and building formats it: two
+        # slot names per crossing or connector, one per loop
+        crossings, conns, loops = (m.cache_info().misses - b for m, b in zip(makes, before))
+        assert crossings and len(reads) == 2 * (crossings + conns) + loops
+        monkeypatch.setattr(standardpos, "slot_name", refuse_slot_name)
+        assert all(tok.text for tok in self.tokens(self.FIRST) + self.tokens(self.SECOND))
 
     @pytest.mark.parametrize("make", ["_crossing", "_conn", "_scc_loop"])
     def test_caches_are_bounded(self, make):
