@@ -16,7 +16,6 @@ from .dtcoords import (
     arc_counts,
     coords_from_triple,
     window_twists,
-    dual_curve_coords,
     triple_from_coords,
     twist_curve,
     validate,
@@ -72,7 +71,6 @@ __all__ = [
     "build_surface",
     "coords_from_triple",
     "window_twists",
-    "dual_curve_coords",
     "evaluate_word",
     "extract_components",
     "triple_from_coords",

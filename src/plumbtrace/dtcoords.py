@@ -187,20 +187,6 @@ def twist_curve(coords: DTCoords, curve: int, n: int) -> DTCoords:
     return DTCoords(coords.q, tuple(p))
 
 
-def dual_curve_coords(surface: PantsDecomposition, curve: int) -> DTCoords:
-    """The dual curve of a pants curve: q=2 there, 0 elsewhere, no twist.
-
-    When the gluing is a self-gluing this is the doubled dual (two parallel
-    copies of the once-crossing curve), keeping intersection number 2 in
-    every case.
-    """
-    if not 0 <= curve < surface.xi:
-        raise CoordError(f"no pants curve {curve}")
-    q = tuple(2 if i == curve else 0 for i in range(surface.xi))
-    p = (0,) * surface.xi
-    return DTCoords(q, p)
-
-
 # -- triple-of-intersection-numbers parametrization ------------------------
 
 def triple_from_coords(q: int, p: int) -> tuple[int, int, int]:

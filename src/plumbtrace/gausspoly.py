@@ -6,16 +6,17 @@ No floating point ever enters; coefficients are arbitrary-precision.
 
 Representation
 --------------
-A ``GaussPoly`` is one entry, or the trace, of what ``holonomy`` computes:
-the one signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
-``prod_k [0, n_k]`` (``_box``), with slot width ``B`` and a flag saying
-whether every coefficient is real or every one imaginary (``from_packed``).
-It reads its slots once, the first time ``str`` or ``coefficient`` needs
-them, and keeps that view.  ``str`` renders straight from the slot view
-(``_render_slots``), ``coefficient`` reads one slot, and ``degree_bounds``
-is the box's crossing counts, so none of them builds a term dict.  The
-read-only ``terms`` view, built by ``_unpack`` on first read and kept, is
-what equality compares.  A polynomial has no arithmetic: a holonomy word is
+A ``GaussPoly`` is one entry, or the trace, of what ``holonomy`` computes,
+and a plain frozen record of its packed form: ``arity``; ``packed``, the one
+signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
+``prod_k [0, counts[k]]`` (``_box``); ``counts``; the slot ``width`` B; and
+``imag``, which says whether every coefficient is real or every one
+imaginary.  It reads its slots once, the first time ``str`` or
+``coefficient`` needs them, and keeps that view.  ``str`` renders straight
+from the slot view (``_render_slots``) and ``coefficient`` reads one slot,
+so neither builds a term dict; ``counts`` bounds each variable's degree.
+The read-only ``terms`` view, unpacked (``_unpack``) on each read, is what
+equality compares.  A polynomial has no arithmetic: a holonomy word is
 multiplied out once, by ``holonomy.evaluate_word``, into a ``Mat2`` that
 holds the product's two packed rows; ``Mat2.trace`` adds and signs the
 packed diagonal, and ``Mat2.entries`` builds the four entries on demand.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 
@@ -206,55 +207,42 @@ def _render_slots(slots, half: int, counts, imag: bool) -> str:
     return "".join(chunks)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GaussPoly:
-    """Immutable polynomial over the Gaussian integers, held packed.
-
-    Built by ``from_packed``; ``terms`` reads it as a term dict, which is
-    what ``==`` compares.
+    """Immutable polynomial over the Gaussian integers, held packed: the
+    polynomial sum_e c_e t^e as packed = sum_e c_e 2^(width*idx(e)) over the
+    box prod_k [0, counts[k]], each c_e real, or each imaginary if `imag`.
+    Every |c_e| is below 2^(width - 1), and width is 32, 64 or a multiple
+    of 8.  ``terms`` reads it as a term dict, which is what ``==`` compares.
     """
 
-    __slots__ = ("arity", "_packed", "_view", "_terms")
-
-    def __setattr__(self, *a):  # immutability guard
-        raise AttributeError("GaussPoly is immutable")
-
-    @classmethod
-    def from_packed(
-        cls, arity: int, packed: int, counts, width: int, imag: bool
-    ) -> "GaussPoly":
-        """The polynomial sum_e c_e t^e held as packed = sum_e c_e 2^(width*idx(e))
-        over the box prod_k [0, counts[k]], each c_e real, or each imaginary
-        if `imag`; every |c_e| must be below 2^(width - 1), and width is 32,
-        64 or a multiple of 8.  The slots are read, and the term dict is
-        built, on first use."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "arity", arity)
-        object.__setattr__(poly, "_packed", (packed, tuple(counts), width, imag))
-        object.__setattr__(poly, "_view", None)
-        object.__setattr__(poly, "_terms", None)
-        return poly
+    arity: int
+    packed: int
+    counts: tuple[int, ...]
+    width: int
+    imag: bool
+    # the slot view (``_slot_view``), read on first use and kept
+    _view: tuple | None = field(default=None, init=False, compare=False)
 
     def __reduce__(self):
         # copy and pickle the packed form only: the slot view may be a
-        # memoryview, which does not pickle, and both caches are rebuilt
-        return GaussPoly.from_packed, (self.arity, *self._packed)
+        # memoryview, which does not pickle, and is read again
+        return GaussPoly, (self.arity, self.packed, self.counts, self.width, self.imag)
 
     def _slot_view(self):
         """(slots, half, strides): the slots in index order, each biased by
         half (``_slots``), and the box's strides.  Read on first use and kept."""
         if self._view is None:
-            packed, counts, width, _ = self._packed
-            strides, size = _box(counts)
-            object.__setattr__(self, "_view", (*_slots(packed, size, width), strides))
+            strides, size = _box(self.counts)
+            view = (*_slots(self.packed, size, self.width), strides)
+            object.__setattr__(self, "_view", view)
         return self._view
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: (re, im)} over the nonzero terms, built on first
-        read (``_unpack``) and kept."""
-        if self._terms is None:
-            object.__setattr__(self, "_terms", _unpack(*self._packed))
-        return self._terms
+        """{exponent tuple: (re, im)} over the nonzero terms (``_unpack``),
+        built on each read."""
+        return _unpack(self.packed, self.counts, self.width, self.imag)
 
     def __eq__(self, other) -> bool:
         return (
@@ -267,24 +255,17 @@ class GaussPoly:
         """The coefficient of `mono`: its one slot, zero outside the box."""
         if len(mono) != self.arity:
             raise ValueError("monomial length does not match arity")
-        counts, imag = self._packed[1], self._packed[3]
-        if not all(0 <= e <= n for e, n in zip(mono, counts)):
+        if not all(0 <= e <= n for e, n in zip(mono, self.counts)):
             return GaussInt()
         slots, half, strides = self._slot_view()
         c = slots[sum(map(mul, mono, strides))] - half
-        return GaussInt(0, c) if imag else GaussInt(c, 0)
-
-    def degree_bounds(self) -> tuple[int, ...]:
-        """Per variable, a bound on its exponent in the nonzero terms: the
-        box's crossing counts, which zero outer slots may exceed."""
-        return self._packed[1]
+        return GaussInt(0, c) if self.imag else GaussInt(c, 0)
 
     def __str__(self) -> str:
-        packed, counts, _, imag = self._packed
-        if not packed:
+        if not self.packed:
             return "0"
         slots, half, _ = self._slot_view()
-        return _render_slots(slots, half, counts, imag)
+        return _render_slots(slots, half, self.counts, self.imag)
 
     def __repr__(self) -> str:
         return f"GaussPoly({self})"
@@ -297,10 +278,11 @@ class Mat2:
 
     ``holonomy.evaluate_word`` builds it from the two packed rows
     ((a, b), (c, d)) of its one evaluation; the four entries share one box
-    ``counts``, slot ``width`` and ``imag`` flag (``GaussPoly.from_packed``),
-    so they share one arity by construction.  ``trace`` adds and signs the
-    packed diagonal; ``entries`` and ``str`` build the four polynomials on
-    each call, so a trace alone builds none of them.  It has no arithmetic.
+    ``counts``, slot ``width`` and ``imag`` flag, the fields of each
+    ``GaussPoly``, so they share one arity by construction.  ``trace`` adds
+    and signs the packed diagonal; ``entries`` and ``str`` build the four
+    polynomials on each call, so a trace alone builds none of them.  It has
+    no arithmetic.
     """
 
     arity: int
@@ -311,7 +293,7 @@ class Mat2:
 
     def entries(self) -> tuple[GaussPoly, GaussPoly, GaussPoly, GaussPoly]:
         return tuple(
-            GaussPoly.from_packed(self.arity, e, self.counts, self.width, self.imag)
+            GaussPoly(self.arity, e, self.counts, self.width, self.imag)
             for row in self.rows
             for e in row
         )
@@ -326,7 +308,7 @@ class Mat2:
             raise ValueError("the trace polynomial is zero")
         if _lead_sign(trace, self.counts, self.width) < 0:
             trace = -trace
-        return GaussPoly.from_packed(self.arity, trace, self.counts, self.width, self.imag)
+        return GaussPoly(self.arity, trace, self.counts, self.width, self.imag)
 
     def __str__(self) -> str:
         a, b, c, d = self.entries()

@@ -258,7 +258,7 @@ def word_trace(word: Word) -> GaussPoly:
 def component_trace(component: Component) -> GaussPoly:
     """Canonical trace polynomial of one connected component."""
     if component.word is None:  # parabolic: the constant 2, in one slot
-        return GaussPoly.from_packed(len(component.q), 2, (0,) * len(component.q), 32, False)
+        return GaussPoly(len(component.q), 2, (0,) * len(component.q), 32, False)
     return word_trace(component.word)
 
 

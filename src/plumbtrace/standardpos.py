@@ -383,10 +383,8 @@ def extract_components(
         if coords.q[i] == 0 and coords.p[i] > 0:
             unit_q = (0,) * xi
             unit_p = tuple(1 if j == i else 0 for j in range(xi))
-            for _ in range(coords.p[i]):
-                components.append(
-                    Component(q=unit_q, phat=unit_p, word=None, parallel_to=i)
-                )
+            parallel = Component(q=unit_q, phat=unit_p, word=None, parallel_to=i)
+            components.extend([parallel] * coords.p[i])
     return components
 
 

@@ -18,14 +18,14 @@ the four Gaussian units.
 
 The check reads only the xi + 1 top coefficients, one ``coefficient`` call
 each, which reads one slot.  The two degree clauses come from the trace's
-``degree_bounds`` when these are at most q: in the box prod_i [0, q_i] the
-only monomials of total degree q_tot - 1 or more are q itself and the
-q - e_i with q_i >= 1, which are exactly the monomials the coefficient
-clauses read, so every other term has total degree at most q_tot - 2 and
-no variable exceeds q_i.  That holds for any polynomial whose terms lie in
-the box; it is read off the representation (a trace's box is its crossing
-counts, which equal q for a connected curve) and does not assume the shape
-being checked.  Only a polynomial whose box exceeds q somewhere, as a
+box, its ``counts`` field, when these are at most q: in the box
+prod_i [0, q_i] the only monomials of total degree q_tot - 1 or more are
+q itself and the q - e_i with q_i >= 1, which are exactly the monomials
+the coefficient clauses read, so every other term has total degree at
+most q_tot - 2 and no variable exceeds q_i.  That holds for any polynomial
+whose terms lie in the box; it is read off the representation (a trace's
+box is its crossing counts, which equal q for a connected curve) and does
+not assume the shape being checked.  Only a polynomial whose box exceeds q somewhere, as a
 corrupted one's may, is scanned term by term through its ``terms`` view:
 its outer slots may all be zero, so the box alone cannot decide.
 """
@@ -65,7 +65,6 @@ class TopTermReport:
     p: tuple[int, ...]
     h: int
     trace: GaussPoly
-    leading_monomial: tuple[int, ...]
     leading: GaussInt
     leading_ok: bool
     subleading: list[SubleadingCheck] = field(default_factory=list)
@@ -139,7 +138,6 @@ def check_trace_polynomial(
         p=tuple(p),
         h=h,
         trace=trace,
-        leading_monomial=lead_mono,
         leading=lead,
         leading_ok=leading_ok,
     )
@@ -158,7 +156,7 @@ def check_trace_polynomial(
 
     # Inside the box [0, q] both degree clauses hold (module docstring); an
     # empty remainder reads degree -1, so q_tot = 0 takes the scan.
-    if q_tot and all(map(le, trace.degree_bounds(), q)):
+    if q_tot and all(map(le, trace.counts, q)):
         return report
     # both bounds scan the terms in C, with no Python step per term
     terms = trace.terms
@@ -195,13 +193,12 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
         # scan only if the box is larger than that slot
         zeros = (0,) * surface.xi
         lead = trace.coefficient(zeros)
-        ok = lead == GaussInt(2) and (not any(trace.degree_bounds()) or len(trace.terms) == 1)
+        ok = lead == GaussInt(2) and (not any(trace.counts) or len(trace.terms) == 1)
         return TopTermReport(
             q=comp.q,
             p=coords.p,
             h=0,
             trace=trace,
-            leading_monomial=zeros,
             leading=lead,
             leading_ok=ok,
         )

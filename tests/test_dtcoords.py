@@ -14,7 +14,6 @@ from plumbtrace.dtcoords import (
     arc_counts,
     coords_from_triple,
     window_twists,
-    dual_curve_coords,
     triple_from_coords,
     twist_curve,
     validate,
@@ -189,17 +188,6 @@ class TestTwistCurve:
     def test_inverse(self):
         c = DTCoords((3, 2), (1, -4))
         assert twist_curve(twist_curve(c, 1, 5), 1, -5) == c
-
-
-class TestDualCurve:
-    def test_four_holed(self):
-        assert dual_curve_coords(four_holed_sphere(), 0) == DTCoords((2,), (0,))
-
-    def test_one_holed_torus_doubled(self):
-        assert dual_curve_coords(one_holed_torus(), 0) == DTCoords((2,), (0,))
-
-    def test_extends_by_zero(self):
-        assert dual_curve_coords(genus_two(), 1) == DTCoords((0, 2, 0), (0, 0, 0))
 
 
 class TestTripleConversion:

@@ -95,7 +95,7 @@ class TestPackedCoefficient:
             terms = random_terms(rng, counts, width, corner)
             packed = pack(terms, counts, width)
             for imag in (False, True):
-                poly = GaussPoly.from_packed(len(counts), packed, counts, width, imag)
+                poly = GaussPoly(len(counts), packed, tuple(counts), width, imag)
                 lifted = P(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
                 for mono in probes:
                     got = poly.coefficient(mono)
@@ -106,17 +106,18 @@ class TestPackedCoefficient:
                 )
 
     def test_wrong_length_is_refused(self):
-        poly = GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+        poly = GaussPoly(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
         for mono in ((1,), (0, 1, 0)):
             with pytest.raises(ValueError, match="arity"):
                 poly.coefficient(mono)
 
     def test_degree_bounds(self):
-        # the box, which a zero outer slot may exceed, not the exact maxima
-        poly = GaussPoly.from_packed(3, (2 << 32) - 3, (0, 2, 1), 32, False)  # 2*t3 - 3
-        assert poly.degree_bounds() == (0, 2, 1)
+        # the box ``counts``, which a zero outer slot may exceed, bounds the
+        # degrees; it is not the exact maxima
+        poly = GaussPoly(3, (2 << 32) - 3, (0, 2, 1), 32, False)  # 2*t3 - 3
+        assert poly.counts == (0, 2, 1)
         assert set(poly.terms) == {(0, 0, 1), (0, 0, 0)}
-        assert GaussPoly.from_packed(2, 0, (1, 0), 32, False).degree_bounds() == (1, 0)
+        assert GaussPoly(2, 0, (1, 0), 32, False).counts == (1, 0)
 
 
 class TestCanonicalSign:
@@ -224,23 +225,23 @@ def test_rendering_arity_four(terms, expected):
     ],
 )
 def test_packed_rendering(packed, imag, expected):
-    poly = GaussPoly.from_packed(1, packed, (1,), 32, imag)
+    poly = GaussPoly(1, packed, (1,), 32, imag)
     assert str(poly) == expected
     assert str(lift(poly)) == expected  # the oracle's renderer agrees
     assert (not poly.terms) == (expected == "0")
 
 
-def test_packed_terms_are_built_once_and_compare_with_dict_built():
-    poly = GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
-    assert poly.terms is poly.terms
+def test_packed_terms_compare_with_dict_built():
+    poly = GaussPoly(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+    assert poly.terms == {(0, 1): (2, 0), (0, 0): (-3, 0)}
     assert lift(poly) == P(2, {(0, 1): 2, (0, 0): -3})
     assert poly.coefficient((0, 1)) == GaussInt(2)
     assert canonical_sign(-lift(poly)) == lift(poly)
     # equality reads the terms, whatever the box and the slot width
-    wider = GaussPoly.from_packed(2, (2 << 64) - 3, (1, 1), 64, False)
-    assert poly == wider and poly.degree_bounds() != wider.degree_bounds()
-    assert poly != GaussPoly.from_packed(2, (2 << 32) - 3, (0, 1), 32, True)
-    assert poly != GaussPoly.from_packed(3, (2 << 32) - 3, (0, 1, 0), 32, False)
+    wider = GaussPoly(2, (2 << 64) - 3, (1, 1), 64, False)
+    assert poly == wider and poly.counts != wider.counts
+    assert poly != GaussPoly(2, (2 << 32) - 3, (0, 1), 32, True)
+    assert poly != GaussPoly(3, (2 << 32) - 3, (0, 1, 0), 32, False)
 
 
 def _reference_str(poly):

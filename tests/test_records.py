@@ -87,7 +87,7 @@ BUILDS = {"word": word_records, "trace": trace_records, "verify": verify_records
 
 def test_records_are_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"Crossing", "Layout", "Mat2", "PantsDecomposition", "TopTermReport", "FuzzConfig"} <= names
+    assert {"Crossing", "GaussPoly", "Layout", "Mat2", "PantsDecomposition", "TopTermReport", "FuzzConfig"} <= names
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)

@@ -179,6 +179,11 @@ class TestComponents:
         comps = extract_components(four_holed_sphere(), DTCoords((0,), (3,)))
         assert len(comps) == 3
         assert all(c.parallel_to == 0 and c.word is None for c in comps)
+        # one frozen record, repeated for the copies
+        assert comps == [comps[0]] * 3 and all(c is comps[0] for c in comps)
+        comps = extract_components(genus_two(), DTCoords((0, 0, 0), (2, 0, 4)))
+        assert comps == [comps[0]] * 2 + [comps[2]] * 4 and comps[0] != comps[2]
+        assert [c.parallel_to for c in comps] == [0, 0, 2, 2, 2, 2]
 
     def test_contributions_sum_to_input(self):
         s = genus_two()

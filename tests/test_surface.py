@@ -110,7 +110,18 @@ def test_shipped_surface_files():
 
     from plumbtrace.surface import load_surface
 
-    root = Path(__file__).resolve().parent.parent / "surfaces"
+    repo = Path(__file__).resolve().parent.parent
+    root = repo / "surfaces"
     assert load_surface(str(root / "one_holed_torus.surf")) == one_holed_torus()
     assert load_surface(str(root / "four_holed_sphere.surf")) == four_holed_sphere()
     assert load_surface(str(root / "genus_two.surf")) == genus_two()
+    assert load_surface(str(root / "twice_holed_torus.surf")) == twice_holed_torus()
+    assert sorted(p.name for p in root.glob("*.surf")) == [
+        "four_holed_sphere.surf",
+        "genus_two.surf",
+        "one_holed_torus.surf",
+        "twice_holed_torus.surf",
+    ]
+    # the surface the benchmark's deep workload loads
+    deep = repo / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
+    assert load_surface(str(deep)) == genus_two_one_hole()

@@ -1,5 +1,6 @@
 """Top-term prediction and verification."""
 
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -122,13 +123,13 @@ class TestVerify:
         # one subleading slot of the packed trace off by one, either way:
         # exactly that curve's check fails
         report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
-        packed, counts, width, imag = report.trace._packed
-        strides, _ = _box(counts)
+        trace = report.trace
+        strides, _ = _box(trace.counts)
         for curve in range(3):
             mono = tuple(e - (k == curve) for k, e in enumerate(report.q))
-            one = 1 << width * sum(e * s for e, s in zip(mono, strides))
+            one = 1 << trace.width * sum(e * s for e, s in zip(mono, strides))
             for delta in (one, -one):
-                corrupted = GaussPoly.from_packed(3, packed + delta, counts, width, imag)
+                corrupted = dataclasses.replace(trace, packed=trace.packed + delta)
                 bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
                 assert [c.curve for c in bad.subleading if not c.ok] == [curve]
                 assert bad.leading_ok and bad.remainder_degree_ok and bad.per_variable_degree_ok
@@ -143,8 +144,7 @@ class TestVerify:
             (genus_two(), (1, 1, 2), (1, 1, 0)),
         ]:
             report = verify(surface, DTCoords(q, p))
-            packed, counts, width, imag = report.trace._packed
-            flipped = GaussPoly.from_packed(surface.xi, packed, counts, width, not imag)
+            flipped = dataclasses.replace(report.trace, imag=not report.trace.imag)
             bad = check_trace_polynomial(flipped, report.q, report.p, report.h)
             assert not bad.leading_ok and all(c.ok for c in bad.subleading), q
             assert bad.failures() == [
@@ -176,7 +176,7 @@ class TestVerify:
             (3, (0,), False),
             (-2, (0,), False),
         ]:
-            trace = GaussPoly.from_packed(1, packed, counts, 32, False)
+            trace = GaussPoly(1, packed, counts, 32, False)
             monkeypatch.setattr(verifier, "component_trace", lambda comp: trace)
             assert verify(surface, coords).passed == passed, (packed, counts)
 
@@ -202,7 +202,7 @@ def repacked(report, counts, extra=()):
     ints = {m: i if imag else r for m, (r, i) in terms.items()}
     for mono, c in extra:
         ints[mono] = ints.get(mono, 0) + c
-    return GaussPoly.from_packed(len(counts), pack(ints, counts, 64), counts, 64, imag)
+    return GaussPoly(len(counts), pack(ints, counts, 64), counts, 64, imag)
 
 
 class TestPackedCheck:
@@ -273,7 +273,7 @@ class TestPackedCheck:
     def test_no_crossing_keeps_the_scan(self):
         # with q_tot = 0 the box rule does not apply: the scan reads the
         # empty remainder as degree -1 > q_tot - 2
-        two = GaussPoly.from_packed(1, 2, (0,), 32, False)
+        two = GaussPoly(1, 2, (0,), 32, False)
         report = check_trace_polynomial(two, (0,), (1,), 1)
         assert report.leading_ok and report.per_variable_degree_ok
         assert not report.remainder_degree_ok

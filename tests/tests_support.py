@@ -94,4 +94,4 @@ def packed_poly(arity, terms, counts=None, width=64, imag=False):
     (default: the smallest box that holds the terms)."""
     if counts is None:
         counts = [max((m[k] for m in terms), default=0) for k in range(arity)]
-    return GaussPoly.from_packed(arity, pack(terms, counts, width), counts, width, imag)
+    return GaussPoly(arity, pack(terms, counts, width), tuple(counts), width, imag)
