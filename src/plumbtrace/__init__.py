@@ -14,10 +14,7 @@ from .dtcoords import (
     NegativeTwistOnZeroLength,
     ParityViolation,
     arc_counts,
-    coords_from_triple,
     window_twists,
-    triple_from_coords,
-    twist_curve,
     validate,
 )
 from .gausspoly import GaussInt, GaussPoly, Mat2
@@ -69,11 +66,9 @@ __all__ = [
     "annulus_from_gluing_parameter",
     "arc_counts",
     "build_surface",
-    "coords_from_triple",
     "window_twists",
     "evaluate_word",
     "extract_components",
-    "triple_from_coords",
     "four_holed_sphere",
     "genus_two",
     "gluing_parameter_from_annulus",
@@ -85,7 +80,6 @@ __all__ = [
     "scc_count",
     "trace_of_curve",
     "twice_holed_torus",
-    "twist_curve",
     "validate",
     "verify",
 ]

@@ -179,35 +179,3 @@ def window_twists(surface: PantsDecomposition, coords: DTCoords) -> tuple[int, .
     """Window twists phat from symmetric twists p (see `pattern_twists`)."""
     return pattern_twists(surface, coords, validate(surface, coords))
 
-
-def twist_curve(coords: DTCoords, curve: int, n: int) -> DTCoords:
-    """Apply n full right Dehn twists about pants curve `curve`."""
-    p = list(coords.p)
-    p[curve] += 2 * n * coords.q[curve]
-    return DTCoords(coords.q, tuple(p))
-
-
-# -- triple-of-intersection-numbers parametrization ------------------------
-
-def triple_from_coords(q: int, p: int) -> tuple[int, int, int]:
-    """Per-curve triple (m, s, t): intersections with the pants curve, its
-    dual, and the once-twisted dual.  Defined for even p only."""
-    if p % 2:
-        raise CoordError(f"twist {p} is odd; the triple needs an even twist")
-    m = q
-    s = abs(p) // 2
-    t = abs(p // 2 - q)
-    return (m, s, t)
-
-
-def coords_from_triple(m: int, s: int, t: int) -> tuple[int, int]:
-    """Inverse of triple_from_coords; exactly one of the three triangle relations
-    m=s+t, s=m+t, t=m+s must hold (two only in degenerate cases, which
-    agree)."""
-    if min(m, s, t) < 0:
-        raise CoordError("triple entries must be non-negative")
-    if m == s + t or s == m + t:
-        return (m, 2 * s)
-    if t == m + s:
-        return (m, -2 * s)
-    raise CoordError(f"triple {(m, s, t)} satisfies no triangle relation")

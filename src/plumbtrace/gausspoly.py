@@ -12,9 +12,10 @@ signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
 ``prod_k [0, counts[k]]`` (``_box``); ``counts``; the slot ``width`` B; and
 ``imag``, which says whether every coefficient is real or every one
 imaginary.  It reads its slots once, the first time ``str`` or
-``coefficient`` needs them, and keeps that view.  ``str`` renders straight
-from the slot view (``_render_slots``) and ``coefficient`` reads one slot,
-so neither builds a term dict; ``counts`` bounds each variable's degree.
+``coefficient`` needs them, as one list of signed ints (``_slots``), and
+keeps that list.  ``str`` renders straight from it (``_render_slots``) and
+``coefficient`` reads one slot, so neither builds a term dict; ``counts``
+bounds each variable's degree.
 The read-only ``terms`` view, unpacked (``_unpack``) on each read, is what
 equality compares.  A polynomial has no arithmetic: a holonomy word is
 multiplied out once, by ``holonomy.evaluate_word``, into a ``Mat2`` that
@@ -56,7 +57,6 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass, field
-from operator import mul
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,37 +100,33 @@ def _box(counts) -> tuple[list[int], int]:
     return strides, size
 
 
-def _slots(packed: int, size: int, width: int):
-    """The slots of a packed int in index order, each biased by half.
+def _slots(packed: int, size: int, width: int) -> list[int]:
+    """The signed slots of a packed int, in index order.
 
     Adding half = 2^(width-1) to every slot makes each one a non-negative
-    value below 2^width (|c| < 2^(width-1)), so the bytes of the biased int
-    are the slots side by side; a slot reads half exactly when it is zero.
-    Returns (slots, half).
+    value below 2^width (|c| < 2^(width-1)), so no slot borrows from the
+    next; xor-ing the same bias back leaves each slot's two's complement,
+    side by side in the bytes of the int, which one cast reads as signed
+    words when the width is 32 or 64.
     """
-    nbytes, half = width // 8, 1 << (width - 1)
+    nbytes = width // 8
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    raw = memoryview((packed + bias).to_bytes(size * nbytes, sys.byteorder))
+    raw = memoryview(((packed + bias) ^ bias).to_bytes(size * nbytes, sys.byteorder))
     if width == 32:
-        return raw.cast("I"), half
+        return raw.cast("i").tolist()
     if width == 64:
-        return raw.cast("Q"), half
+        return raw.cast("q").tolist()
     step = range(0, len(raw), nbytes)
-    return [int.from_bytes(raw[i : i + nbytes], sys.byteorder) for i in step], half
-
-
-def _nonzero(slots, half) -> list[int]:
-    """Indices of the nonzero slots, in index order."""
-    return list(itertools.compress(range(len(slots)), map(half.__ne__, slots)))
+    return [int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step]
 
 
 def _unpack(packed: int, counts, width: int, imag: bool) -> dict:
     """The term dict of a packed int, each coefficient real or imaginary."""
-    slots, half = _slots(packed, _box(counts)[1], width)
+    slots = _slots(packed, _box(counts)[1], width)
     monos = itertools.product(*(range(c + 1) for c in counts))
     if imag:
-        return {m: (0, v - half) for m, v in zip(monos, slots) if v != half}
-    return {m: (v - half, 0) for m, v in zip(monos, slots) if v != half}
+        return {m: (0, c) for m, c in zip(monos, slots) if c}
+    return {m: (c, 0) for m, c in zip(monos, slots) if c}
 
 
 def _box_table(levels, start):
@@ -166,13 +162,13 @@ def _lead_sign(packed: int, counts, width: int) -> int:
     if packed.bit_length() >= (size - 1) * width:
         lead = packed  # a nonzero corner
     else:
-        slots, half = _slots(packed, size, width)
-        j = max(_nonzero(slots, half), key=_grlex_keys(counts).__getitem__)
-        lead = slots[j] - half
+        slots = _slots(packed, size, width)
+        nonzero = itertools.compress(range(size), slots)
+        lead = slots[max(nonzero, key=_grlex_keys(counts).__getitem__)]
     return -1 if lead < 0 else 1
 
 
-def _render_slots(slots, half: int, counts, imag: bool) -> str:
+def _render_slots(slots: list[int], counts, imag: bool) -> str:
     """The text of a nonzero packed polynomial, read straight from its slots.
 
     Monomial strings come from one table over the box, built from the
@@ -180,7 +176,7 @@ def _render_slots(slots, half: int, counts, imag: bool) -> str:
     once by ``_grlex_keys``.  Every coefficient is real, or every one is
     imaginary, so one format covers all terms.
     """
-    order = _nonzero(slots, half)
+    order = list(itertools.compress(range(len(slots)), slots))
     order.sort(key=_grlex_keys(counts).__getitem__, reverse=True)
     pieces = [
         [""] + [f"*t{k}" if e == 1 else f"*t{k}^{e}" for e in range(1, n + 1)]
@@ -191,7 +187,7 @@ def _render_slots(slots, half: int, counts, imag: bool) -> str:
     chunks: list[str] = []
     append = chunks.append
     for j in order:
-        c = slots[j] - half
+        c = slots[j]
         if c < 0:
             append(" - ")
             c = -c
@@ -221,20 +217,19 @@ class GaussPoly:
     counts: tuple[int, ...]
     width: int
     imag: bool
-    # the slot view (``_slot_view``), read on first use and kept
-    _view: tuple | None = field(default=None, init=False, compare=False)
+    # the slot list (``_slot_view``), read on first use and kept
+    _view: list[int] | None = field(default=None, init=False, compare=False)
 
     def __reduce__(self):
-        # copy and pickle the packed form only: the slot view may be a
-        # memoryview, which does not pickle, and is read again
+        # copy and pickle the packed form only, so a pickled report never
+        # carries the slot list; a copy reads its slots again on first use
         return GaussPoly, (self.arity, self.packed, self.counts, self.width, self.imag)
 
-    def _slot_view(self):
-        """(slots, half, strides): the slots in index order, each biased by
-        half (``_slots``), and the box's strides.  Read on first use and kept."""
+    def _slot_view(self) -> list[int]:
+        """The signed slots in index order (``_slots``), read on first use
+        and kept."""
         if self._view is None:
-            strides, size = _box(self.counts)
-            view = (*_slots(self.packed, size, self.width), strides)
+            view = _slots(self.packed, _box(self.counts)[1], self.width)
             object.__setattr__(self, "_view", view)
         return self._view
 
@@ -255,17 +250,18 @@ class GaussPoly:
         """The coefficient of `mono`: its one slot, zero outside the box."""
         if len(mono) != self.arity:
             raise ValueError("monomial length does not match arity")
-        if not all(0 <= e <= n for e, n in zip(mono, self.counts)):
-            return GaussInt()
-        slots, half, strides = self._slot_view()
-        c = slots[sum(map(mul, mono, strides))] - half
+        j = 0  # idx(mono), read in mixed radix with t_n lowest (``_box``)
+        for e, n in zip(mono, self.counts):
+            if not 0 <= e <= n:
+                return GaussInt()
+            j = j * (n + 1) + e
+        c = self._slot_view()[j]
         return GaussInt(0, c) if self.imag else GaussInt(c, 0)
 
     def __str__(self) -> str:
         if not self.packed:
             return "0"
-        slots, half, _ = self._slot_view()
-        return _render_slots(slots, half, self.counts, self.imag)
+        return _render_slots(self._slot_view(), self.counts, self.imag)
 
     def __repr__(self) -> str:
         return f"GaussPoly({self})"

@@ -29,7 +29,7 @@ from oracle import (
     shift_var,
 )
 from plumbtrace import cli
-from plumbtrace.dtcoords import DTCoords, coords_from_triple, window_twists, triple_from_coords, twist_curve
+from plumbtrace.dtcoords import DTCoords, window_twists
 from plumbtrace.fuzz import FuzzConfig, random_coords
 from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components
@@ -40,7 +40,13 @@ from plumbtrace.surface import (
     twice_holed_torus,
 )
 from plumbtrace.verifier import verify
-from tests_support import n1_surface, n2_surface
+from tests_support import (
+    coords_from_triple,
+    n1_surface,
+    n2_surface,
+    triple_from_coords,
+    twist_curve,
+)
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 

@@ -62,6 +62,28 @@ def test_trace_matrix_evaluates_each_word_once(capsys, monkeypatch, argv, words)
     assert len(calls) == out.count(" matrix=") == words
 
 
+@pytest.mark.parametrize(
+    "flags,expected",
+    [((), "4802383a235a6999"), (("--matrix",), "9fade5e3a4278875")],
+)
+def test_trace_wide_slot_golden(capsys, monkeypatch, flags, expected):
+    # 72-bit slots, which no 32- or 64-bit word cast reads: the 686-char
+    # trace, and the matrix, pinned by the sha256 prefix of the output
+    widths = []
+
+    def recorded(packed, size, width):
+        widths.append(width)
+        return read(packed, size, width)
+
+    read = gausspoly._slots
+    monkeypatch.setattr(gausspoly, "_slots", recorded)
+    code, out, _ = run(capsys, "trace", "--surface", S11, "--q", "52", "--p", "54", *flags)
+    assert code == 0
+    assert set(widths) == {72}
+    assert len(out.splitlines()[0].split(" trace=")[1].split(" matrix=")[0]) == 686
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
+
+
 def test_trace_jsonl_schema(capsys):
     code, out, _ = run(
         capsys,

@@ -12,10 +12,7 @@ from plumbtrace.dtcoords import (
     NegativeTwistOnZeroLength,
     ParityViolation,
     arc_counts,
-    coords_from_triple,
     window_twists,
-    triple_from_coords,
-    twist_curve,
     validate,
 )
 from plumbtrace.surface import (
@@ -27,6 +24,7 @@ from plumbtrace.surface import (
     genus_two,
     one_holed_torus,
 )
+from tests_support import coords_from_triple, triple_from_coords, twist_curve
 
 
 class TestValidate:

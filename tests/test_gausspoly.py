@@ -144,13 +144,52 @@ def test_kernel_exact_at_big_coefficients():
     assert pmul(p, q) == {(1, 1, 0): (2 * big * big, 0)}
 
 
+SLOT_WIDTHS = [32, 64, 72]  # read as 32- or 64-bit words, or slot by slot
+
+
 def assert_packed_renders_alike(poly):
-    """The slot renderer prints `poly` as the oracle does, whenever its
-    coefficients are all real or all imaginary, as a packed one's are."""
+    """The slot renderer prints `poly` as the oracle does, at every kind of
+    slot width, whenever its coefficients are all real or all imaginary, as
+    a packed one's are."""
     for imag in (False, True):
         if all(c[not imag] == 0 for c in poly.terms.values()):
             ints = {m: c[imag] for m, c in poly.terms.items()}
-            assert str(packed_poly(poly.arity, ints, imag=imag)) == str(poly)
+            for width in SLOT_WIDTHS:
+                packed = packed_poly(poly.arity, ints, width=width, imag=imag)
+                assert str(packed) == str(poly)
+
+
+def limit_terms(counts, width, corner):
+    """Every slot of the box at a slot limit, +-(2^(width - 1) - 1), +-1 or
+    0, in turn; the corner prod_k t_k^counts[k] is zero unless `corner`."""
+    top = (1 << (width - 1)) - 1
+    limits = itertools.cycle([top, -1, 0, -top, 1])
+    box = itertools.product(*(range(c + 1) for c in counts))
+    terms = {m: c for m, c in zip(box, limits) if c}
+    terms.pop(tuple(counts), None)
+    if corner:
+        terms[tuple(counts)] = -top
+    return terms
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+@pytest.mark.parametrize("counts", BOXES)
+def test_slot_reads_match_the_oracle(counts, width):
+    # the signed slot list behind str, _lead_sign and _unpack, against the
+    # oracle's term dict, at the slot limits and at random, with a zero and
+    # a nonzero corner, real and imaginary
+    rng = random.Random(f"slot reads:{counts}:{width}")
+    for corner in (True, False):
+        for terms in (limit_terms(counts, width, corner), random_terms(rng, counts, width, corner)):
+            packed = pack(terms, counts, width)
+            for imag in (False, True):
+                poly = Poly(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
+                packed_form = GaussPoly(len(counts), packed, tuple(counts), width, imag)
+                assert gausspoly._unpack(packed, counts, width, imag) == poly.terms
+                assert str(packed_form) == str(poly)
+                if terms:
+                    sign = gausspoly._lead_sign(packed, counts, width)
+                    assert canonical_sign(poly) == (poly if sign > 0 else -poly)
 
 
 def test_grlex_rendering_order():

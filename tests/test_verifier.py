@@ -16,7 +16,6 @@ from plumbtrace.dtcoords import (
     NegativeTwistOnZeroLength,
     ParityViolation,
     twist_correction,
-    twist_curve,
     validate,
     window_twists,
 )
@@ -32,7 +31,7 @@ from plumbtrace.surface import (
     one_holed_torus,
     twice_holed_torus,
 )
-from tests_support import crossings, pack
+from tests_support import crossings, pack, twist_curve
 from plumbtrace.verifier import check_trace_polynomial, verify
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -2,6 +2,7 @@
 
 import itertools
 
+from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace.gausspoly import GaussPoly, _box
 from plumbtrace.standardpos import Crossing
 from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, SurfaceError, build_surface
@@ -95,3 +96,33 @@ def packed_poly(arity, terms, counts=None, width=64, imag=False):
     if counts is None:
         counts = [max((m[k] for m in terms), default=0) for k in range(arity)]
     return GaussPoly(arity, pack(terms, counts, width), tuple(counts), width, imag)
+
+
+# -- twists and the triple-of-intersection-numbers parametrization ---------
+
+def twist_curve(coords, curve, n):
+    """Apply n full right Dehn twists about pants curve `curve`."""
+    p = list(coords.p)
+    p[curve] += 2 * n * coords.q[curve]
+    return DTCoords(coords.q, tuple(p))
+
+
+def triple_from_coords(q, p):
+    """Per-curve triple (m, s, t): intersections with the pants curve, its
+    dual, and the once-twisted dual.  Defined for even p only."""
+    if p % 2:
+        raise CoordError(f"twist {p} is odd; the triple needs an even twist")
+    return (q, abs(p) // 2, abs(p // 2 - q))
+
+
+def coords_from_triple(m, s, t):
+    """Inverse of triple_from_coords; exactly one of the three triangle relations
+    m=s+t, s=m+t, t=m+s must hold (two only in degenerate cases, which
+    agree)."""
+    if min(m, s, t) < 0:
+        raise CoordError("triple entries must be non-negative")
+    if m == s + t or s == m + t:
+        return (m, 2 * s)
+    if t == m + s:
+        return (m, -2 * s)
+    raise CoordError(f"triple {(m, s, t)} satisfies no triangle relation")
