@@ -7,22 +7,20 @@ No floating point ever enters; coefficients are arbitrary-precision.
 Representation
 --------------
 A ``GaussPoly`` is one entry, or the trace, of what ``holonomy`` computes,
-and a plain frozen record of its packed form: ``arity``; ``packed``, the one
-signed int ``P = sum_e c_e * 2^(B * idx(e))`` over the exponent box
-``prod_k [0, counts[k]]`` (``_box``); ``counts``; the slot ``width`` B; and
-``imag``, which says whether every coefficient is real or every one
-imaginary.  It reads its slots once, the first time ``str`` or
-``coefficient`` needs them, as one list of signed ints (``_slots``), and
-keeps that list.  ``str`` renders straight from it (``_render_slots``) and
-``coefficient`` reads one slot, so neither builds a term dict; ``counts``
-bounds each variable's degree.
-The read-only ``terms`` view, unpacked (``_unpack``) on each read, is what
-equality compares.  A polynomial has no arithmetic: a holonomy word is
-multiplied out once, by ``holonomy.evaluate_word``, into a ``Mat2`` that
-holds the product's two packed rows; ``Mat2.trace`` adds and signs the
-packed diagonal, and ``Mat2.entries`` builds the four entries on demand.
-The term-dict polynomial the tests compare against lives in
-``tests/oracle.py``.
+and a plain frozen record of its coefficients: ``slots``, the signed
+coefficients in index order over the exponent box ``prod_k [0, counts[k]]``
+(``_box``); ``counts``, which bounds each variable's degree; and ``imag``,
+which says whether every coefficient is real or every one imaginary.
+``str`` renders straight from the slots (``_render_slots``) and
+``coefficient`` reads one slot, so neither builds a term dict.  The
+read-only ``terms`` view, built on each read, is what equality compares.
+A polynomial has no arithmetic: a holonomy word is multiplied out once, by
+``holonomy.evaluate_word``, into a ``Mat2`` that holds the product's two
+rows packed, each entry the one signed int ``P = sum_e c_e * 2^(B * idx(e))``
+in slots of ``width`` B.  ``Mat2.trace`` adds and signs the packed diagonal
+and reads its slots once (``_slots``); ``Mat2.entries`` reads the four
+entries' slots on demand.  The term-dict polynomial the tests compare
+against lives in ``tests/oracle.py``.
 
 Monomial order
 --------------
@@ -56,7 +54,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +98,7 @@ def _box(counts) -> tuple[list[int], int]:
     return strides, size
 
 
-def _slots(packed: int, size: int, width: int) -> list[int]:
+def _slots(packed: int, size: int, width: int) -> tuple[int, ...]:
     """The signed slots of a packed int, in index order.
 
     Adding half = 2^(width-1) to every slot makes each one a non-negative
@@ -113,20 +111,11 @@ def _slots(packed: int, size: int, width: int) -> list[int]:
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
     raw = memoryview(((packed + bias) ^ bias).to_bytes(size * nbytes, sys.byteorder))
     if width == 32:
-        return raw.cast("i").tolist()
+        return tuple(raw.cast("i").tolist())
     if width == 64:
-        return raw.cast("q").tolist()
+        return tuple(raw.cast("q").tolist())
     step = range(0, len(raw), nbytes)
-    return [int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step]
-
-
-def _unpack(packed: int, counts, width: int, imag: bool) -> dict:
-    """The term dict of a packed int, each coefficient real or imaginary."""
-    slots = _slots(packed, _box(counts)[1], width)
-    monos = itertools.product(*(range(c + 1) for c in counts))
-    if imag:
-        return {m: (0, c) for m, c in zip(monos, slots) if c}
-    return {m: (c, 0) for m, c in zip(monos, slots) if c}
+    return tuple(int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step)
 
 
 def _box_table(levels, start):
@@ -168,8 +157,9 @@ def _lead_sign(packed: int, counts, width: int) -> int:
     return -1 if lead < 0 else 1
 
 
-def _render_slots(slots: list[int], counts, imag: bool) -> str:
-    """The text of a nonzero packed polynomial, read straight from its slots.
+def _render_slots(slots, counts, imag: bool) -> str:
+    """The text of a polynomial, read straight from its slots; "0" when
+    none is nonzero.
 
     Monomial strings come from one table over the box, built from the
     per-variable pieces "*tk", "*tk^2", ...; the nonzero slots are sorted
@@ -177,6 +167,8 @@ def _render_slots(slots: list[int], counts, imag: bool) -> str:
     imaginary, so one format covers all terms.
     """
     order = list(itertools.compress(range(len(slots)), slots))
+    if not order:
+        return "0"
     order.sort(key=_grlex_keys(counts).__getitem__, reverse=True)
     pieces = [
         [""] + [f"*t{k}" if e == 1 else f"*t{k}^{e}" for e in range(1, n + 1)]
@@ -205,63 +197,46 @@ def _render_slots(slots: list[int], counts, imag: bool) -> str:
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class GaussPoly:
-    """Immutable polynomial over the Gaussian integers, held packed: the
-    polynomial sum_e c_e t^e as packed = sum_e c_e 2^(width*idx(e)) over the
-    box prod_k [0, counts[k]], each c_e real, or each imaginary if `imag`.
-    Every |c_e| is below 2^(width - 1), and width is 32, 64 or a multiple
-    of 8.  ``terms`` reads it as a term dict, which is what ``==`` compares.
+    """Immutable polynomial over the Gaussian integers: sum_e c_e t^e with
+    c_e = slots[idx(e)] over the box prod_k [0, counts[k]] (``_box``), each
+    c_e real, or each imaginary if `imag`.  ``terms`` reads it as a term
+    dict, which is what ``==`` compares.
     """
 
-    arity: int
-    packed: int
+    slots: tuple[int, ...]
     counts: tuple[int, ...]
-    width: int
     imag: bool
-    # the slot list (``_slot_view``), read on first use and kept
-    _view: list[int] | None = field(default=None, init=False, compare=False)
-
-    def __reduce__(self):
-        # copy and pickle the packed form only, so a pickled report never
-        # carries the slot list; a copy reads its slots again on first use
-        return GaussPoly, (self.arity, self.packed, self.counts, self.width, self.imag)
-
-    def _slot_view(self) -> list[int]:
-        """The signed slots in index order (``_slots``), read on first use
-        and kept."""
-        if self._view is None:
-            view = _slots(self.packed, _box(self.counts)[1], self.width)
-            object.__setattr__(self, "_view", view)
-        return self._view
 
     @property
     def terms(self) -> dict:
-        """{exponent tuple: (re, im)} over the nonzero terms (``_unpack``),
-        built on each read."""
-        return _unpack(self.packed, self.counts, self.width, self.imag)
+        """{exponent tuple: (re, im)} over the nonzero terms, built on each
+        read; ``itertools.product`` lists the box in index order."""
+        monos = itertools.product(*(range(c + 1) for c in self.counts))
+        if self.imag:
+            return {m: (0, c) for m, c in zip(monos, self.slots) if c}
+        return {m: (c, 0) for m, c in zip(monos, self.slots) if c}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GaussPoly)
-            and self.arity == other.arity
+            and len(self.counts) == len(other.counts)
             and self.terms == other.terms
         )
 
     def coefficient(self, mono: tuple[int, ...]) -> GaussInt:
         """The coefficient of `mono`: its one slot, zero outside the box."""
-        if len(mono) != self.arity:
+        if len(mono) != len(self.counts):
             raise ValueError("monomial length does not match arity")
         j = 0  # idx(mono), read in mixed radix with t_n lowest (``_box``)
         for e, n in zip(mono, self.counts):
             if not 0 <= e <= n:
                 return GaussInt()
             j = j * (n + 1) + e
-        c = self._slot_view()[j]
+        c = self.slots[j]
         return GaussInt(0, c) if self.imag else GaussInt(c, 0)
 
     def __str__(self) -> str:
-        if not self.packed:
-            return "0"
-        return _render_slots(self._slot_view(), self.counts, self.imag)
+        return _render_slots(self.slots, self.counts, self.imag)
 
     def __repr__(self) -> str:
         return f"GaussPoly({self})"
@@ -273,26 +248,26 @@ class Mat2:
     row-major entries (a b; c d).
 
     ``holonomy.evaluate_word`` builds it from the two packed rows
-    ((a, b), (c, d)) of its one evaluation; the four entries share one box
-    ``counts``, slot ``width`` and ``imag`` flag, the fields of each
-    ``GaussPoly``, so they share one arity by construction.  ``trace`` adds
-    and signs the packed diagonal; ``entries`` and ``str`` build the four
-    polynomials on each call, so a trace alone builds none of them.  It has
-    no arithmetic.
+    ((a, b), (c, d)) of its one evaluation, each entry the one int
+    sum_e c_e 2^(width*idx(e)) over the box prod_k [0, counts[k]], with
+    every |c_e| below 2^(width - 1) and width 32, 64 or a multiple of 8;
+    the four entries share the box, the slot ``width`` and the ``imag``
+    flag.  ``trace`` adds and signs the
+    packed diagonal and reads its slots once; ``entries`` and ``str`` read
+    the four entries' slots on each call, so a trace alone reads none of
+    them.  It has no arithmetic.
     """
 
-    arity: int
     rows: tuple[tuple[int, int], tuple[int, int]]
     counts: tuple[int, ...]
     width: int
     imag: bool
 
+    def _poly(self, packed: int) -> GaussPoly:
+        return GaussPoly(_slots(packed, _box(self.counts)[1], self.width), self.counts, self.imag)
+
     def entries(self) -> tuple[GaussPoly, GaussPoly, GaussPoly, GaussPoly]:
-        return tuple(
-            GaussPoly(self.arity, e, self.counts, self.width, self.imag)
-            for row in self.rows
-            for e in row
-        )
+        return tuple(self._poly(e) for row in self.rows for e in row)
 
     def trace(self) -> GaussPoly:
         """The trace a + d, negated when its graded-lex leading coefficient
@@ -304,7 +279,7 @@ class Mat2:
             raise ValueError("the trace polynomial is zero")
         if _lead_sign(trace, self.counts, self.width) < 0:
             trace = -trace
-        return GaussPoly(self.arity, trace, self.counts, self.width, self.imag)
+        return self._poly(trace)
 
     def __str__(self) -> str:
         a, b, c, d = self.entries()

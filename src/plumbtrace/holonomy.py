@@ -63,8 +63,9 @@ of K_0 are negated before ``_multiply``, which negates the whole product,
 so no packed int is ever negated for the phase.  What is left of i^q is
 the flag ``imag``, for the real or the imaginary part: every coefficient of
 the product lands in the one, or every one in the other.  Nothing here
-builds a term dict: ``gausspoly`` reads the slots in place to sign a trace,
-print a polynomial or give one coefficient.
+builds a term dict: ``Mat2.trace`` signs the packed trace and reads its
+slots once into a ``GaussPoly``, which prints itself and gives each
+coefficient from those slots.
 
 Sign rule.  ``evaluate_word`` is the one evaluation: it returns the packed
 product as a ``gausspoly.Mat2``.  ``word_trace``, which every curve-level
@@ -79,7 +80,8 @@ greatest monomial of the box; it is nonzero exactly when
 then it carries the sign of P.  Otherwise the leading slot is the nonzero
 slot of greatest ``gausspoly._grlex_keys`` key, the same keys the renderer
 sorts by, and its sign decides.  The rule is exact either way and does not
-assume the top-term theorem.
+assume the top-term theorem.  The slots of the signed sum are then read
+once into the trace's ``GaussPoly`` (``gausspoly._slots``).
 
 Everything is exact; determinants stay 1 factor by factor.
 """
@@ -243,13 +245,13 @@ def evaluate_word(word: Word) -> Mat2:
     (b00, b01), (b10, b11) = _l1_bounds(k0, steps)
     width = _slot_width(max(b00 + b11, b01, b10))
     rows = _multiply(k0, steps, [s * width for s in _box(counts)[0]])
-    return Mat2(word.arity, rows, counts, width, bool(q & 1))
+    return Mat2(rows, counts, width, bool(q & 1))
 
 
 def word_trace(word: Word) -> GaussPoly:
     """The trace of the word's holonomy, signed so that its graded-lex
-    leading coefficient is positive, kept packed (``Mat2.trace``).  A zero
-    trace has no sign and is refused."""
+    leading coefficient is positive (``Mat2.trace``).  A zero trace has no
+    sign and is refused."""
     return evaluate_word(word).trace()
 
 
@@ -258,7 +260,7 @@ def word_trace(word: Word) -> GaussPoly:
 def component_trace(component: Component) -> GaussPoly:
     """Canonical trace polynomial of one connected component."""
     if component.word is None:  # parabolic: the constant 2, in one slot
-        return GaussPoly(len(component.q), 2, (0,) * len(component.q), 32, False)
+        return GaussPoly((2,), (0,) * len(component.q), False)
     return word_trace(component.word)
 
 

@@ -106,7 +106,7 @@ def build_surface(
     """
     if pants_count < 1:
         raise SurfaceError("need at least one pants")
-    slot_curves: list[list[int | None]] = [[None] * 3 for _ in range(pants_count)]
+    used: dict[tuple[int, int], int] = {}  # (pants, slot) -> curve
     frozen = []
     for k, (name, end_a, end_b) in enumerate(gluings):
         for p, s in (end_a, end_b):
@@ -117,12 +117,16 @@ def build_surface(
         if end_a == end_b:
             raise SurfaceError(f"gluing {name!r} glues slot {end_a} to itself")
         for p, s in (end_a, end_b):
-            if slot_curves[p][s] is not None:
+            if (p, s) in used:
                 raise SurfaceError(f"slot ({p},{slot_name(s)}) used by two gluings")
-            slot_curves[p][s] = k
+            used[p, s] = k
         frozen.append(Gluing(k, name, end_a, end_b))
 
-    # gluing graph (pants = nodes) must be connected
+    # gluing graph (pants = nodes) must be connected; it has too few edges
+    # for that when there are more pants than gluings plus one, refused
+    # before any work per pants, so a huge declared count costs nothing
+    if pants_count > len(frozen) + 1:
+        raise SurfaceError("gluing graph is disconnected")
     adj: dict[int, set[int]] = {p: set() for p in range(pants_count)}
     for g in frozen:
         adj[g.end_a[0]].add(g.end_b[0])
@@ -148,9 +152,10 @@ def build_surface(
             f"declared genus {genus}, boundary {boundary} needs "
             f"{3 * genus - 3 + boundary} gluings, got {xi}"
         )
-    surface = PantsDecomposition(
-        genus, boundary, pants_count, tuple(frozen), tuple(map(tuple, slot_curves))
+    slot_curves = tuple(
+        tuple(used.get((p, s)) for s in (SLOT_0, SLOT_1, SLOT_INF)) for p in range(pants_count)
     )
+    surface = PantsDecomposition(genus, boundary, pants_count, tuple(frozen), slot_curves)
     free = len(surface.unglued)
     if free != boundary:
         raise SurfaceError(f"{free} free slots but declared boundary {boundary}")

@@ -17,8 +17,9 @@ is accepted as either +i^q 2^h or -i^q 2^h, which also pins the unit modulo
 the four Gaussian units.
 
 The check reads only the xi + 1 top coefficients, one ``coefficient`` call
-each, which reads one slot.  The two degree clauses come from the trace's
-box, its ``counts`` field, when these are at most q: in the box
+each, which indexes one entry of the trace's ``slots``, read when the trace
+was built.  The two degree clauses come from the trace's box, its
+``counts`` field, when these are at most q: in the box
 prod_i [0, q_i] the only monomials of total degree q_tot - 1 or more are
 q itself and the q - e_i with q_i >= 1, which are exactly the monomials
 the coefficient clauses read, so every other term has total degree at
@@ -126,7 +127,7 @@ def check_trace_polynomial(
     Split out from verify() so negative controls can feed a corrupted
     polynomial through the same code path.
     """
-    arity = trace.arity
+    arity = len(trace.counts)
     q_tot = sum(q)
     lead_mono = tuple(q)
     lead = trace.coefficient(lead_mono)

@@ -224,7 +224,7 @@ def lift(value):
     the ``terms`` of each polynomial."""
     if hasattr(value, "entries"):
         return Mat(*map(lift, value.entries()))
-    return Poly(value.arity, value.terms)
+    return Poly(len(value.counts), value.terms)
 
 
 def _check(*values):
@@ -440,7 +440,7 @@ def point_trace(word, point):
 
 def point_value(poly, point):
     """poly at t_{k+1} = point[k], as an (re, im) pair mod P61."""
-    top = [max((m[k] for m in poly.terms), default=0) for k in range(poly.arity)]
+    top = [max((m[k] for m in poly.terms), default=0) for k in range(len(poly.counts))]
     powers = []
     for t, n in zip(point, top):
         row = [(1, 0)]

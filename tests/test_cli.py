@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -206,6 +207,31 @@ def test_closed_stdout_process(argv):
         os.close(write_end)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE
     assert proc.stderr == b""
+
+
+def test_oversized_pants_count_is_refused_up_front(tmp_path):
+    # 10^12 declared pants and no gluing: refused from the counts alone,
+    # before any work per pants, inside a 1 GiB address space
+    surface = tmp_path / "huge.surf"
+    surface.write_text("surface g=0 b=3\npants 1000000000000\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["trace", "--surface", str(surface), "--q", "1", "--p", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumbtrace.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: gluing graph is disconnected\n"
 
 
 G2_CURVE = ("--surface", str(SURFACES / "genus_two.surf"), "--q=1,1,2", "--p=1,1,0")

@@ -23,7 +23,7 @@ from oracle import (
 )
 from plumbtrace import gausspoly
 from plumbtrace.gausspoly import GaussInt, GaussPoly
-from tests_support import BOXES, pack, packed_poly, random_terms, total_degree
+from tests_support import BOXES, pack, packed_form, packed_poly, random_terms, total_degree
 
 P = Poly
 T1 = Poly.var(1, 0)
@@ -88,14 +88,14 @@ class TestPackedCoefficient:
         def refuse(*args):
             raise AssertionError("term dict built")
 
-        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        monkeypatch.setattr(GaussPoly, "terms", property(refuse))
         rng = random.Random(f"coefficient:{counts}:{width}")
         probes = list(itertools.product(*(range(-1, n + 2) for n in counts)))
         for corner in (True, False):
             terms = random_terms(rng, counts, width, corner)
             packed = pack(terms, counts, width)
             for imag in (False, True):
-                poly = GaussPoly(len(counts), packed, tuple(counts), width, imag)
+                poly = packed_form(packed, counts, width, imag)
                 lifted = P(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
                 for mono in probes:
                     got = poly.coefficient(mono)
@@ -106,7 +106,7 @@ class TestPackedCoefficient:
                 )
 
     def test_wrong_length_is_refused(self):
-        poly = GaussPoly(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+        poly = packed_form((2 << 32) - 3, (0, 1), 32)  # 2*t2 - 3
         for mono in ((1,), (0, 1, 0)):
             with pytest.raises(ValueError, match="arity"):
                 poly.coefficient(mono)
@@ -114,10 +114,10 @@ class TestPackedCoefficient:
     def test_degree_bounds(self):
         # the box ``counts``, which a zero outer slot may exceed, bounds the
         # degrees; it is not the exact maxima
-        poly = GaussPoly(3, (2 << 32) - 3, (0, 2, 1), 32, False)  # 2*t3 - 3
+        poly = packed_form((2 << 32) - 3, (0, 2, 1), 32)  # 2*t3 - 3
         assert poly.counts == (0, 2, 1)
         assert set(poly.terms) == {(0, 0, 1), (0, 0, 0)}
-        assert GaussPoly(2, 0, (1, 0), 32, False).counts == (1, 0)
+        assert GaussPoly((0, 0), (1, 0), False).counts == (1, 0)
 
 
 class TestCanonicalSign:
@@ -175,7 +175,7 @@ def limit_terms(counts, width, corner):
 @pytest.mark.parametrize("width", SLOT_WIDTHS)
 @pytest.mark.parametrize("counts", BOXES)
 def test_slot_reads_match_the_oracle(counts, width):
-    # the signed slot list behind str, _lead_sign and _unpack, against the
+    # the signed slot list behind str, _lead_sign and terms, against the
     # oracle's term dict, at the slot limits and at random, with a zero and
     # a nonzero corner, real and imaginary
     rng = random.Random(f"slot reads:{counts}:{width}")
@@ -184,9 +184,11 @@ def test_slot_reads_match_the_oracle(counts, width):
             packed = pack(terms, counts, width)
             for imag in (False, True):
                 poly = Poly(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
-                packed_form = GaussPoly(len(counts), packed, tuple(counts), width, imag)
-                assert gausspoly._unpack(packed, counts, width, imag) == poly.terms
-                assert str(packed_form) == str(poly)
+                read = packed_form(packed, counts, width, imag)
+                box = itertools.product(*(range(c + 1) for c in counts))
+                assert read.slots == tuple(poly.coefficient(m)[imag] for m in box)
+                assert read.terms == poly.terms
+                assert str(read) == str(poly)
                 if terms:
                     sign = gausspoly._lead_sign(packed, counts, width)
                     assert canonical_sign(poly) == (poly if sign > 0 else -poly)
@@ -264,23 +266,24 @@ def test_rendering_arity_four(terms, expected):
     ],
 )
 def test_packed_rendering(packed, imag, expected):
-    poly = GaussPoly(1, packed, (1,), 32, imag)
+    poly = packed_form(packed, (1,), 32, imag)
     assert str(poly) == expected
     assert str(lift(poly)) == expected  # the oracle's renderer agrees
     assert (not poly.terms) == (expected == "0")
 
 
 def test_packed_terms_compare_with_dict_built():
-    poly = GaussPoly(2, (2 << 32) - 3, (0, 1), 32, False)  # 2*t2 - 3
+    poly = packed_form((2 << 32) - 3, (0, 1), 32)  # 2*t2 - 3
     assert poly.terms == {(0, 1): (2, 0), (0, 0): (-3, 0)}
     assert lift(poly) == P(2, {(0, 1): 2, (0, 0): -3})
     assert poly.coefficient((0, 1)) == GaussInt(2)
     assert canonical_sign(-lift(poly)) == lift(poly)
     # equality reads the terms, whatever the box and the slot width
-    wider = GaussPoly(2, (2 << 64) - 3, (1, 1), 64, False)
+    wider = packed_form((2 << 64) - 3, (1, 1), 64)
     assert poly == wider and poly.counts != wider.counts
-    assert poly != GaussPoly(2, (2 << 32) - 3, (0, 1), 32, True)
-    assert poly != GaussPoly(3, (2 << 32) - 3, (0, 1, 0), 32, False)
+    assert poly != packed_form((2 << 32) - 3, (0, 1), 32, imag=True)
+    assert poly != packed_form((2 << 32) - 3, (0, 1, 0), 32)
+    assert GaussPoly((0,), (0,), False) != GaussPoly((0,), (0, 0), False)
 
 
 def _reference_str(poly):

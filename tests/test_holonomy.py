@@ -37,7 +37,7 @@ from oracle import (
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace import gausspoly
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.gausspoly import GaussPoly, _box, _lead_sign, _unpack
+from plumbtrace.gausspoly import GaussPoly, _box, _lead_sign
 from plumbtrace.holonomy import (
     WordError,
     _column,
@@ -65,7 +65,15 @@ from plumbtrace.surface import (
     load_surface,
     one_holed_torus,
 )
-from tests_support import BOXES, crossings, degree_in, pack, random_terms, total_degree
+from tests_support import (
+    BOXES,
+    crossings,
+    degree_in,
+    pack,
+    packed_form,
+    random_terms,
+    total_degree,
+)
 from word_text import word_from_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -409,7 +417,7 @@ class TestDenseLayout:
             terms = random_terms(rng, counts, width, corner)
             order = [m for m in itertools.product(*(range(c + 1) for c in counts)) if m in terms]
             for imag in (False, True):
-                got = _unpack(pack(terms, counts, width), counts, width, imag)
+                got = packed_form(pack(terms, counts, width), counts, width, imag).terms
                 assert list(got) == order
                 assert got == {m: (0, c) if imag else (c, 0) for m, c in terms.items()}
 
@@ -423,7 +431,7 @@ class TestDenseLayout:
             terms = random_terms(rng, counts, width, corner)
             packed = pack(terms, counts, width)
             for imag in (False, True):
-                poly = GaussPoly(len(counts), packed, tuple(counts), width, imag)
+                poly = packed_form(packed, counts, width, imag)
                 lifted = {m: (0, c) if imag else (c, 0) for m, c in terms.items()}
                 assert str(poly) == str(Poly(len(counts), lifted))
 
@@ -433,8 +441,8 @@ class TestDenseLayout:
         counts = (0, 2, 1, 0)
         terms = {(0, 2, 1, 0): 1, (0, 0, 1, 0): -3, (0, 1, 0, 0): 1, (0, 0, 0, 0): 1}
         packed = pack(terms, counts, width)
-        real = GaussPoly(4, packed, counts, width, False)
-        imag = GaussPoly(4, packed, counts, width, True)
+        real = packed_form(packed, counts, width, False)
+        imag = packed_form(packed, counts, width, True)
         assert str(real) == "t2^2*t3 - 3*t3 + t2 + 1"
         assert str(imag) == "i*t2^2*t3 - 3i*t3 + i*t2 + i"
 
@@ -454,14 +462,15 @@ class TestDenseLayout:
                 for ur, ui in ((1, 0), (0, 1), (-1, 0), (0, -1)):
                     poly = Poly(len(counts), {m: (ur * c, ui * c) for m, c in terms.items()})
                     got = lead_signed((ur + ui) * pack(terms, counts, width), counts, width)
-                    assert _unpack(got, counts, width, bool(ui)) == canonical_sign(poly).terms
+                    signed = packed_form(got, counts, width, bool(ui))
+                    assert signed.terms == canonical_sign(poly).terms
 
     def test_lead_sign_is_not_the_packed_sign(self):
         # t2 - t1 + 1: the highest slot holds t1, the graded-lex lead is t2
         terms = {(0, 1): 1, (1, 0): -1, (0, 0): 1}
         packed = pack(terms, [1, 1], 32)
         assert packed < 0
-        got = _unpack(lead_signed(packed, [1, 1], 32), [1, 1], 32, False)
+        got = packed_form(lead_signed(packed, [1, 1], 32), [1, 1], 32).terms
         assert got == {(0, 1): (1, 0), (1, 0): (-1, 0), (0, 0): (1, 0)}
 
 
@@ -484,7 +493,7 @@ class TestSlotRenderer:
     def test_sample_covers_every_residue_and_slot_kind(self):
         words = render_sample_words()
         assert {len(crossings(w)) % 4 for w in words} == {0, 1, 2, 3}
-        assert {word_trace(w).width for w in words} >= {32, 64}
+        assert {evaluate_word(w).width for w in words} >= {32, 64}
 
     def test_trace_matches_dict_renderer(self):
         for word in render_sample_words():
@@ -509,7 +518,7 @@ class TestSlotRenderer:
         def refuse(*args):
             raise AssertionError("term dict built")
 
-        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        monkeypatch.setattr(GaussPoly, "terms", property(refuse))
         for word in words:
             str(word_trace(word))
             str(evaluate_word(word))

@@ -126,10 +126,16 @@ def word():
     return component().word
 
 
+def matrix():
+    return evaluate_word(word())
+
+
+def trace():
+    return matrix().trace()
+
+
 def report():
-    report = verify(genus_two(), COORDS)
-    assert str(report.trace)  # the trace has read its slots
-    return report
+    return verify(genus_two(), COORDS)
 
 
 COPIES = {
@@ -139,7 +145,9 @@ COPIES = {
 
 
 @pytest.mark.parametrize("how", COPIES)
-@pytest.mark.parametrize("build", [layout, word, component, report], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "build", [layout, word, component, matrix, trace, report], ids=lambda f: f.__name__
+)
 def test_round_trip(build, how):
     obj = build()
     back = COPIES[how](obj)
@@ -147,6 +155,9 @@ def test_round_trip(build, how):
     assert not hasattr(back, "__dict__")
     # ``text`` takes no part in equality: compare it on its own
     assert [tok.text for tok in tokens(back)] == [tok.text for tok in tokens(obj)]
+    # the packed rows and the trace's slots copy whole, and print alike
+    if build in (matrix, trace):
+        assert str(back) == str(obj)
     if build is report:
         assert str(back.trace) == str(obj.trace) and back.passed
 

@@ -70,6 +70,16 @@ def test_disconnected_rejected():
         )
 
 
+def test_too_few_gluings_refused_before_any_pants_work():
+    # a connected graph on P pants needs at least P - 1 gluings, so 10^12
+    # pants and none is refused from the counts; a bad gluing still reports
+    # itself first
+    with pytest.raises(SurfaceError, match="disconnected"):
+        build_surface(0, 3, 10**12, [])
+    with pytest.raises(SurfaceError, match="itself"):
+        build_surface(0, 3, 10**12, [("a", (0, SLOT_0), (0, SLOT_0))])
+
+
 def test_declared_genus_validated():
     with pytest.raises(SurfaceError, match="pants"):
         build_surface(0, 4, 1, [("a", (0, SLOT_INF), (0, SLOT_0))])

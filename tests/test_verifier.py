@@ -31,7 +31,7 @@ from plumbtrace.surface import (
     one_holed_torus,
     twice_holed_torus,
 )
-from tests_support import crossings, pack, twist_curve
+from tests_support import crossings, pack, packed_form, twist_curve
 from plumbtrace.verifier import check_trace_polynomial, verify
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,16 +119,18 @@ class TestVerify:
             verify(genus_two(), DTCoords((0, 0, 0), (2, 0, -1)))
 
     def test_corrupted_subleading_fails_with_curve_index(self):
-        # one subleading slot of the packed trace off by one, either way:
-        # exactly that curve's check fails
+        # one subleading slot of the trace off by one, either way: exactly
+        # that curve's check fails
         report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
         trace = report.trace
         strides, _ = _box(trace.counts)
         for curve in range(3):
             mono = tuple(e - (k == curve) for k, e in enumerate(report.q))
-            one = 1 << trace.width * sum(e * s for e, s in zip(mono, strides))
-            for delta in (one, -one):
-                corrupted = dataclasses.replace(trace, packed=trace.packed + delta)
+            j = sum(e * s for e, s in zip(mono, strides))
+            for delta in (1, -1):
+                slots = list(trace.slots)
+                slots[j] += delta
+                corrupted = dataclasses.replace(trace, slots=tuple(slots))
                 bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
                 assert [c.curve for c in bad.subleading if not c.ok] == [curve]
                 assert bad.leading_ok and bad.remainder_degree_ok and bad.per_variable_degree_ok
@@ -175,7 +177,7 @@ class TestVerify:
             (3, (0,), False),
             (-2, (0,), False),
         ]:
-            trace = GaussPoly(1, packed, counts, 32, False)
+            trace = packed_form(packed, counts, 32)
             monkeypatch.setattr(verifier, "component_trace", lambda comp: trace)
             assert verify(surface, coords).passed == passed, (packed, counts)
 
@@ -201,7 +203,7 @@ def repacked(report, counts, extra=()):
     ints = {m: i if imag else r for m, (r, i) in terms.items()}
     for mono, c in extra:
         ints[mono] = ints.get(mono, 0) + c
-    return GaussPoly(len(counts), pack(ints, counts, 64), counts, 64, imag)
+    return packed_form(pack(ints, counts, 64), counts, 64, imag)
 
 
 class TestPackedCheck:
@@ -272,16 +274,40 @@ class TestPackedCheck:
     def test_no_crossing_keeps_the_scan(self):
         # with q_tot = 0 the box rule does not apply: the scan reads the
         # empty remainder as degree -1 > q_tot - 2
-        two = GaussPoly(1, 2, (0,), 32, False)
+        two = GaussPoly((2,), (0,), False)
         report = check_trace_polynomial(two, (0,), (1,), 1)
         assert report.leading_ok and report.per_variable_degree_ok
         assert not report.remainder_degree_ok
+
+    def test_verify_reads_the_slots_once(self, monkeypatch):
+        # the trace's slots are read once per curve, when ``Mat2.trace``
+        # builds it, and every ``coefficient`` indexes them; the parallel
+        # constant 2 is built without a read
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return read(*args)
+
+        read = gausspoly._slots
+        monkeypatch.setattr(gausspoly, "_slots", counted)
+        surface = genus_two_one_hole()
+        cfg = FuzzConfig(surface, seed=5, max_q=5, max_abs_p=6, count=20, connected_only=True)
+        for coords in random_coords(cfg):
+            calls.clear()
+            report = verify(surface, coords)
+            assert report.passed
+            assert len(calls) == (1 if any(coords.q) else 0), coords
+            box = itertools.product(*(range(n + 1) for n in report.trace.counts))
+            for mono in box:
+                report.trace.coefficient(mono)
+            assert len(calls) == (1 if any(coords.q) else 0), coords
 
     def test_verify_builds_no_term_dict(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("term dict built")
 
-        monkeypatch.setattr(gausspoly, "_unpack", refuse)
+        monkeypatch.setattr(GaussPoly, "terms", property(refuse))
         checked = 0
         for path in SURFACE_FILES:
             surface = load_surface(str(path))

@@ -3,7 +3,7 @@
 import itertools
 
 from plumbtrace.dtcoords import CoordError, DTCoords
-from plumbtrace.gausspoly import GaussPoly, _box
+from plumbtrace.gausspoly import GaussPoly, _box, _slots
 from plumbtrace.standardpos import Crossing
 from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, SurfaceError, build_surface
 
@@ -89,13 +89,20 @@ def random_terms(rng, counts, width, corner):
     return {m: c for m, c in terms.items() if c}
 
 
+def packed_form(packed, counts, width, imag=False):
+    """The ``GaussPoly`` whose slots are read (``_slots``) from the packed
+    int sum c_e * 2^(width * idx(e)) over the box `counts`, as ``Mat2``
+    reads a trace or an entry."""
+    return GaussPoly(_slots(packed, _box(counts)[1], width), tuple(counts), imag)
+
+
 def packed_poly(arity, terms, counts=None, width=64, imag=False):
     """The ``GaussPoly`` of {monomial: int coefficient}, each coefficient
     real, or each imaginary if `imag`, packed into the box `counts`
-    (default: the smallest box that holds the terms)."""
+    (default: the smallest box that holds the terms) and read back."""
     if counts is None:
         counts = [max((m[k] for m in terms), default=0) for k in range(arity)]
-    return GaussPoly(arity, pack(terms, counts, width), tuple(counts), width, imag)
+    return packed_form(pack(terms, counts, width), counts, width, imag)
 
 
 # -- twists and the triple-of-intersection-numbers parametrization ---------
