@@ -32,21 +32,23 @@ lists side 1 backwards, because end B is enumerated in decreasing chart
 order (see the matching conventions).  The layout and the matching are
 per-node lists indexed by id: the other end of the node's pants arc, the
 traversal that follows arriving at the node, the node across the annulus
-and the crossing that leaves through the node.  Every node of one window
-block shares its traversal token and every strand end of one wrap run its
-crossing token, and blocks and runs are contiguous id ranges, so each list
-is filled by slice assignment, building each token once per non-empty
-block or run.  Tokens are frozen, slotted values, built through bounded
-least-recently-used caches, so that equal values are interned across
-calls: one instance serves the whole call and every later call that
-builds the same token while it is cached.  The walk then only indexes
-lists and marks visited ids in a ``bytearray``.  A token's line of the
-stable text form is its ``text``, a field that takes no part in
-construction, equality, hashing or ``repr``: ``__post_init__`` formats it
-when the token is built, and the caches build a token only on a miss, so
-a token shared by several words, of one call or of many, is formatted
-once.  Every record here is slotted, so no token, word or component
-carries an instance dict.
+and the crossing that leaves through the node.  The nodes of one window
+block, and the strand ends of one wrap run, are a contiguous id range
+sharing one token, so each list is filled by slice assignment, building
+each token once per block or run.  Tokens are frozen values, interned
+across calls by bounded least-recently-used caches; a token's line of the
+stable text form is its ``text``, formatted by ``__post_init__`` on a
+cache miss and taking no part in equality, hashing or ``repr``.  Every
+record here is slotted, so none carries an instance dict.
+
+Per crossing the walk marks both strand ends in a ``bytearray``, appends
+the crossing and the traversal after it, and steps on; the same-slot
+return check ran before, once per same-boundary arc.  A component's q_i
+is half the ids of curve i it marked.  With ``w, r = divmod(t, q_i)`` for
+the window twist t, each strand wraps w times and the r strands that wrap
+once more end on the r ids each side of ``base[i] + q_i``, so phat_i is
+w * q_i plus half the ids it marked there.  The last walk takes what the
+others left, so a connected curve counts no marks.
 
 Window conventions
 ------------------
@@ -85,7 +87,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from operator import attrgetter
+from operator import attrgetter, sub
 
 from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
 from .surface import PantsDecomposition, pred, slot_name, succ
@@ -199,7 +201,8 @@ class Layout:
     Per node: ``arc_mate`` is the other end of its pants arc, and
     ``traversal`` the token for arriving at it and leaving through
     ``arc_mate``: an ``SccLoop`` when both ends sit in one window, a
-    ``Conn`` otherwise.
+    ``Conn`` otherwise.  ``scc_out`` lists, per window with same-boundary
+    arcs, the block of their outgoing ends.
     """
 
     surface: PantsDecomposition
@@ -209,6 +212,7 @@ class Layout:
     windows: dict[tuple[int, int], range]
     arc_mate: list[int]
     traversal: list[Token]
+    scc_out: list[range]
 
 
 def _at(ids: range) -> slice:
@@ -238,6 +242,7 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
 
     arc_mate = [0] * size
     traversal: list[Token] = [None] * size
+    scc_out: list[range] = []
     for pants, counts in enumerate(pattern):
         for slot in (0, 1, 2):
             ids = windows[(pants, slot)]
@@ -250,6 +255,7 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 arc_mate[_at(back)] = out[::-1]
                 traversal[_at(out)] = [_scc_loop(pants, slot, -1)] * s
                 traversal[_at(back)] = [_scc_loop(pants, slot, 1)] * s
+                scc_out.append(out)
             if n:
                 # the family to the successor slot ends in that slot's
                 # predecessor block, paired in reversed order
@@ -260,7 +266,7 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 arc_mate[_at(there)] = here[::-1]
                 traversal[_at(here)] = [_conn(pants, slot, other)] * n
                 traversal[_at(there)] = [_conn(pants, other, slot)] * n
-    return Layout(surface, coords, pattern, base, windows, arc_mate, traversal)
+    return Layout(surface, coords, pattern, base, windows, arc_mate, traversal, scc_out)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,37 +313,48 @@ def match_strands(layout: Layout) -> Matching:
     return Matching(phat, mate, crossing)
 
 
-def _check_scc_patterns(word: Word) -> None:
+# (turn before, turn after, -2 * loop sign) no untwisted embedded return shows
+_FORBIDDEN = ((TURN_SUCC, TURN_SUCC, -2), (TURN_PRED, TURN_PRED, 2))
+
+
+def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
     """Reject flanking patterns that cannot come from an embedded curve.
 
     An untwisted same-slot return flanked by two predecessor turns must
-    loop negatively, by two successor turns positively; the other two signs
-    would force a self-crossing, so hitting one means the layout or the
-    matching is wrong upstream.  The constraint only binds when neither
-    flanking crossing carries twist: wraps re-bracket the loop and
-    legitimately produce every pattern.  The walk emits (crossing,
-    traversal) pairs, so same-slot returns sit at odd positions only.
+    loop negatively, by two successor turns positively; the other signs
+    would force a self-crossing, so hitting one means a bug upstream.
+    Wraps re-bracket the loop, so twisted flanks may show any pattern.
+    Each arc is checked once, entered at its outgoing end: a walk takes it
+    once, and reversing it swaps the flanks, trades pred for succ, negates
+    the sign and keeps both twists (one per strand), which maps
+    ``_FORBIDDEN`` to itself.
     """
-    toks = word.tokens
-    n = len(toks)
-    for idx in range(1, n, 2):
-        tok = toks[idx]
-        if not isinstance(tok, SccLoop):
-            continue
-        cross_in = toks[(idx - 1) % n]
-        cross_out = toks[(idx + 1) % n]
-        if cross_in.twist != 0 or cross_out.twist != 0:
-            continue
-        before = toks[(idx - 2) % n]
-        after = toks[(idx + 2) % n]
-        v = TURN_PRED if isinstance(before, SccLoop) else before.turn()
-        u = TURN_SUCC if isinstance(after, SccLoop) else after.turn()
-        y = -2 * tok.sign
-        if (v, u, y) in ((TURN_SUCC, TURN_SUCC, -2), (TURN_PRED, TURN_PRED, 2)):
-            raise AssertionError(
-                f"non-embeddable same-slot return pattern {(v, u, y)}; "
-                "layout bug upstream"
-            )
+    mate, crossing = matching.mate, matching.crossing
+    arc_mate, traversal = layout.arc_mate, layout.traversal
+    for block in layout.scc_out:
+        for p in block:
+            back = arc_mate[p]
+            if crossing[mate[p]].twist or crossing[back].twist:
+                continue
+            before = traversal[arc_mate[mate[p]]]
+            after = traversal[mate[back]]
+            v = TURN_PRED if isinstance(before, SccLoop) else before.turn()
+            u = TURN_SUCC if isinstance(after, SccLoop) else after.turn()
+            pattern = (v, u, -2 * traversal[p].sign)
+            if pattern in _FORBIDDEN:
+                msg = f"non-embeddable same-slot return pattern {pattern}; layout bug upstream"
+                raise AssertionError(msg)
+
+
+def _marked(seen: bytearray, layout: Layout, shifts: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Per curve, the strands ``seen`` marks and their wraps (see the strand index)."""
+    strands, wraps = [], []
+    for lo, qi, shift in zip(layout.base, layout.coords.q, shifts):
+        w, r = divmod(shift, qi) if qi else (0, 0)
+        k = seen.count(1, lo, lo + 2 * qi) // 2
+        strands.append(k)
+        wraps.append(w * k + seen.count(1, lo + qi - r, lo + qi + r) // 2)
+    return tuple(strands), tuple(wraps)
 
 
 def extract_components(
@@ -346,37 +363,41 @@ def extract_components(
     """Split the multicurve into connected components, each carrying its
     compiled word and its share of the coordinates.
 
-    Each walk starts on the least unvisited node id and crosses through it.
+    Each walk starts on the least unvisited node id and crosses through it;
+    the strand index notes say how its q and phat are counted.
     """
     layout = layout_endpoints(surface, coords)
     matching = match_strands(layout)
+    _check_scc_arcs(layout, matching)
     mate, crossing = matching.mate, matching.crossing
     arc_mate, traversal = layout.arc_mate, layout.traversal
     xi = surface.xi
+    done = None  # strands and wraps the earlier walks marked, as _marked counts
 
     components: list[Component] = []
     seen = bytearray(len(mate))
     start = seen.find(0)
     while start >= 0:
         tokens: list[Token] = []
-        q = [0] * xi
-        phat = [0] * xi
+        append = tokens.append
         node = start
         while True:
             partner = mate[node]
             seen[node] = seen[partner] = 1
-            cross = crossing[node]
-            q[cross.curve] += 1
-            phat[cross.curve] += cross.twist
-            tokens.append(cross)
-            tokens.append(traversal[partner])
+            append(crossing[node])
+            append(traversal[partner])
             node = arc_mate[partner]
             if node == start:
                 break
-        word = Word(xi, tuple(tokens))
-        _check_scc_patterns(word)
-        components.append(Component(q=tuple(q), phat=tuple(phat), word=word))
         start = seen.find(0, start + 1)
+        if start >= 0:
+            now = _marked(seen, layout, matching.shifts)
+        else:  # the last walk takes what the others left
+            twists = (t if qi else 0 for qi, t in zip(coords.q, matching.shifts))
+            now = tuple(coords.q), tuple(twists)
+        q, phat = now if done is None else [tuple(map(sub, a, b)) for a, b in zip(now, done)]
+        done = now
+        components.append(Component(q=q, phat=phat, word=Word(xi, tuple(tokens))))
 
     # components parallel to a pants curve: q = 0 there, p copies
     for i in range(xi):

@@ -143,7 +143,6 @@ def check_trace_polynomial(
         leading_ok=leading_ok,
     )
 
-    top = {lead_mono}
     for i in range(arity):
         if q[i] == 0:
             continue
@@ -153,13 +152,14 @@ def check_trace_polynomial(
         report.subleading.append(
             SubleadingCheck(i, observed, predicted, observed == predicted)
         )
-        top.add(mono)
 
     # Inside the box [0, q] both degree clauses hold (module docstring); an
     # empty remainder reads degree -1, so q_tot = 0 takes the scan.
     if q_tot and all(map(le, trace.counts, q)):
         return report
     # both bounds scan the terms in C, with no Python step per term
+    top = {lead_mono}
+    top.update(tuple(q[k] - (k == i) for k in range(arity)) for i in range(arity) if q[i])
     terms = trace.terms
     rest = filterfalse(top.__contains__, terms)
     report.remainder_degree_ok = max(map(sum, rest), default=-1) <= q_tot - 2

@@ -8,7 +8,8 @@ tuples, and every map is a dict.  Only the arc pattern (``validate``), the
 window twists (``pattern_twists``) and the token value types are taken
 from the package, so the differential test in ``test_reference_layout.py``
 compares two independent implementations of the same conventions (see the
-``standardpos`` module docstring).
+``standardpos`` module docstring).  ``check_scc_patterns`` scans the words
+for the flanking patterns the package rejects arc by arc, from the layout.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from plumbtrace.dtcoords import ArcCounts, DTCoords, pattern_twists, validate
-from plumbtrace.standardpos import Component, Conn, Crossing, SccLoop, Token, Word
+from plumbtrace.standardpos import (
+    TURN_PRED,
+    TURN_SUCC,
+    Component,
+    Conn,
+    Crossing,
+    SccLoop,
+    Token,
+    Word,
+)
 from plumbtrace.surface import PantsDecomposition, pred, slot_name, succ
 
 Node = tuple[int, int, int]  # (curve, side, strand)
@@ -188,3 +198,40 @@ def reference_text(word: Word) -> str:
         else:
             lines.append(f"loop p={tok.pants} slot={slot_name(tok.slot)} s={tok.sign:+d}")
     return "\n".join(lines)
+
+
+def check_scc_patterns(word: Word) -> None:
+    """Reject flanking patterns that cannot come from an embedded curve,
+    scanning every token of one word.
+
+    An untwisted same-slot return flanked by two predecessor turns must
+    loop negatively, by two successor turns positively; the other two signs
+    would force a self-crossing, so hitting one means the layout or the
+    matching is wrong upstream.  The constraint only binds when neither
+    flanking crossing carries twist: wraps re-bracket the loop and
+    legitimately produce every pattern.  The walk emits (crossing,
+    traversal) pairs, so same-slot returns sit at odd positions only.
+
+    The package checks each same-boundary arc once, from the layout; this
+    scan of the words is the reference for that check.
+    """
+    toks = word.tokens
+    n = len(toks)
+    for idx in range(1, n, 2):
+        tok = toks[idx]
+        if not isinstance(tok, SccLoop):
+            continue
+        cross_in = toks[(idx - 1) % n]
+        cross_out = toks[(idx + 1) % n]
+        if cross_in.twist != 0 or cross_out.twist != 0:
+            continue
+        before = toks[(idx - 2) % n]
+        after = toks[(idx + 2) % n]
+        v = TURN_PRED if isinstance(before, SccLoop) else before.turn()
+        u = TURN_SUCC if isinstance(after, SccLoop) else after.turn()
+        y = -2 * tok.sign
+        if (v, u, y) in ((TURN_SUCC, TURN_SUCC, -2), (TURN_PRED, TURN_PRED, 2)):
+            raise AssertionError(
+                f"non-embeddable same-slot return pattern {(v, u, y)}; "
+                "layout bug upstream"
+            )

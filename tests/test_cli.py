@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from plumbtrace import cli, gausspoly, holonomy
+from plumbtrace import cli, gausspoly, holonomy, standardpos
+from plumbtrace.standardpos import SccLoop
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
@@ -453,6 +454,21 @@ def test_runtime_error_is_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL_ERROR
     assert out == ""
     assert err == "internal error: RuntimeError: layout and arc counts disagree\n"
+
+
+def test_layout_bug_is_internal_error(capsys, monkeypatch):
+    # every same-slot loop built with the opposite sign: the layout check
+    # rejects this curve's untwisted return before any word is printed
+    argv = ("word", "--surface", str(SURFACES / "genus_two.surf"), "--q=1,2,9", "--p=15,-10,5")
+    assert run(capsys, *argv)[0] == cli.EXIT_OK
+    monkeypatch.setattr(
+        standardpos, "_scc_loop", lambda pants, slot, sign: SccLoop(pants, slot, -sign)
+    )
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL_ERROR
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: AssertionError: non-embeddable same-slot return")
 
 
 G2 = str(SURFACES / "genus_two.surf")

@@ -2,7 +2,9 @@
 
 ``reference_layout`` keeps the tuple-keyed layout, matching and walk that
 share no code with ``standardpos``'s flat index; both must give the same
-components, token for token, and the same errors.
+components, token for token, and the same errors.  Under a layout fault,
+the package's arc-by-arc same-slot check must reject exactly the curves
+whose words the reference's scan rejects.
 """
 
 import random
@@ -10,11 +12,19 @@ from pathlib import Path
 
 import pytest
 
+from plumbtrace import standardpos
 from plumbtrace.dtcoords import DTCoords
 from plumbtrace.fuzz import FuzzConfig, random_coords
-from plumbtrace.standardpos import Crossing, extract_components, word_to_text
+from plumbtrace.standardpos import (
+    Conn,
+    Crossing,
+    SccLoop,
+    Word,
+    extract_components,
+    word_to_text,
+)
 from plumbtrace.surface import load_surface
-from reference_layout import reference_components, reference_text
+from reference_layout import check_scc_patterns, reference_components, reference_text
 from tests_support import n1_surface, n2_surface
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,3 +105,51 @@ def test_equal_tokens_are_one_instance():
     tokens = [tok for comp in comps for tok in comp.word.tokens]
     assert len({id(tok) for tok in tokens}) == len(set(tokens)) < len(tokens)
     assert all(type(tok) is Crossing for tok in tokens[::2])
+
+
+# layout faults: the token builder in ``standardpos`` to break, the token
+# type it builds, and the fault applied to one such token
+FAULTS = {
+    "_scc_loop": (SccLoop, lambda t: SccLoop(t.pants, t.slot, -t.sign)),
+    "_conn": (Conn, lambda t: Conn(t.pants, t.out_slot, t.in_slot)),
+}
+
+
+def reference_rejects(surface, coords, kind, fault):
+    """Whether the word scan finds a forbidden pattern in the reference
+    words, their tokens of type ``kind`` built with ``fault``."""
+    try:
+        for comp in reference_components(surface, coords):
+            if comp.word is not None:
+                check_scc_patterns(Word(comp.word.arity, tuple(
+                    fault(t) if isinstance(t, kind) else t for t in comp.word.tokens
+                )))
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("builder", sorted(FAULTS))
+def test_layout_faults_rejected_where_the_word_scan_rejects(monkeypatch, builder):
+    # the layout checks each same-boundary arc once; with every loop sign
+    # negated, or every connector reversed, it must reject exactly the
+    # curves whose words, built the same way, show a forbidden pattern
+    kind, fault = FAULTS[builder]
+    monkeypatch.setattr(standardpos, builder, lambda *args: fault(kind(*args)))
+    rejected = 0
+    for path in sorted((ROOT / "surfaces").glob("*.surf")):
+        surface = SURFACES[path.stem]
+        cfg = FuzzConfig(surface, seed=12, max_q=12, max_abs_p=36, count=60)
+        for coords in random_coords(cfg):
+            want = reference_rejects(surface, coords, kind, fault)
+            try:
+                extract_components(surface, coords)
+            except AssertionError as exc:
+                assert want, coords
+                assert "non-embeddable same-slot return pattern" in str(exc)
+                rejected += 1
+            else:
+                assert not want, coords
+    # seed 12 reaches untwisted returns: either fault rejects 2 curves on
+    # genus_two and 1 on twice_holed_torus
+    assert rejected >= 1

@@ -14,7 +14,6 @@ from plumbtrace.standardpos import (
     Crossing,
     SccLoop,
     Word,
-    _check_scc_patterns,
     extract_components,
     layout_endpoints,
     match_strands,
@@ -30,6 +29,7 @@ from plumbtrace.surface import (
     one_holed_torus,
     slot_name,
 )
+from reference_layout import check_scc_patterns
 from tests_support import crossings, node_id
 from word_text import word_from_text
 
@@ -193,6 +193,30 @@ class TestComponents:
         assert q_total == coords.q
         phat_total = tuple(sum(c.phat[i] for c in comps) for i in range(3))
         assert phat_total == window_twists(s, coords)
+
+    @pytest.mark.parametrize(
+        "q,p,want",
+        [
+            # curve 2 (window twist -5 over 2 strands) splits between the two
+            # words with twists -3 and -2: the first counts its marks, the
+            # last takes the remainder, and curve 1 keeps phat 0 there
+            (
+                (0, 2, 4),
+                (1, -8, -6),
+                [
+                    ((0, 1, 1), (0, -3, 0), None),
+                    ((0, 1, 3), (0, -2, -3), None),
+                    ((0, 0, 0), (1, 0, 0), 0),
+                ],
+            ),
+            # window twist -2 over 4 strands: each word takes one strand of
+            # -1 wraps and one of 0, so the first word's wrap count is nonzero
+            ((0, 0, 4), (0, 0, 0), [((0, 0, 2), (0, 0, -1), None)] * 2),
+        ],
+    )
+    def test_per_component_coordinates(self, q, p, want):
+        comps = extract_components(genus_two(), DTCoords(q, p))
+        assert [(c.q, c.phat, c.parallel_to) for c in comps] == want
 
 
 class TestWords:
@@ -460,6 +484,6 @@ def test_untwisted_same_slot_return_pattern(sign, raises):
     word = Word(1, (c, Conn(0, SLOT_0, SLOT_1), c, loop, c, Conn(0, SLOT_1, SLOT_INF)))
     if raises:
         with pytest.raises(AssertionError, match="non-embeddable"):
-            _check_scc_patterns(word)
+            check_scc_patterns(word)
     else:
-        _check_scc_patterns(word)
+        check_scc_patterns(word)
