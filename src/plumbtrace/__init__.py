@@ -17,7 +17,7 @@ from .dtcoords import (
     window_twists,
     validate,
 )
-from .gausspoly import GaussInt, GaussPoly, Mat2
+from .gausspoly import GaussPoly, Mat2
 from .holonomy import (
     annulus_from_gluing_parameter,
     evaluate_word,
@@ -53,7 +53,6 @@ __all__ = [
     "Component",
     "CoordError",
     "DTCoords",
-    "GaussInt",
     "GaussPoly",
     "Gluing",
     "Mat2",

@@ -4,9 +4,11 @@ Subcommands: trace, verify, word, convert-twist, random, kra.  Every
 subcommand that reads a surface validates it before touching coordinates.
 Output is plain text or JSON lines (--format jsonl); JSON field names are
 part of the stable interface.  Exit codes: 0 success, 1 verification
-failure, 2 input error, 3 internal error (a fault in plumbtrace itself,
-reported as one ``internal error:`` line, never as a traceback), 141 standard
-output closed by its reader before the run ended (nothing on stderr).
+failure, 2 input error (a curve too large for memory included, reported
+as ``error: out of memory``), 3 internal error (a fault in plumbtrace
+itself, reported as one ``internal error:`` line, never as a traceback),
+141 standard output closed by its reader before the run ended (nothing on
+stderr).
 ``--seed`` defaults to the PLUMBTRACE_SEED environment variable, read only
 by the subcommands that draw curves.
 """
@@ -269,6 +271,9 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
     except (SurfaceError, CoordError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:  # an input too large to hold, such as 10^12 copies
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except Exception as exc:  # a fault in plumbtrace, not in the input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

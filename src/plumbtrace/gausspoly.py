@@ -10,10 +10,10 @@ A ``GaussPoly`` is one entry, or the trace, of what ``holonomy`` computes,
 and a plain frozen record of its coefficients: ``slots``, the signed
 coefficients in index order over the exponent box ``prod_k [0, counts[k]]``
 (``_box``); ``counts``, which bounds each variable's degree; and ``imag``,
-which says whether every coefficient is real or every one imaginary.
-``str`` renders straight from the slots (``_render_slots``) and
-``coefficient`` reads one slot, so neither builds a term dict.  The
-read-only ``terms`` view, built on each read, is what equality compares.
+the one axis of every coefficient: a slot int c stands for c, or for c*i
+when ``imag``.  ``str`` renders straight from the slots
+(``_render_slots``) and ``coefficient`` returns one slot's int, so neither
+builds a term dict.  Equality is the record's: the same slots, box and axis.
 A polynomial has no arithmetic: a holonomy word is multiplied out once, by
 ``holonomy.evaluate_word``, into a ``Mat2`` that holds the product's two
 rows packed, each entry the one signed int ``P = sum_e c_e * 2^(B * idx(e))``
@@ -46,8 +46,9 @@ Coefficients render as ``4``, ``i``, ``4i`` for pure real/imaginary values
 ``(3+2i)``, ``(-3+2i)``, ``(3-i)`` for mixed values (sign kept inside).
 A unit coefficient on a nonconstant term is dropped: ``t1``, ``-t1``,
 ``i*t1``.  A packed polynomial's coefficients are all real or all
-imaginary, so only the reference renderer meets the mixed form.  A
-``GaussInt`` prints bare, sign inline: ``3+2i``, ``-i``, ``4``.
+imaginary, so only the reference renderer meets the mixed form.  One
+slot int on its axis prints bare, sign inline (``coefficient_text``):
+``4``, ``-i``, ``2i``, ``0``.
 """
 
 from __future__ import annotations
@@ -55,32 +56,6 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True, slots=True)
-class GaussInt:
-    """A Gaussian integer re + im*i with exact integer components."""
-
-    re: int = 0
-    im: int = 0
-
-    def __mul__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __str__(self) -> str:
-        r, i = self.re, self.im
-        if i == 0:
-            return str(r)
-        im = "i" if i == 1 else ("-i" if i == -1 else f"{i}i")
-        if r == 0:
-            return im
-        return f"{r}{im}" if im[0] == "-" else f"{r}+{im}"
 
 
 # -- the packed form ---------------------------------------------------------
@@ -195,12 +170,20 @@ def _render_slots(slots, counts, imag: bool) -> str:
     return "".join(chunks)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+def coefficient_text(c: int, imag: bool) -> str:
+    """The slot int `c` on its axis, times i if `imag`, printed bare with
+    its sign inline: ``4``, ``-i``, ``2i``; zero is ``0`` on either axis."""
+    if not imag or not c:
+        return str(c)
+    return "i" if c == 1 else "-i" if c == -1 else f"{c}i"
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class GaussPoly:
     """Immutable polynomial over the Gaussian integers: sum_e c_e t^e with
     c_e = slots[idx(e)] over the box prod_k [0, counts[k]] (``_box``), each
-    c_e real, or each imaginary if `imag`.  ``terms`` reads it as a term
-    dict, which is what ``==`` compares.
+    c_e real, or each imaginary if `imag`.  ``==`` compares the records'
+    fields, so the same terms in another box are a different record.
     """
 
     slots: tuple[int, ...]
@@ -210,30 +193,25 @@ class GaussPoly:
     @property
     def terms(self) -> dict:
         """{exponent tuple: (re, im)} over the nonzero terms, built on each
-        read; ``itertools.product`` lists the box in index order."""
+        read; ``itertools.product`` lists the box in index order.  No
+        library code reads it: it stays for the benchmark's count hooks and
+        the tests."""
         monos = itertools.product(*(range(c + 1) for c in self.counts))
         if self.imag:
             return {m: (0, c) for m, c in zip(monos, self.slots) if c}
         return {m: (c, 0) for m, c in zip(monos, self.slots) if c}
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GaussPoly)
-            and len(self.counts) == len(other.counts)
-            and self.terms == other.terms
-        )
-
-    def coefficient(self, mono: tuple[int, ...]) -> GaussInt:
-        """The coefficient of `mono`: its one slot, zero outside the box."""
+    def coefficient(self, mono: tuple[int, ...]) -> int:
+        """The int in the slot of `mono`, 0 outside the box; `imag` says
+        which axis it lies on."""
         if len(mono) != len(self.counts):
             raise ValueError("monomial length does not match arity")
         j = 0  # idx(mono), read in mixed radix with t_n lowest (``_box``)
         for e, n in zip(mono, self.counts):
             if not 0 <= e <= n:
-                return GaussInt()
+                return 0
             j = j * (n + 1) + e
-        c = self.slots[j]
-        return GaussInt(0, c) if self.imag else GaussInt(c, 0)
+        return self.slots[j]
 
     def __str__(self) -> str:
         return _render_slots(self.slots, self.counts, self.imag)

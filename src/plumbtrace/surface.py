@@ -155,11 +155,9 @@ def build_surface(
     slot_curves = tuple(
         tuple(used.get((p, s)) for s in (SLOT_0, SLOT_1, SLOT_INF)) for p in range(pants_count)
     )
-    surface = PantsDecomposition(genus, boundary, pants_count, tuple(frozen), slot_curves)
-    free = len(surface.unglued)
-    if free != boundary:
-        raise SurfaceError(f"{free} free slots but declared boundary {boundary}")
-    return surface
+    # each gluing fills two distinct slots, so the counts above leave
+    # 3 * pants - 2 * xi = 3(2g - 2 + b) - 2(3g - 3 + b) = b slots unglued
+    return PantsDecomposition(genus, boundary, pants_count, tuple(frozen), slot_curves)
 
 
 _GLUE_RE = re.compile(

@@ -16,47 +16,42 @@ overall sign of a holonomy trace is a free choice, the leading coefficient
 is accepted as either +i^q 2^h or -i^q 2^h, which also pins the unit modulo
 the four Gaussian units.
 
-The check reads only the xi + 1 top coefficients, one ``coefficient`` call
-each, which indexes one entry of the trace's ``slots``, read when the trace
-was built.  The two degree clauses come from the trace's box, its
-``counts`` field, when these are at most q: in the box
+The check reads nothing but the trace's ``slots`` and ``imag`` flag.  A
+coefficient is one slot's int, on the trace's one axis, and i^q_tot is
+real for even q_tot and imaginary for odd: the leading int must be +-2^h
+with ``imag`` set exactly when q_tot is odd, and each predicted subleading
+int is the leading one times p_i - q_i.  The two degree clauses come from
+the trace's box, its ``counts`` field, when these are at most q: in the box
 prod_i [0, q_i] the only monomials of total degree q_tot - 1 or more are
 q itself and the q - e_i with q_i >= 1, which are exactly the monomials
 the coefficient clauses read, so every other term has total degree at
 most q_tot - 2 and no variable exceeds q_i.  That holds for any polynomial
 whose terms lie in the box; it is read off the representation (a trace's
 box is its crossing counts, which equal q for a connected curve) and does
-not assume the shape being checked.  Only a polynomial whose box exceeds q somewhere, as a
-corrupted one's may, is scanned term by term through its ``terms`` view:
-its outer slots may all be zero, so the box alone cannot decide.
+not assume the shape being checked.  Only a polynomial whose box exceeds
+q somewhere, as a corrupted one's may, has the monomials of its nonzero
+slots scanned: its outer slots may all be zero, so the box alone cannot
+decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import compress, filterfalse, product
 from operator import itemgetter, le
 
 from .dtcoords import CoordError, DTCoords, validate
-from .gausspoly import GaussInt, GaussPoly
+from .gausspoly import GaussPoly, coefficient_text
 from .holonomy import component_trace
 from .standardpos import extract_components, scc_count
 from .surface import PantsDecomposition
-
-_UNITS = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
-
-
-def _unit_times_power(q_tot: int, h: int) -> tuple[int, int]:
-    """i^q_tot * 2^h as a coefficient pair."""
-    r, i = _UNITS[q_tot % 4]
-    return (r * 2**h, i * 2**h)
 
 
 @dataclass(slots=True)
 class SubleadingCheck:
     curve: int
-    observed: GaussInt
-    predicted: GaussInt
+    observed: int
+    predicted: int
     ok: bool
 
 
@@ -66,7 +61,7 @@ class TopTermReport:
     p: tuple[int, ...]
     h: int
     trace: GaussPoly
-    leading: GaussInt
+    leading: int  # the slot int, on the axis of ``trace.imag``
     leading_ok: bool
     subleading: list[SubleadingCheck] = field(default_factory=list)
     remainder_degree_ok: bool = True
@@ -81,14 +76,20 @@ class TopTermReport:
             and self.per_variable_degree_ok
         )
 
+    def _text(self, c: int) -> str:
+        return coefficient_text(c, self.trace.imag)
+
     def failures(self) -> list[str]:
         out = []
         if not self.leading_ok:
-            out.append(f"leading coefficient {self.leading} is not a unit * 2^{self.h}")
+            out.append(
+                f"leading coefficient {self._text(self.leading)} is not a unit * 2^{self.h}"
+            )
         for c in self.subleading:
             if not c.ok:
                 out.append(
-                    f"curve {c.curve}: subleading {c.observed} != {c.predicted}"
+                    f"curve {c.curve}: subleading {self._text(c.observed)}"
+                    f" != {self._text(c.predicted)}"
                 )
         if not self.remainder_degree_ok:
             out.append("remainder exceeds total degree bound")
@@ -102,13 +103,13 @@ class TopTermReport:
             "p": list(self.p),
             "h": self.h,
             "trace": str(self.trace),
-            "leading": str(self.leading),
+            "leading": self._text(self.leading),
             "leading_ok": self.leading_ok,
             "subleading": [
                 {
                     "curve": c.curve + 1,
-                    "observed": str(c.observed),
-                    "predicted": str(c.predicted),
+                    "observed": self._text(c.observed),
+                    "predicted": self._text(c.predicted),
                     "ok": c.ok,
                 }
                 for c in self.subleading
@@ -131,16 +132,11 @@ def check_trace_polynomial(
     q_tot = sum(q)
     lead_mono = tuple(q)
     lead = trace.coefficient(lead_mono)
-    ur, ui = _unit_times_power(q_tot, h)
-    leading_ok = (lead.re, lead.im) in {(ur, ui), (-ur, -ui)}
+    # +-i^q_tot 2^h: on the imaginary axis exactly when q_tot is odd
+    leading_ok = trace.imag == bool(q_tot & 1) and abs(lead) == 1 << h
 
     report = TopTermReport(
-        q=tuple(q),
-        p=tuple(p),
-        h=h,
-        trace=trace,
-        leading=lead,
-        leading_ok=leading_ok,
+        q=tuple(q), p=tuple(p), h=h, trace=trace, leading=lead, leading_ok=leading_ok
     )
 
     for i in range(arity):
@@ -148,23 +144,22 @@ def check_trace_polynomial(
             continue
         mono = tuple(q[k] - (1 if k == i else 0) for k in range(arity))
         observed = trace.coefficient(mono)
-        predicted = lead * GaussInt(p[i] - q[i])
-        report.subleading.append(
-            SubleadingCheck(i, observed, predicted, observed == predicted)
-        )
+        predicted = lead * (p[i] - q[i])
+        report.subleading.append(SubleadingCheck(i, observed, predicted, observed == predicted))
 
     # Inside the box [0, q] both degree clauses hold (module docstring); an
     # empty remainder reads degree -1, so q_tot = 0 takes the scan.
     if q_tot and all(map(le, trace.counts, q)):
         return report
-    # both bounds scan the terms in C, with no Python step per term
+    # the monomials of the nonzero slots; both bounds scan them in C, with
+    # no Python step per term
     top = {lead_mono}
     top.update(tuple(q[k] - (k == i) for k in range(arity)) for i in range(arity) if q[i])
-    terms = trace.terms
-    rest = filterfalse(top.__contains__, terms)
+    monos = list(compress(product(*(range(n + 1) for n in trace.counts)), trace.slots))
+    rest = filterfalse(top.__contains__, monos)
     report.remainder_degree_ok = max(map(sum, rest), default=-1) <= q_tot - 2
     report.per_variable_degree_ok = all(
-        max(map(itemgetter(i), terms), default=-1) <= q[i] for i in range(arity)
+        max(map(itemgetter(i), monos), default=-1) <= q[i] for i in range(arity)
     )
     return report
 
@@ -190,18 +185,10 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
     comp = components[0]
     trace = component_trace(comp)
     if sum(comp.q) == 0:
-        # the constant 2 of a parallel component: its one slot, and the
-        # scan only if the box is larger than that slot
-        zeros = (0,) * surface.xi
-        lead = trace.coefficient(zeros)
-        ok = lead == GaussInt(2) and (not any(trace.counts) or len(trace.terms) == 1)
-        return TopTermReport(
-            q=comp.q,
-            p=coords.p,
-            h=0,
-            trace=trace,
-            leading=lead,
-            leading_ok=ok,
-        )
+        # the constant 2 of a parallel component: slot 0 holds it, every
+        # other slot of the box is zero
+        lead = trace.slots[0]
+        ok = lead == 2 and not trace.imag and not any(trace.slots[1:])
+        return TopTermReport(q=comp.q, p=coords.p, h=0, trace=trace, leading=lead, leading_ok=ok)
     h = scc_count(surface, coords)
     return check_trace_polynomial(trace, comp.q, coords.p, h)

@@ -210,19 +210,15 @@ def test_closed_stdout_process(argv):
     assert proc.stderr == b""
 
 
-def test_oversized_pants_count_is_refused_up_front(tmp_path):
-    # 10^12 declared pants and no gluing: refused from the counts alone,
-    # before any work per pants, inside a 1 GiB address space
-    surface = tmp_path / "huge.surf"
-    surface.write_text("surface g=0 b=3\npants 1000000000000\n")
+def run_capped(*argv):
+    """`python -m plumbtrace.cli` on `argv` inside a 1 GiB address space."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    argv = ["trace", "--surface", str(surface), "--q", "1", "--p", "0"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "plumbtrace.cli", *argv],
         capture_output=True,
         text=True,
@@ -230,9 +226,28 @@ def test_oversized_pants_count_is_refused_up_front(tmp_path):
         preexec_fn=cap_address_space,
         timeout=60,
     )
+
+
+def test_oversized_pants_count_is_refused_up_front(tmp_path):
+    # 10^12 declared pants and no gluing: refused from the counts alone,
+    # before any work per pants, inside a 1 GiB address space
+    surface = tmp_path / "huge.surf"
+    surface.write_text("surface g=0 b=3\npants 1000000000000\n")
+    proc = run_capped("trace", "--surface", str(surface), "--q", "1", "--p", "0")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: gluing graph is disconnected\n"
+
+
+@pytest.mark.parametrize("command", ["word", "trace"])
+def test_out_of_memory_is_an_input_error(command):
+    # 10^12 parallel copies of one pants curve do not fit in 1 GiB: one
+    # error line and exit 2, as for any input too large, and no traceback
+    curve = ("--surface", str(SURFACES / "genus_two.surf"), "--q=0,0,0", "--p=1000000000000,0,0")
+    proc = run_capped(command, *curve)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory\n"
 
 
 G2_CURVE = ("--surface", str(SURFACES / "genus_two.surf"), "--q=1,1,2", "--p=1,1,0")
@@ -284,6 +299,32 @@ def test_each_trace_line_renders_its_trace_once(capsys, monkeypatch, argv, lines
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected
     else:
         assert out == expected
+
+
+G21 = str(SURFACES.parent / "pipebench" / "surfaces" / "genus_two_one_hole.surf")
+
+
+def test_verify_golden_on_the_imaginary_axis(capsys):
+    # odd q_tot: every coefficient, and each one the record prints, is
+    # imaginary; both outputs are pinned byte for byte
+    argv = ("--surface", S11, "--q", "1", "--p", "0", "--format", "jsonl")
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out == (
+        '{"h": 0, "kind": "verify", "leading": "i", "leading_ok": true, "p": [0], '
+        '"passed": true, "per_variable_degree_ok": true, "q": [1], '
+        '"remainder_degree_ok": true, "subleading": [{"curve": 1, "observed": "-i", '
+        '"ok": true, "predicted": "-i"}], "trace": "i*t1 - i"}\n'
+    )
+    argv = ("--surface", G21, "--q=1,2,0,2", "--p=8,-1,0,-8", "--format", "jsonl")
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "60d22c4e5dbaae9f7d64c734715dd8c165d2f32655775037a5373d4b2a4ec36e"
+    )
+    record = json.loads(out)
+    assert record["passed"] and record["leading"] == "2i"
+    assert [c["observed"] for c in record["subleading"]] == ["14i", "-6i", "-20i"]
 
 
 def test_input_error_exit_code(capsys):

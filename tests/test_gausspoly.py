@@ -22,7 +22,7 @@ from oracle import (
     shift_var,
 )
 from plumbtrace import gausspoly
-from plumbtrace.gausspoly import GaussInt, GaussPoly
+from plumbtrace.gausspoly import GaussPoly, coefficient_text
 from tests_support import BOXES, pack, packed_form, packed_poly, random_terms, total_degree
 
 P = Poly
@@ -70,13 +70,15 @@ class TestCoefficient:
     poly = packed_poly(1, {(2,): -4, (1,): 8, (0,): -6})
 
     def test_reads_stored(self):
-        assert self.poly.coefficient((2,)) == GaussInt(-4)
+        assert self.poly.coefficient((2,)) == -4
 
     def test_absent_monomial_is_zero(self):
-        assert self.poly.coefficient((3,)) == GaussInt(0)
+        assert self.poly.coefficient((3,)) == 0
 
     def test_single_term(self):
-        assert packed_poly(2, {(1, 1): 1}, imag=True).coefficient((1, 1)) == GaussInt(0, 1)
+        # the slot int; the polynomial's imag flag puts it on the i axis
+        poly = packed_poly(2, {(1, 1): 1}, imag=True)
+        assert poly.coefficient((1, 1)) == 1 and poly.imag
 
 
 class TestPackedCoefficient:
@@ -99,11 +101,8 @@ class TestPackedCoefficient:
                 lifted = P(len(counts), {m: (0, c) if imag else (c, 0) for m, c in terms.items()})
                 for mono in probes:
                     got = poly.coefficient(mono)
-                    assert (got.re, got.im) == lifted.coefficient(mono), mono
-                corner_c = terms.get(tuple(counts), 0)
-                assert poly.coefficient(tuple(counts)) == (
-                    GaussInt(0, corner_c) if imag else GaussInt(corner_c)
-                )
+                    assert lifted.coefficient(mono) == ((0, got) if imag else (got, 0)), mono
+                assert poly.coefficient(tuple(counts)) == terms.get(tuple(counts), 0)
 
     def test_wrong_length_is_refused(self):
         poly = packed_form((2 << 32) - 3, (0, 1), 32)  # 2*t2 - 3
@@ -276,11 +275,13 @@ def test_packed_terms_compare_with_dict_built():
     poly = packed_form((2 << 32) - 3, (0, 1), 32)  # 2*t2 - 3
     assert poly.terms == {(0, 1): (2, 0), (0, 0): (-3, 0)}
     assert lift(poly) == P(2, {(0, 1): 2, (0, 0): -3})
-    assert poly.coefficient((0, 1)) == GaussInt(2)
+    assert poly.coefficient((0, 1)) == 2
     assert canonical_sign(-lift(poly)) == lift(poly)
-    # equality reads the terms, whatever the box and the slot width
+    # equality compares the records; the same terms in another box, at
+    # another slot width, are the same polynomial only through lift()
+    assert poly == packed_form((2 << 32) - 3, (0, 1), 32)
     wider = packed_form((2 << 64) - 3, (1, 1), 64)
-    assert poly == wider and poly.counts != wider.counts
+    assert lift(poly) == lift(wider) and poly != wider
     assert poly != packed_form((2 << 32) - 3, (0, 1), 32, imag=True)
     assert poly != packed_form((2 << 32) - 3, (0, 1, 0), 32)
     assert GaussPoly((0,), (0,), False) != GaussPoly((0,), (0, 0), False)
@@ -292,7 +293,8 @@ def _reference_str(poly):
     for mono in sorted(poly.terms, key=grlex_key, reverse=True):
         r, i = poly.terms[mono]
         if r and i:
-            neg, body = False, f"({GaussInt(r, i)})"
+            im = "i" if i == 1 else "-i" if i == -1 else f"{i}i"
+            neg, body = False, f"({r}{im})" if im[0] == "-" else f"({r}+{im})"
         elif i:
             neg, body = i < 0, "i" if abs(i) == 1 else f"{abs(i)}i"
         else:
@@ -403,7 +405,24 @@ def test_matmul_identity_and_arity_guard():
         matmul(m, identity(3))
 
 
-def test_gaussint_str():
-    assert str(GaussInt(1, 1)) == "1+i"
-    assert str(GaussInt(0, -4)) == "-4i"
-    assert str(GaussInt(-4, 0)) == "-4"
+@pytest.mark.parametrize(
+    "c,imag,expected",
+    [
+        (0, False, "0"),
+        (0, True, "0"),
+        (1, False, "1"),
+        (1, True, "i"),
+        (-1, False, "-1"),
+        (-1, True, "-i"),
+        (2, False, "2"),
+        (2, True, "2i"),
+        (-2, False, "-2"),
+        (-2, True, "-2i"),
+        (1180591620717411303423, False, "1180591620717411303423"),  # 2^70 - 1
+        (1180591620717411303423, True, "1180591620717411303423i"),
+        (-1180591620717411303423, False, "-1180591620717411303423"),
+        (-1180591620717411303423, True, "-1180591620717411303423i"),
+    ],
+)
+def test_coefficient_text(c, imag, expected):
+    assert coefficient_text(c, imag) == expected

@@ -28,6 +28,7 @@ def test_random_gluing_verifies(genus, boundary):
     surface = random_surface(genus, boundary, rng)
     assert (surface.genus, surface.boundary) == (genus, boundary)
     assert surface.xi == 3 * genus - 3 + boundary
+    assert len(surface.unglued) == surface.boundary
     seed = rng.randrange(1 << 30)
     cfg = FuzzConfig(surface, seed=seed, max_q=3, max_abs_p=4, count=10, connected_only=True)
     crossed = 0

@@ -134,23 +134,26 @@ class TestVerify:
                 bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
                 assert [c.curve for c in bad.subleading if not c.ok] == [curve]
                 assert bad.leading_ok and bad.remainder_degree_ok and bad.per_variable_degree_ok
+        # on the imaginary axis: i*t1 - i with its constant slot zeroed
+        report = verify(one_holed_torus(), DTCoords((1,), (0,)))
+        corrupted = dataclasses.replace(report.trace, slots=(0, 1))
+        bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
+        assert bad.failures() == ["curve 0: subleading 0 != -i"]
 
     def test_corrupted_leading_unit_fails(self):
         # the imag flag flipped: every coefficient times a unit +-i, so the
         # leading one leaves the class +-i^q 2^h and the subleading stay
         # consistent with it; real and imaginary traces alike
-        for surface, q, p in [
-            (four_holed_sphere(), (2,), (0,)),
-            (one_holed_torus(), (1,), (0,)),
-            (genus_two(), (1, 1, 2), (1, 1, 0)),
+        for surface, q, p, failure in [
+            (four_holed_sphere(), (2,), (0,), "leading coefficient 4i is not a unit * 2^2"),
+            (one_holed_torus(), (1,), (0,), "leading coefficient 1 is not a unit * 2^0"),
+            (genus_two(), (1, 1, 2), (1, 1, 0), "leading coefficient i is not a unit * 2^0"),
         ]:
             report = verify(surface, DTCoords(q, p))
             flipped = dataclasses.replace(report.trace, imag=not report.trace.imag)
             bad = check_trace_polynomial(flipped, report.q, report.p, report.h)
             assert not bad.leading_ok and all(c.ok for c in bad.subleading), q
-            assert bad.failures() == [
-                f"leading coefficient {bad.leading} is not a unit * 2^{report.h}"
-            ]
+            assert bad.failures() == [failure]
 
     def test_term_above_degree_bounds_fails(self):
         # the box widened by one on t1, with a nonzero outer slot t1^3
@@ -270,6 +273,18 @@ class TestPackedCheck:
             packed = repacked(report, counts)
             again = check_trace_polynomial(packed, report.q, report.p, report.h)
             assert again.to_record() == report.to_record(), counts
+
+    def test_scan_of_a_wider_box_builds_no_term_dict(self, monkeypatch):
+        # the scan lists the monomials of the nonzero slots, not ``terms``
+        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        packed = repacked(report, (2, 2, 3), [((0, 0, 3), 1)])
+
+        def refuse(*args):
+            raise AssertionError("term dict built")
+
+        monkeypatch.setattr(GaussPoly, "terms", property(refuse))
+        bad = check_trace_polynomial(packed, report.q, report.p, report.h)
+        assert not bad.remainder_degree_ok and not bad.per_variable_degree_ok
 
     def test_no_crossing_keeps_the_scan(self):
         # with q_tot = 0 the box rule does not apply: the scan reads the
