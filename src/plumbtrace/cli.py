@@ -149,6 +149,8 @@ def _verify_one(args, surface, coords) -> bool:
 
 def cmd_verify(args) -> int:
     _check_non_negative(args, "fuzz", "max_q", "max_abs_p")
+    if args.fuzz and (args.q is not None or args.p is not None):
+        raise CoordError("pass --q and --p, or --fuzz N, not both")
     surface = load_surface(args.surface)
     if args.fuzz:
         cfg = FuzzConfig(

@@ -35,6 +35,12 @@ graded-lex order of their monomials.  The renderer sorts by these keys,
 and ``_lead_sign``, which signs a packed trace, takes the greatest of
 them when the box's corner slot is zero.
 
+The renderer's keys and monomial strings (``_render_tables``) depend on
+the box alone, which every curve with the same q shares: a bounded
+least-recently-used cache keeps them, as tuples, for boxes of at most
+``RENDER_SLOTS`` slots, and every box's strides (``_box``); a larger box,
+which almost never repeats, builds its tables on every call.
+
 Text grammar (stable; golden tests are byte-exact)
 --------------------------------------------------
     poly    := "0" | term (" + " term | " - " term)*
@@ -56,21 +62,33 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 
 # -- the packed form ---------------------------------------------------------
 
-def _box(counts) -> tuple[list[int], int]:
+# boxes kept with their strides, and render tables up to RENDER_SLOTS slots
+BOX_CACHE = 64
+RENDER_SLOTS = 256
+
+
+def _box(counts) -> tuple[tuple[int, ...], int]:
     """Mixed-radix strides and size of the exponent box prod_k [0, counts[k]].
 
     idx(e) = sum_k e_k * strides[k], radix counts[k] + 1, t_n lowest, so
     itertools.product over the box lists exponent tuples in index order.
+    A curve reads it three or four times: ``_strides`` keeps it.
     """
+    return _strides(tuple(counts))
+
+
+@lru_cache(maxsize=BOX_CACHE)
+def _strides(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     strides, size = [0] * len(counts), 1
     for k in reversed(range(len(counts))):
         strides[k] = size
         size *= counts[k] + 1
-    return strides, size
+    return tuple(strides), size
 
 
 def _slots(packed: int, size: int, width: int) -> tuple[int, ...]:
@@ -132,24 +150,35 @@ def _lead_sign(packed: int, counts, width: int) -> int:
     return -1 if lead < 0 else 1
 
 
-def _render_slots(slots, counts, imag: bool) -> str:
-    """The text of a polynomial, read straight from its slots; "0" when
-    none is nonzero.
-
-    Monomial strings come from one table over the box, built from the
-    per-variable pieces "*tk", "*tk^2", ...; the nonzero slots are sorted
-    once by ``_grlex_keys``.  Every coefficient is real, or every one is
-    imaginary, so one format covers all terms.
-    """
-    order = list(itertools.compress(range(len(slots)), slots))
-    if not order:
-        return "0"
-    order.sort(key=_grlex_keys(counts).__getitem__, reverse=True)
+def _render_tables(counts, shared: bool) -> tuple:
+    """Per slot of the box, its ``_grlex_keys`` key and its monomial string
+    ("*t1^2*t3", "" for 1), built from the pieces "*tk", "*tk^2", ...;
+    tuples if `shared`, lists otherwise."""
     pieces = [
         [""] + [f"*t{k}" if e == 1 else f"*t{k}^{e}" for e in range(1, n + 1)]
         for k, n in enumerate(counts, 1)
     ]
-    monos = _box_table(pieces, "")
+    keys, monos = _grlex_keys(counts), _box_table(pieces, "")
+    return (tuple(keys), tuple(monos)) if shared else (keys, monos)
+
+
+_shared_render_tables = lru_cache(maxsize=BOX_CACHE)(partial(_render_tables, shared=True))
+
+
+def _render_slots(slots, counts, imag: bool) -> str:
+    """The text of a polynomial, read straight from its slots; "0" when
+    none is nonzero.
+
+    The nonzero slots are sorted once by their graded-lex keys and printed
+    with their monomial strings (``_render_tables``).  Every coefficient is
+    real, or every one is imaginary, so one format covers all terms.
+    """
+    order = list(itertools.compress(range(len(slots)), slots))
+    if not order:
+        return "0"
+    shared = len(slots) <= RENDER_SLOTS
+    keys, monos = _shared_render_tables(tuple(counts)) if shared else _render_tables(counts, False)
+    order.sort(key=keys.__getitem__, reverse=True)
     unit = "i" if imag else ""
     chunks: list[str] = []
     append = chunks.append

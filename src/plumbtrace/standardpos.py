@@ -8,7 +8,13 @@ of each window annulus.  This module fixes those conventions, extracts
 connected components, and compiles each component into a token word that the
 holonomy engine evaluates.  Part (a) is the value ``dtcoords.validate``
 returns: ``layout_endpoints`` validates once and keeps that pattern on the
-``Layout``, and ``match_strands`` reads the window twists for (c) off it.
+``Layout``, and ``match_strands`` reads the window twists for (c) off it
+and the coordinates.  Parts (a) and (b) depend on (surface, q) alone, so
+one ``Layout`` serves every curve with that q: ``layout_endpoints``
+validates each curve (``validate`` checks p) and returns the layout a
+bounded least-recently-used cache shares, its per-node sequences tuples
+that no caller can change.  A layout of more than ``LAYOUT_NODES`` nodes,
+whose q almost never repeats, is built on every call, as lists.
 
 Strand index
 ------------
@@ -85,7 +91,7 @@ the negative direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from operator import attrgetter, sub
 
@@ -190,29 +196,28 @@ class Component:
     parallel_to: int | None = None
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Layout:
-    """Endpoint layout of one coordinate vector on the flat strand index.
+    """Endpoint layout of one intersection vector q on the flat strand index.
 
-    ``pattern`` is the per-pants arc pattern ``validate`` returned for
-    ``coords``.  Node ``(curve i, side, strand)`` has id
-    ``base[i] + side * q[i] + strand``; ``base[-1]`` is the node count.
-    ``windows`` maps every (pants, slot) to its node ids in window order.
-    Per node: ``arc_mate`` is the other end of its pants arc, and
-    ``traversal`` the token for arriving at it and leaving through
-    ``arc_mate``: an ``SccLoop`` when both ends sit in one window, a
-    ``Conn`` otherwise.  ``scc_out`` lists, per window with same-boundary
-    arcs, the block of their outgoing ends.
+    ``pattern`` is the per-pants arc pattern of q.  Node ``(curve i, side,
+    strand)`` has id ``base[i] + side * q[i] + strand``; ``base[-1]`` is the
+    node count.  ``windows`` maps every (pants, slot) to its node ids in
+    window order, and is never written once built.  Per node: ``arc_mate``
+    is the other end of its pants arc, and ``traversal`` the token for
+    arriving at it and leaving through ``arc_mate``: an ``SccLoop`` when
+    both ends sit in one window, a ``Conn`` otherwise.  ``scc_out`` lists,
+    per window with same-boundary arcs, the block of their outgoing ends.
+    The three are tuples in a shared layout (module notes), else lists.
     """
 
     surface: PantsDecomposition
-    coords: DTCoords
     pattern: tuple[ArcCounts, ...]
     base: tuple[int, ...]
     windows: dict[tuple[int, int], range]
-    arc_mate: list[int]
-    traversal: list[Token]
-    scc_out: list[range]
+    arc_mate: tuple[int, ...] | list[int]
+    traversal: tuple[Token, ...] | list[Token]
+    scc_out: tuple[range, ...] | list[range]
 
 
 def _at(ids: range) -> slice:
@@ -225,10 +230,17 @@ def _at(ids: range) -> slice:
 
 
 def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
-    """Arrange all arc endpoints along the windows and pair them through
-    the pants, on the flat strand index."""
+    """Validate `coords`; arrange all arc endpoints of their q along the
+    windows and pair them through the pants, on the flat strand index."""
     pattern = validate(surface, coords)
-    q = coords.q
+    if 2 * sum(coords.q) > LAYOUT_NODES:
+        return _build_layout(surface, coords.q, pattern, shared=False)
+    return _shared_layout(surface, coords.q, pattern)
+
+
+def _build_layout(surface: PantsDecomposition, q: tuple, pattern: tuple, shared: bool) -> Layout:
+    """The layout of q with arc pattern `pattern`, its per-node sequences
+    tuples if `shared`."""
     base = tuple(accumulate((2 * qi for qi in q), initial=0))
     size = base[-1]
     windows: dict[tuple[int, int], range] = {
@@ -266,7 +278,17 @@ def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
                 arc_mate[_at(there)] = here[::-1]
                 traversal[_at(here)] = [_conn(pants, slot, other)] * n
                 traversal[_at(there)] = [_conn(pants, other, slot)] * n
-    return Layout(surface, coords, pattern, base, windows, arc_mate, traversal, scc_out)
+    if shared:
+        arc_mate, traversal, scc_out = tuple(arc_mate), tuple(traversal), tuple(scc_out)
+    return Layout(surface, pattern, base, windows, arc_mate, traversal, scc_out)
+
+
+# layouts of at most LAYOUT_NODES nodes are shared, the LAYOUT_CACHE used last
+# kept, keyed by (surface, q, pattern): the pattern, a function of the other
+# two, splits no entry and lets a miss reuse what ``validate`` computed
+LAYOUT_NODES = 256
+LAYOUT_CACHE = 64
+_shared_layout = lru_cache(maxsize=LAYOUT_CACHE)(partial(_build_layout, shared=True))
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,11 +305,10 @@ class Matching:
     crossing: list[Crossing]
 
 
-def match_strands(layout: Layout) -> Matching:
-    """Match the strands across every annulus with the window twists of the
-    layout's arc pattern; raises CoordError when the twists are not
-    realizable."""
-    coords = layout.coords
+def match_strands(layout: Layout, coords: DTCoords) -> Matching:
+    """Match the strands across every annulus with the window twists of
+    `coords`, whose q the layout was built for, read off its arc pattern;
+    raises CoordError when the twists are not realizable."""
     phat = pattern_twists(layout.surface, coords, layout.pattern)
     size = layout.base[-1]
     mate = [0] * size
@@ -346,10 +367,10 @@ def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
                 raise AssertionError(msg)
 
 
-def _marked(seen: bytearray, layout: Layout, shifts: tuple[int, ...]) -> tuple[tuple, tuple]:
+def _marked(seen: bytearray, layout: Layout, q: tuple, shifts: tuple) -> tuple[tuple, tuple]:
     """Per curve, the strands ``seen`` marks and their wraps (see the strand index)."""
     strands, wraps = [], []
-    for lo, qi, shift in zip(layout.base, layout.coords.q, shifts):
+    for lo, qi, shift in zip(layout.base, q, shifts):
         w, r = divmod(shift, qi) if qi else (0, 0)
         k = seen.count(1, lo, lo + 2 * qi) // 2
         strands.append(k)
@@ -367,7 +388,7 @@ def extract_components(
     the strand index notes say how its q and phat are counted.
     """
     layout = layout_endpoints(surface, coords)
-    matching = match_strands(layout)
+    matching = match_strands(layout, coords)
     _check_scc_arcs(layout, matching)
     mate, crossing = matching.mate, matching.crossing
     arc_mate, traversal = layout.arc_mate, layout.traversal
@@ -391,7 +412,7 @@ def extract_components(
                 break
         start = seen.find(0, start + 1)
         if start >= 0:
-            now = _marked(seen, layout, matching.shifts)
+            now = _marked(seen, layout, coords.q, matching.shifts)
         else:  # the last walk takes what the others left
             twists = (t if qi else 0 for qi, t in zip(coords.q, matching.shifts))
             now = tuple(coords.q), tuple(twists)

@@ -210,7 +210,7 @@ def oracle_check(
     if layout is None:
         layout = layout_endpoints(surface, coords)
     if matching is None:
-        matching = match_strands(layout)
+        matching = match_strands(layout, coords)
     where = {
         node: (window, pos)
         for window, ids in layout.windows.items()

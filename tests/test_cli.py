@@ -12,6 +12,7 @@ import pytest
 
 from plumbtrace import cli, gausspoly, holonomy, standardpos
 from plumbtrace.standardpos import SccLoop
+from tests_support import clear_shared_tables
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
@@ -344,6 +345,18 @@ def test_verify_without_coordinates_is_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "named", [("--q", "1", "--p", "0"), ("--q", "1"), ("--p", "0")], ids=["q-and-p", "q", "p"]
+)
+def test_verify_refuses_fuzz_with_a_named_curve(capsys, named):
+    # the named curve would never be checked: refused, nothing sampled
+    argv = ("verify", "--surface", str(SURFACES / "genus_two.surf"), "--fuzz", "2")
+    code, out, err = run(capsys, *argv, *named)
+    assert code == 2
+    assert out == ""
+    assert err == "error: pass --q and --p, or --fuzz N, not both\n"
+
+
 def test_verify_refuses_multicomponent(capsys):
     code, _, err = run(capsys, "verify", "--surface", S11, "--q", "2", "--p", "0")
     assert code == 2
@@ -497,7 +510,7 @@ def test_runtime_error_is_internal_error(capsys, monkeypatch):
     assert err == "internal error: RuntimeError: layout and arc counts disagree\n"
 
 
-def test_layout_bug_is_internal_error(capsys, monkeypatch):
+def test_layout_bug_is_internal_error(capsys, monkeypatch, request):
     # every same-slot loop built with the opposite sign: the layout check
     # rejects this curve's untwisted return before any word is printed
     argv = ("word", "--surface", str(SURFACES / "genus_two.surf"), "--q=1,2,9", "--p=15,-10,5")
@@ -505,6 +518,10 @@ def test_layout_bug_is_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(
         standardpos, "_scc_loop", lambda pants, slot, sign: SccLoop(pants, slot, -sign)
     )
+    # the first run's layout is shared by every curve with this q: build it
+    # again with the patched loops, and drop that corrupted one at the end
+    clear_shared_tables()
+    request.addfinalizer(clear_shared_tables)
     code, out, err = run(capsys, *argv)
     assert code == cli.EXIT_INTERNAL_ERROR
     assert out == ""

@@ -1,6 +1,6 @@
 """Random coordinate streams and the independent embedding oracle."""
 
-import copy
+import dataclasses
 import hashlib
 
 import pytest
@@ -94,13 +94,14 @@ class TestOracle:
         surface = four_holed_sphere()
         coords = DTCoords((2,), (2,))
         layout = layout_endpoints(surface, coords)
-        matching = match_strands(layout)
+        matching = match_strands(layout, coords)
         assert oracle_check(surface, coords, layout, matching).simple
-        bad = copy.deepcopy(layout)
-        ids = list(bad.windows[(0, SLOT_INF)])
+        # a copy with its own window list: the layout is shared by every
+        # curve with this q and stays as it is
+        ids = list(layout.windows[(0, SLOT_INF)])
+        bad = dataclasses.replace(layout, windows={**layout.windows, (0, SLOT_INF): ids})
         assert bad.arc_mate[ids[0]] == ids[1]
         ids[0], ids[1] = ids[1], ids[0]
-        bad.windows[(0, SLOT_INF)] = ids
         report = oracle_check(surface, coords, bad, matching)
         assert not report.simple
 
@@ -108,20 +109,21 @@ class TestOracle:
         # drop the same-boundary arcs: their ends are left without a mate
         surface = four_holed_sphere()
         coords = DTCoords((2,), (0,))
-        bad = copy.deepcopy(layout_endpoints(surface, coords))
+        layout = layout_endpoints(surface, coords)
+        bad = dataclasses.replace(layout, arc_mate=list(layout.arc_mate))
         dropped = [node for node, tok in enumerate(bad.traversal) if isinstance(tok, SccLoop)]
         assert dropped
         for node in dropped:
             bad.arc_mate[node] = -1
         with pytest.raises(RuntimeError, match="same-boundary arcs"):
-            oracle_check(surface, coords, bad, match_strands(layout_endpoints(surface, coords)))
+            oracle_check(surface, coords, bad, match_strands(layout, coords))
 
     def test_corrupted_matching_detected(self):
         # a non-constant shift makes strands cross in the annulus
         surface = four_holed_sphere()
         coords = DTCoords((4,), (0,))
         layout = layout_endpoints(surface, coords)
-        matching = match_strands(layout)
+        matching = match_strands(layout, coords)
         mate, crossing = list(matching.mate), list(matching.crossing)
         a0, a1 = node_id(layout, 0, 0, 0), node_id(layout, 0, 0, 1)
         p0, p1 = mate[a0], mate[a1]

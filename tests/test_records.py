@@ -65,10 +65,11 @@ def reachable(*roots):
 
 
 def word_records(surface):
-    """What ``plumbtrace word`` builds: the layout, the matching and the
-    components with their words."""
+    """What ``plumbtrace word`` builds: the coordinates, the layout, the
+    matching and the components with their words.  A layout holds no
+    coordinates, so they are a root of their own."""
     layout = layout_endpoints(surface, COORDS)
-    return layout, match_strands(layout), extract_components(surface, COORDS)
+    return COORDS, layout, match_strands(layout, COORDS), extract_components(surface, COORDS)
 
 
 def trace_records(surface):

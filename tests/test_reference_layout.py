@@ -25,7 +25,7 @@ from plumbtrace.standardpos import (
 )
 from plumbtrace.surface import load_surface
 from reference_layout import check_scc_patterns, reference_components, reference_text
-from tests_support import n1_surface, n2_surface
+from tests_support import clear_shared_tables, n1_surface, n2_surface
 
 ROOT = Path(__file__).resolve().parent.parent
 SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf")) + [
@@ -130,12 +130,16 @@ def reference_rejects(surface, coords, kind, fault):
 
 
 @pytest.mark.parametrize("builder", sorted(FAULTS))
-def test_layout_faults_rejected_where_the_word_scan_rejects(monkeypatch, builder):
+def test_layout_faults_rejected_where_the_word_scan_rejects(monkeypatch, request, builder):
     # the layout checks each same-boundary arc once; with every loop sign
     # negated, or every connector reversed, it must reject exactly the
     # curves whose words, built the same way, show a forbidden pattern
     kind, fault = FAULTS[builder]
     monkeypatch.setattr(standardpos, builder, lambda *args: fault(kind(*args)))
+    # layouts are shared across calls: build them with the faulty tokens,
+    # and drop those when the test ends
+    clear_shared_tables()
+    request.addfinalizer(clear_shared_tables)
     rejected = 0
     for path in sorted((ROOT / "surfaces").glob("*.surf")):
         surface = SURFACES[path.stem]

@@ -30,7 +30,7 @@ from plumbtrace.surface import (
     slot_name,
 )
 from reference_layout import check_scc_patterns
-from tests_support import crossings, node_id
+from tests_support import crossings, layout_q, node_id
 from word_text import word_from_text
 
 # sha256 of the word text of the seed-14 genus-two sample in
@@ -61,7 +61,7 @@ def named_steps(layout, matching):
     """The matching keyed by (curve, side, strand): node -> (mate, wraps)."""
     name = {
         node_id(layout, curve, side, strand): (curve, side, strand)
-        for curve, q in enumerate(layout.coords.q)
+        for curve, q in enumerate(layout_q(layout))
         for side in (0, 1)
         for strand in range(q)
     }
@@ -108,20 +108,21 @@ class TestLayout:
     def test_node_ids_follow_tuple_order(self):
         # ids increase in (curve, side, strand) order, so walks started from
         # the least unvisited id keep the components' order
-        layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
+        coords = DTCoords((4, 2, 2), (0, 0, 0))
+        layout = layout_endpoints(genus_two(), coords)
         names = sorted(
             (c, side, k) for c, q in enumerate((4, 2, 2)) for side in (0, 1) for k in range(q)
         )
         assert [node_id(layout, *name) for name in names] == list(range(16))
         assert layout.base == (0, 8, 12, 16)
         for g in layout.surface.gluings:
-            strands = range(layout.coords.q[g.curve])
+            strands = range(coords.q[g.curve])
             a, b = layout.windows[g.end_a], layout.windows[g.end_b]
             assert list(a) == [node_id(layout, g.curve, 0, k) for k in strands]
             # end B lists the strands in decreasing order along its window
             assert list(b)[::-1] == [node_id(layout, g.curve, 1, k) for k in strands]
             # the crossing leaving through a node leaves through its window
-            crossing = match_strands(layout).crossing
+            crossing = match_strands(layout, coords).crossing
             assert all((crossing[n].out_pants, crossing[n].out_slot) == g.end_a for n in a)
             assert all((crossing[n].out_pants, crossing[n].out_slot) == g.end_b for n in b)
 
@@ -129,8 +130,9 @@ class TestLayout:
 class TestMatching:
     def test_straight_across(self):
         s = one_holed_torus()
-        layout = layout_endpoints(s, DTCoords((2,), (0,)))
-        m = match_strands(layout)
+        coords = DTCoords((2,), (0,))
+        layout = layout_endpoints(s, coords)
+        m = match_strands(layout, coords)
         assert m.shifts == (0,)
         step = named_steps(layout, m)
         assert step[(0, 0, 0)] == ((0, 1, 0), 0)
@@ -138,8 +140,9 @@ class TestMatching:
 
     def test_shift_by_one(self):
         s = one_holed_torus()
-        layout = layout_endpoints(s, DTCoords((2,), (2,)))  # window twist 1
-        m = match_strands(layout)
+        coords = DTCoords((2,), (2,))  # window twist 1
+        layout = layout_endpoints(s, coords)
+        m = match_strands(layout, coords)
         assert m.shifts == (1,)
         step = named_steps(layout, m)
         assert step[(0, 0, 0)] == ((0, 1, 1), 0)
@@ -152,7 +155,7 @@ class TestMatching:
         for p in (-6, -2, 0, 2, 6):
             coords = DTCoords((4,), (p,))
             layout = layout_endpoints(s, coords)
-            m = match_strands(layout)
+            m = match_strands(layout, coords)
             step = named_steps(layout, m)
             total = sum(step[(0, 0, k)][1] for k in range(4))
             assert total == m.shifts[0] == window_twists(s, coords)[0]

@@ -114,6 +114,9 @@ class TestVerify:
             verify(one_holed_torus(), DTCoords((0,), (10**12,)))
         with pytest.raises(CoordError, match="connected curve; got at least 6 components"):
             verify(genus_two(), DTCoords((1, 1, 0), (1, 1, 5)))
+        # one parallel copy beside a crossing component is refused up front too
+        with pytest.raises(CoordError, match="connected curve; got at least 2 components"):
+            verify(genus_two(), DTCoords((1, 1, 0), (1, 1, 1)))
         # malformed coordinates still report their own error
         with pytest.raises(NegativeTwistOnZeroLength):
             verify(genus_two(), DTCoords((0, 0, 0), (2, 0, -1)))
@@ -154,6 +157,29 @@ class TestVerify:
             bad = check_trace_polynomial(flipped, report.q, report.p, report.h)
             assert not bad.leading_ok and all(c.ok for c in bad.subleading), q
             assert bad.failures() == [failure]
+
+    def test_leading_magnitude_off_fails(self):
+        # the corner slot on the right axis with the wrong magnitude:
+        # +-2^(h+1) or 3 * 2^h, on a real and an imaginary trace
+        for surface, q, p, h in [
+            (four_holed_sphere(), (2,), (0,), 2),
+            (one_holed_torus(), (1,), (0,), 0),
+        ]:
+            report = verify(surface, DTCoords(q, p))
+            assert report.passed and report.h == h and report.trace.counts == q
+            unit = "i" if report.trace.imag else ""
+            for lead in (2 << h, -2 << h, 3 << h):
+                slots = report.trace.slots[:-1] + (lead,)  # the corner is the last slot
+                corrupted = dataclasses.replace(report.trace, slots=slots)
+                bad = check_trace_polynomial(corrupted, report.q, report.p, h)
+                assert not bad.leading_ok
+                line = f"leading coefficient {lead}{unit} is not a unit * 2^{h}"
+                assert bad.failures()[0] == line
+        # a true trace checked with h one too small
+        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
+        bad = check_trace_polynomial(report.trace, report.q, report.p, report.h - 1)
+        assert not bad.leading_ok
+        assert bad.failures() == ["leading coefficient 4 is not a unit * 2^1"]
 
     def test_term_above_degree_bounds_fails(self):
         # the box widened by one on t1, with a nonzero outer slot t1^3

@@ -2,6 +2,7 @@
 
 import itertools
 
+from plumbtrace import gausspoly, standardpos
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace.gausspoly import GaussPoly, _box, _slots
 from plumbtrace.standardpos import Crossing
@@ -48,10 +49,16 @@ def random_surface(genus, boundary, rng, tries=1000):
     raise AssertionError(f"no connected pairing for genus {genus}, {boundary} holes")
 
 
+def layout_q(layout):
+    """The intersection vector a layout was built for: curve i owns the
+    2 * q[i] node ids from ``base[i]``."""
+    return tuple((b - a) // 2 for a, b in zip(layout.base, layout.base[1:]))
+
+
 def node_id(layout, curve, side, strand):
     """Id of node (curve, side, strand) on the flat strand index of
     ``standardpos``: ``base[curve] + side * q[curve] + strand``."""
-    return layout.base[curve] + side * layout.coords.q[curve] + strand
+    return layout.base[curve] + side * layout_q(layout)[curve] + strand
 
 
 def crossings(word):
@@ -133,3 +140,11 @@ def coords_from_triple(m, s, t):
     if t == m + s:
         return (m, -2 * s)
     raise CoordError(f"triple {(m, s, t)} satisfies no triangle relation")
+
+
+def clear_shared_tables():
+    """Empty the caches of shared layouts, render tables and box strides,
+    so that the next call builds them afresh."""
+    standardpos._shared_layout.cache_clear()
+    gausspoly._shared_render_tables.cache_clear()
+    gausspoly._strides.cache_clear()
