@@ -2,13 +2,13 @@
 
 Subcommands: trace, verify, word, convert-twist, random, kra.  Every
 subcommand that reads a surface validates it before touching coordinates.
-Output is plain text or JSON lines (--format jsonl); JSON field names are
-part of the stable interface.  Exit codes: 0 success, 1 verification
-failure, 2 input error (a curve too large for memory included, reported
-as ``error: out of memory``), 3 internal error (a fault in plumbtrace
-itself, reported as one ``internal error:`` line, never as a traceback),
-141 standard output closed by its reader before the run ended (nothing on
-stderr).
+Output is plain text or, for every subcommand but word, JSON lines
+(--format jsonl); JSON field names are part of the stable interface.
+Exit codes: 0 success, 1 verification failure, 2 input error (a curve too
+large for memory included, reported as ``error: out of memory``), 3
+internal error (a fault in plumbtrace itself, reported as one ``internal
+error:`` line, never as a traceback), 141 standard output closed by its
+reader before the run ended (nothing on stderr).
 ``--seed`` defaults to the PLUMBTRACE_SEED environment variable, read only
 by the subcommands that draw curves.
 """
@@ -28,9 +28,9 @@ from .holonomy import (
     gluing_parameter_from_annulus,
 )
 from .standardpos import extract_components, word_to_text
-from .surface import SurfaceError, load_surface
+from .surface import load_surface
 from .verifier import verify
-from .fuzz import FuzzConfig, random_coords
+from .fuzz import random_coords
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -62,7 +62,7 @@ def _emit(args, record: dict, text: str) -> None:
 def _check_non_negative(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value < 0:
+        if value is not None and value < 0:
             raise CoordError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
 
 
@@ -77,11 +77,29 @@ def _seed(args) -> int:
         raise CoordError(f"PLUMBTRACE_SEED must be an integer, got {text!r}") from None
 
 
+def _add_format_arg(sub):
+    sub.add_argument("--format", choices=("text", "jsonl"), default="text")
+
+
 def _add_surface_coord_args(sub):
     sub.add_argument("--surface", required=True, help="surface description file")
     sub.add_argument("--q", required=True, help="intersection numbers, e.g. 2,0")
     sub.add_argument("--p", required=True, help="twists, e.g. 0,4")
-    sub.add_argument("--format", choices=("text", "jsonl"), default="text")
+
+
+def _add_sample_args(sub, max_q: int):
+    """The options of the subcommands that draw curves (``_sample``)."""
+    _add_format_arg(sub)
+    sub.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
+    sub.add_argument("--max-q", type=int, default=max_q)
+    sub.add_argument("--max-abs-p", type=int, default=8)
+
+
+def _sample(args, surface, count: int, connected_only: bool) -> list[DTCoords]:
+    return random_coords(
+        surface, seed=_seed(args), max_q=args.max_q, max_abs_p=args.max_abs_p,
+        count=count, connected_only=connected_only,
+    )
 
 
 def cmd_trace(args) -> int:
@@ -135,54 +153,35 @@ def cmd_convert_twist(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(args, surface, coords) -> bool:
-    report = verify(surface, coords)
-    record = report.to_record()
-    record["kind"] = "verify"
-    status = "PASS" if report.passed else "FAIL"
-    text = f"{status} q={list(coords.q)} p={list(coords.p)} trace={record['trace']}"
-    if not report.passed:
-        text += " | " + "; ".join(report.failures())
-    _emit(args, record, text)
-    return report.passed
-
-
 def cmd_verify(args) -> int:
     _check_non_negative(args, "fuzz", "max_q", "max_abs_p")
-    if args.fuzz and (args.q is not None or args.p is not None):
+    if args.fuzz is not None and (args.q is not None or args.p is not None):
         raise CoordError("pass --q and --p, or --fuzz N, not both")
     surface = load_surface(args.surface)
-    if args.fuzz:
-        cfg = FuzzConfig(
-            surface,
-            seed=_seed(args),
-            max_q=args.max_q,
-            max_abs_p=args.max_abs_p,
-            count=args.fuzz,
-            connected_only=True,
-        )
-        ok = True
-        for coords in random_coords(cfg):
-            ok = _verify_one(args, surface, coords) and ok
-        return EXIT_OK if ok else EXIT_VERIFY_FAILED
-    if args.q is None or args.p is None:
+    if args.fuzz is not None:
+        curves = _sample(args, surface, args.fuzz, connected_only=True)
+    elif args.q is None or args.p is None:
         raise CoordError("verify needs --q and --p, or --fuzz N")
-    coords = _coords_from_args(args)
-    return EXIT_OK if _verify_one(args, surface, coords) else EXIT_VERIFY_FAILED
+    else:
+        curves = [_coords_from_args(args)]
+    ok = True
+    for coords in curves:
+        report = verify(surface, coords)
+        record = report.to_record()
+        record["kind"] = "verify"
+        status = "PASS" if report.passed else "FAIL"
+        text = f"{status} q={list(coords.q)} p={list(coords.p)} trace={record['trace']}"
+        if not report.passed:
+            text += " | " + "; ".join(report.failures())
+            ok = False
+        _emit(args, record, text)
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 def cmd_random(args) -> int:
     _check_non_negative(args, "count", "max_q", "max_abs_p")
     surface = load_surface(args.surface)
-    cfg = FuzzConfig(
-        surface,
-        seed=_seed(args),
-        max_q=args.max_q,
-        max_abs_p=args.max_abs_p,
-        count=args.count,
-        connected_only=args.connected_only,
-    )
-    for coords in random_coords(cfg):
+    for coords in _sample(args, surface, args.count, args.connected_only):
         _emit(
             args,
             {"kind": "coords", "q": list(coords.q), "p": list(coords.p)},
@@ -213,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="trace polynomial per component")
     _add_surface_coord_args(p)
+    _add_format_arg(p)
     p.add_argument("--matrix", action="store_true", help="also print the 2x2 matrix")
     p.set_defaults(func=cmd_trace)
 
@@ -222,26 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert-twist", help="symmetric twist -> window twist")
     _add_surface_coord_args(p)
+    _add_format_arg(p)
     p.set_defaults(func=cmd_convert_twist)
 
     p = sub.add_parser("verify", help="check the top-term shape of the trace")
     p.add_argument("--surface", required=True)
     p.add_argument("--q", help="intersection numbers (omit with --fuzz)")
     p.add_argument("--p", help="twists (omit with --fuzz)")
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p.add_argument("--fuzz", type=int, default=0, help="verify N random curves")
-    p.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
-    p.add_argument("--max-q", type=int, default=8)
-    p.add_argument("--max-abs-p", type=int, default=8)
+    p.add_argument("--fuzz", type=int, help="verify N random connected curves")
+    _add_sample_args(p, max_q=8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit random admissible coordinates")
     p.add_argument("--surface", required=True)
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
-    p.add_argument("--max-q", type=int, default=6)
-    p.add_argument("--max-abs-p", type=int, default=8)
+    _add_sample_args(p, max_q=6)
     p.add_argument("--connected-only", action="store_true")
     p.set_defaults(func=cmd_random)
 
@@ -255,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--to-tau", help="annulus parameter t_K, e.g. 0.5+0.1j or --to-tau=-0.5+0.1j")
     p.add_argument("--from-tau", help="gluing parameter tau, e.g. 1+4j or --from-tau=-1e308j")
-    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+    _add_format_arg(p)
     p.set_defaults(func=cmd_kra)
 
     return parser
@@ -271,7 +266,7 @@ def run(argv: list[str] | None = None) -> int:
         # error, but no success either, since the curves not yet printed
         # were not checked
         return EXIT_BROKEN_PIPE
-    except (SurfaceError, CoordError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # SurfaceError and CoordError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError:  # an input too large to hold, such as 10^12 copies

@@ -10,21 +10,10 @@ per seed and drawn whole before they are returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .dtcoords import ArcCounts, CoordError, DTCoords, ParityViolation, twist_correction, validate
 from .standardpos import extract_components
 from .surface import PantsDecomposition
-
-
-@dataclass(frozen=True, slots=True)
-class FuzzConfig:
-    surface: PantsDecomposition
-    seed: int = 0
-    max_q: int = 6
-    max_abs_p: int = 8
-    count: int = 100
-    connected_only: bool = False
 
 
 def _sample_q(
@@ -55,23 +44,28 @@ def _repair_p(
     return tuple(out)
 
 
-def random_coords(cfg: FuzzConfig) -> list[DTCoords]:
-    """Deterministic sample of admissible, realizable coordinate vectors.
+def random_coords(
+    surface: PantsDecomposition, *, seed: int = 0, max_q: int = 6, max_abs_p: int = 8,
+    count: int = 100, connected_only: bool = False,
+) -> list[DTCoords]:
+    """Deterministic sample of `count` admissible, realizable coordinate
+    vectors with q_i <= `max_q` and |p_i| <= `max_abs_p` before the parity
+    repair; only connected curves if `connected_only`.
 
     The whole sample is drawn before it is returned, so a stalled sampler
     raises before a caller has used any of it.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     sample: list[DTCoords] = []
     attempts = 0
-    while len(sample) < cfg.count:
+    while len(sample) < count:
         attempts += 1
-        if attempts > 1000 * max(cfg.count, 1):
+        if attempts > 1000 * max(count, 1):
             raise CoordError("rejection sampling stalled; relax the config")
-        q, pattern = _sample_q(rng, cfg.surface, cfg.max_q)
-        p = [rng.randint(-cfg.max_abs_p, cfg.max_abs_p) for _ in range(cfg.surface.xi)]
-        coords = DTCoords(q, _repair_p(cfg.surface, q, pattern, p))
-        if cfg.connected_only and len(extract_components(cfg.surface, coords)) != 1:
+        q, pattern = _sample_q(rng, surface, max_q)
+        p = [rng.randint(-max_abs_p, max_abs_p) for _ in range(surface.xi)]
+        coords = DTCoords(q, _repair_p(surface, q, pattern, p))
+        if connected_only and len(extract_components(surface, coords)) != 1:
             continue
         sample.append(coords)
     return sample

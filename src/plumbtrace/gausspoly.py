@@ -72,18 +72,14 @@ BOX_CACHE = 64
 RENDER_SLOTS = 256
 
 
-def _box(counts) -> tuple[tuple[int, ...], int]:
+@lru_cache(maxsize=BOX_CACHE)
+def _box(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """Mixed-radix strides and size of the exponent box prod_k [0, counts[k]].
 
     idx(e) = sum_k e_k * strides[k], radix counts[k] + 1, t_n lowest, so
     itertools.product over the box lists exponent tuples in index order.
-    A curve reads it three or four times: ``_strides`` keeps it.
+    A curve reads it three or four times, so it is cached by the counts tuple.
     """
-    return _strides(tuple(counts))
-
-
-@lru_cache(maxsize=BOX_CACHE)
-def _strides(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     strides, size = [0] * len(counts), 1
     for k in reversed(range(len(counts))):
         strides[k] = size

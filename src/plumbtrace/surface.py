@@ -178,10 +178,16 @@ def parse_surface(text: str) -> PantsDecomposition:
                 fields = dict(
                     part.split("=", 1) for part in line.split()[1:] if "=" in part
                 )
+                for key in ("g", "b"):
+                    if key not in fields:
+                        raise SurfaceError(f"missing '{key}=' in surface declaration")
                 genus = int(fields["g"])
                 boundary = int(fields["b"])
             elif line.startswith("pants"):
-                pants_count = int(line.split()[1])
+                words = line.split()
+                if len(words) < 2:
+                    raise SurfaceError("missing count in pants declaration")
+                pants_count = int(words[1])
             elif line.startswith("glue"):
                 m = _GLUE_RE.match(line)
                 if not m:
@@ -192,9 +198,7 @@ def parse_surface(text: str) -> PantsDecomposition:
                 )
             else:
                 raise SurfaceError(f"unknown directive {line.split()[0]!r}")
-        except SurfaceError as exc:
-            raise SurfaceError(f"line {lineno}: {exc}") from None
-        except (KeyError, ValueError, IndexError) as exc:
+        except ValueError as exc:  # SurfaceError included
             raise SurfaceError(f"line {lineno}: {exc}") from None
     if genus is None or boundary is None:
         raise SurfaceError("missing 'surface g=.. b=..' declaration")

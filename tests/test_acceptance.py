@@ -30,7 +30,7 @@ from oracle import (
 )
 from plumbtrace import cli
 from plumbtrace.dtcoords import DTCoords, window_twists
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components
 from plumbtrace.surface import (
@@ -65,11 +65,10 @@ def _report(num: int, label: str) -> None:
 def _connected_samples(surface, max_q, seed, count):
     """Connected curves with at least one crossing and total q <= 16."""
     out = []
-    cfg = FuzzConfig(
-        surface, seed=seed, max_q=max_q, max_abs_p=10, count=4 * count,
-        connected_only=True,
+    sample = random_coords(
+        surface, seed=seed, max_q=max_q, max_abs_p=10, count=4 * count, connected_only=True,
     )
-    for coords in random_coords(cfg):
+    for coords in sample:
         if 1 <= sum(coords.q) <= 16:
             out.append(coords)
             if len(out) == count:
@@ -167,8 +166,7 @@ def test_criterion_06_twist_conversion_goldens(capsys):
 def test_criterion_07_oracle_agreement(capsys):
     agreed = 0
     for surface, _ in CAMPAIGN:
-        cfg = FuzzConfig(surface, seed=707, max_q=3, max_abs_p=6, count=120)
-        for coords in random_coords(cfg):
+        for coords in random_coords(surface, seed=707, max_q=3, max_abs_p=6, count=120):
             if sum(coords.q) > 8:
                 continue
             report = oracle_check(surface, coords)

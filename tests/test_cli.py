@@ -357,6 +357,29 @@ def test_verify_refuses_fuzz_with_a_named_curve(capsys, named):
     assert err == "error: pass --q and --p, or --fuzz N, not both\n"
 
 
+def test_verify_fuzz_zero_verifies_no_curve(capsys):
+    # an empty sample, as `random --count 0` prints: nothing, exit 0
+    code, out, err = run(capsys, "verify", "--surface", G2, "--fuzz", "0")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_verify_refuses_fuzz_zero_with_a_named_curve(capsys):
+    argv = ("verify", "--surface", G2, "--fuzz", "0", "--q", "1", "--p", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: pass --q and --p, or --fuzz N, not both\n")
+
+
+def test_word_takes_no_format(capsys):
+    # word prints text only: argparse refuses --format before any work
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "word", "--surface", S04, "--q", "2", "--p", "0", "--format", "jsonl")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit):
+        run(capsys, "word", "--help")
+    assert "--format" not in capsys.readouterr().out
+
+
 def test_verify_refuses_multicomponent(capsys):
     code, _, err = run(capsys, "verify", "--surface", S11, "--q", "2", "--p", "0")
     assert code == 2
@@ -565,3 +588,46 @@ def test_sampler_stall_prints_no_partial_sample(capsys, argv):
     command, *extra = argv
     code, out, err = run(capsys, command, "--surface", G2, "--seed", "0", "--max-q", "0", *extra)
     assert (code, out, err) == (2, "", "error: rejection sampling stalled; relax the config\n")
+
+
+# every sha256 that the CI step "CLI as a process" checks and no other test
+# here pins, run in-process; the full digests, as the CI lines compare them
+CI_GOLDENS = [
+    (
+        ("trace", "--surface", G2, "--q=1,8,1", "--p=-11,-18,9", "--matrix"),
+        "552da3dec8dc06ab8c87a9927dff3c227cdc2e37a1f0d0e476cf9ab806f91c21",
+    ),
+    (
+        ("trace", "--surface", S12, "--q=2,6", "--p=40,-34", "--matrix"),
+        "27a556e779503ebd99346f25d9dbcbde8fd5126425d1761213127f6e18f52541",
+    ),
+    (
+        ("trace", "--surface", G2, "--q=6,1,1", "--p=6,5,-7", "--matrix"),
+        "e76204b464d996cf9a40eaa3c61b0265af0d449c6831bd8edaebad5b4eea243b",
+    ),
+    (
+        ("word", "--surface", G2, "--q=6,1,1", "--p=6,5,-7"),
+        "f9002746e9c541acb93283c12150ba776a3b68bd9d76bea0c433c9f4dd834d9a",
+    ),
+    (
+        ("word", "--surface", G2, "--q=128,128,128", "--p=-128,0,0"),
+        "8ea2144d3985ace8fd69ff81468c687614723c9cf5f6a44d3a04d84cf9f2bbba",
+    ),
+    (
+        # one component parallel to curve 1, printed as such
+        ("word", "--surface", G2, "--q=0,2,4", "--p=1,-8,-6"),
+        "0f5233fa34df761c29f8b70d761278be1c2460fd5728b0595f3b686da8ae1399",
+    ),
+    (
+        ("verify", "--surface", G2, "--fuzz", "200", "--seed", "7", "--max-q", "5",
+         "--format", "jsonl"),
+        "c5e23099c2f30b7e462b593f8c28d69bfd1bfe42ee4c24e3d606f5d4cdb19870",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CI_GOLDENS, ids=[d[:8] for _, d in CI_GOLDENS])
+def test_ci_golden(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

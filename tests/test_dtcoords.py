@@ -45,6 +45,11 @@ class TestValidate:
         with pytest.raises(CoordError, match="length"):
             validate(genus_two(), DTCoords((2,), (0,)))
 
+    def test_negative_intersection_number_rejected(self):
+        with pytest.raises(CoordError) as exc:
+            DTCoords((-1,), (0,))
+        assert str(exc.value) == "negative intersection number"
+
 
 class TestArcCounts:
     def test_all_equal(self):
@@ -67,6 +72,11 @@ class TestArcCounts:
     def test_parity_rejected(self):
         with pytest.raises(ParityViolation):
             arc_counts(1, 0, 0)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(CoordError) as exc:
+            arc_counts(-1, 1, 0)
+        assert str(exc.value) == "negative intersection number"
 
     @staticmethod
     def slot_budgets(c):

@@ -7,7 +7,7 @@ import pytest
 
 from embedding_oracle import injectivity_scan, oracle_check
 from plumbtrace.dtcoords import DTCoords, window_twists, validate
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.standardpos import (
     Matching,
     SccLoop,
@@ -30,12 +30,12 @@ STREAM_DIGEST = "6639ea171495b4f68aa793b741b61e39e727abfe08a3670104a081cadadafa8
 
 class TestSampler:
     def test_deterministic_per_seed(self):
-        cfg = FuzzConfig(genus_two(), seed=7, count=25)
-        assert list(random_coords(cfg)) == list(random_coords(cfg))
+        draw = lambda: random_coords(genus_two(), seed=7, count=25)
+        assert draw() == draw()
 
     def test_distinct_seeds_differ(self):
-        a = list(random_coords(FuzzConfig(genus_two(), seed=1, count=25)))
-        b = list(random_coords(FuzzConfig(genus_two(), seed=2, count=25)))
+        a = list(random_coords(genus_two(), seed=1, count=25))
+        b = list(random_coords(genus_two(), seed=2, count=25))
         assert a != b
 
     def test_stream_golden(self):
@@ -45,29 +45,26 @@ class TestSampler:
         for surface in SURFACES:
             for seed in range(3):
                 for connected_only in (False, True):
-                    cfg = FuzzConfig(
-                        surface, seed=seed, count=20, connected_only=connected_only
+                    sample = random_coords(
+                        surface, seed=seed, count=20, connected_only=connected_only,
                     )
-                    for c in random_coords(cfg):
+                    for c in sample:
                         line = f"{tuple(g.name for g in surface.gluings)} {seed} {connected_only} {c.q} {c.p}"
                         digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == STREAM_DIGEST
 
     def test_four_holed_sphere_parity(self):
-        cfg = FuzzConfig(four_holed_sphere(), seed=3, max_q=2, count=50)
-        for coords in random_coords(cfg):
+        for coords in random_coords(four_holed_sphere(), seed=3, max_q=2, count=50):
             assert coords.q[0] % 2 == 0
 
     def test_samples_are_admissible_and_realizable(self):
         for surface in SURFACES:
-            cfg = FuzzConfig(surface, seed=11, count=30)
-            for coords in random_coords(cfg):
+            for coords in random_coords(surface, seed=11, count=30):
                 validate(surface, coords)
                 window_twists(surface, coords)  # must not raise
 
     def test_connected_only_filter(self):
-        cfg = FuzzConfig(one_holed_torus(), seed=5, count=40, connected_only=True)
-        for coords in random_coords(cfg):
+        for coords in random_coords(one_holed_torus(), seed=5, count=40, connected_only=True):
             assert len(extract_components(one_holed_torus(), coords)) == 1
             # the doubled dual pattern (2, 0) is multicomponent: never emitted
             assert coords != DTCoords((2,), (0,))
@@ -137,8 +134,7 @@ class TestOracle:
 
 def test_oracle_agrees_with_extraction_on_fuzz():
     for surface in SURFACES:
-        cfg = FuzzConfig(surface, seed=23, max_q=3, max_abs_p=4, count=40)
-        for coords in random_coords(cfg):
+        for coords in random_coords(surface, seed=23, max_q=3, max_abs_p=4, count=40):
             if sum(coords.q) > 8:
                 continue
             report = oracle_check(surface, coords)
@@ -153,9 +149,7 @@ def test_injectivity_scan_on_connected_fuzz():
     # trace 2 and would collide trivially, hence connected samples.)
     surface = twice_holed_torus()
     samples = list(
-        random_coords(
-            FuzzConfig(surface, seed=9, max_q=3, max_abs_p=3, count=40, connected_only=True)
-        )
+        random_coords(surface, seed=9, max_q=3, max_abs_p=3, count=40, connected_only=True)
     )
     collisions = injectivity_scan(surface, samples)
     if collisions:  # pragma: no cover

@@ -91,7 +91,7 @@ class TestPackedCoefficient:
             raise AssertionError("term dict built")
 
         monkeypatch.setattr(GaussPoly, "terms", property(refuse))
-        rng = random.Random(f"coefficient:{counts}:{width}")
+        rng = random.Random(f"coefficient:{list(counts)}:{width}")
         probes = list(itertools.product(*(range(-1, n + 2) for n in counts)))
         for corner in (True, False):
             terms = random_terms(rng, counts, width, corner)
@@ -177,7 +177,7 @@ def test_slot_reads_match_the_oracle(counts, width):
     # the signed slot list behind str, _lead_sign and terms, against the
     # oracle's term dict, at the slot limits and at random, with a zero and
     # a nonzero corner, real and imaginary
-    rng = random.Random(f"slot reads:{counts}:{width}")
+    rng = random.Random(f"slot reads:{list(counts)}:{width}")
     for corner in (True, False):
         for terms in (limit_terms(counts, width, corner), random_terms(rng, counts, width, corner)):
             packed = pack(terms, counts, width)

@@ -36,7 +36,7 @@ from oracle import (
 )
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace import gausspoly
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.gausspoly import GaussPoly, _box, _lead_sign
 from plumbtrace.holonomy import (
     WordError,
@@ -91,8 +91,10 @@ def sample_words():
     words = []
     for path in SURFACE_FILES:
         surface = load_surface(str(path))
-        cfg = FuzzConfig(surface, seed=13, max_q=3, max_abs_p=4, count=12, connected_only=True)
-        for coords in random_coords(cfg):
+        sample = random_coords(
+            surface, seed=13, max_q=3, max_abs_p=4, count=12, connected_only=True,
+        )
+        for coords in sample:
             words.extend(c.word for c in extract_components(surface, coords) if c.word)
     return words
 
@@ -113,8 +115,8 @@ def genus_two_one_hole():
 def trace_sample_words():
     """sample_words() plus seeded connected words at arity 4."""
     surface = genus_two_one_hole()
-    cfg = FuzzConfig(surface, seed=5, max_q=2, max_abs_p=4, count=12, connected_only=True)
-    words = [c.word for co in random_coords(cfg) for c in extract_components(surface, co)]
+    sample = random_coords(surface, seed=5, max_q=2, max_abs_p=4, count=12, connected_only=True)
+    words = [c.word for co in sample for c in extract_components(surface, co)]
     return sample_words() + [w for w in words if w]
 
 
@@ -412,7 +414,7 @@ class TestDenseLayout:
     @pytest.mark.parametrize("width", [32, 64, 72, 136])
     @pytest.mark.parametrize("counts", BOXES)
     def test_unpack_lists_terms_in_product_order(self, counts, width):
-        rng = random.Random(f"{counts}:{width}")
+        rng = random.Random(f"{list(counts)}:{width}")
         for corner in (True, False):
             terms = random_terms(rng, counts, width, corner)
             order = [m for m in itertools.product(*(range(c + 1) for c in counts)) if m in terms]
@@ -426,7 +428,7 @@ class TestDenseLayout:
     def test_slot_render_is_the_dict_render(self, counts, width):
         # every box, zero crossing counts included, at every kind of slot:
         # read as 32- or 64-bit words or sliced out of the bytes
-        rng = random.Random(f"render:{counts}:{width}")
+        rng = random.Random(f"render:{list(counts)}:{width}")
         for corner in (True, False):
             terms = random_terms(rng, counts, width, corner)
             packed = pack(terms, counts, width)
@@ -451,7 +453,7 @@ class TestDenseLayout:
     def test_lead_is_the_grlex_greatest_term(self, counts, width):
         # with and without a zero corner, for every phase i^q: the sign
         # comes from max(terms, key=grlex_key), as canonical_sign takes it
-        rng = random.Random(f"lead:{counts}:{width}")
+        rng = random.Random(f"lead:{list(counts)}:{width}")
         for corner in (True, False):
             for _ in range(5):
                 terms = random_terms(rng, counts, width, corner)
@@ -468,9 +470,9 @@ class TestDenseLayout:
     def test_lead_sign_is_not_the_packed_sign(self):
         # t2 - t1 + 1: the highest slot holds t1, the graded-lex lead is t2
         terms = {(0, 1): 1, (1, 0): -1, (0, 0): 1}
-        packed = pack(terms, [1, 1], 32)
+        packed = pack(terms, (1, 1), 32)
         assert packed < 0
-        got = packed_form(lead_signed(packed, [1, 1], 32), [1, 1], 32).terms
+        got = packed_form(lead_signed(packed, (1, 1), 32), (1, 1), 32).terms
         assert got == {(0, 1): (1, 0), (1, 0): (-1, 0), (0, 0): (1, 0)}
 
 
@@ -479,8 +481,8 @@ def deep_words():
     """Words of seeded connected curves with q_i <= 8 on genus two with one
     hole, the size of the benchmark's deep workload."""
     surface = load_surface(str(GENUS_TWO_ONE_HOLE))
-    cfg = FuzzConfig(surface, seed=3, max_q=8, max_abs_p=8, count=25, connected_only=True)
-    return tuple(extract_components(surface, c)[0].word for c in random_coords(cfg))
+    sample = random_coords(surface, seed=3, max_q=8, max_abs_p=8, count=25, connected_only=True)
+    return tuple(extract_components(surface, c)[0].word for c in sample)
 
 
 def render_sample_words():
@@ -647,8 +649,8 @@ def sympy_words():
     words = []
     for path in SURFACE_FILES:
         surface = load_surface(str(path))
-        cfg = FuzzConfig(surface, seed=0, max_q=3, max_abs_p=6, count=10, connected_only=True)
-        for coords in random_coords(cfg):
+        sample = random_coords(surface, seed=0, max_q=3, max_abs_p=6, count=10, connected_only=True)
+        for coords in sample:
             if 1 <= sum(coords.q) <= 6:
                 words.append(extract_components(surface, coords)[0].word)
     return words

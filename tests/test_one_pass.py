@@ -11,7 +11,7 @@ import pytest
 
 from plumbtrace import cli, dtcoords, holonomy
 from plumbtrace.dtcoords import DTCoords
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.gausspoly import Mat2
 from plumbtrace.holonomy import trace_of_curve
 from plumbtrace.standardpos import extract_components
@@ -52,8 +52,7 @@ def calls(monkeypatch):
 
 def connected_curve(path):
     surface = load_surface(path)
-    cfg = FuzzConfig(surface, seed=4, max_q=4, count=1, connected_only=True)
-    return surface, random_coords(cfg)[0]
+    return surface, random_coords(surface, seed=4, max_q=4, count=1, connected_only=True)[0]
 
 
 @pytest.mark.parametrize("path", SURFACES)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import oracle
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.holonomy import word_trace
 from plumbtrace.standardpos import extract_components
 from plumbtrace.verifier import verify
@@ -30,9 +30,9 @@ def test_random_gluing_verifies(genus, boundary):
     assert surface.xi == 3 * genus - 3 + boundary
     assert len(surface.unglued) == surface.boundary
     seed = rng.randrange(1 << 30)
-    cfg = FuzzConfig(surface, seed=seed, max_q=3, max_abs_p=4, count=10, connected_only=True)
     crossed = 0
-    for coords in random_coords(cfg):
+    sample = random_coords(surface, seed=seed, max_q=3, max_abs_p=4, count=10, connected_only=True)
+    for coords in sample:
         report = verify(surface, coords)
         assert report.passed, (coords, report.failures())
         (comp,) = extract_components(surface, coords)

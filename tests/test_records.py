@@ -11,7 +11,6 @@ import pytest
 
 import plumbtrace
 from plumbtrace.dtcoords import DTCoords
-from plumbtrace.fuzz import FuzzConfig
 from plumbtrace.holonomy import evaluate_word, trace_of_curve
 from plumbtrace.standardpos import (
     Token,
@@ -88,7 +87,7 @@ BUILDS = {"word": word_records, "trace": trace_records, "verify": verify_records
 
 def test_records_are_found():
     names = {cls.__name__ for cls in RECORDS}
-    assert {"Crossing", "GaussPoly", "Layout", "Mat2", "PantsDecomposition", "TopTermReport", "FuzzConfig"} <= names
+    assert {"Crossing", "GaussPoly", "Layout", "Mat2", "PantsDecomposition", "TopTermReport"} <= names
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda cls: cls.__name__)
@@ -104,10 +103,9 @@ def test_records_of_one_curve_have_no_dict(command):
 
 
 def test_the_three_commands_reach_every_record():
-    # together with the sampler's configuration, the guard above sees an
-    # instance of every record class
+    # the guard above sees an instance of every record class
     surface = genus_two()
-    roots = [build(surface) for build in BUILDS.values()] + [FuzzConfig(surface)]
+    roots = [build(surface) for build in BUILDS.values()]
     assert {type(obj) for obj in reachable(*roots)} >= set(RECORDS)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from plumbtrace import standardpos
 from plumbtrace.dtcoords import DTCoords
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.standardpos import (
     Conn,
     Crossing,
@@ -56,9 +56,8 @@ def assert_same(surface, coords):
 @pytest.mark.parametrize("name", sorted(SURFACES))
 def test_components_match_reference(name, max_q):
     surface = SURFACES[name]
-    cfg = FuzzConfig(surface, seed=max_q, max_q=max_q, max_abs_p=3 * max_q, count=30)
     multi = parallel = 0
-    for coords in random_coords(cfg):
+    for coords in random_coords(surface, seed=max_q, max_q=max_q, max_abs_p=3 * max_q, count=30):
         comps = assert_same(surface, coords)
         multi += sum(c.word is not None for c in comps) > 1
         parallel += any(c.word is None for c in comps)
@@ -73,8 +72,7 @@ def test_parallel_copies_and_multicurves(name):
     comps = assert_same(surface, DTCoords((0,) * xi, (3,) * xi))
     assert len(comps) == 3 * xi and all(c.word is None for c in comps)
     # n parallel copies of a connected curve have n times its coordinates
-    cfg = FuzzConfig(surface, seed=1, max_q=6, count=5, connected_only=True)
-    for coords in random_coords(cfg):
+    for coords in random_coords(surface, seed=1, max_q=6, count=5, connected_only=True):
         for n in (2, 3):
             copies = DTCoords(tuple(n * v for v in coords.q), tuple(n * v for v in coords.p))
             assert len(assert_same(surface, copies)) == n
@@ -143,8 +141,7 @@ def test_layout_faults_rejected_where_the_word_scan_rejects(monkeypatch, request
     rejected = 0
     for path in sorted((ROOT / "surfaces").glob("*.surf")):
         surface = SURFACES[path.stem]
-        cfg = FuzzConfig(surface, seed=12, max_q=12, max_abs_p=36, count=60)
-        for coords in random_coords(cfg):
+        for coords in random_coords(surface, seed=12, max_q=12, max_abs_p=36, count=60):
             want = reference_rejects(surface, coords, kind, fault)
             try:
                 extract_components(surface, coords)

@@ -12,7 +12,7 @@ import pytest
 from oracle import lift
 from plumbtrace import gausspoly, standardpos
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import trace_of_curve
 from plumbtrace.standardpos import extract_components, layout_endpoints, word_to_text
@@ -36,9 +36,9 @@ SURFACES = {
 def samples(surface, seed, connected_only):
     """Fuzzed curves, each followed by one twisted about a crossed curve,
     so that the list holds pairs with the same q and different p."""
-    cfg = FuzzConfig(surface, seed=seed, max_q=4, count=15, connected_only=connected_only)
     out = []
-    for coords in random_coords(cfg):
+    sample = random_coords(surface, seed=seed, max_q=4, count=15, connected_only=connected_only)
+    for coords in sample:
         out.append(coords)
         crossed = [i for i, q in enumerate(coords.q) if q]
         if crossed:
@@ -153,5 +153,5 @@ def test_shared_tables_cannot_be_changed():
 def test_caches_are_bounded():
     assert standardpos._shared_layout.cache_info().maxsize == standardpos.LAYOUT_CACHE == 64
     assert gausspoly._shared_render_tables.cache_info().maxsize == gausspoly.BOX_CACHE == 64
-    assert gausspoly._strides.cache_info().maxsize == gausspoly.BOX_CACHE
+    assert gausspoly._box.cache_info().maxsize == gausspoly.BOX_CACHE
     assert standardpos.LAYOUT_NODES == gausspoly.RENDER_SLOTS == 256

@@ -8,7 +8,7 @@ import pytest
 
 from plumbtrace import standardpos
 from plumbtrace.dtcoords import CoordError, DTCoords, window_twists
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.standardpos import (
     Conn,
     Crossing,
@@ -265,7 +265,7 @@ class TestWords:
         s = genus_two()
         digest = hashlib.sha256()
         multi = 0
-        for coords in random_coords(FuzzConfig(s, seed=14, max_q=256, max_abs_p=600, count=40)):
+        for coords in random_coords(s, seed=14, max_q=256, max_abs_p=600, count=40):
             words = [c.word for c in extract_components(s, coords) if c.word is not None]
             multi += len(words) > 1
             for word in words:
@@ -453,7 +453,7 @@ def test_word_structure_on_fuzz():
     from plumbtrace.surface import twice_holed_torus
 
     s = twice_holed_torus()
-    for coords in random_coords(FuzzConfig(s, seed=77, max_q=4, count=30)):
+    for coords in random_coords(s, seed=77, max_q=4, count=30):
         for comp in extract_components(s, coords):
             if comp.word is None:
                 continue

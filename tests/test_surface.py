@@ -115,6 +115,37 @@ def test_parse_errors(text, match):
         parse_surface(text)
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("surface g=1 b=1\npants 1\nglue a (0,inf) 0,0)", "line 3: malformed glue line"),
+        ("surface g=1 b=1\npants abc", "line 2: invalid literal for int() with base 10: 'abc'"),
+        # a declaration that lacks a field names the field
+        ("surface g=1\npants 1", "line 1: missing 'b=' in surface declaration"),
+        ("surface b=1\npants 1", "line 1: missing 'g=' in surface declaration"),
+        ("surface g=1 b=1\npants", "line 2: missing count in pants declaration"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(SurfaceError) as exc:
+        parse_surface(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "pants,gluings,message",
+    [
+        (0, [], "need at least one pants"),
+        (1, [("a", (0, SLOT_INF), (5, SLOT_0))], "gluing 'a' refers to missing pants 5"),
+        (1, [("a", (0, SLOT_INF), (0, 7))], "gluing 'a' has bad slot 7"),
+    ],
+)
+def test_build_errors(pants, gluings, message):
+    with pytest.raises(SurfaceError) as exc:
+        build_surface(1, 1, pants, gluings)
+    assert str(exc.value) == message
+
+
 def test_shipped_surface_files():
     from pathlib import Path
 

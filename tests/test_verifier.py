@@ -22,7 +22,7 @@ from plumbtrace.dtcoords import (
 from plumbtrace.gausspoly import GaussPoly, _box
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
-from plumbtrace.fuzz import FuzzConfig, random_coords
+from plumbtrace.fuzz import random_coords
 from plumbtrace.surface import (
     four_holed_sphere,
     genus_two,
@@ -63,8 +63,10 @@ class TestPredict:
         checked = 0
         for path in SURFACE_FILES:
             surface = load_surface(str(path))
-            cfg = FuzzConfig(surface, seed=9, max_q=4, max_abs_p=6, count=8, connected_only=True)
-            for coords in random_coords(cfg):
+            sample = random_coords(
+                surface, seed=9, max_q=4, max_abs_p=6, count=8, connected_only=True,
+            )
+            for coords in sample:
                 report = verify(surface, coords)
                 if not sum(report.q):
                     continue
@@ -333,8 +335,8 @@ class TestPackedCheck:
         read = gausspoly._slots
         monkeypatch.setattr(gausspoly, "_slots", counted)
         surface = genus_two_one_hole()
-        cfg = FuzzConfig(surface, seed=5, max_q=5, max_abs_p=6, count=20, connected_only=True)
-        for coords in random_coords(cfg):
+        sample = random_coords(surface, seed=5, max_q=5, max_abs_p=6, count=20, connected_only=True)
+        for coords in sample:
             calls.clear()
             report = verify(surface, coords)
             assert report.passed
@@ -352,8 +354,10 @@ class TestPackedCheck:
         checked = 0
         for path in SURFACE_FILES:
             surface = load_surface(str(path))
-            cfg = FuzzConfig(surface, seed=5, max_q=5, max_abs_p=6, count=10, connected_only=True)
-            for coords in random_coords(cfg):
+            sample = random_coords(
+                surface, seed=5, max_q=5, max_abs_p=6, count=10, connected_only=True,
+            )
+            for coords in sample:
                 report = verify(surface, coords)
                 assert report.passed
                 report.to_record()
@@ -364,12 +368,12 @@ class TestPackedCheck:
 def test_campaign_on_four_curve_surface():
     # the largest stock surface (four pants curves): every connected fuzz
     # sample has the predicted top-term shape
-    from plumbtrace.fuzz import FuzzConfig, random_coords
+    from plumbtrace.fuzz import random_coords
     from plumbtrace.surface import genus_two_one_hole
 
     surface = genus_two_one_hole()
-    cfg = FuzzConfig(surface, seed=44, max_q=4, max_abs_p=6, count=60, connected_only=True)
-    for coords in random_coords(cfg):
+    sample = random_coords(surface, seed=44, max_q=4, max_abs_p=6, count=60, connected_only=True)
+    for coords in sample:
         if sum(coords.q) == 0:
             continue
         assert verify(surface, coords).passed

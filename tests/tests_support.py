@@ -76,7 +76,7 @@ def degree_in(poly, index):
     return max((m[index] for m in poly.terms), default=-1)
 
 
-BOXES = [[1], [3, 2], [2, 0, 3, 1], [0, 2, 1, 0]]  # crossing counts per curve
+BOXES = [(1,), (3, 2), (2, 0, 3, 1), (0, 2, 1, 0)]  # crossing counts per curve
 
 
 def pack(terms, counts, width):
@@ -108,7 +108,7 @@ def packed_poly(arity, terms, counts=None, width=64, imag=False):
     real, or each imaginary if `imag`, packed into the box `counts`
     (default: the smallest box that holds the terms) and read back."""
     if counts is None:
-        counts = [max((m[k] for m in terms), default=0) for k in range(arity)]
+        counts = tuple(max((m[k] for m in terms), default=0) for k in range(arity))
     return packed_form(pack(terms, counts, width), counts, width, imag)
 
 
@@ -147,4 +147,4 @@ def clear_shared_tables():
     so that the next call builds them afresh."""
     standardpos._shared_layout.cache_clear()
     gausspoly._shared_render_tables.cache_clear()
-    gausspoly._strides.cache_clear()
+    gausspoly._box.cache_clear()
