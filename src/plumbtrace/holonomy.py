@@ -16,7 +16,12 @@ matrix is an integer matrix, so a word with crossings c_1 .. c_q factors as
 where K_j = W_in(c_j) . L_j . W_out(c_{j+1})^-1 folds the rotations on
 either side of the j-th joint with the run L_j of same-slot returns between
 them (``joint_matrix``, cached; for a plain traversal it is +-W0 or +-W1;
-at either end of the word the missing rotation is Winf = Id).
+at either end of the word the missing rotation is Winf = Id).  ``_factor``
+reads the word once, token by token: it keeps the last crossing read and the
+run of returns since it, and each new crossing closes the joint before it,
+so step j (crossing c_j with K_j) is built as soon as c_{j+1} arrives, and
+the last one against Winf after the word ends.  No list of crossings, runs
+or joints is kept.
 
 Packing.  A word with n_k crossings of curve k has no exponent of t_k above
 n_k, so every entry lives in the box prod_k [0, n_k].  Its index is the
@@ -153,31 +158,32 @@ def _factor(word: Word):
     """
     if not word.tokens:
         raise WordError("empty word")
-    crossings, runs = [], [[]]  # runs[j]: the same-slot returns after crossing j
+    k0 = prev = None  # prev: the last crossing read, its step still open
+    run, steps, counts = (), [], [0] * word.arity  # run: returns since prev
     for tok in word.tokens:
         if isinstance(tok, Crossing):
             if not 0 <= tok.curve < word.arity:
                 raise WordError(
                     f"crossing of curve {tok.curve + 1} in a word of arity {word.arity}"
                 )
-            crossings.append(tok)
-            runs.append([])
+            counts[tok.curve] += 1
+            if prev is None:  # Winf = Id before the first crossing
+                k0 = joint_matrix(SLOT_INF, run, tok.out_slot)
+            else:
+                (k00, k01), (k10, k11) = joint_matrix(prev.in_slot, run, tok.out_slot)
+                twice = 2 * prev.twist
+                steps.append((prev.curve, k00 - twice * k10, k10, k01 - twice * k11, k11))
+            prev, run = tok, ()
         elif isinstance(tok, SccLoop):
-            runs[-1].append((tok.slot, tok.sign))
+            run += ((tok.slot, tok.sign),)
         elif not isinstance(tok, Conn):  # pragma: no cover
             raise WordError(f"unknown token {tok!r}")
-    if not crossings:
+    if prev is None:
         raise WordError("word contains no crossing")
-    ins = [SLOT_INF] + [tok.in_slot for tok in crossings]  # Winf = Id at both ends
-    outs = [tok.out_slot for tok in crossings] + [SLOT_INF]
-    joints = [joint_matrix(i, tuple(run), o) for i, run, o in zip(ins, runs, outs)]
-    steps = []
-    counts = [0] * word.arity
-    for tok, ((k00, k01), (k10, k11)) in zip(crossings, joints[1:]):
-        counts[tok.curve] += 1
-        twice = 2 * tok.twist
-        steps.append((tok.curve, k00 - twice * k10, k10, k01 - twice * k11, k11))
-    return joints[0], steps, tuple(counts)
+    (k00, k01), (k10, k11) = joint_matrix(prev.in_slot, run, SLOT_INF)  # Winf = Id after it
+    twice = 2 * prev.twist
+    steps.append((prev.curve, k00 - twice * k10, k10, k01 - twice * k11, k11))
+    return k0, steps, tuple(counts)
 
 
 def _l1_bounds(k0, steps):

@@ -13,10 +13,13 @@ Surface file grammar (one directive per line, '#' comments):
     pants <count>
     glue <name> (<pants>,<slot>) (<pants>,<slot>)
 
-Slot tokens are ``0``, ``1``, ``inf``.  Curve indices are assigned in file
-order, so the k-th ``glue`` line owns variable t<k+1>.  Genus and boundary
-are declared, not inferred, and validated against the pants/gluing counts so
-a misconfigured file fails loudly.
+A line's first word names its directive and must match it whole.  A word
+the directive does not take (a second count, a key other than ``g`` and
+``b``, a key given twice) is refused by name, so a typo is not read as
+something else.  Slot tokens are ``0``, ``1``, ``inf``.  Curve indices are
+assigned in file order, so the k-th ``glue`` line owns variable t<k+1>.
+Genus and boundary are declared, not inferred, and validated against the
+pants/gluing counts so a misconfigured file fails loudly.
 """
 
 from __future__ import annotations
@@ -173,22 +176,27 @@ def parse_surface(text: str) -> PantsDecomposition:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        directive, *words = line.split()
         try:
-            if line.startswith("surface"):
-                fields = dict(
-                    part.split("=", 1) for part in line.split()[1:] if "=" in part
-                )
+            if directive == "surface":
+                fields = {}
+                for word in words:
+                    key, eq, value = word.partition("=")
+                    if not eq or key not in ("g", "b") or key in fields:
+                        raise SurfaceError(f"unexpected {word!r} in surface declaration")
+                    fields[key] = value
                 for key in ("g", "b"):
                     if key not in fields:
                         raise SurfaceError(f"missing '{key}=' in surface declaration")
                 genus = int(fields["g"])
                 boundary = int(fields["b"])
-            elif line.startswith("pants"):
-                words = line.split()
-                if len(words) < 2:
+            elif directive == "pants":
+                if not words:
                     raise SurfaceError("missing count in pants declaration")
-                pants_count = int(words[1])
-            elif line.startswith("glue"):
+                if len(words) > 1:
+                    raise SurfaceError(f"unexpected {words[1]!r} in pants declaration")
+                pants_count = int(words[0])
+            elif directive == "glue":
                 m = _GLUE_RE.match(line)
                 if not m:
                     raise SurfaceError("malformed glue line")
@@ -197,7 +205,7 @@ def parse_surface(text: str) -> PantsDecomposition:
                     (name, (int(pa), parse_slot(sa)), (int(pb), parse_slot(sb)))
                 )
             else:
-                raise SurfaceError(f"unknown directive {line.split()[0]!r}")
+                raise SurfaceError(f"unknown directive {directive!r}")
         except ValueError as exc:  # SurfaceError included
             raise SurfaceError(f"line {lineno}: {exc}") from None
     if genus is None or boundary is None:

@@ -367,6 +367,17 @@ class TestUnusualWords:
         with pytest.raises(WordError, match="arity 2"):
             word_trace(word)
 
+    def test_second_crossing_outside_arity_rejected(self):
+        # the refusal names the crossing that lies outside, not the first one
+        word = word_from_text(2, """
+            cross c=1 out=(0,inf) in=(1,0) t=0
+            conn p=1 in=0 out=inf
+            cross c=3 out=(1,inf) in=(0,1) t=1
+        """)
+        for evaluate in (evaluate_word, word_trace):
+            with pytest.raises(WordError, match="^crossing of curve 3 in a word of arity 2$"):
+                evaluate(word)
+
 
 class TestWordTrace:
     def test_sample_covers_every_arity_and_residue(self):
@@ -871,11 +882,14 @@ class TestGoldenEvaluations:
         assert det(lift(evaluate_word(comps[0].word))) == C(1, 1)
 
     def test_empty_word_rejected(self):
+        loops = word_from_text(1, "loop p=0 slot=inf s=+1\nloop p=0 slot=1 s=-1")
         for evaluate in (evaluate_word, word_trace):
-            with pytest.raises(WordError):
+            with pytest.raises(WordError, match="^empty word$"):
                 evaluate(Word(1, ()))
-            with pytest.raises(WordError):
+            with pytest.raises(WordError, match="^word contains no crossing$"):
                 evaluate(Word(1, (Conn(0, SLOT_0, SLOT_INF),)))
+            with pytest.raises(WordError, match="^word contains no crossing$"):
+                evaluate(loops)
 
 
 class TestTraceOfCurve:

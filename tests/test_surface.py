@@ -124,6 +124,32 @@ def test_parse_errors(text, match):
         ("surface g=1\npants 1", "line 1: missing 'b=' in surface declaration"),
         ("surface b=1\npants 1", "line 1: missing 'g=' in surface declaration"),
         ("surface g=1 b=1\npants", "line 2: missing count in pants declaration"),
+        # a directive is its line's first word, matched whole, and a word
+        # the directive does not take is refused by name, not skipped
+        (
+            "surfaceXYZ g=1 b=1\npantsfoo 1\nglue a (0,inf) (0,0)",
+            "line 1: unknown directive 'surfaceXYZ'",
+        ),
+        (
+            "surface g=1 b=1\npantsfoo 1\nglue a (0,inf) (0,0)",
+            "line 2: unknown directive 'pantsfoo'",
+        ),
+        (
+            "surface g=1 b=1 junk\npants 1\nglue a (0,inf) (0,0)",
+            "line 1: unexpected 'junk' in surface declaration",
+        ),
+        (
+            "surface g=1 b=1\npants 1 2 3\nglue a (0,inf) (0,0)",
+            "line 2: unexpected '2' in pants declaration",
+        ),
+        (
+            "surface g=1 b=1 x=5\npants 1\nglue a (0,inf) (0,0)",
+            "line 1: unexpected 'x=5' in surface declaration",
+        ),
+        (
+            "surface g=1 b=1 g=2\npants 1\nglue a (0,inf) (0,0)",
+            "line 1: unexpected 'g=2' in surface declaration",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
