@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .dtcoords import CoordError, DTCoords, window_twists
@@ -41,15 +42,28 @@ EXIT_INTERNAL_ERROR = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _parse_vector(text: str) -> tuple[int, ...]:
-    body = text.strip().lstrip("[").rstrip("]")
-    if not body:
+# [0-9] and not \d: \d matches other scripts' digits, which int() reads too
+_ENTRY = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_vector(flag: str, text: str) -> tuple[int, ...]:
+    """The entries of `text`, separated by commas with optional spaces
+    around each, the whole optionally in one pair of brackets as the
+    output prints a vector; anything else is refused, not read as some
+    other vector."""
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    entries = [entry.strip() for entry in body.split(",")]
+    if entries == [""]:
         return ()
-    return tuple(int(tok) for tok in body.replace(",", " ").split())
+    if not all(map(_ENTRY.fullmatch, entries)):
+        raise CoordError(f"{flag} must be integers separated by commas, got {text!r}")
+    return tuple(map(int, entries))
 
 
 def _coords_from_args(args) -> DTCoords:
-    return DTCoords(_parse_vector(args.q), _parse_vector(args.p))
+    return DTCoords(_parse_vector("--q", args.q), _parse_vector("--p", args.p))
 
 
 def _emit(args, record: dict, text: str) -> None:

@@ -572,6 +572,14 @@ COORD_ERRORS = [
     ("0,1,0", "-1,0,0", "curve 0: q=0 needs twist >= 0"),
     ("1,0,0", "1,0,0", "pants 0: odd intersection total 1"),
     ("0,2,2", "-1,1,0", "curve 0: q=0 needs twist >= 0"),
+    # malformed vectors, refused before any check of the curve, --q first
+    ("1,1,2", "1,,1,0", "--p must be integers separated by commas, got '1,,1,0'"),
+    ("1;1", "0;0", "--q must be integers separated by commas, got '1;1'"),
+] + [
+    # a lenient parser reads the first three as q=(1, 1, 2), the next two
+    # as 10 and 0, and refuses the last with int()'s own message
+    (q, "1,1,0", f"--q must be integers separated by commas, got {q!r}")
+    for q in ("1,,1,2", "[1,1,2", "[[1,1,2]]", "1_0", "\uff10", "1;1;2")
 ]
 
 
@@ -580,6 +588,23 @@ COORD_ERRORS = [
 def test_coordinate_error_precedence(capsys, command, q, p, message):
     code, out, err = run(capsys, command, "--surface", G2, f"--q={q}", f"--p={p}")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, vector",
+    [
+        ("2", (2,)),
+        ("1,1,2", (1, 1, 2)),
+        ("-1,-1", (-1, -1)),
+        ("+1,0", (1, 0)),
+        ("[1, 1, 2]", (1, 1, 2)),  # as the output prints q
+        (" 1 , 2 ", (1, 2)),
+        ("", ()),
+        ("[]", ()),
+    ],
+)
+def test_vector_forms_accepted(text, vector):
+    assert cli._parse_vector("--q", text) == vector
 
 
 @pytest.mark.parametrize("argv", [("random", "--connected-only"), ("verify", "--fuzz", "10")])
