@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .dtcoords import CoordError, DTCoords, window_twists
@@ -29,7 +28,7 @@ from .holonomy import (
     gluing_parameter_from_annulus,
 )
 from .standardpos import extract_components, word_to_text
-from .surface import load_surface
+from .surface import integer, load_surface
 from .verifier import verify
 from .fuzz import random_coords
 
@@ -40,10 +39,6 @@ EXIT_INTERNAL_ERROR = 3
 # the reader closed standard output; a shell reports 128 + SIGPIPE for a
 # process that the signal ends, and Python ignores the signal
 EXIT_BROKEN_PIPE = 141
-
-
-# [0-9] and not \d: \d matches other scripts' digits, which int() reads too
-_ENTRY = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_vector(flag: str, text: str) -> tuple[int, ...]:
@@ -57,9 +52,10 @@ def _parse_vector(flag: str, text: str) -> tuple[int, ...]:
     entries = [entry.strip() for entry in body.split(",")]
     if entries == [""]:
         return ()
-    if not all(map(_ENTRY.fullmatch, entries)):
-        raise CoordError(f"{flag} must be integers separated by commas, got {text!r}")
-    return tuple(map(int, entries))
+    try:
+        return tuple(map(integer, entries))
+    except ValueError:
+        raise CoordError(f"{flag} must be integers separated by commas, got {text!r}") from None
 
 
 def _coords_from_args(args) -> DTCoords:
@@ -84,11 +80,7 @@ def _seed(args) -> int:
     """--seed, else the PLUMBTRACE_SEED environment variable, else 0."""
     if args.seed is not None:
         return args.seed
-    text = os.environ.get("PLUMBTRACE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise CoordError(f"PLUMBTRACE_SEED must be an integer, got {text!r}") from None
+    return integer(os.environ.get("PLUMBTRACE_SEED", "0"), "PLUMBTRACE_SEED")
 
 
 def _add_format_arg(sub):
@@ -104,9 +96,9 @@ def _add_surface_coord_args(sub):
 def _add_sample_args(sub, max_q: int):
     """The options of the subcommands that draw curves (``_sample``)."""
     _add_format_arg(sub)
-    sub.add_argument("--seed", type=int, help="default: $PLUMBTRACE_SEED or 0")
-    sub.add_argument("--max-q", type=int, default=max_q)
-    sub.add_argument("--max-abs-p", type=int, default=8)
+    sub.add_argument("--seed", type=integer, help="default: $PLUMBTRACE_SEED or 0")
+    sub.add_argument("--max-q", type=integer, default=max_q)
+    sub.add_argument("--max-abs-p", type=integer, default=8)
 
 
 def _sample(args, surface, count: int, connected_only: bool) -> list[DTCoords]:
@@ -243,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", required=True)
     p.add_argument("--q", help="intersection numbers (omit with --fuzz)")
     p.add_argument("--p", help="twists (omit with --fuzz)")
-    p.add_argument("--fuzz", type=int, help="verify N random connected curves")
+    p.add_argument("--fuzz", type=integer, help="verify N random connected curves")
     _add_sample_args(p, max_q=8)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random", help="emit random admissible coordinates")
     p.add_argument("--surface", required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=integer, default=10)
     _add_sample_args(p, max_q=6)
     p.add_argument("--connected-only", action="store_true")
     p.set_defaults(func=cmd_random)

@@ -103,11 +103,7 @@ from itertools import accumulate
 from operator import attrgetter, sub
 
 from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
-from .surface import PantsDecomposition, pred, slot_name, succ
-
-# connector classes for a traversal between distinct slots of one pants
-TURN_PRED = "pred"  # exit slot is the entry slot's predecessor
-TURN_SUCC = "succ"  # exit slot is the entry slot's successor
+from .surface import PantsDecomposition, slot_name, succ
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,13 +143,6 @@ class Conn:
             self, "text",
             f"conn p={self.pants} in={slot_name(self.in_slot)} out={slot_name(self.out_slot)}",
         )
-
-    def turn(self) -> str:
-        if self.out_slot == pred(self.in_slot):
-            return TURN_PRED
-        if self.out_slot == succ(self.in_slot):
-            return TURN_SUCC
-        raise AssertionError("degenerate traversal")
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,7 +331,7 @@ def match_strands(layout: Layout, coords: DTCoords) -> Matching:
 
 
 # (turn before, turn after, -2 * loop sign) no untwisted embedded return shows
-_FORBIDDEN = ((TURN_SUCC, TURN_SUCC, -2), (TURN_PRED, TURN_PRED, 2))
+_FORBIDDEN = (("succ", "succ", -2), ("pred", "pred", 2))
 
 
 def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
@@ -359,6 +348,9 @@ def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
     """
     mate, crossing = matching.mate, matching.crossing
     arc_mate, traversal = layout.arc_mate, layout.traversal
+    # a traversal's turn is (out_slot - in_slot) % 3: 1 exits at its entry slot's
+    # successor, 2 at its predecessor; a flanking return reads 2 before, 1 after
+    turns = (None, "succ", "pred")
     for block in layout.scc_out:
         for p in block:
             back = arc_mate[p]
@@ -366,9 +358,9 @@ def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
                 continue
             before = traversal[arc_mate[mate[p]]]
             after = traversal[mate[back]]
-            v = TURN_PRED if isinstance(before, SccLoop) else before.turn()
-            u = TURN_SUCC if isinstance(after, SccLoop) else after.turn()
-            pattern = (v, u, -2 * traversal[p].sign)
+            v = 2 if isinstance(before, SccLoop) else (before.out_slot - before.in_slot) % 3
+            u = 1 if isinstance(after, SccLoop) else (after.out_slot - after.in_slot) % 3
+            pattern = (turns[v], turns[u], -2 * traversal[p].sign)
             if pattern in _FORBIDDEN:
                 msg = f"non-embeddable same-slot return pattern {pattern}; layout bug upstream"
                 raise AssertionError(msg)

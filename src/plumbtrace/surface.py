@@ -16,8 +16,10 @@ Surface file grammar (one directive per line, '#' comments):
 A line's first word names its directive and must match it whole.  A word
 the directive does not take (a second count, a key other than ``g`` and
 ``b``, a key given twice) is refused by name, so a typo is not read as
-something else.  Slot tokens are ``0``, ``1``, ``inf``.  Curve indices are
-assigned in file order, so the k-th ``glue`` line owns variable t<k+1>.
+something else.  Every integer is ASCII digits with an optional sign
+(``integer``, which reads every integer of an option or a curve too).
+Slot tokens are ``0``, ``1``, ``inf``.  Curve indices are assigned in
+file order, so the k-th ``glue`` line owns variable t<k+1>.
 Genus and boundary are declared, not inferred, and validated against the
 pants/gluing counts so a misconfigured file fails loudly.
 """
@@ -34,6 +36,18 @@ _SLOT_VALUES = {"0": SLOT_0, "1": SLOT_1, "inf": SLOT_INF, "2": SLOT_INF}
 
 class SurfaceError(ValueError):
     """Invalid pants decomposition or unparseable surface description."""
+
+
+# [0-9], not the Unicode digit class, which matches other scripts' digits;
+# int() alone reads those, '1_0' and ' 7' too
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str, name: str = "value") -> int:
+    """`text` as an integer: ASCII digits with an optional sign, nothing else."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(text)
 
 
 def slot_name(slot: int) -> str:
@@ -164,7 +178,7 @@ def build_surface(
 
 
 _GLUE_RE = re.compile(
-    r"glue\s+(\S+)\s+\(\s*(\d+)\s*,\s*(\w+)\s*\)\s+\(\s*(\d+)\s*,\s*(\w+)\s*\)$"
+    r"glue\s+(\S+)\s+\(\s*([^\s,()]+)\s*,\s*(\w+)\s*\)\s+\(\s*([^\s,()]+)\s*,\s*(\w+)\s*\)$"
 )
 
 
@@ -188,22 +202,22 @@ def parse_surface(text: str) -> PantsDecomposition:
                 for key in ("g", "b"):
                     if key not in fields:
                         raise SurfaceError(f"missing '{key}=' in surface declaration")
-                genus = int(fields["g"])
-                boundary = int(fields["b"])
+                genus = integer(fields["g"], "g")
+                boundary = integer(fields["b"], "b")
             elif directive == "pants":
                 if not words:
                     raise SurfaceError("missing count in pants declaration")
                 if len(words) > 1:
                     raise SurfaceError(f"unexpected {words[1]!r} in pants declaration")
-                pants_count = int(words[0])
+                pants_count = integer(words[0], "pants count")
             elif directive == "glue":
                 m = _GLUE_RE.match(line)
                 if not m:
                     raise SurfaceError("malformed glue line")
                 name, pa, sa, pb, sb = m.groups()
-                gluings.append(
-                    (name, (int(pa), parse_slot(sa)), (int(pb), parse_slot(sb)))
-                )
+                end_a = integer(pa, "pants"), parse_slot(sa)
+                end_b = integer(pb, "pants"), parse_slot(sb)
+                gluings.append((name, end_a, end_b))
             else:
                 raise SurfaceError(f"unknown directive {directive!r}")
         except ValueError as exc:  # SurfaceError included

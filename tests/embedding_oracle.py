@@ -281,7 +281,8 @@ def p_star_check(
         after = toks[(idx + 1) % n]
         if not (isinstance(before, Conn) and isinstance(after, Conn)):
             raise WordError(f"crossing at token {idx} is not flanked by traversals")
-        kappa[tok.curve] += (after.turn() == "pred") + (before.turn() == "succ")
+        kappa[tok.curve] += after.out_slot == pred(after.in_slot)
+        kappa[tok.curve] += before.out_slot == succ(before.in_slot)
         q[tok.curve] += 1
     out: dict[int, tuple[int, int]] = {}
     for i in range(word.arity):

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from plumbtrace.dtcoords import ArcCounts, DTCoords, pattern_twists, validate
 from plumbtrace.standardpos import (
-    TURN_PRED,
-    TURN_SUCC,
     Component,
     Conn,
     Crossing,
@@ -200,6 +198,15 @@ def reference_text(word: Word) -> str:
     return "\n".join(lines)
 
 
+def turn(conn: Conn) -> str:
+    """"pred" or "succ": the neighbour of its entry slot a traversal exits at."""
+    if conn.out_slot == pred(conn.in_slot):
+        return "pred"
+    if conn.out_slot == succ(conn.in_slot):
+        return "succ"
+    raise AssertionError(f"degenerate traversal {conn.text!r}")
+
+
 def check_scc_patterns(word: Word) -> None:
     """Reject flanking patterns that cannot come from an embedded curve,
     scanning every token of one word.
@@ -227,10 +234,10 @@ def check_scc_patterns(word: Word) -> None:
             continue
         before = toks[(idx - 2) % n]
         after = toks[(idx + 2) % n]
-        v = TURN_PRED if isinstance(before, SccLoop) else before.turn()
-        u = TURN_SUCC if isinstance(after, SccLoop) else after.turn()
+        v = "pred" if isinstance(before, SccLoop) else turn(before)
+        u = "succ" if isinstance(after, SccLoop) else turn(after)
         y = -2 * tok.sign
-        if (v, u, y) in ((TURN_SUCC, TURN_SUCC, -2), (TURN_PRED, TURN_PRED, 2)):
+        if (v, u, y) in (("succ", "succ", -2), ("pred", "pred", 2)):
             raise AssertionError(
                 f"non-embeddable same-slot return pattern {(v, u, y)}; "
                 "layout bug upstream"

@@ -511,6 +511,50 @@ def test_bad_env_seed_is_input_error(capsys, monkeypatch):
     assert code == 0
 
 
+# an integer is ASCII digits with an optional sign; int() alone would also
+# read the underscore form, the fullwidth seven (U+FF17) and the
+# Arabic-Indic three (U+0663)
+NOT_INTEGERS = ["1_0", "\uff17", "\u0663"]
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+@pytest.mark.parametrize(
+    "command,flag", [("verify", "--seed"), ("random", "--seed")] + NEGATIVE_COUNTS
+)
+def test_integer_option_refuses_other_grammars(capsys, command, flag, text):
+    extra = ("--fuzz", "2") if command == "verify" and flag != "--fuzz" else ()
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, command, "--surface", S12, *extra, f"{flag}={text}")
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid integer value: {text!r}\n")
+
+
+@pytest.mark.parametrize("text", NOT_INTEGERS)
+def test_env_seed_refuses_other_grammars(capsys, monkeypatch, text):
+    monkeypatch.setenv("PLUMBTRACE_SEED", text)
+    code, out, err = run(capsys, "random", "--surface", S12, "--count", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: PLUMBTRACE_SEED must be an integer, got {text!r}\n"
+
+
+@pytest.mark.parametrize("text,value", [("7", 7), ("-1", -1), ("+1", 1), ("007", 7)])
+def test_integer_forms_read(capsys, monkeypatch, text, value):
+    # a sign and leading zeros read as before, in an option and in
+    # PLUMBTRACE_SEED alike
+    from plumbtrace.fuzz import random_coords
+    from plumbtrace.surface import load_surface
+
+    coords = random_coords(load_surface(S12), seed=value, count=abs(value))
+    want = "".join(f"q={list(c.q)} p={list(c.p)}\n" for c in coords)
+    args = ("random", "--surface", S12, f"--count={abs(value)}")
+    assert run(capsys, *args, f"--seed={text}") == (0, want, "")
+    monkeypatch.setenv("PLUMBTRACE_SEED", text)
+    assert run(capsys, *args) == (0, want, "")
+    if value > 0:
+        assert run(capsys, *args[:-1], f"--count={text}", f"--seed={value}") == (0, want, "")
+
+
 def test_sampler_stall_is_input_error(capsys):
     # with q = 0 and p = 0 every curve is empty, so none is connected
     code, _, err = run(

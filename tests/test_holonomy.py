@@ -952,6 +952,34 @@ class TestTraceOfCurve:
         assert pairs == {True: 36, False: 92}
         assert held == {True: 36, False: 0}
 
+    def test_farey_recursion_along_a_stern_brocot_path(self):
+        # the same relation on full traces up to q = 1117: from the
+        # neighbours (1, 0) and (2, 2), each step replaces one of the pair
+        # r, s, picked by a seeded coin, with their sum, so the pair stays
+        # neighbours and the new pair's difference is the curve it dropped
+        surface = one_holed_torus()
+
+        def trace(q, p):
+            [(_, poly)] = trace_of_curve(surface, DTCoords((q,), (p,)))  # connected
+            return lift(poly)
+
+        r, s = (1, 0), (2, 2)
+        traces = {r: trace(*r), s: trace(*s), (1, 2): trace(1, 2)}  # (1, 2) = s - r
+        diff, rng, steps = (1, 2), random.Random(0), 0
+        while max(r[0], s[0]) < 1024:
+            total = (r[0] + s[0], r[1] + s[1])
+            traces[total] = trace(*total)
+            assert max(traces[total].terms) == (total[0],)  # degree q
+            product = oracle.mul(traces[r], traces[s])
+            t, d = traces[total], traces[diff]
+            assert any(a + b == product for a in (t, -t) for b in (d, -d)), total
+            if rng.random() < 0.5:
+                r, diff = total, r
+            else:
+                s, diff = total, s
+            steps += 1
+        assert (total, steps) == ((1117, 510), 15)
+
 
 class TestInverseWord:
     def test_inverse_is_matrix_inverse(self):

@@ -27,7 +27,9 @@ from plumbtrace.surface import (
     four_holed_sphere,
     genus_two,
     one_holed_torus,
+    pred,
     slot_name,
+    succ,
 )
 from reference_layout import check_scc_patterns
 from tests_support import crossings, layout_q, node_id
@@ -465,7 +467,8 @@ def test_word_structure_on_fuzz():
                 else:
                     assert isinstance(tok, (Conn, SccLoop))
                     if isinstance(tok, Conn):
-                        assert tok.turn() in ("pred", "succ")
+                        # a traversal exits at its entry slot's pred or succ
+                        assert tok.out_slot in (pred(tok.in_slot), succ(tok.in_slot))
 
 
 def test_twisted_same_slot_returns_compile():

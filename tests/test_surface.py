@@ -119,7 +119,7 @@ def test_parse_errors(text, match):
     "text,message",
     [
         ("surface g=1 b=1\npants 1\nglue a (0,inf) 0,0)", "line 3: malformed glue line"),
-        ("surface g=1 b=1\npants abc", "line 2: invalid literal for int() with base 10: 'abc'"),
+        ("surface g=1 b=1\npants abc", "line 2: pants count must be an integer, got 'abc'"),
         # a declaration that lacks a field names the field
         ("surface g=1\npants 1", "line 1: missing 'b=' in surface declaration"),
         ("surface b=1\npants 1", "line 1: missing 'g=' in surface declaration"),
@@ -149,6 +149,16 @@ def test_parse_errors(text, match):
         (
             "surface g=1 b=1 g=2\npants 1\nglue a (0,inf) (0,0)",
             "line 1: unexpected 'g=2' in surface declaration",
+        ),
+        # an integer is ASCII digits with an optional sign: int() alone
+        # would read the underscore, the fullwidth one (U+FF11), the
+        # Arabic-Indic three (U+0663) and zero (U+0660)
+        ("surface g=0_1 b=1\npants 1", "line 1: g must be an integer, got '0_1'"),
+        ("surface g=1 b=\uff11\npants 1", "line 1: b must be an integer, got '\uff11'"),
+        ("surface g=1 b=1\npants \u0663", "line 2: pants count must be an integer, got '\u0663'"),
+        (
+            "surface g=1 b=1\npants 1\nglue a (\u0660,inf) (0,0)",
+            "line 3: pants must be an integer, got '\u0660'",
         ),
     ],
 )
