@@ -1,7 +1,6 @@
 """Run the mutation census of ``mutants.py``.
 
-    python3 tests/run_mutants.py          # every mutant
-    python3 tests/run_mutants.py 0 5      # mutants 0 and 5 (list indices)
+    python3 tests/run_mutants.py
 
 Each mutant is applied alone to a fresh copy of ``src/`` in a temporary
 directory, and its test file runs against that copy in a subprocess
@@ -14,7 +13,6 @@ Standard library only, besides the pytest the tests need.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -49,12 +47,8 @@ def run_mutant(mutant: Mutant) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("index", nargs="*", type=int, help="mutants to run (default: all)")
-    args = parser.parse_args()
     survivors = 0
-    for i in args.index or range(len(MUTANTS)):
-        mutant = MUTANTS[i]
+    for i, mutant in enumerate(MUTANTS):
         status = run_mutant(mutant)
         survivors += status != "killed"
         print(f"{i:3d} {status:9s} {mutant.module}: {mutant.replacement.strip()}", flush=True)
