@@ -37,12 +37,8 @@ from .surface import (
     PantsDecomposition,
     SurfaceError,
     build_surface,
-    four_holed_sphere,
-    genus_two,
     load_surface,
-    one_holed_torus,
     parse_surface,
-    twice_holed_torus,
 )
 from .verifier import TopTermReport, verify
 
@@ -68,17 +64,13 @@ __all__ = [
     "window_twists",
     "evaluate_word",
     "extract_components",
-    "four_holed_sphere",
-    "genus_two",
     "gluing_parameter_from_annulus",
     "layout_endpoints",
     "load_surface",
     "match_strands",
-    "one_holed_torus",
     "parse_surface",
     "scc_count",
     "trace_of_curve",
-    "twice_holed_torus",
     "validate",
     "verify",
 ]

@@ -196,14 +196,22 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+def _complex(flag: str, text: str) -> complex:
+    """`text` as complex() reads it, once it is known to be ASCII with no
+    '_': complex() alone reads '1_0' as 10, and a fullwidth '\uff11' as 1."""
+    if not text.isascii() or "_" in text:
+        raise CoordError(f"{flag} must be ASCII with no '_', got {text!r}")
+    return complex(text)
+
+
 def cmd_kra(args) -> int:
     if (args.to_tau is None) == (args.from_tau is None):
         raise CoordError("pass exactly one of --to-tau / --from-tau")
     if args.to_tau is not None:
-        value = gluing_parameter_from_annulus(complex(args.to_tau))
+        value = gluing_parameter_from_annulus(_complex("--to-tau", args.to_tau))
         record = {"kind": "kra", "direction": "annulus->tau", "value": str(value)}
     else:
-        value = annulus_from_gluing_parameter(complex(args.from_tau))
+        value = annulus_from_gluing_parameter(_complex("--from-tau", args.from_tau))
         record = {"kind": "kra", "direction": "tau->annulus", "value": str(value)}
     _emit(args, record, str(value))
     return EXIT_OK

@@ -18,8 +18,8 @@ the directive does not take (a second count, a key other than ``g`` and
 ``b``, a key given twice) is refused by name, so a typo is not read as
 something else.  Every integer is ASCII digits with an optional sign
 (``integer``, which reads every integer of an option or a curve too).
-Slot tokens are ``0``, ``1``, ``inf``.  Curve indices are assigned in
-file order, so the k-th ``glue`` line owns variable t<k+1>.
+Slot tokens are exactly ``0``, ``1`` and ``inf``.  Curve indices are
+assigned in file order, so the k-th ``glue`` line owns variable t<k+1>.
 Genus and boundary are declared, not inferred, and validated against the
 pants/gluing counts so a misconfigured file fails loudly.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 SLOT_0, SLOT_1, SLOT_INF = 0, 1, 2
 SLOT_NAMES = {SLOT_0: "0", SLOT_1: "1", SLOT_INF: "inf"}
-_SLOT_VALUES = {"0": SLOT_0, "1": SLOT_1, "inf": SLOT_INF, "2": SLOT_INF}
+_SLOT_VALUES = {name: slot for slot, name in SLOT_NAMES.items()}
 
 
 class SurfaceError(ValueError):
@@ -55,7 +55,7 @@ def slot_name(slot: int) -> str:
 
 
 def parse_slot(token: str) -> int:
-    token = token.strip().lower()
+    """The slot a token names: exactly ``0``, ``1`` or ``inf``."""
     if token not in _SLOT_VALUES:
         raise SurfaceError(f"bad slot {token!r} (expected 0, 1 or inf)")
     return _SLOT_VALUES[token]
@@ -99,16 +99,6 @@ class PantsDecomposition:
         """Number of pants curves (= number of plumbing variables)."""
         return len(self.gluings)
 
-    @property
-    def unglued(self) -> tuple[tuple[int, int], ...]:
-        """Free (pants, slot) pairs in pants-then-slot order."""
-        return tuple(
-            (p, s)
-            for p, curves in enumerate(self.slot_curves)
-            for s, c in enumerate(curves)
-            if c is None
-        )
-
 
 def build_surface(
     genus: int,
@@ -132,7 +122,8 @@ def build_surface(
             if s not in (SLOT_0, SLOT_1, SLOT_INF):
                 raise SurfaceError(f"gluing {name!r} has bad slot {s}")
         if end_a == end_b:
-            raise SurfaceError(f"gluing {name!r} glues slot {end_a} to itself")
+            p, s = end_a
+            raise SurfaceError(f"gluing {name!r} glues slot ({p},{slot_name(s)}) to itself")
         for p, s in (end_a, end_b):
             if (p, s) in used:
                 raise SurfaceError(f"slot ({p},{slot_name(s)}) used by two gluings")
@@ -232,57 +223,3 @@ def parse_surface(text: str) -> PantsDecomposition:
 def load_surface(path: str) -> PantsDecomposition:
     with open(path, encoding="utf-8") as fh:
         return parse_surface(fh.read())
-
-
-# Stock decompositions used across tests and docs.
-
-def one_holed_torus() -> PantsDecomposition:
-    """One pants, slots inf and 0 glued; slot 1 is the boundary."""
-    return build_surface(1, 1, 1, [("a", (0, SLOT_INF), (0, SLOT_0))])
-
-
-def four_holed_sphere() -> PantsDecomposition:
-    """Two pants glued along their inf slots; four free boundaries."""
-    return build_surface(0, 4, 2, [("a", (0, SLOT_INF), (1, SLOT_INF))])
-
-
-def twice_holed_torus() -> PantsDecomposition:
-    """Two pants, two gluings (inf-inf and 1-1); two free boundaries."""
-    return build_surface(
-        1,
-        2,
-        2,
-        [
-            ("a", (0, SLOT_INF), (1, SLOT_INF)),
-            ("b", (0, SLOT_1), (1, SLOT_1)),
-        ],
-    )
-
-
-def genus_two() -> PantsDecomposition:
-    """Closed genus-two surface: two pants glued along all three slot pairs."""
-    return build_surface(
-        2,
-        0,
-        2,
-        [
-            ("a", (0, SLOT_0), (1, SLOT_0)),
-            ("b", (0, SLOT_1), (1, SLOT_1)),
-            ("c", (0, SLOT_INF), (1, SLOT_INF)),
-        ],
-    )
-
-
-def genus_two_one_hole() -> PantsDecomposition:
-    """Genus two with one boundary: three pants, four gluings."""
-    return build_surface(
-        2,
-        1,
-        3,
-        [
-            ("a", (0, SLOT_INF), (0, SLOT_0)),
-            ("b", (0, SLOT_1), (1, SLOT_INF)),
-            ("c", (1, SLOT_0), (2, SLOT_INF)),
-            ("d", (1, SLOT_1), (2, SLOT_0)),
-        ],
-    )

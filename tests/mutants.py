@@ -186,4 +186,17 @@ MUTANTS = [
         '_INTEGER = re.compile(r"[+-]?\\d+")',
         "tests/test_surface.py",
     ),
+    # slot tokens named once, and kra's value grammar
+    Mutant(
+        "plumbtrace.surface",
+        "_SLOT_VALUES = {name: slot for slot, name in SLOT_NAMES.items()}",
+        '_SLOT_VALUES = {name: slot for slot, name in SLOT_NAMES.items()} | {"2": SLOT_INF}',
+        "tests/test_surface.py",
+    ),
+    Mutant(
+        "plumbtrace.cli",
+        '    if not text.isascii() or "_" in text:',
+        "    if False:",
+        "tests/test_cli.py",
+    ),
 ]

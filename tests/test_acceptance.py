@@ -33,17 +33,12 @@ from plumbtrace.dtcoords import DTCoords, window_twists
 from plumbtrace.fuzz import random_coords
 from plumbtrace.holonomy import component_trace, evaluate_word, trace_of_curve
 from plumbtrace.standardpos import extract_components
-from plumbtrace.surface import (
-    four_holed_sphere,
-    genus_two,
-    one_holed_torus,
-    twice_holed_torus,
-)
 from plumbtrace.verifier import verify
 from tests_support import (
     coords_from_triple,
     n1_surface,
     n2_surface,
+    stock,
     triple_from_coords,
     twist_curve,
 )
@@ -51,10 +46,10 @@ from tests_support import (
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
 CAMPAIGN = [
-    (one_holed_torus(), 16),
-    (four_holed_sphere(), 16),
-    (twice_holed_torus(), 8),
-    (genus_two(), 5),
+    (stock("one_holed_torus"), 16),
+    (stock("four_holed_sphere"), 16),
+    (stock("twice_holed_torus"), 8),
+    (stock("genus_two"), 5),
 ]
 
 
@@ -99,13 +94,13 @@ def test_criterion_02_one_holed_golden_matrix(capsys):
     target = Mat(*(e.scale(0, -1) for e in (t - one, one, one, Poly(1))))
 
     # the doubled dual: both components carry the same single-crossing word
-    comps = extract_components(one_holed_torus(), DTCoords((2,), (0,)))
+    comps = extract_components(stock("one_holed_torus"), DTCoords((2,), (0,)))
     assert len(comps) == 2
     for comp in comps:
         m = lift(evaluate_word(comp.word))
         assert m in (target, neg(target))
     # the connected single copy evaluates on the nose
-    single = extract_components(one_holed_torus(), DTCoords((1,), (0,)))[0]
+    single = extract_components(stock("one_holed_torus"), DTCoords((1,), (0,)))[0]
     assert lift(evaluate_word(single.word)) == target
     with capsys.disabled():
         _report(2, "one-holed-torus golden matrix")
@@ -180,7 +175,7 @@ def test_criterion_07_oracle_agreement(capsys):
 
 def _equivariance_sign() -> int:
     """The global substitution sign, pinned on the one-holed torus."""
-    s11 = one_holed_torus()
+    s11 = stock("one_holed_torus")
     base = DTCoords((1,), (0,))
     t0 = lift(component_trace(extract_components(s11, base)[0]))
     t1 = lift(component_trace(extract_components(s11, twist_curve(base, 0, 1))[0]))

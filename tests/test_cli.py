@@ -450,6 +450,15 @@ def test_kra_takes_a_negative_value_in_the_equals_form(capsys, flag):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--from-tau", "--to-tau"])
+@pytest.mark.parametrize("value", ["1_0", "\uff11"])
+def test_kra_refuses_underscores_and_non_ascii(capsys, flag, value):
+    # complex() alone reads 1_0 as 10 and the fullwidth one (U+FF11) as 1
+    code, out, err = run(capsys, "kra", flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be ASCII with no '_', got {value!r}\n"
+
+
 def test_kra_refuses_a_negative_value_out_of_range(capsys):
     code, out, err = run(capsys, "kra", "--from-tau=-1e308j")
     assert code == 2

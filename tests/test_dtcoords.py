@@ -15,35 +15,33 @@ from plumbtrace.dtcoords import (
     window_twists,
     validate,
 )
-from plumbtrace.surface import (
-    SLOT_0,
-    SLOT_1,
-    SLOT_INF,
-    build_surface,
-    four_holed_sphere,
-    genus_two,
-    one_holed_torus,
+from tests_support import (
+    coords_from_triple,
+    n1_surface,
+    n2_surface,
+    stock,
+    triple_from_coords,
+    twist_curve,
 )
-from tests_support import coords_from_triple, triple_from_coords, twist_curve
 
 
 class TestValidate:
     def test_dual_curve_admissible(self):
-        validate(four_holed_sphere(), DTCoords((2,), (0,)))
+        validate(stock("four_holed_sphere"), DTCoords((2,), (0,)))
 
     def test_odd_pants_total_rejected(self):
         with pytest.raises(ParityViolation) as exc:
-            validate(four_holed_sphere(), DTCoords((1,), (0,)))
+            validate(stock("four_holed_sphere"), DTCoords((1,), (0,)))
         assert exc.value.pants in (0, 1)
 
     def test_negative_twist_on_zero_length(self):
         with pytest.raises(NegativeTwistOnZeroLength) as exc:
-            validate(four_holed_sphere(), DTCoords((0,), (-1,)))
+            validate(stock("four_holed_sphere"), DTCoords((0,), (-1,)))
         assert exc.value.curve == 0
 
     def test_length_mismatch(self):
         with pytest.raises(CoordError, match="length"):
-            validate(genus_two(), DTCoords((2,), (0,)))
+            validate(stock("genus_two"), DTCoords((2,), (0,)))
 
     def test_negative_intersection_number_rejected(self):
         with pytest.raises(CoordError) as exc:
@@ -118,29 +116,6 @@ class TestArcCounts:
                 assert sum(1 for n in c.scc if n) <= 1
 
 
-def n1_surface():
-    """Two pants glued at inf (curve 0) and at slot 1 (curve 1): the second
-    curve sits at each inf-slot's predecessor, so a once-crossing curve has
-    one arc between them in each pants."""
-    return build_surface(
-        1, 2, 2,
-        [("e", (0, SLOT_INF), (1, SLOT_INF)), ("f", (0, SLOT_1), (1, SLOT_1))],
-    )
-
-
-def n2_surface():
-    """One pants carrying a same-boundary arc at curve 0's end, the other
-    pants feeding both strands onward through two more curves."""
-    return build_surface(
-        1, 3, 3,
-        [
-            ("e", (0, SLOT_INF), (1, SLOT_INF)),
-            ("c", (1, SLOT_1), (2, SLOT_0)),
-            ("d", (1, SLOT_0), (2, SLOT_1)),
-        ],
-    )
-
-
 class TestWindowTwist:
     def test_once_crossing_golden(self):
         # q=1, p=-1 with one predecessor-slot arc in each pants: phat = 0
@@ -155,23 +130,23 @@ class TestWindowTwist:
 
     def test_four_holed_dual(self):
         # both sides are same-boundary arcs, no correction: phat = -1
-        assert window_twists(four_holed_sphere(), DTCoords((2,), (0,))) == (-1,)
+        assert window_twists(stock("four_holed_sphere"), DTCoords((2,), (0,))) == (-1,)
 
     def test_one_holed_torus_single_and_doubled(self):
-        s = one_holed_torus()
+        s = stock("one_holed_torus")
         assert window_twists(s, DTCoords((1,), (0,))) == (0,)
         assert window_twists(s, DTCoords((2,), (0,))) == (0,)
 
     def test_zero_length_passthrough(self):
-        assert window_twists(four_holed_sphere(), DTCoords((0,), (5,))) == (5,)
+        assert window_twists(stock("four_holed_sphere"), DTCoords((0,), (5,))) == (5,)
 
     def test_unrealizable_twist_surfaced(self):
         # q=2 dual-type curve on the four-holed sphere needs even p
         with pytest.raises(CoordError, match="not realizable"):
-            window_twists(four_holed_sphere(), DTCoords((2,), (1,)))
+            window_twists(stock("four_holed_sphere"), DTCoords((2,), (1,)))
 
     def test_equivariant_under_twisting(self):
-        s = genus_two()
+        s = stock("genus_two")
         coords = DTCoords((1, 1, 2), (1, 1, 0))
         base = window_twists(s, coords)
         for i in range(3):

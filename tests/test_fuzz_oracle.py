@@ -15,27 +15,24 @@ from plumbtrace.standardpos import (
     layout_endpoints,
     match_strands,
 )
-from plumbtrace.surface import (
-    SLOT_INF,
-    four_holed_sphere,
-    genus_two,
-    one_holed_torus,
-    twice_holed_torus,
-)
-from tests_support import node_id
+from plumbtrace.surface import SLOT_INF
+from tests_support import node_id, stock
 
-SURFACES = [one_holed_torus(), four_holed_sphere(), twice_holed_torus(), genus_two()]
+SURFACES = [
+    stock(name)
+    for name in ("one_holed_torus", "four_holed_sphere", "twice_holed_torus", "genus_two")
+]
 STREAM_DIGEST = "6639ea171495b4f68aa793b741b61e39e727abfe08a3670104a081cadadafa8e"
 
 
 class TestSampler:
     def test_deterministic_per_seed(self):
-        draw = lambda: random_coords(genus_two(), seed=7, count=25)
+        draw = lambda: random_coords(stock("genus_two"), seed=7, count=25)
         assert draw() == draw()
 
     def test_distinct_seeds_differ(self):
-        a = list(random_coords(genus_two(), seed=1, count=25))
-        b = list(random_coords(genus_two(), seed=2, count=25))
+        a = list(random_coords(stock("genus_two"), seed=1, count=25))
+        b = list(random_coords(stock("genus_two"), seed=2, count=25))
         assert a != b
 
     def test_stream_golden(self):
@@ -54,7 +51,7 @@ class TestSampler:
         assert digest.hexdigest() == STREAM_DIGEST
 
     def test_four_holed_sphere_parity(self):
-        for coords in random_coords(four_holed_sphere(), seed=3, max_q=2, count=50):
+        for coords in random_coords(stock("four_holed_sphere"), seed=3, max_q=2, count=50):
             assert coords.q[0] % 2 == 0
 
     def test_samples_are_admissible_and_realizable(self):
@@ -64,31 +61,32 @@ class TestSampler:
                 window_twists(surface, coords)  # must not raise
 
     def test_connected_only_filter(self):
-        for coords in random_coords(one_holed_torus(), seed=5, count=40, connected_only=True):
-            assert len(extract_components(one_holed_torus(), coords)) == 1
+        surface = stock("one_holed_torus")
+        for coords in random_coords(surface, seed=5, count=40, connected_only=True):
+            assert len(extract_components(surface, coords)) == 1
             # the doubled dual pattern (2, 0) is multicomponent: never emitted
             assert coords != DTCoords((2,), (0,))
 
 
 class TestOracle:
     def test_four_holed_dual(self):
-        report = oracle_check(four_holed_sphere(), DTCoords((2,), (0,)))
+        report = oracle_check(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert report.simple
         assert report.components == 1
 
     def test_doubled_dual(self):
-        report = oracle_check(one_holed_torus(), DTCoords((2,), (0,)))
+        report = oracle_check(stock("one_holed_torus"), DTCoords((2,), (0,)))
         assert report.simple
         assert report.components == 2
 
     def test_parallel_components_counted(self):
-        report = oracle_check(four_holed_sphere(), DTCoords((0,), (3,)))
+        report = oracle_check(stock("four_holed_sphere"), DTCoords((0,), (3,)))
         assert report.components == 3
 
     def test_swapped_endpoints_detected(self):
         # corrupt the layout by swapping the two window positions of one
         # same-boundary pair against a straight matching with a shift
-        surface = four_holed_sphere()
+        surface = stock("four_holed_sphere")
         coords = DTCoords((2,), (2,))
         layout = layout_endpoints(surface, coords)
         matching = match_strands(layout, coords)
@@ -104,7 +102,7 @@ class TestOracle:
 
     def test_layout_disagreeing_with_arc_counts_raises(self):
         # drop the same-boundary arcs: their ends are left without a mate
-        surface = four_holed_sphere()
+        surface = stock("four_holed_sphere")
         coords = DTCoords((2,), (0,))
         layout = layout_endpoints(surface, coords)
         bad = dataclasses.replace(layout, arc_mate=list(layout.arc_mate))
@@ -117,7 +115,7 @@ class TestOracle:
 
     def test_corrupted_matching_detected(self):
         # a non-constant shift makes strands cross in the annulus
-        surface = four_holed_sphere()
+        surface = stock("four_holed_sphere")
         coords = DTCoords((4,), (0,))
         layout = layout_endpoints(surface, coords)
         matching = match_strands(layout, coords)
@@ -147,7 +145,7 @@ def test_injectivity_scan_on_connected_fuzz():
     # give distinct trace signatures, but a collision only warrants a look.
     # (Multicurves made of parallel pants-curve copies trade under constant
     # trace 2 and would collide trivially, hence connected samples.)
-    surface = twice_holed_torus()
+    surface = stock("twice_holed_torus")
     samples = list(
         random_coords(surface, seed=9, max_q=3, max_abs_p=3, count=40, connected_only=True)
     )

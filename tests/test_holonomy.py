@@ -6,7 +6,6 @@ import functools
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -56,30 +55,20 @@ from plumbtrace.standardpos import (
     Word,
     extract_components,
 )
-from plumbtrace.surface import (
-    SLOT_0,
-    SLOT_1,
-    SLOT_INF,
-    build_surface,
-    four_holed_sphere,
-    load_surface,
-    one_holed_torus,
-)
+from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF
 from tests_support import (
     BOXES,
+    ROOT,
+    STOCK,
     crossings,
     degree_in,
     pack,
     packed_form,
     random_terms,
+    stock,
     total_degree,
 )
 from word_text import word_from_text
-
-ROOT = Path(__file__).resolve().parent.parent
-SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
-# the benchmark's surface, read here and never written
-GENUS_TWO_ONE_HOLE = ROOT / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
 
 
 def C(arity, re, im=0):
@@ -89,8 +78,8 @@ def C(arity, re, im=0):
 def sample_words():
     """Words of seeded connected curves on every stock surface."""
     words = []
-    for path in SURFACE_FILES:
-        surface = load_surface(str(path))
+    for name in STOCK:
+        surface = stock(name)
         sample = random_coords(
             surface, seed=13, max_q=3, max_abs_p=4, count=12, connected_only=True,
         )
@@ -99,22 +88,9 @@ def sample_words():
     return words
 
 
-def genus_two_one_hole():
-    """Genus two with one hole: three pants, four gluings (xi = 4)."""
-    return build_surface(
-        2, 1, 3,
-        [
-            ("a", (0, SLOT_INF), (0, SLOT_0)),
-            ("b", (0, SLOT_1), (1, SLOT_INF)),
-            ("c", (1, SLOT_0), (2, SLOT_INF)),
-            ("d", (1, SLOT_1), (2, SLOT_0)),
-        ],
-    )
-
-
 def trace_sample_words():
     """sample_words() plus seeded connected words at arity 4."""
-    surface = genus_two_one_hole()
+    surface = stock("genus_two_one_hole")
     sample = random_coords(surface, seed=5, max_q=2, max_abs_p=4, count=12, connected_only=True)
     words = [c.word for co in sample for c in extract_components(surface, co)]
     return sample_words() + [w for w in words if w]
@@ -267,8 +243,6 @@ class TestFactorTable:
 class TestEvaluatorAgainstGeneratorProduct:
     def test_sample_covers_every_surface(self):
         # the differential tests below would pass vacuously on an empty sample
-        stems = {path.stem for path in SURFACE_FILES}
-        assert stems >= {"one_holed_torus", "four_holed_sphere", "twice_holed_torus", "genus_two"}
         assert {w.arity for w in sample_words()} == {1, 2, 3}
 
     def test_matches_oracle_on_sample(self):
@@ -491,7 +465,7 @@ class TestDenseLayout:
 def deep_words():
     """Words of seeded connected curves with q_i <= 8 on genus two with one
     hole, the size of the benchmark's deep workload."""
-    surface = load_surface(str(GENUS_TWO_ONE_HOLE))
+    surface = stock("genus_two_one_hole")
     sample = random_coords(surface, seed=3, max_q=8, max_abs_p=8, count=25, connected_only=True)
     return tuple(extract_components(surface, c)[0].word for c in sample)
 
@@ -519,7 +493,7 @@ class TestSlotRenderer:
             assert [str(e) for e in m.entries()] == list(map(str, lift(m))), word
 
     def test_zero_matrix_entry_renders_as_0(self):
-        comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
+        comps = extract_components(stock("one_holed_torus"), DTCoords((1,), (0,)))
         m = evaluate_word(comps[0].word)
         d = m.entries()[3]
         assert not d.terms and str(d) == "0"
@@ -591,13 +565,7 @@ def pool_words(workload):
     pool (read only); every such curve is connected."""
     strata = json.loads((ROOT / "pipebench" / "pool.json").read_text())["workloads"][workload]
     curves = sorted({(name, tuple(q), tuple(p)) for s in strata for name, q, p, _ in s})
-    surfaces = {}
-    for name in {name for name, _, _ in curves}:
-        paths = (d / f"{name}.surf" for d in (ROOT / "surfaces", GENUS_TWO_ONE_HOLE.parent))
-        surfaces[name] = load_surface(str(next(p for p in paths if p.exists())))
-    return tuple(
-        extract_components(surfaces[name], DTCoords(q, p))[0].word for name, q, p in curves
-    )
+    return tuple(extract_components(stock(name), DTCoords(q, p))[0].word for name, q, p in curves)
 
 
 class TestPointOracle:
@@ -632,7 +600,7 @@ class TestPointOracle:
 
     @pytest.mark.parametrize("q,p", MAX_Q_32)
     def test_trace_matches_at_max_q_32(self, q, p):
-        surface = load_surface(str(GENUS_TWO_ONE_HOLE))
+        surface = stock("genus_two_one_hole")
         (comp,) = extract_components(surface, DTCoords(q, p))
         point = random_point(random.Random(f"{q}"), 4)
         assert agrees_up_to_sign(word_trace(comp.word), comp.word, point)
@@ -658,8 +626,8 @@ SYMPY_ROTATIONS = (((1, -1), (1, 0)), ((0, -1), (1, -1)), ((1, 0), (0, 1)))
 def sympy_words():
     """Words of connected curves with 1 <= q_tot <= 6 on the stock surfaces."""
     words = []
-    for path in SURFACE_FILES:
-        surface = load_surface(str(path))
+    for name in STOCK:
+        surface = stock(name)
         sample = random_coords(surface, seed=0, max_q=3, max_abs_p=6, count=10, connected_only=True)
         for coords in sample:
             if 1 <= sum(coords.q) <= 6:
@@ -840,7 +808,7 @@ class TestSkipRule:
 
 class TestGoldenEvaluations:
     def test_one_holed_torus_dual_matrix(self):
-        comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
+        comps = extract_components(stock("one_holed_torus"), DTCoords((1,), (0,)))
         m = lift(evaluate_word(comps[0].word))
         t = Poly.var(1, 0)
         one = C(1, 1)
@@ -873,12 +841,12 @@ class TestGoldenEvaluations:
         assert canonical_sign(m.trace()) == Poly(1, {(2,): 4, (1,): -8, (0,): 6})
 
     def test_four_holed_dual_compiled_trace(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (0,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         trace = canonical_sign(lift(evaluate_word(comps[0].word)).trace())
         assert trace == Poly(1, {(2,): 4, (1,): -8, (0,): 6})
 
     def test_compiled_matrix_has_unit_determinant(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (4,)))
         assert det(lift(evaluate_word(comps[0].word))) == C(1, 1)
 
     def test_empty_word_rejected(self):
@@ -894,24 +862,24 @@ class TestGoldenEvaluations:
 
 class TestTraceOfCurve:
     def test_four_holed_dual_canonical(self):
-        results = trace_of_curve(four_holed_sphere(), DTCoords((2,), (0,)))
+        results = trace_of_curve(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert len(results) == 1
         assert lift(results[0][1]) == Poly(1, {(2,): 4, (1,): -8, (0,): 6})
 
     def test_one_holed_dual_components(self):
-        results = trace_of_curve(one_holed_torus(), DTCoords((2,), (0,)))
+        results = trace_of_curve(stock("one_holed_torus"), DTCoords((2,), (0,)))
         expected = Poly(1, {(1,): (0, 1), (0,): (0, -1)})  # i*(t-1)
         assert len(results) == 2
         assert all(lift(trace) == expected for _, trace in results)
 
     def test_pants_curve_is_parabolic(self):
-        results = trace_of_curve(four_holed_sphere(), DTCoords((0,), (1,)))
+        results = trace_of_curve(stock("four_holed_sphere"), DTCoords((0,), (1,)))
         assert len(results) == 1
         assert lift(results[0][1]) == C(1, 2)
 
     def test_connected_twisted_square(self):
         # one-holed torus, q=2 with one full twist: trace t^2 + 1
-        results = trace_of_curve(one_holed_torus(), DTCoords((2,), (2,)))
+        results = trace_of_curve(stock("one_holed_torus"), DTCoords((2,), (2,)))
         assert len(results) == 1
         assert lift(results[0][1]) == Poly(1, {(2,): 1, (0,): 1})
 
@@ -919,7 +887,7 @@ class TestTraceOfCurve:
         # Keen-Series: for neighbours, |q1 p2 - q2 p1| = 2 (p counts half
         # twists), tr(sum) and tr(difference), each up to sign, add up to
         # tr1 * tr2; at other determinants the relation never holds
-        surface = one_holed_torus()
+        surface = stock("one_holed_torus")
         traces = {}
 
         def trace(q, p):
@@ -957,7 +925,7 @@ class TestTraceOfCurve:
         # neighbours (1, 0) and (2, 2), each step replaces one of the pair
         # r, s, picked by a seeded coin, with their sum, so the pair stays
         # neighbours and the new pair's difference is the curve it dropped
-        surface = one_holed_torus()
+        surface = stock("one_holed_torus")
 
         def trace(q, p):
             [(_, poly)] = trace_of_curve(surface, DTCoords((q,), (p,)))  # connected
@@ -983,7 +951,7 @@ class TestTraceOfCurve:
 
 class TestInverseWord:
     def test_inverse_is_matrix_inverse(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (2,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (2,)))
         word = comps[0].word
         m = lift(evaluate_word(word))
         assert inverse_word_holonomy(word) == adjugate(m)
@@ -995,7 +963,7 @@ class TestInverseWord:
         assert adjugate(m) == neg(m)
 
     def test_reversed_word_same_canonical_trace(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (0,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         word = comps[0].word
         fwd = canonical_sign(lift(evaluate_word(word)).trace())
         rev = canonical_sign(inverse_word_holonomy(word).trace())
@@ -1003,7 +971,7 @@ class TestInverseWord:
 
 
 def test_cyclic_invariance():
-    comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
+    comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (4,)))
     word = comps[0].word
     base = canonical_sign(lift(evaluate_word(word)).trace())
     toks = word.tokens
@@ -1013,9 +981,7 @@ def test_cyclic_invariance():
 
 
 def test_degree_bounds():
-    from plumbtrace.surface import genus_two
-
-    s = genus_two()
+    s = stock("genus_two")
     for q, p in [((1, 1, 0), (1, 1, 0)), ((2, 2, 2), (0, 0, 0)), ((1, 1, 2), (1, 1, 0))]:
         coords = DTCoords(q, p)
         for comp, trace in trace_of_curve(s, coords):

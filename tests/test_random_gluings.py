@@ -16,7 +16,7 @@ from plumbtrace.fuzz import random_coords
 from plumbtrace.holonomy import word_trace
 from plumbtrace.standardpos import extract_components
 from plumbtrace.verifier import verify
-from tests_support import random_surface
+from tests_support import free_slots, random_surface
 
 # (genus, holes): xi = 3g - 3 + b pants curves, from 3 to 9
 TYPES = [(3, 0), (2, 2), (0, 6), (3, 1), (4, 0), (1, 5)]
@@ -28,7 +28,7 @@ def test_random_gluing_verifies(genus, boundary):
     surface = random_surface(genus, boundary, rng)
     assert (surface.genus, surface.boundary) == (genus, boundary)
     assert surface.xi == 3 * genus - 3 + boundary
-    assert len(surface.unglued) == surface.boundary
+    assert free_slots(surface) == surface.boundary
     seed = rng.randrange(1 << 30)
     crossed = 0
     sample = random_coords(surface, seed=seed, max_q=3, max_abs_p=4, count=10, connected_only=True)

@@ -18,8 +18,8 @@ from plumbtrace.standardpos import (
     layout_endpoints,
     match_strands,
 )
-from plumbtrace.surface import genus_two
 from plumbtrace.verifier import verify
+from tests_support import stock
 
 MODULES = [
     importlib.import_module(f"{plumbtrace.__name__}.{info.name}")
@@ -98,13 +98,13 @@ def test_every_record_defines_slots(record):
 
 @pytest.mark.parametrize("command", BUILDS)
 def test_records_of_one_curve_have_no_dict(command):
-    found = reachable(BUILDS[command](genus_two()))
+    found = reachable(BUILDS[command](stock("genus_two")))
     assert found and [type(obj).__name__ for obj in found if hasattr(obj, "__dict__")] == []
 
 
 def test_the_three_commands_reach_every_record():
     # the guard above sees an instance of every record class
-    surface = genus_two()
+    surface = stock("genus_two")
     roots = [build(surface) for build in BUILDS.values()]
     assert {type(obj) for obj in reachable(*roots)} >= set(RECORDS)
 
@@ -114,11 +114,11 @@ def tokens(obj):
 
 
 def layout():
-    return layout_endpoints(genus_two(), COORDS)
+    return layout_endpoints(stock("genus_two"), COORDS)
 
 
 def component():
-    return extract_components(genus_two(), COORDS)[0]
+    return extract_components(stock("genus_two"), COORDS)[0]
 
 
 def word():
@@ -134,7 +134,7 @@ def trace():
 
 
 def report():
-    return verify(genus_two(), COORDS)
+    return verify(stock("genus_two"), COORDS)
 
 
 COPIES = {

@@ -8,7 +8,6 @@ whose words the reference's scan rejects.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -23,15 +22,10 @@ from plumbtrace.standardpos import (
     extract_components,
     word_to_text,
 )
-from plumbtrace.surface import load_surface
 from reference_layout import check_scc_patterns, reference_components, reference_text
-from tests_support import clear_shared_tables, n1_surface, n2_surface
+from tests_support import STOCK, clear_shared_tables, n1_surface, n2_surface, stock
 
-ROOT = Path(__file__).resolve().parent.parent
-SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf")) + [
-    ROOT / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
-]
-SURFACES = {path.stem: load_surface(str(path)) for path in SURFACE_FILES}
+SURFACES = {name: stock(name) for name in STOCK + ("genus_two_one_hole",)}
 SURFACES.update(n1=n1_surface(), n2=n2_surface())
 
 
@@ -139,8 +133,8 @@ def test_layout_faults_rejected_where_the_word_scan_rejects(monkeypatch, request
     clear_shared_tables()
     request.addfinalizer(clear_shared_tables)
     rejected = 0
-    for path in sorted((ROOT / "surfaces").glob("*.surf")):
-        surface = SURFACES[path.stem]
+    for name in STOCK:
+        surface = SURFACES[name]
         for coords in random_coords(surface, seed=12, max_q=12, max_abs_p=36, count=60):
             want = reference_rejects(surface, coords, kind, fault)
             try:

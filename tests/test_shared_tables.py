@@ -16,21 +16,11 @@ from plumbtrace.fuzz import random_coords
 from plumbtrace.gausspoly import GaussPoly
 from plumbtrace.holonomy import trace_of_curve
 from plumbtrace.standardpos import extract_components, layout_endpoints, word_to_text
-from plumbtrace.surface import (
-    four_holed_sphere,
-    genus_two,
-    genus_two_one_hole,
-    one_holed_torus,
-    twice_holed_torus,
-)
 from plumbtrace.verifier import verify
 from reference_layout import reference_components, reference_text
-from tests_support import clear_shared_tables, twist_curve
+from tests_support import STOCK, clear_shared_tables, stock, twist_curve
 
-SURFACES = {
-    s.__name__: s()
-    for s in (one_holed_torus, four_holed_sphere, twice_holed_torus, genus_two, genus_two_one_hole)
-}
+SURFACES = {name: stock(name) for name in STOCK + ("genus_two_one_hole",)}
 
 
 def samples(surface, seed, connected_only):
@@ -87,7 +77,7 @@ def test_warm_tables_give_what_cold_ones_give(name, connected):
 
 
 def test_curves_with_one_q_share_one_layout():
-    surface = genus_two()
+    surface = stock("genus_two")
     a = DTCoords((1, 2, 3), (1, 0, -1))
     b = twist_curve(a, 2, 2)
     assert layout_endpoints(surface, a) is layout_endpoints(surface, b)
@@ -139,7 +129,7 @@ def test_render_size_rule(counts):
 
 def test_shared_tables_cannot_be_changed():
     # a curve with same-boundary arcs, so that every sequence has an entry
-    layout = layout_endpoints(genus_two(), DTCoords((0, 1, 3), (0, 1, -1)))
+    layout = layout_endpoints(stock("genus_two"), DTCoords((0, 1, 3), (0, 1, -1)))
     for name in ("base", "arc_mate", "traversal", "scc_out"):
         seq = getattr(layout, name)
         assert isinstance(seq, tuple), name
@@ -162,7 +152,7 @@ def test_distinct_q_past_the_old_bound_stay_resident():
     # 256 intersection vectors, as many as the caches keep: in the first
     # round each cache meets more keys than the 64 it once kept (256
     # layouts, 114 boxes), and in the second every one must still be there
-    surface = genus_two()
+    surface = stock("genus_two")
     vectors = sorted(itertools.product(range(9), repeat=3), key=lambda q: (sum(q), q))
     curves = [c for c in (realizable(surface, q) for q in vectors if any(q)) if c is not None][:256]
     assert len(curves) == 256

@@ -24,15 +24,12 @@ from plumbtrace.surface import (
     SLOT_0,
     SLOT_1,
     SLOT_INF,
-    four_holed_sphere,
-    genus_two,
-    one_holed_torus,
     pred,
     slot_name,
     succ,
 )
 from reference_layout import check_scc_patterns
-from tests_support import crossings, layout_q, node_id
+from tests_support import crossings, layout_q, node_id, stock
 from word_text import word_from_text
 
 # sha256 of the word text of the seed-14 genus-two sample in
@@ -74,20 +71,20 @@ class TestLayout:
     def test_same_boundary_pair_alone(self):
         # four-holed sphere dual: each pants sees totals (0, 0, 2); the
         # outgoing end (loop sign -1 on arrival) comes first
-        layout = layout_endpoints(four_holed_sphere(), DTCoords((2,), (0,)))
+        layout = layout_endpoints(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert window_ends(layout, 0, SLOT_INF) == [("loop", -1, 1), ("loop", 1, 0)]
         assert window_ends(layout, 0, SLOT_0) == []
 
     def test_one_arc_per_pair(self):
         # genus two with q = (2, 2, 2): every pants has totals (2, 2, 2)
-        layout = layout_endpoints(genus_two(), DTCoords((2, 2, 2), (0, 0, 0)))
+        layout = layout_endpoints(stock("genus_two"), DTCoords((2, 2, 2), (0, 0, 0)))
         assert window_ends(layout, 0, SLOT_0) == [("arc", SLOT_1, 1), ("arc", SLOT_INF, 0)]
         assert window_ends(layout, 0, SLOT_1) == [("arc", SLOT_INF, 1), ("arc", SLOT_0, 0)]
         assert window_ends(layout, 0, SLOT_INF) == [("arc", SLOT_0, 1), ("arc", SLOT_1, 0)]
 
     def test_blocks_at_four_two_two(self):
         # genus two with q = (4, 2, 2): slot 0 orders successor block first
-        layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
+        layout = layout_endpoints(stock("genus_two"), DTCoords((4, 2, 2), (0, 0, 0)))
         assert window_ends(layout, 0, SLOT_0) == [
             ("arc", SLOT_1, 1),
             ("arc", SLOT_1, 0),
@@ -96,7 +93,7 @@ class TestLayout:
         ]
 
     def test_parallel_family_pairs_reversed(self):
-        layout = layout_endpoints(genus_two(), DTCoords((4, 2, 2), (0, 0, 0)))
+        layout = layout_endpoints(stock("genus_two"), DTCoords((4, 2, 2), (0, 0, 0)))
         # first arc of the (slot0, slot1) family in pants 0 ends at the last
         # position of slot 1's predecessor block
         family = [
@@ -111,7 +108,7 @@ class TestLayout:
         # ids increase in (curve, side, strand) order, so walks started from
         # the least unvisited id keep the components' order
         coords = DTCoords((4, 2, 2), (0, 0, 0))
-        layout = layout_endpoints(genus_two(), coords)
+        layout = layout_endpoints(stock("genus_two"), coords)
         names = sorted(
             (c, side, k) for c, q in enumerate((4, 2, 2)) for side in (0, 1) for k in range(q)
         )
@@ -131,7 +128,7 @@ class TestLayout:
 
 class TestMatching:
     def test_straight_across(self):
-        s = one_holed_torus()
+        s = stock("one_holed_torus")
         coords = DTCoords((2,), (0,))
         layout = layout_endpoints(s, coords)
         m = match_strands(layout, coords)
@@ -141,7 +138,7 @@ class TestMatching:
         assert step[(0, 0, 1)] == ((0, 1, 1), 0)
 
     def test_shift_by_one(self):
-        s = one_holed_torus()
+        s = stock("one_holed_torus")
         coords = DTCoords((2,), (2,))  # window twist 1
         layout = layout_endpoints(s, coords)
         m = match_strands(layout, coords)
@@ -153,7 +150,7 @@ class TestMatching:
         assert step[(0, 1, 0)] == ((0, 0, 1), 1)
 
     def test_wraps_sum_to_shift(self):
-        s = four_holed_sphere()
+        s = stock("four_holed_sphere")
         for p in (-6, -2, 0, 2, 6):
             coords = DTCoords((4,), (p,))
             layout = layout_endpoints(s, coords)
@@ -170,28 +167,28 @@ class TestMatching:
 
 class TestComponents:
     def test_doubled_dual_splits(self):
-        comps = extract_components(one_holed_torus(), DTCoords((2,), (0,)))
+        comps = extract_components(stock("one_holed_torus"), DTCoords((2,), (0,)))
         assert len(comps) == 2
         assert all(c.q == (1,) for c in comps)
 
     def test_four_holed_dual_connected(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (0,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert len(comps) == 1
         assert comps[0].q == (2,)
         assert comps[0].phat == (-1,)
 
     def test_parallel_components(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((0,), (3,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((0,), (3,)))
         assert len(comps) == 3
         assert all(c.parallel_to == 0 and c.word is None for c in comps)
         # one frozen record, repeated for the copies
         assert comps == [comps[0]] * 3 and all(c is comps[0] for c in comps)
-        comps = extract_components(genus_two(), DTCoords((0, 0, 0), (2, 0, 4)))
+        comps = extract_components(stock("genus_two"), DTCoords((0, 0, 0), (2, 0, 4)))
         assert comps == [comps[0]] * 2 + [comps[2]] * 4 and comps[0] != comps[2]
         assert [c.parallel_to for c in comps] == [0, 0, 2, 2, 2, 2]
 
     def test_contributions_sum_to_input(self):
-        s = genus_two()
+        s = stock("genus_two")
         coords = DTCoords((2, 2, 0), (0, 4, 2))
         comps = extract_components(s, coords)
         q_total = tuple(sum(c.q[i] for c in comps) for i in range(3))
@@ -220,20 +217,20 @@ class TestComponents:
         ],
     )
     def test_per_component_coordinates(self, q, p, want):
-        comps = extract_components(genus_two(), DTCoords(q, p))
+        comps = extract_components(stock("genus_two"), DTCoords(q, p))
         assert [(c.q, c.phat, c.parallel_to) for c in comps] == want
 
 
 class TestWords:
     def test_one_holed_torus_dual_word(self):
-        comps = extract_components(one_holed_torus(), DTCoords((1,), (0,)))
+        comps = extract_components(stock("one_holed_torus"), DTCoords((1,), (0,)))
         assert comps[0].word.tokens == (
             Crossing(0, 0, SLOT_INF, 0, SLOT_0, 0),
             Conn(0, SLOT_0, SLOT_INF),
         )
 
     def test_four_holed_dual_word_shape(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (0,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         word = comps[0].word
         kinds = [type(t).__name__ for t in word.tokens]
         assert kinds == ["Crossing", "SccLoop", "Crossing", "SccLoop"]
@@ -242,7 +239,7 @@ class TestWords:
         assert sorted(l.sign for l in loops) == [-1, 1]
 
     def test_crossing_and_twist_budgets(self):
-        s = genus_two()
+        s = stock("genus_two")
         for q, p in [((1, 1, 2), (1, 1, 0)), ((2, 2, 2), (0, 0, 0)), ((4, 2, 2), (2, 0, 0))]:
             coords = DTCoords(q, p)
             phat = window_twists(s, coords)
@@ -252,19 +249,19 @@ class TestWords:
                 assert sum(c.phat[i] for c in comps) == phat[i]
 
     def test_parallel_component_has_no_word(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((0,), (1,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((0,), (1,)))
         assert len(comps) == 1
         assert comps[0].word is None and comps[0].parallel_to == 0
 
     def test_word_text_round_trip(self):
-        comps = extract_components(four_holed_sphere(), DTCoords((2,), (4,)))
+        comps = extract_components(stock("four_holed_sphere"), DTCoords((2,), (4,)))
         word = comps[0].word
         assert word_from_text(1, word_to_text(word)) == word
 
     def test_word_text_golden(self):
         # pins the text of every word of a seeded genus-two sample at
         # max q 256, where most curves split into several components
-        s = genus_two()
+        s = stock("genus_two")
         digest = hashlib.sha256()
         multi = 0
         for coords in random_coords(s, seed=14, max_q=256, max_abs_p=600, count=40):
@@ -310,7 +307,7 @@ class TestTokenText:
     )
 
     def test_shared_tokens_are_formatted_once(self, monkeypatch):
-        s = genus_two()
+        s = stock("genus_two")
         coords = DTCoords((2, 2, 4), (2, 2, 0))
         expected = [word_to_text(c.word) for c in extract_components(s, coords)]
         monkeypatch.setattr(standardpos, "slot_name", refuse_slot_name)
@@ -355,7 +352,8 @@ class TestTokenInterning:
 
     @staticmethod
     def tokens(coords):
-        return [tok for comp in extract_components(genus_two(), coords) for tok in comp.word.tokens]
+        comps = extract_components(stock("genus_two"), coords)
+        return [tok for comp in comps for tok in comp.word.tokens]
 
     def test_equal_tokens_are_one_instance(self):
         first = {tok: tok for tok in self.tokens(self.FIRST)}
@@ -402,17 +400,17 @@ class TestTokenInterning:
 # are admissible (p even, and q even too on the sphere), and the closed-form
 # component count of the curve (q, p)
 CLOSED_FORM_COUNTS = [
-    (one_holed_torus, 2440, lambda q, p: math.gcd(q, p // 2)),
-    (four_holed_sphere, 1220, lambda q, p: math.gcd(q // 2, p // 2)),
+    ("one_holed_torus", 2440, lambda q, p: math.gcd(q, p // 2)),
+    ("four_holed_sphere", 1220, lambda q, p: math.gcd(q // 2, p // 2)),
 ]
 
 
 @pytest.mark.parametrize(
-    "factory,admissible,count", CLOSED_FORM_COUNTS, ids=["one_holed_torus", "four_holed_sphere"]
+    "name,admissible,count", CLOSED_FORM_COUNTS, ids=["one_holed_torus", "four_holed_sphere"]
 )
-def test_closed_form_component_counts(factory, admissible, count):
+def test_closed_form_component_counts(name, admissible, count):
     # an oracle that shares no code with layout, matching or the walk
-    surface = factory()
+    surface = stock(name)
     seen = 0
     for q in range(1, 41):
         for p in range(-60, 61):
@@ -431,30 +429,28 @@ def test_closed_form_component_counts(factory, admissible, count):
 
 class TestSccCount:
     def test_four_holed_dual(self):
-        assert scc_count(four_holed_sphere(), DTCoords((2,), (0,))) == 2
+        assert scc_count(stock("four_holed_sphere"), DTCoords((2,), (0,))) == 2
 
     def test_one_holed_dual(self):
-        assert scc_count(one_holed_torus(), DTCoords((2,), (0,))) == 0
+        assert scc_count(stock("one_holed_torus"), DTCoords((2,), (0,))) == 0
 
     def test_all_pairs_pattern(self):
-        assert scc_count(genus_two(), DTCoords((2, 2, 2), (0, 0, 0))) == 0
+        assert scc_count(stock("genus_two"), DTCoords((2, 2, 2), (0, 0, 0))) == 0
 
     def test_unbalanced_pattern(self):
         # q = (4, 0, 0) on genus two: two same-boundary arcs per pants
-        assert scc_count(genus_two(), DTCoords((4, 0, 0), (0, 0, 0))) == 4
+        assert scc_count(stock("genus_two"), DTCoords((4, 0, 0), (0, 0, 0))) == 4
 
 
 def test_is_connected():
-    assert len(extract_components(four_holed_sphere(), DTCoords((2,), (0,)))) == 1
-    assert len(extract_components(one_holed_torus(), DTCoords((2,), (0,)))) == 2
+    assert len(extract_components(stock("four_holed_sphere"), DTCoords((2,), (0,)))) == 1
+    assert len(extract_components(stock("one_holed_torus"), DTCoords((2,), (0,)))) == 2
 
 
 def test_word_structure_on_fuzz():
     # words alternate crossing/traversal, and every between-slot traversal
     # reduces to one of the two connector classes
-    from plumbtrace.surface import twice_holed_torus
-
-    s = twice_holed_torus()
+    s = stock("twice_holed_torus")
     for coords in random_coords(s, seed=77, max_q=4, count=30):
         for comp in extract_components(s, coords):
             if comp.word is None:
@@ -474,12 +470,9 @@ def test_word_structure_on_fuzz():
 def test_twisted_same_slot_returns_compile():
     # regression: wraps re-bracket a same-slot return, so twisted flanks may
     # show any turn pattern; only untwisted returns are constrained
-    from plumbtrace.surface import twice_holed_torus
-
-    s = twice_holed_torus()
+    s = stock("twice_holed_torus")
     comps = extract_components(s, DTCoords((4, 2), (2, -4)))
     assert sorted(sum(c.q) for c in comps) == [2, 4]
-
 
 
 @pytest.mark.parametrize("sign,raises", [(+1, True), (-1, False)])

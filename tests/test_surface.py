@@ -8,45 +8,42 @@ from plumbtrace.surface import (
     SLOT_INF,
     SurfaceError,
     build_surface,
-    four_holed_sphere,
-    genus_two,
-    genus_two_one_hole,
-    one_holed_torus,
+    parse_slot,
     parse_surface,
-    twice_holed_torus,
 )
+from tests_support import ROOT, STOCK, free_slots, stock
 
-ALL = [one_holed_torus, four_holed_sphere, twice_holed_torus, genus_two, genus_two_one_hole]
+ALL = STOCK + ("genus_two_one_hole",)
 
 
 def test_one_holed_torus_counts():
-    s = one_holed_torus()
+    s = stock("one_holed_torus")
     assert (s.pants_count, s.xi) == (1, 1)
-    assert s.unglued == ((0, SLOT_1),)
+    assert s.slot_curves == ((0, None, 0),)
 
 
 def test_four_holed_sphere_counts():
-    s = four_holed_sphere()
+    s = stock("four_holed_sphere")
     assert (s.pants_count, s.xi) == (2, 1)
-    assert len(s.unglued) == 4
+    assert free_slots(s) == 4
 
 
 def test_genus_two_from_euler_bookkeeping():
-    s = genus_two()
+    s = stock("genus_two")
     assert (s.genus, s.boundary, s.pants_count, s.xi) == (2, 0, 2, 3)
-    assert s.unglued == ()
+    assert free_slots(s) == 0
 
 
-@pytest.mark.parametrize("factory", ALL)
-def test_slot_count_invariant(factory):
-    s = factory()
-    assert 3 * s.pants_count == 2 * s.xi + len(s.unglued)
+@pytest.mark.parametrize("name", ALL)
+def test_slot_count_invariant(name):
+    s = stock(name)
+    assert 3 * s.pants_count == 2 * s.xi + free_slots(s) == 2 * s.xi + s.boundary
 
 
 def test_slot_curves():
-    assert one_holed_torus().slot_curves[0] == (0, None, 0)
-    assert four_holed_sphere().slot_curves[0] == (None, None, 0)
-    assert genus_two().slot_curves[0] == (0, 1, 2)
+    assert stock("one_holed_torus").slot_curves[0] == (0, None, 0)
+    assert stock("four_holed_sphere").slot_curves[0] == (None, None, 0)
+    assert stock("genus_two").slot_curves[0] == (0, 1, 2)
 
 
 def test_duplicate_slot_rejected():
@@ -82,7 +79,7 @@ def test_too_few_gluings_refused_before_any_pants_work():
 
 def test_declared_genus_validated():
     with pytest.raises(SurfaceError, match="pants"):
-        build_surface(0, 4, 1, [("a", (0, SLOT_INF), (0, SLOT_0))])
+        build_surface(0, 4, 1, [("a", (0, SLOT_1), (0, SLOT_0))])
     with pytest.raises(SurfaceError, match="gluings"):
         build_surface(1, 1, 1, [])
 
@@ -97,7 +94,7 @@ def test_parse_round_trip_and_determinism():
     """
     s1 = parse_surface(text)
     s2 = parse_surface(text)
-    assert s1 == s2 == twice_holed_torus()
+    assert s1 == s2 == stock("twice_holed_torus")
     assert tuple(g.name for g in s1.gluings) == ("a", "b")
 
 
@@ -160,12 +157,38 @@ def test_parse_errors(text, match):
             "surface g=1 b=1\npants 1\nglue a (\u0660,inf) (0,0)",
             "line 3: pants must be an integer, got '\u0660'",
         ),
+        # a slot token is exactly 0, 1 or inf: no other case, no index
+        (
+            "surface g=1 b=1\npants 1\nglue a (0,INF) (0,0)",
+            "line 3: bad slot 'INF' (expected 0, 1 or inf)",
+        ),
+        (
+            "surface g=1 b=1\npants 1\nglue a (0,Inf) (0,0)",
+            "line 3: bad slot 'Inf' (expected 0, 1 or inf)",
+        ),
+        (
+            "surface g=1 b=1\npants 1\nglue a (0,2) (0,0)",
+            "line 3: bad slot '2' (expected 0, 1 or inf)",
+        ),
+        # a gluing of a slot to itself names the slot as the file does
+        (
+            "surface g=1 b=1\npants 1\nglue a (0,inf) (0,inf)",
+            "gluing 'a' glues slot (0,inf) to itself",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
     with pytest.raises(SurfaceError) as exc:
         parse_surface(text)
     assert str(exc.value) == message
+
+
+def test_parse_slot_matches_the_token_whole():
+    assert [parse_slot(name) for name in ("0", "1", "inf")] == [SLOT_0, SLOT_1, SLOT_INF]
+    for token in (" inf", "inf ", "1\n"):
+        with pytest.raises(SurfaceError) as exc:
+            parse_slot(token)
+        assert str(exc.value) == f"bad slot {token!r} (expected 0, 1 or inf)"
 
 
 @pytest.mark.parametrize(
@@ -183,22 +206,17 @@ def test_build_errors(pants, gluings, message):
 
 
 def test_shipped_surface_files():
-    from pathlib import Path
-
-    from plumbtrace.surface import load_surface
-
-    repo = Path(__file__).resolve().parent.parent
-    root = repo / "surfaces"
-    assert load_surface(str(root / "one_holed_torus.surf")) == one_holed_torus()
-    assert load_surface(str(root / "four_holed_sphere.surf")) == four_holed_sphere()
-    assert load_surface(str(root / "genus_two.surf")) == genus_two()
-    assert load_surface(str(root / "twice_holed_torus.surf")) == twice_holed_torus()
-    assert sorted(p.name for p in root.glob("*.surf")) == [
-        "four_holed_sphere.surf",
-        "genus_two.surf",
-        "one_holed_torus.surf",
-        "twice_holed_torus.surf",
+    # the stock surfaces are these files and nothing else; each parses to
+    # the genus, holes, pants and gluings its declaration promises
+    assert sorted(p.stem for p in (ROOT / "surfaces").glob("*.surf")) == list(STOCK)
+    assert [p.stem for p in (ROOT / "pipebench" / "surfaces").glob("*.surf")] == [
+        "genus_two_one_hole"
     ]
-    # the surface the benchmark's deep workload loads
-    deep = repo / "pipebench" / "surfaces" / "genus_two_one_hole.surf"
-    assert load_surface(str(deep)) == genus_two_one_hole()
+    for name in ALL:
+        s = stock(name)
+        assert s.pants_count == 2 * s.genus - 2 + s.boundary
+        assert s.xi == 3 * s.genus - 3 + s.boundary
+        assert free_slots(s) == s.boundary
+    assert [(s.genus, s.boundary) for s in map(stock, ALL)] == [
+        (0, 4), (2, 0), (1, 1), (1, 2), (2, 1)
+    ]

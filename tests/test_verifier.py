@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import json
-from pathlib import Path
 
 import pytest
 
@@ -23,19 +22,8 @@ from plumbtrace.gausspoly import GaussPoly, _box
 from plumbtrace.holonomy import WordError
 from plumbtrace.standardpos import Word, extract_components
 from plumbtrace.fuzz import random_coords
-from plumbtrace.surface import (
-    four_holed_sphere,
-    genus_two,
-    genus_two_one_hole,
-    load_surface,
-    one_holed_torus,
-    twice_holed_torus,
-)
-from tests_support import crossings, pack, packed_form, twist_curve
+from tests_support import ROOT, STOCK, crossings, pack, packed_form, stock, twist_curve
 from plumbtrace.verifier import check_trace_polynomial, verify
-
-ROOT = Path(__file__).resolve().parent.parent
-SURFACE_FILES = sorted((ROOT / "surfaces").glob("*.surf"))
 
 
 class TestPredict:
@@ -61,8 +49,8 @@ class TestPredict:
         # the oracle's prediction, read off the trace's terms with no help
         # from the check, on seeded curves of every stock surface
         checked = 0
-        for path in SURFACE_FILES:
-            surface = load_surface(str(path))
+        for name in STOCK:
+            surface = stock(name)
             sample = random_coords(
                 surface, seed=9, max_q=4, max_abs_p=6, count=8, connected_only=True,
             )
@@ -85,7 +73,7 @@ class TestPredict:
 
 class TestVerify:
     def test_four_holed_dual_passes(self):
-        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
+        report = verify(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert report.passed
         assert report.h == 2
         assert str(report.trace) == "4*t1^2 - 8*t1 + 6"
@@ -93,18 +81,18 @@ class TestVerify:
         assert report.remainder_degree_ok
 
     def test_one_holed_single_dual_passes(self):
-        report = verify(one_holed_torus(), DTCoords((1,), (0,)))
+        report = verify(stock("one_holed_torus"), DTCoords((1,), (0,)))
         assert report.passed
         assert str(report.trace) == "i*t1 - i"
 
     def test_pants_curve_component(self):
-        report = verify(four_holed_sphere(), DTCoords((0,), (1,)))
+        report = verify(stock("four_holed_sphere"), DTCoords((0,), (1,)))
         assert report.passed
         assert str(report.trace) == "2"
 
     def test_multicomponent_refused(self):
         with pytest.raises(CoordError, match="connected"):
-            verify(one_holed_torus(), DTCoords((2,), (0,)))
+            verify(stock("one_holed_torus"), DTCoords((2,), (0,)))
 
     def test_parallel_copies_refused_before_layout(self, monkeypatch):
         # p copies of a pants curve are p components, counted from (q, p)
@@ -113,20 +101,20 @@ class TestVerify:
 
         monkeypatch.setattr(verifier, "extract_components", refuse)
         with pytest.raises(CoordError, match="connected curve; got 1000000000000 components"):
-            verify(one_holed_torus(), DTCoords((0,), (10**12,)))
+            verify(stock("one_holed_torus"), DTCoords((0,), (10**12,)))
         with pytest.raises(CoordError, match="connected curve; got at least 6 components"):
-            verify(genus_two(), DTCoords((1, 1, 0), (1, 1, 5)))
+            verify(stock("genus_two"), DTCoords((1, 1, 0), (1, 1, 5)))
         # one parallel copy beside a crossing component is refused up front too
         with pytest.raises(CoordError, match="connected curve; got at least 2 components"):
-            verify(genus_two(), DTCoords((1, 1, 0), (1, 1, 1)))
+            verify(stock("genus_two"), DTCoords((1, 1, 0), (1, 1, 1)))
         # malformed coordinates still report their own error
         with pytest.raises(NegativeTwistOnZeroLength):
-            verify(genus_two(), DTCoords((0, 0, 0), (2, 0, -1)))
+            verify(stock("genus_two"), DTCoords((0, 0, 0), (2, 0, -1)))
 
     def test_corrupted_subleading_fails_with_curve_index(self):
         # one subleading slot of the trace off by one, either way: exactly
         # that curve's check fails
-        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        report = verify(stock("genus_two"), DTCoords((1, 1, 2), (1, 1, 0)))
         trace = report.trace
         strides, _ = _box(trace.counts)
         for curve in range(3):
@@ -140,7 +128,7 @@ class TestVerify:
                 assert [c.curve for c in bad.subleading if not c.ok] == [curve]
                 assert bad.leading_ok and bad.remainder_degree_ok and bad.per_variable_degree_ok
         # on the imaginary axis: i*t1 - i with its constant slot zeroed
-        report = verify(one_holed_torus(), DTCoords((1,), (0,)))
+        report = verify(stock("one_holed_torus"), DTCoords((1,), (0,)))
         corrupted = dataclasses.replace(report.trace, slots=(0, 1))
         bad = check_trace_polynomial(corrupted, report.q, report.p, report.h)
         assert bad.failures() == ["curve 0: subleading 0 != -i"]
@@ -150,9 +138,9 @@ class TestVerify:
         # leading one leaves the class +-i^q 2^h and the subleading stay
         # consistent with it; real and imaginary traces alike
         for surface, q, p, failure in [
-            (four_holed_sphere(), (2,), (0,), "leading coefficient 4i is not a unit * 2^2"),
-            (one_holed_torus(), (1,), (0,), "leading coefficient 1 is not a unit * 2^0"),
-            (genus_two(), (1, 1, 2), (1, 1, 0), "leading coefficient i is not a unit * 2^0"),
+            (stock("four_holed_sphere"), (2,), (0,), "leading coefficient 4i is not a unit * 2^2"),
+            (stock("one_holed_torus"), (1,), (0,), "leading coefficient 1 is not a unit * 2^0"),
+            (stock("genus_two"), (1, 1, 2), (1, 1, 0), "leading coefficient i is not a unit * 2^0"),
         ]:
             report = verify(surface, DTCoords(q, p))
             flipped = dataclasses.replace(report.trace, imag=not report.trace.imag)
@@ -164,8 +152,8 @@ class TestVerify:
         # the corner slot on the right axis with the wrong magnitude:
         # +-2^(h+1) or 3 * 2^h, on a real and an imaginary trace
         for surface, q, p, h in [
-            (four_holed_sphere(), (2,), (0,), 2),
-            (one_holed_torus(), (1,), (0,), 0),
+            (stock("four_holed_sphere"), (2,), (0,), 2),
+            (stock("one_holed_torus"), (1,), (0,), 0),
         ]:
             report = verify(surface, DTCoords(q, p))
             assert report.passed and report.h == h and report.trace.counts == q
@@ -178,14 +166,14 @@ class TestVerify:
                 line = f"leading coefficient {lead}{unit} is not a unit * 2^{h}"
                 assert bad.failures()[0] == line
         # a true trace checked with h one too small
-        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
+        report = verify(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         bad = check_trace_polynomial(report.trace, report.q, report.p, report.h - 1)
         assert not bad.leading_ok
         assert bad.failures() == ["leading coefficient 4 is not a unit * 2^1"]
 
     def test_term_above_degree_bounds_fails(self):
         # the box widened by one on t1, with a nonzero outer slot t1^3
-        report = verify(four_holed_sphere(), DTCoords((2,), (0,)))
+        report = verify(stock("four_holed_sphere"), DTCoords((2,), (0,)))
         assert report.passed
         cubed = repacked(report, (3,), [((3,), 1)])
         bad = check_trace_polynomial(cubed, (2,), (0,), report.h)
@@ -200,7 +188,7 @@ class TestVerify:
     def test_parallel_component_reads_its_one_slot(self, monkeypatch):
         # q_tot = 0: the constant 2 in one slot passes; in a larger box it
         # passes while every outer slot is zero, and fails otherwise
-        surface, coords = four_holed_sphere(), DTCoords((0,), (1,))
+        surface, coords = stock("four_holed_sphere"), DTCoords((0,), (1,))
         assert verify(surface, coords).passed
         for packed, counts, passed in [
             (2, (1,), True),
@@ -242,13 +230,10 @@ class TestPackedCheck:
         # the box read against the term scan: the same trace in a box one
         # larger on every variable, whose outer slots are all zero, takes
         # the scan of its terms and must give the same report
-        surfaces = {}
         pool = campaign_pool()
         assert len(pool) > 600
         for name, q, p in pool:
-            if name not in surfaces:
-                surfaces[name] = load_surface(str(ROOT / "surfaces" / f"{name}.surf"))
-            report = verify(surfaces[name], DTCoords(q, p))
+            report = verify(stock(name), DTCoords(q, p))
             assert report.passed, (name, q, p)
             wider = repacked(report, tuple(n + 1 for n in report.q))
             again = check_trace_polynomial(wider, report.q, report.p, report.h)
@@ -267,7 +252,7 @@ class TestPackedCheck:
     def test_nonzero_slot_beyond_q_fails_as_the_dict_copy(self, extra, remainder_ok):
         # the scan finds the one outer term in every box that holds it, and
         # reports what the oracle's terms say of the degrees
-        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        report = verify(stock("genus_two"), DTCoords((1, 1, 2), (1, 1, 0)))
         boxes = 0
         for counts in ((2, 2, 3), (2, 2, 2), (3, 1, 4)):
             if any(e > n for e, n in zip(extra[0], counts)):
@@ -285,9 +270,9 @@ class TestPackedCheck:
     @pytest.mark.parametrize(
         "surface,q,p",
         [
-            (genus_two(), (1, 1, 2), (1, 1, 0)),  # real coefficients
-            (one_holed_torus(), (1,), (0,)),  # imaginary coefficients
-            (four_holed_sphere(), (2,), (0,)),
+            (stock("genus_two"), (1, 1, 2), (1, 1, 0)),  # real coefficients
+            (stock("one_holed_torus"), (1,), (0,)),  # imaginary coefficients
+            (stock("four_holed_sphere"), (2,), (0,)),
         ],
     )
     def test_zero_slots_beyond_q_pass(self, surface, q, p):
@@ -304,7 +289,7 @@ class TestPackedCheck:
 
     def test_scan_of_a_wider_box_builds_no_term_dict(self, monkeypatch):
         # the scan lists the monomials of the nonzero slots, not ``terms``
-        report = verify(genus_two(), DTCoords((1, 1, 2), (1, 1, 0)))
+        report = verify(stock("genus_two"), DTCoords((1, 1, 2), (1, 1, 0)))
         packed = repacked(report, (2, 2, 3), [((0, 0, 3), 1)])
 
         def refuse(*args):
@@ -334,7 +319,7 @@ class TestPackedCheck:
 
         read = gausspoly._slots
         monkeypatch.setattr(gausspoly, "_slots", counted)
-        surface = genus_two_one_hole()
+        surface = stock("genus_two_one_hole")
         sample = random_coords(surface, seed=5, max_q=5, max_abs_p=6, count=20, connected_only=True)
         for coords in sample:
             calls.clear()
@@ -352,8 +337,8 @@ class TestPackedCheck:
 
         monkeypatch.setattr(GaussPoly, "terms", property(refuse))
         checked = 0
-        for path in SURFACE_FILES:
-            surface = load_surface(str(path))
+        for name in STOCK:
+            surface = stock(name)
             sample = random_coords(
                 surface, seed=5, max_q=5, max_abs_p=6, count=10, connected_only=True,
             )
@@ -362,16 +347,15 @@ class TestPackedCheck:
                 assert report.passed
                 report.to_record()
                 checked += 1
-        assert checked == 10 * len(SURFACE_FILES)
+        assert checked == 10 * len(STOCK)
 
 
 def test_campaign_on_four_curve_surface():
     # the largest stock surface (four pants curves): every connected fuzz
     # sample has the predicted top-term shape
     from plumbtrace.fuzz import random_coords
-    from plumbtrace.surface import genus_two_one_hole
 
-    surface = genus_two_one_hole()
+    surface = stock("genus_two_one_hole")
     sample = random_coords(surface, seed=44, max_q=4, max_abs_p=6, count=60, connected_only=True)
     for coords in sample:
         if sum(coords.q) == 0:
@@ -395,22 +379,22 @@ def realizable_twists(surface, q, max_abs_p):
 
 
 @pytest.mark.parametrize(
-    "make_surface,max_q,max_abs_p,every_p,pinned",
+    "name,max_q,max_abs_p,every_p,pinned",
     [
-        pytest.param(twice_holed_torus, 4, 5, True, (400, 166, 166), id="twice_holed_torus"),
-        pytest.param(genus_two, 3, 4, True, (2920, 591, 591), id="genus_two"),
+        pytest.param("twice_holed_torus", 4, 5, True, (400, 166, 166), id="twice_holed_torus"),
+        pytest.param("genus_two", 3, 4, True, (2920, 591, 591), id="genus_two"),
         # 7^4 twists per q in the full box, too slow to try them all
-        pytest.param(genus_two_one_hole, 2, 3, False, (4890, 519, 519), id="genus_two_one_hole"),
+        pytest.param("genus_two_one_hole", 2, 3, False, (4890, 519, 519), id="genus_two_one_hole"),
     ],
 )
-def test_exhaustive_box(make_surface, max_q, max_abs_p, every_p, pinned):
+def test_exhaustive_box(name, max_q, max_abs_p, every_p, pinned):
     # every admissible (q, p) with q_i <= max_q and |p_i| <= max_abs_p, so
     # zero entries of q and twists at the parity edge are all reached, which
     # sampling can miss; a q odd at some pants is refused whatever p is, so
     # it is skipped.  With every_p, every p in the box is tried and exactly
     # the realizable twists must be accepted; otherwise only the realizable
     # twists are drawn, and each must be accepted
-    surface = make_surface()
+    surface = stock(name)
     admissible = connected = passed = 0
     for q in itertools.product(range(max_q + 1), repeat=surface.xi):
         try:
@@ -439,23 +423,21 @@ def test_exhaustive_box(make_surface, max_q, max_abs_p, every_p, pinned):
 
 class TestStarTwist:
     def test_one_holed_dual(self):
-        s = one_holed_torus()
+        s = stock("one_holed_torus")
         coords = DTCoords((1,), (0,))
         comp = extract_components(s, coords)[0]
         out = p_star_check(comp.word, coords.p, window_twists(s, coords))
         assert out == {0: (1, 1)}
 
     def test_once_crossing_configuration(self):
-        from tests_support import n1_surface
-
-        s = n1_surface()
+        s = stock("twice_holed_torus")
         coords = DTCoords((1, 1), (-1, -1))
         comp = extract_components(s, coords)[0]
         out = p_star_check(comp.word, coords.p, window_twists(s, coords))
         assert all(lhs == rhs for lhs, rhs in out.values())
 
     def test_shift_consistency_under_twisting(self):
-        s = genus_two()
+        s = stock("genus_two")
         base = DTCoords((1, 1, 2), (1, 1, 0))
         for n in (0, 1, 3, -2):
             coords = twist_curve(base, 2, n)
@@ -464,7 +446,7 @@ class TestStarTwist:
             assert all(lhs == rhs for lhs, rhs in out.values())
 
     def test_rejects_crossing_without_flanking_traversals(self):
-        s = one_holed_torus()
+        s = stock("one_holed_torus")
         coords = DTCoords((1,), (0,))
         word = extract_components(s, coords)[0].word
         crossing = crossings(word)[0]
@@ -473,7 +455,7 @@ class TestStarTwist:
             p_star_check(bad, coords.p, window_twists(s, coords))
 
     def test_rejects_words_with_same_slot_returns(self):
-        s = four_holed_sphere()
+        s = stock("four_holed_sphere")
         comp = extract_components(s, DTCoords((2,), (0,)))[0]
         with pytest.raises(CoordError, match="same-slot"):
             p_star_check(comp.word, (0,), (-1,))

@@ -1,21 +1,49 @@
 """Shared fixture surfaces and small helpers for the test suite."""
 
+import functools
 import itertools
+from pathlib import Path
 
 from plumbtrace import gausspoly, standardpos
 from plumbtrace.dtcoords import CoordError, DTCoords
 from plumbtrace.gausspoly import GaussPoly, _box, _slots
 from plumbtrace.standardpos import Crossing
-from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, SurfaceError, build_surface
+from plumbtrace.surface import (
+    SLOT_0,
+    SLOT_1,
+    SLOT_INF,
+    SurfaceError,
+    build_surface,
+    load_surface,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+# the surfaces of surfaces/, in name order
+STOCK = ("four_holed_sphere", "genus_two", "one_holed_torus", "twice_holed_torus")
+
+
+@functools.cache
+def stock(name):
+    """The stock surface `name`, read from its shipped file:
+    ``surfaces/<name>.surf``, or ``pipebench/surfaces/<name>.surf`` for the
+    benchmark's genus_two_one_hole."""
+    path = ROOT / "surfaces" / f"{name}.surf"
+    if not path.is_file():
+        path = ROOT / "pipebench" / "surfaces" / f"{name}.surf"
+    return load_surface(str(path))
+
+
+def free_slots(surface):
+    """How many slots no gluing fills: the ``None`` entries of
+    ``slot_curves``, one per hole."""
+    return sum(c is None for curves in surface.slot_curves for c in curves)
 
 
 def n1_surface():
-    """Two pants glued along inf (curve 0) and along slot 1 (curve 1); the
-    second curve sits at the first's predecessor slot in both pants."""
-    return build_surface(
-        1, 2, 2,
-        [("e", (0, SLOT_INF), (1, SLOT_INF)), ("f", (0, SLOT_1), (1, SLOT_1))],
-    )
+    """The twice-holed torus, glued along inf (curve 0) and along slot 1
+    (curve 1): the second curve sits at the first's predecessor slot in
+    both pants."""
+    return stock("twice_holed_torus")
 
 
 def n2_surface():
