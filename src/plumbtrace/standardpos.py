@@ -18,8 +18,8 @@ layouts used last, sized from the traffic it serves: the benchmark's
 500-curve campaign list holds 122 distinct (surface, q), and a genus-two
 ``verify --fuzz 1000`` sample lays out 108 and 172 at max q 5 and 6; a
 cache smaller than the keys a run cycles through evicts most of them
-before their next use.  A 256-node layout owns about 5.4 KB, so the
-cache holds at most about 1.4 MB.  A
+before their next use.  A 256-node layout owns about 7.5 KB, so the
+cache holds at most about 1.9 MB.  A
 layout of more than ``LAYOUT_NODES`` nodes, whose q almost never repeats,
 is built on every call, as lists.
 
@@ -48,11 +48,16 @@ traversal that follows arriving at the node, the node across the annulus
 and the crossing that leaves through the node.  The nodes of one window
 block, and the strand ends of one wrap run, are a contiguous id range
 sharing one token, so each list is filled by slice assignment, building
-each token once per block or run.  Tokens are frozen values, interned
-across calls by bounded least-recently-used caches; a token's line of the
-stable text form is its ``text``, formatted by ``__post_init__`` on a
-cache miss and taking no part in equality, hashing or ``repr``.  Every
-record here is slotted, so none carries an instance dict.
+each token once per block or run.  The ids themselves come from one list
+per layout, ``Layout.ids`` = ``list(range(size))`` (a tuple when the layout
+is shared): the layout's and the matching's lists of ids are filled with
+slices of it, so an id above 256, an int CPython does not cache, is
+allocated once per layout, not once per list that holds it.  Tokens are
+frozen values, interned across calls by bounded least-recently-used
+caches; a token's line of the stable text form is its ``text``, formatted
+by ``__post_init__`` on a cache miss and taking no part in equality,
+hashing or ``repr``.  Every record here is slotted, so none carries an
+instance dict.
 
 Per crossing the walk marks both strand ends in a ``bytearray``, appends
 the crossing and the traversal after it, and steps on; the same-slot
@@ -100,10 +105,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
-from operator import attrgetter, sub
+from operator import sub
 
 from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
-from .surface import PantsDecomposition, slot_name, succ
+from .surface import PantsDecomposition, slot_name
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,31 +203,26 @@ class Layout:
 
     ``pattern`` is the per-pants arc pattern of q.  Node ``(curve i, side,
     strand)`` has id ``base[i] + side * q[i] + strand``; ``base[-1]`` is the
-    node count.  ``windows`` maps every (pants, slot) to its node ids in
-    window order, and is never written once built.  Per node: ``arc_mate``
-    is the other end of its pants arc, and ``traversal`` the token for
-    arriving at it and leaving through ``arc_mate``: an ``SccLoop`` when
-    both ends sit in one window, a ``Conn`` otherwise.  ``scc_out`` lists,
-    per window with same-boundary arcs, the block of their outgoing ends.
-    The three are tuples in a shared layout (module notes), else lists.
+    node count, and ``ids`` the ids 0 .. count - 1 in order, the one source
+    of the id ints that ``arc_mate`` and the matching's ``mate`` hold, both
+    filled with slices of it.  ``windows`` maps every (pants, slot) to its
+    node ids in window order, and is never written once built.  Per node:
+    ``arc_mate`` is the other end of its pants arc, and ``traversal`` the
+    token for arriving at it and leaving through ``arc_mate``: an
+    ``SccLoop`` when both ends sit in one window, a ``Conn`` otherwise.
+    ``scc_out`` lists, per window with same-boundary arcs, the block of
+    their outgoing ends.  These four are tuples in a shared layout (module
+    notes), else lists.
     """
 
     surface: PantsDecomposition
     pattern: tuple[ArcCounts, ...]
     base: tuple[int, ...]
+    ids: tuple[int, ...] | list[int]
     windows: dict[tuple[int, int], range]
     arc_mate: tuple[int, ...] | list[int]
     traversal: tuple[Token, ...] | list[Token]
     scc_out: tuple[range, ...] | list[range]
-
-
-def _at(ids: range) -> slice:
-    """The list slice addressing the node ids of a window range, in order.
-
-    A non-empty part of end B's window stops at ``base + q - 1 >= 0`` or
-    later, so its stop never reads as an index from the end of the list.
-    """
-    return slice(ids.start, ids.stop, ids.step)
 
 
 def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
@@ -239,6 +239,7 @@ def _build_layout(surface: PantsDecomposition, q: tuple, pattern: tuple, shared:
     tuples if `shared`."""
     base = tuple(accumulate((2 * qi for qi in q), initial=0))
     size = base[-1]
+    ids = list(range(size))
     windows: dict[tuple[int, int], range] = {
         (pants, slot): range(0) for pants in range(surface.pants_count) for slot in (0, 1, 2)
     }
@@ -248,35 +249,48 @@ def _build_layout(surface: PantsDecomposition, q: tuple, pattern: tuple, shared:
         windows[g.end_a] = range(a, b)
         windows[g.end_b] = range(b + qi - 1, b - 1, -1)
 
+    # window position k is id w0 + d*k, w0 the window's first id and d its
+    # step (+1 at end A, -1 at end B), so positions lo .. hi-1 are the id slice
+    # [w0 + d*lo : w0 + d*hi : d], or backwards [w0 + d*(hi-1) : w0 + d*(lo-1) : -d];
+    # a stop at end B is base + q - 1 >= 0 or more, and at end A is -1, an
+    # index from the end, only for a block read backwards down to id 0
     arc_mate = [0] * size
     traversal: list[Token] = [None] * size
     scc_out: list[range] = []
     for pants, counts in enumerate(pattern):
-        for slot in (0, 1, 2):
-            ids = windows[(pants, slot)]
-            s = counts.scc[slot]
-            n = counts.dcc_between(slot, succ(slot))
+        scc, dcc = counts.scc, counts.dcc
+        # the family from `slot` to its successor `other` counts dcc[third]
+        for slot, other, third in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            s, n = scc[slot], dcc[third]
+            window = windows[(pants, slot)]
+            w0, d = window.start, window.step
             if s:
-                # same-boundary arc k (1..s) runs from position s-k to s+n+k-1
-                out, back = ids[:s], ids[s + n:2 * s + n]
-                arc_mate[_at(out)] = back[::-1]
-                arc_mate[_at(back)] = out[::-1]
-                traversal[_at(out)] = [_scc_loop(pants, slot, -1)] * s
-                traversal[_at(back)] = [_scc_loop(pants, slot, 1)] * s
-                scc_out.append(out)
+                # same-boundary arc k (1..s) runs from position s-k to s+n+k-1:
+                # the outgoing block in order meets the returning one backwards
+                out = slice(w0, w0 + d * s, d)
+                back = slice(w0 + d * (2 * s + n - 1), w0 + d * (s + n - 1), -d)
+                arc_mate[out] = ids[back]
+                arc_mate[back] = ids[out]
+                traversal[out] = [_scc_loop(pants, slot, -1)] * s
+                traversal[back] = [_scc_loop(pants, slot, 1)] * s
+                scc_out.append(window[:s])
             if n:
-                # the family to the successor slot ends in that slot's
-                # predecessor block, paired in reversed order
-                other = succ(slot)
-                first = 2 * counts.scc[other] + counts.dcc_between(other, succ(other))
-                here, there = ids[s:s + n], windows[(pants, other)][first:first + n]
-                arc_mate[_at(here)] = there[::-1]
-                arc_mate[_at(there)] = here[::-1]
-                traversal[_at(here)] = [_conn(pants, slot, other)] * n
-                traversal[_at(there)] = [_conn(pants, other, slot)] * n
+                # the family ends in `other`'s predecessor block, from its
+                # position `first` on, paired in reversed order
+                first = 2 * scc[other] + dcc[slot]
+                far = windows[(pants, other)]
+                o0, e = far.start, far.step
+                stop = o0 + e * (first - 1)  # -1 only below id 0, read as None
+                here = slice(w0 + d * s, w0 + d * (s + n), d)
+                there = slice(o0 + e * (first + n - 1), stop if stop >= 0 else None, -e)
+                arc_mate[here] = ids[there]
+                arc_mate[there] = ids[here]
+                traversal[here] = [_conn(pants, slot, other)] * n
+                traversal[there] = [_conn(pants, other, slot)] * n
     if shared:
-        arc_mate, traversal, scc_out = tuple(arc_mate), tuple(traversal), tuple(scc_out)
-    return Layout(surface, pattern, base, windows, arc_mate, traversal, scc_out)
+        ids, arc_mate = tuple(ids), tuple(arc_mate)
+        traversal, scc_out = tuple(traversal), tuple(scc_out)
+    return Layout(surface, pattern, base, ids, windows, arc_mate, traversal, scc_out)
 
 
 # layouts of at most LAYOUT_NODES nodes are shared, the LAYOUT_CACHE used last
@@ -306,7 +320,7 @@ def match_strands(layout: Layout, coords: DTCoords) -> Matching:
     `coords`, whose q the layout was built for, read off its arc pattern;
     raises CoordError when the twists are not realizable."""
     phat = pattern_twists(layout.surface, coords, layout.pattern)
-    size = layout.base[-1]
+    size, ids = layout.base[-1], layout.ids
     mate = [0] * size
     crossing: list[Crossing] = [None] * size
     for g in layout.surface.gluings:
@@ -318,10 +332,10 @@ def match_strands(layout: Layout, coords: DTCoords) -> Matching:
         # A-strand k meets B-strand (k + phat) % q after (k + phat) // q
         # wraps: A-strands 0 .. q-r-1 meet B-strands r .. q-1 after w wraps,
         # the last r A-strands meet B-strands 0 .. r-1 after w + 1
-        mate[a:b - r] = range(b + r, b + q)
-        mate[b - r:b] = range(b, b + r)
-        mate[b:b + r] = range(b - r, b)
-        mate[b + r:b + q] = range(a, b - r)
+        mate[a:b - r] = ids[b + r:b + q]
+        mate[b - r:b] = ids[b:b + r]
+        mate[b:b + r] = ids[b - r:b]
+        mate[b + r:b + q] = ids[a:b - r]
         crossing[a:b - r] = [_crossing(i, *g.end_a, *g.end_b, w)] * (q - r)
         crossing[b + r:b + q] = [_crossing(i, *g.end_b, *g.end_a, w)] * (q - r)
         if r:
@@ -366,14 +380,26 @@ def _check_scc_arcs(layout: Layout, matching: Matching) -> None:
                 raise AssertionError(msg)
 
 
-def _marked(seen: bytearray, layout: Layout, q: tuple, shifts: tuple) -> tuple[tuple, tuple]:
-    """Per curve, the strands ``seen`` marks and their wraps (see the strand index)."""
-    strands, wraps = [], []
+def _spans(layout: Layout, q: tuple, shifts: tuple) -> list[tuple[int, int, int, int, int]]:
+    """Per curve (see the strand index): the span of its ids, the wraps w
+    of every strand, and the span of the ends of the r strands that wrap
+    once more."""
+    spans = []
     for lo, qi, shift in zip(layout.base, q, shifts):
         w, r = divmod(shift, qi) if qi else (0, 0)
-        k = seen.count(1, lo, lo + 2 * qi) // 2
+        mid = lo + qi
+        spans.append((lo, mid + qi, w, mid - r, mid + r))
+    return spans
+
+
+def _marked(seen: bytearray, spans: list) -> tuple[tuple, tuple]:
+    """Per curve, the strands ``seen`` marks and their wraps, over the
+    curve ``spans``."""
+    strands, wraps = [], []
+    for lo, hi, w, wrap_lo, wrap_hi in spans:
+        k = seen.count(1, lo, hi) // 2
         strands.append(k)
-        wraps.append(w * k + seen.count(1, lo + qi - r, lo + qi + r) // 2)
+        wraps.append(w * k + seen.count(1, wrap_lo, wrap_hi) // 2)
     return tuple(strands), tuple(wraps)
 
 
@@ -393,6 +419,7 @@ def extract_components(
     arc_mate, traversal = layout.arc_mate, layout.traversal
     xi = surface.xi
     done = None  # strands and wraps the earlier walks marked, as _marked counts
+    spans = None  # _marked's curve spans, computed for the first walk that is not the last
 
     components: list[Component] = []
     seen = bytearray(len(mate))
@@ -411,13 +438,15 @@ def extract_components(
                 break
         start = seen.find(0, start + 1)
         if start >= 0:
-            now = _marked(seen, layout, coords.q, matching.shifts)
+            if spans is None:
+                spans = _spans(layout, coords.q, matching.shifts)
+            now = _marked(seen, spans)
         else:  # the last walk takes what the others left
             twists = (t if qi else 0 for qi, t in zip(coords.q, matching.shifts))
             now = tuple(coords.q), tuple(twists)
         q, phat = now if done is None else [tuple(map(sub, a, b)) for a, b in zip(now, done)]
         done = now
-        components.append(Component(q=q, phat=phat, word=Word(xi, tuple(tokens))))
+        components.append(Component(q, phat, Word(xi, tuple(tokens))))
 
     # components parallel to a pants curve: q = 0 there, p copies
     for i in range(xi):
@@ -441,4 +470,4 @@ def word_to_text(word: Word) -> str:
     is built and keeps it in a slot, so an instance that several words
     share, of one ``extract_components`` call or, interned, of many, is
     formatted once, and printing a word formats nothing."""
-    return "\n".join(map(attrgetter("text"), word.tokens))
+    return "\n".join([tok.text for tok in word.tokens])

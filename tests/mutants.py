@@ -89,7 +89,9 @@ MUTANTS = [
         '    bias = int.from_bytes((bytes(nbytes - 1) + b"\\x40") * size, "little")',
         "tests/test_gausspoly.py",
     ),
-    # layout: a forbidden return pattern, the strand count of a walk
+    # layout: a forbidden return pattern, the strand count of a walk, the
+    # stop of the returning block's descending id slice and its guard at
+    # id 0, and the start of one matching slice of the ids
     Mutant(
         "plumbtrace.standardpos",
         '_FORBIDDEN = (("succ", "succ", -2), ("pred", "pred", 2))',
@@ -98,8 +100,26 @@ MUTANTS = [
     ),
     Mutant(
         "plumbtrace.standardpos",
-        "        k = seen.count(1, lo, lo + 2 * qi) // 2",
-        "        k = seen.count(1, lo, lo + 2 * qi)",
+        "        k = seen.count(1, lo, hi) // 2",
+        "        k = seen.count(1, lo, hi)",
+        "tests/test_standardpos.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "                back = slice(w0 + d * (2 * s + n - 1), w0 + d * (s + n - 1), -d)",
+        "                back = slice(w0 + d * (2 * s + n - 1), w0 + d * (s + n), -d)",
+        "tests/test_reference_layout.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "                there = slice(o0 + e * (first + n - 1), stop if stop >= 0 else None, -e)",
+        "                there = slice(o0 + e * (first + n - 1), stop if stop > 0 else None, -e)",
+        "tests/test_reference_layout.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "        mate[b:b + r] = ids[b - r:b]",
+        "        mate[b:b + r] = ids[b - r + 1:b + 1]",
         "tests/test_standardpos.py",
     ),
     # verifier: the box shortcut's guard, the axis clause, both degree

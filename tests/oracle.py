@@ -403,6 +403,21 @@ def _int_matmul(x, y):
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
+# the constant factors as point matrices, converted once: the identity, and
+# per slot s W_s, W_s^-1, and the same-slot returns
+# W_s^-1 . BOUNDARY_LOOP[0]^(+-1) . W_s indexed by sign > 0
+_POINT_ONE = _point_of_ints(((1, 0), (0, 1)))
+_POINT_TO_TOP = tuple(_point_of_ints(w) for w in SLOT_TO_TOP)
+_POINT_FROM_TOP = tuple(_point_of_ints(_int_adjugate(w)) for w in SLOT_TO_TOP)
+_POINT_LOOP = tuple(
+    tuple(
+        _point_of_ints(_int_matmul(_int_matmul(_int_adjugate(w), loop), w))
+        for loop in (_int_adjugate(BOUNDARY_LOOP[0]), BOUNDARY_LOOP[0])
+    )
+    for w in SLOT_TO_TOP
+)
+
+
 def point_product(word, point):
     """The holonomy of `word` at t_{k+1} = point[k], each point[k] an
     (re, im) pair mod P61, as rows ((a, b), (c, d)) of such pairs.
@@ -412,20 +427,17 @@ def point_product(word, point):
     contributes W_s^-1 . BOUNDARY_LOOP[0]^(+-1) . W_s.
     """
     i, minus_i, zero = (0, 1), (0, P61 - 1), (0, 0)
-    out = _point_of_ints(((1, 0), (0, 1)))
+    out = _POINT_ONE
     for tok in word.tokens:
         if isinstance(tok, Crossing):
             t = point[tok.curve]
             x = ((-t[0] - 2 * tok.twist) % P61, -t[1] % P61)
             core = ((i, _gmul(i, x)), (zero, minus_i))
             factor = _point_matmul(
-                _point_matmul(_point_of_ints(_int_adjugate(SLOT_TO_TOP[tok.out_slot])), core),
-                _point_of_ints(SLOT_TO_TOP[tok.in_slot]),
+                _point_matmul(_POINT_FROM_TOP[tok.out_slot], core), _POINT_TO_TOP[tok.in_slot]
             )
         elif isinstance(tok, SccLoop):
-            loop = BOUNDARY_LOOP[0] if tok.sign > 0 else _int_adjugate(BOUNDARY_LOOP[0])
-            w = SLOT_TO_TOP[tok.slot]
-            factor = _point_of_ints(_int_matmul(_int_matmul(_int_adjugate(w), loop), w))
+            factor = _POINT_LOOP[tok.slot][tok.sign > 0]
         else:
             continue
         out = _point_matmul(out, factor)

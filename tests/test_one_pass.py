@@ -5,7 +5,6 @@ benchmark's tracer wraps to time evaluation and the trace, so an entry
 point that went round them would leave those spans empty."""
 
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,11 +14,9 @@ from plumbtrace.fuzz import random_coords
 from plumbtrace.gausspoly import Mat2
 from plumbtrace.holonomy import trace_of_curve
 from plumbtrace.standardpos import extract_components
-from plumbtrace.surface import load_surface
 from plumbtrace.verifier import verify
+from tests_support import STOCK, stock, stock_file
 
-SURFACE_DIR = Path(__file__).resolve().parent.parent / "surfaces"
-SURFACES = sorted(str(p) for p in SURFACE_DIR.glob("*.surf"))
 # curves with more than one component: two parallel copies of one word; four
 # components, two of them copies; one component parallel to a pants curve
 MULTI = [
@@ -50,35 +47,35 @@ def calls(monkeypatch):
     return counts
 
 
-def connected_curve(path):
-    surface = load_surface(path)
+def connected_curve(name):
+    surface = stock(name)
     return surface, random_coords(surface, seed=4, max_q=4, count=1, connected_only=True)[0]
 
 
-@pytest.mark.parametrize("path", SURFACES)
-def test_trace_of_curve_validates_once(calls, path):
-    surface, coords = connected_curve(path)
+@pytest.mark.parametrize("name", STOCK)
+def test_trace_of_curve_validates_once(calls, name):
+    surface, coords = connected_curve(name)
     calls.update(validate=0, arc_counts=0)
     trace_of_curve(surface, coords)
     assert calls == {"validate": 1, "arc_counts": surface.pants_count}
 
 
-@pytest.mark.parametrize("path", SURFACES)
-def test_word_command_validates_once(calls, capsys, path):
-    surface, coords = connected_curve(path)
+@pytest.mark.parametrize("name", STOCK)
+def test_word_command_validates_once(calls, capsys, name):
+    surface, coords = connected_curve(name)
     calls.update(validate=0, arc_counts=0)
     q = ",".join(map(str, coords.q))
     p = ",".join(map(str, coords.p))
-    assert cli.run(["word", "--surface", path, f"--q={q}", f"--p={p}"]) == 0
+    assert cli.run(["word", "--surface", stock_file(name), f"--q={q}", f"--p={p}"]) == 0
     assert capsys.readouterr().out.startswith("# component 0")
     assert calls == {"validate": 1, "arc_counts": surface.pants_count}
 
 
-@pytest.mark.parametrize("path", SURFACES)
-def test_verify_validates_twice(calls, path):
+@pytest.mark.parametrize("name", STOCK)
+def test_verify_validates_twice(calls, name):
     # the second pass is the same-boundary count h, taken from the
     # coordinates rather than from the compiled word it checks
-    surface, coords = connected_curve(path)
+    surface, coords = connected_curve(name)
     calls.update(validate=0, arc_counts=0)
     assert verify(surface, coords).passed
     assert calls == {"validate": 2, "arc_counts": 2 * surface.pants_count}
@@ -107,10 +104,10 @@ def evaluations(monkeypatch):
 
 
 def curves():
-    """(surface file, coordinates): each stock surface's connected curve,
-    then the MULTI curves."""
-    out = [(path, connected_curve(path)[1]) for path in SURFACES]
-    out += [(str(SURFACE_DIR / f"{name}.surf"), DTCoords(q, p)) for name, q, p in MULTI]
+    """(stock surface name, coordinates): each stock surface's connected
+    curve, then the MULTI curves."""
+    out = [(name, connected_curve(name)[1]) for name in STOCK]
+    out += [(name, DTCoords(q, p)) for name, q, p in MULTI]
     return out
 
 
@@ -119,29 +116,29 @@ def word_count(surface, coords):
 
 
 def test_verify_evaluates_its_word_once(evaluations):
-    for path in SURFACES:
-        surface, coords = connected_curve(path)
+    for name in STOCK:
+        surface, coords = connected_curve(name)
         evaluations.update(evaluate_word=0, trace=0)
         assert verify(surface, coords).passed
-        assert evaluations == {"evaluate_word": 1, "trace": 1}, path
+        assert evaluations == {"evaluate_word": 1, "trace": 1}, name
 
 
 def test_trace_of_curve_evaluates_each_word_once(evaluations):
-    for path, coords in curves():
-        surface = load_surface(path)
+    for name, coords in curves():
+        surface = stock(name)
         words = word_count(surface, coords)
         evaluations.update(evaluate_word=0, trace=0)
         trace_of_curve(surface, coords)
-        assert evaluations == {"evaluate_word": words, "trace": words}, (path, coords)
+        assert evaluations == {"evaluate_word": words, "trace": words}, (name, coords)
 
 
 @pytest.mark.parametrize("matrix", [False, True])
 def test_trace_command_evaluates_each_word_once(evaluations, matrix):
-    for path, coords in curves():
-        words = word_count(load_surface(path), coords)
+    for name, coords in curves():
+        words = word_count(stock(name), coords)
         evaluations.update(evaluate_word=0, trace=0)
         q = ",".join(map(str, coords.q))
         p = ",".join(map(str, coords.p))
-        argv = ["trace", "--surface", path, f"--q={q}", f"--p={p}"]
+        argv = ["trace", "--surface", stock_file(name), f"--q={q}", f"--p={p}"]
         assert cli.run(argv + ["--matrix"] * matrix) == 0
-        assert evaluations == {"evaluate_word": words, "trace": words}, (path, coords)
+        assert evaluations == {"evaluate_word": words, "trace": words}, (name, coords)

@@ -46,8 +46,13 @@ def assert_same(surface, coords):
     return got
 
 
-@pytest.mark.parametrize("max_q", [3, 12, 64])
-@pytest.mark.parametrize("name", sorted(SURFACES))
+# every surface up to max q 64, and closed genus two at the scale of the
+# benchmark's layout workload, where most layouts exceed LAYOUT_NODES
+SCALES = [(name, max_q) for name in sorted(SURFACES) for max_q in (3, 12, 64)]
+SCALES.append(("genus_two", 256))
+
+
+@pytest.mark.parametrize("name, max_q", SCALES)
 def test_components_match_reference(name, max_q):
     surface = SURFACES[name]
     multi = parallel = 0

@@ -103,6 +103,7 @@ def test_layout_size_rule(name, q):
     assert (layout_endpoints(surface, coords) is first) == shared
     assert standardpos._shared_layout.cache_info().currsize == shared
     assert isinstance(first.arc_mate, tuple if shared else list)
+    assert first.ids == (tuple if shared else list)(range(2 * sum(q)))
     # either way, the words are the reference reconstruction's
     got = extract_components(surface, coords)
     assert got == reference_components(surface, coords)
@@ -130,7 +131,7 @@ def test_render_size_rule(counts):
 def test_shared_tables_cannot_be_changed():
     # a curve with same-boundary arcs, so that every sequence has an entry
     layout = layout_endpoints(stock("genus_two"), DTCoords((0, 1, 3), (0, 1, -1)))
-    for name in ("base", "arc_mate", "traversal", "scc_out"):
+    for name in ("base", "ids", "arc_mate", "traversal", "scc_out"):
         seq = getattr(layout, name)
         assert isinstance(seq, tuple), name
         with pytest.raises(TypeError):

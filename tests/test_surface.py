@@ -11,7 +11,7 @@ from plumbtrace.surface import (
     parse_slot,
     parse_surface,
 )
-from tests_support import ROOT, STOCK, free_slots, stock
+from tests_support import ROOT, STOCK, free_slots, stock, stock_file
 
 ALL = STOCK + ("genus_two_one_hole",)
 
@@ -85,13 +85,9 @@ def test_declared_genus_validated():
 
 
 def test_parse_round_trip_and_determinism():
-    text = """
-    # comment
-    surface g=1 b=2
-    pants 2
-    glue a (0,inf) (1,inf)
-    glue b (0,1) (1,1)
-    """
+    # the shipped file, comment line included, parsed twice from its text
+    with open(stock_file("twice_holed_torus"), encoding="utf-8") as fh:
+        text = fh.read()
     s1 = parse_surface(text)
     s2 = parse_surface(text)
     assert s1 == s2 == stock("twice_holed_torus")

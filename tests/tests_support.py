@@ -22,15 +22,20 @@ ROOT = Path(__file__).resolve().parent.parent
 STOCK = ("four_holed_sphere", "genus_two", "one_holed_torus", "twice_holed_torus")
 
 
-@functools.cache
-def stock(name):
-    """The stock surface `name`, read from its shipped file:
+def stock_file(name):
+    """The shipped file of the stock surface `name`, as a string:
     ``surfaces/<name>.surf``, or ``pipebench/surfaces/<name>.surf`` for the
     benchmark's genus_two_one_hole."""
     path = ROOT / "surfaces" / f"{name}.surf"
     if not path.is_file():
         path = ROOT / "pipebench" / "surfaces" / f"{name}.surf"
-    return load_surface(str(path))
+    return str(path)
+
+
+@functools.cache
+def stock(name):
+    """The stock surface `name`, read from its shipped file (``stock_file``)."""
+    return load_surface(stock_file(name))
 
 
 def free_slots(surface):
