@@ -28,7 +28,8 @@ pattern:
     2*phat[i] = p[i] - q[i] + sum over the two gluing ends of
                 #(arcs between that end's slot and its cyclic predecessor)
 
-which applies verbatim when the two ends lie on the same pants.  A
+which applies verbatim when the two ends lie on the same pants; each end's
+count is one ``dcc`` entry of its pants (``twist_correction`` says which).  A
 non-integer result means ``(q, p)`` is not realizable as a curve (for fixed
 q the realizable p fill one parity class); it is reported, never rounded.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .surface import PantsDecomposition, pred
+from .surface import PantsDecomposition
 
 
 class CoordError(ValueError):
@@ -83,12 +84,16 @@ def validate(surface: PantsDecomposition, coords: DTCoords) -> tuple[ArcCounts, 
     for i, (qi, pi) in enumerate(zip(coords.q, coords.p)):
         if qi == 0 and pi < 0:
             raise NegativeTwistOnZeroLength(i)
+    q = coords.q
     pattern = []
-    for pants, curves in enumerate(surface.slot_curves):
-        x = [0 if c is None else coords.q[c] for c in curves]
-        if sum(x) % 2:
-            raise ParityViolation(pants, sum(x))
-        pattern.append(arc_counts(*x))
+    for pants, (x, y, z) in enumerate(surface.slot_curves):
+        # a free slot (None) carries no crossings
+        x = 0 if x is None else q[x]
+        y = 0 if y is None else q[y]
+        z = 0 if z is None else q[z]
+        if (x + y + z) % 2:
+            raise ParityViolation(pants, x + y + z)
+        pattern.append(arc_counts(x, y, z))
     return tuple(pattern)
 
 
@@ -143,11 +148,16 @@ def arc_counts(x: int, y: int, z: int) -> ArcCounts:
 def twist_correction(
     surface: PantsDecomposition, pattern: tuple[ArcCounts, ...], curve: int
 ) -> int:
-    """Sum over the gluing's two ends of #(arcs slot <-> predecessor slot)."""
+    """Sum over the gluing's two ends of #(arcs slot <-> predecessor slot).
+
+    At an end on slot s, those arcs are ``dcc[(s + 1) % 3]``, the count of
+    the successor slot succ(s): ``dcc[c]`` counts the arcs between the two
+    slots other than c, and the two slots other than succ(s) are s and
+    pred(s).
+    """
     g = surface.gluings[curve]
-    return sum(
-        pattern[pants].dcc_between(slot, pred(slot)) for pants, slot in (g.end_a, g.end_b)
-    )
+    (pants_a, slot_a), (pants_b, slot_b) = g.end_a, g.end_b
+    return pattern[pants_a].dcc[(slot_a + 1) % 3] + pattern[pants_b].dcc[(slot_b + 1) % 3]
 
 
 def pattern_twists(
@@ -161,14 +171,14 @@ def pattern_twists(
     does not name a curve.
     """
     phat = []
-    for i in range(surface.xi):
-        if coords.q[i] == 0:
-            phat.append(coords.p[i])
+    for g, qi, pi in zip(surface.gluings, coords.q, coords.p):
+        if qi == 0:
+            phat.append(pi)
             continue
-        num = coords.p[i] - coords.q[i] + twist_correction(surface, pattern, i)
+        num = pi - qi + twist_correction(surface, pattern, g.curve)
         if num % 2:
             raise CoordError(
-                f"curve {i}: twist {coords.p[i]} is not realizable with these "
+                f"curve {g.curve}: twist {pi} is not realizable with these "
                 f"intersection numbers (window twist would be {num}/2)"
             )
         phat.append(num // 2)

@@ -192,7 +192,8 @@ def _l1_bounds(k0, steps):
     ||a.x - k1.(t.x + y)||_1 <= |a|.||x||_1 + |k1|.(||x||_1 + ||y||_1), since
     multiplying by t permutes monomials; a constant entry's norm is |v|.
     """
-    (x0, y0), (x1, y1) = ((abs(v) for v in row) for row in k0)
+    (x0, y0), (x1, y1) = k0
+    x0, y0, x1, y1 = abs(x0), abs(y0), abs(x1), abs(y1)
     for _, a0, k10, a1, k11 in steps:
         a0, k10, a1, k11 = abs(a0), abs(k10), abs(a1), abs(k11)
         s0, s1 = x0 + y0, x1 + y1

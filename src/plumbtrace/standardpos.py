@@ -61,7 +61,9 @@ instance dict.
 
 Per crossing the walk marks both strand ends in a ``bytearray``, appends
 the crossing and the traversal after it, and steps on; the same-slot
-return check ran before, once per same-boundary arc.  A component's q_i
+return check ran before, once per same-boundary arc.  A walk that has not
+closed after half the ids shows a matching that is not a permutation, and
+raises ``RuntimeError`` rather than walk on.  A component's q_i
 is half the ids of curve i it marked.  With ``w, r = divmod(t, q_i)`` for
 the window twist t, each strand wraps w times and the r strands that wrap
 once more end on the r ids each side of ``base[i] + q_i``, so phat_i is
@@ -104,7 +106,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 
 from .dtcoords import ArcCounts, DTCoords, pattern_twists, validate
@@ -423,12 +425,15 @@ def extract_components(
 
     components: list[Component] = []
     seen = bytearray(len(mate))
+    # a walk crosses at most once per strand, half the nodes, when the
+    # matching is a permutation; a walk that does not close by then never will
+    half = len(mate) // 2
     start = seen.find(0)
     while start >= 0:
         tokens: list[Token] = []
         append = tokens.append
         node = start
-        while True:
+        for _ in repeat(None, half):
             partner = mate[node]
             seen[node] = seen[partner] = 1
             append(crossing[node])
@@ -436,6 +441,11 @@ def extract_components(
             node = arc_mate[partner]
             if node == start:
                 break
+        else:
+            raise RuntimeError(
+                f"the walk from node {start} does not close after {half} crossings:"
+                " the strand matching is not a permutation"
+            )
         start = seen.find(0, start + 1)
         if start >= 0:
             if spans is None:
@@ -460,7 +470,11 @@ def extract_components(
 
 def scc_count(surface: PantsDecomposition, coords: DTCoords) -> int:
     """Total number of same-boundary arcs over all pants."""
-    return sum(counts.total_scc() for counts in validate(surface, coords))
+    h = 0
+    for counts in validate(surface, coords):
+        a, b, c = counts.scc
+        h += a + b + c
+    return h
 
 
 # -- stable text form -------------------------------------------------------

@@ -142,7 +142,7 @@ def check_trace_polynomial(
     for i in range(arity):
         if q[i] == 0:
             continue
-        mono = tuple(q[k] - (1 if k == i else 0) for k in range(arity))
+        mono = lead_mono[:i] + (q[i] - 1,) + lead_mono[i + 1:]
         observed = trace.coefficient(mono)
         predicted = lead * (p[i] - q[i])
         report.subleading.append(SubleadingCheck(i, observed, predicted, observed == predicted))
@@ -172,7 +172,10 @@ def verify(surface: PantsDecomposition, coords: DTCoords) -> TopTermReport:
     pants curves (p_i copies where q_i = 0) is refused before any layout,
     so the refusal costs nothing however many copies there are.
     """
-    parallel = sum(p for q, p in zip(coords.q, coords.p) if q == 0 and p > 0)
+    parallel = 0
+    for qi, pi in zip(coords.q, coords.p):
+        if qi == 0 and pi > 0:
+            parallel += pi
     if parallel > 1 or (parallel and any(coords.q)):
         validate(surface, coords)  # malformed coordinates report their own error
         count = f"at least {parallel + 1}" if any(coords.q) else str(parallel)

@@ -154,7 +154,8 @@ MUTANTS = [
         "        ok = lead == 2 and not trace.imag",
         "tests/test_verifier.py",
     ),
-    # sampler and arc pattern
+    # sampler and arc pattern; scc_count sums the scc triples itself, so
+    # total_scc is checked where the embedding oracle counts the same arcs
     Mutant(
         "plumbtrace.fuzz",
         "                out[i] += 1",
@@ -165,7 +166,7 @@ MUTANTS = [
         "plumbtrace.dtcoords",
         "        return sum(self.scc)",
         "        return sum(self.scc[1:])",
-        "tests/test_standardpos.py",
+        "tests/test_fuzz_oracle.py",
     ),
     # the one-pass _factor: in-slot of the current crossing, run not
     # cleared, closing step dropped, first crossing not counted
@@ -218,5 +219,52 @@ MUTANTS = [
         '    if not text.isascii() or "_" in text:',
         "    if False:",
         "tests/test_cli.py",
+    ),
+    # the per-curve bookkeeping as plain loops: the parity test of one
+    # pants, the successor slot whose dcc counts an end's arcs, the sum of
+    # same-boundary arcs, the parallel-copies pre-count, one subleading
+    # monomial, |K_0| in the L1 bound; and an off-by-one slice of the
+    # matching, which makes the walk from node 0 open and must fail fast
+    Mutant(
+        "plumbtrace.dtcoords",
+        "        if (x + y + z) % 2:",
+        "        if (x + y) % 2:",
+        "tests/test_dtcoords.py",
+    ),
+    Mutant(
+        "plumbtrace.dtcoords",
+        "    return pattern[pants_a].dcc[(slot_a + 1) % 3] + pattern[pants_b].dcc[(slot_b + 1) % 3]",
+        "    return pattern[pants_a].dcc[(slot_a + 1) % 3] + pattern[pants_b].dcc[(slot_b + 2) % 3]",
+        "tests/test_dtcoords.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "        h += a + b + c",
+        "        h += a + b",
+        "tests/test_standardpos.py",
+    ),
+    Mutant(
+        "plumbtrace.verifier",
+        "            parallel += pi",
+        "            parallel += 1",
+        "tests/test_verifier.py",
+    ),
+    Mutant(
+        "plumbtrace.verifier",
+        "        mono = lead_mono[:i] + (q[i] - 1,) + lead_mono[i + 1:]",
+        "        mono = lead_mono[:i] + (q[i],) + lead_mono[i + 1:]",
+        "tests/test_verifier.py",
+    ),
+    Mutant(
+        "plumbtrace.holonomy",
+        "    x0, y0, x1, y1 = abs(x0), abs(y0), abs(x1), abs(y1)",
+        "    x0, y0, x1, y1 = x0, y0, abs(x1), abs(y1)",
+        "tests/test_holonomy.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "        mate[b:b + r] = ids[b - r:b]",
+        "        mate[b:b + r] = ids[b - r + 1:b + 1]",
+        "tests/test_reference_layout.py",
     ),
 ]

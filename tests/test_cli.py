@@ -12,7 +12,7 @@ import pytest
 
 from plumbtrace import cli, gausspoly, holonomy, standardpos
 from plumbtrace.standardpos import SccLoop
-from tests_support import clear_shared_tables
+from tests_support import clear_shared_tables, stock_file
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 S04 = str(SURFACES / "four_holed_sphere.surf")
@@ -641,6 +641,54 @@ COORD_ERRORS = [
 def test_coordinate_error_precedence(capsys, command, q, p, message):
     code, out, err = run(capsys, command, "--surface", G2, f"--q={q}", f"--p={p}")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+NOT_REALIZABLE = "twist {} is not realizable with these intersection numbers (window twist would be {})"
+
+# the same three refusals on the stock surfaces with a free boundary, whose
+# slot_curves hold None there: an odd pants total, a negative twist where
+# q = 0, and a twist that cannot be realised.  The one-holed torus's pants
+# meets its one curve at two slots, so every pants total there is even and
+# only the last two can arise.
+FREE_SLOT_ERRORS = [
+    ("one_holed_torus", "0", "-1", "curve 0: q=0 needs twist >= 0"),
+    ("one_holed_torus", "1", "1", "curve 0: " + NOT_REALIZABLE.format(1, "1/2")),
+    ("four_holed_sphere", "1", "0", "pants 0: odd intersection total 1"),
+    ("four_holed_sphere", "0", "-1", "curve 0: q=0 needs twist >= 0"),
+    ("four_holed_sphere", "2", "1", "curve 0: " + NOT_REALIZABLE.format(1, "-1/2")),
+    ("twice_holed_torus", "1,0", "0,0", "pants 0: odd intersection total 1"),
+    ("twice_holed_torus", "0,2", "-1,0", "curve 0: q=0 needs twist >= 0"),
+    ("twice_holed_torus", "2,2", "0,1", "curve 1: " + NOT_REALIZABLE.format(1, "-1/2")),
+    ("genus_two_one_hole", "0,0,1,0", "0,0,0,0", "pants 1: odd intersection total 1"),
+    ("genus_two_one_hole", "0,2,2,0", "-1,0,0,0", "curve 0: q=0 needs twist >= 0"),
+    ("genus_two_one_hole", "0,2,2,0", "0,0,1,0", "curve 2: " + NOT_REALIZABLE.format(1, "1/2")),
+]
+
+
+@pytest.mark.parametrize("command", ["trace", "word", "verify", "convert-twist"])
+@pytest.mark.parametrize("surface,q,p,message", FREE_SLOT_ERRORS)
+def test_coordinate_errors_with_free_slots(capsys, command, surface, q, p, message):
+    code, out, err = run(capsys, command, "--surface", stock_file(surface), f"--q={q}", f"--p={p}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_open_walk_is_internal_error(capsys, monkeypatch):
+    # every node crosses to one node whose pants arc leads away from node 0:
+    # the walk from node 0 never closes, and stops after half the 8 nodes
+    real = standardpos.match_strands
+
+    def broken(layout, coords):
+        matching = real(layout, coords)
+        node = next(n for n, far in enumerate(layout.arc_mate) if far != 0)
+        return standardpos.Matching(matching.shifts, [node] * len(matching.mate), matching.crossing)
+
+    monkeypatch.setattr(standardpos, "match_strands", broken)
+    code, out, err = run(capsys, "trace", *G2_CURVE)
+    assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
+    assert err == (
+        "internal error: RuntimeError: the walk from node 0 does not close after 4"
+        " crossings: the strand matching is not a permutation\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -12,10 +12,14 @@ from plumbtrace.dtcoords import (
     NegativeTwistOnZeroLength,
     ParityViolation,
     arc_counts,
+    pattern_twists,
     window_twists,
     validate,
 )
+from plumbtrace.fuzz import random_coords
+from plumbtrace.surface import pred
 from tests_support import (
+    STOCK,
     coords_from_triple,
     n1_surface,
     n2_surface,
@@ -155,6 +159,67 @@ class TestWindowTwist:
                 base[j] + (coords.q[j] if j == i else 0) for j in range(3)
             )
             assert twisted == expected
+
+
+def generator_pattern_twists(surface, coords, pattern):
+    """``pattern_twists`` in its generator form: the correction is a sum
+    over both gluing ends of ``dcc_between(slot, pred(slot))``, and
+    curves are indexed by ``range(xi)``."""
+    phat = []
+    for i in range(surface.xi):
+        if coords.q[i] == 0:
+            phat.append(coords.p[i])
+            continue
+        g = surface.gluings[i]
+        correction = sum(
+            pattern[pants].dcc_between(slot, pred(slot)) for pants, slot in (g.end_a, g.end_b)
+        )
+        num = coords.p[i] - coords.q[i] + correction
+        if num % 2:
+            raise CoordError(
+                f"curve {i}: twist {coords.p[i]} is not realizable with these "
+                f"intersection numbers (window twist would be {num}/2)"
+            )
+        phat.append(num // 2)
+    return tuple(phat)
+
+
+def outcome(convert, surface, coords, pattern):
+    """The window twists, or the refusal's type and text."""
+    try:
+        return convert(surface, coords, pattern)
+    except CoordError as exc:
+        return type(exc), str(exc)
+
+
+class TestTwistCorrection:
+    @pytest.mark.parametrize("slot", (0, 1, 2))
+    def test_predecessor_arcs_are_the_successor_count(self, slot):
+        # the arcs between s and pred(s) are counted by the third slot, succ(s)
+        for v in product(range(9), repeat=3):
+            if sum(v) % 2 == 0:
+                c = arc_counts(*v)
+                assert c.dcc[(slot + 1) % 3] == c.dcc_between(slot, pred(slot))
+
+    @pytest.mark.parametrize("name", STOCK + ("genus_two_one_hole",))
+    def test_matches_the_generator_form(self, name):
+        # each sampled curve, and each curve one twist off it about one
+        # crossed curve (not realisable) or about an uncrossed one (passed
+        # through), converts, or is refused with the same text, both ways
+        surface = stock(name)
+        refused = 0
+        for coords in random_coords(surface, seed=33, max_q=6, count=40):
+            pattern = validate(surface, coords)
+            variants = [coords]
+            for i in range(surface.xi):
+                for d in (-1, 1):
+                    p = coords.p[:i] + (coords.p[i] + d,) + coords.p[i + 1:]
+                    variants.append(DTCoords(coords.q, p))
+            for v in variants:
+                got = outcome(pattern_twists, surface, v, pattern)
+                assert got == outcome(generator_pattern_twists, surface, v, pattern)
+                refused += got[0] is CoordError
+        assert refused > 0
 
 
 class TestTwistCurve:

@@ -196,6 +196,31 @@ class TestComponents:
         phat_total = tuple(sum(c.phat[i] for c in comps) for i in range(3))
         assert phat_total == window_twists(s, coords)
 
+    def test_walk_stops_when_the_matching_is_not_a_permutation(self, monkeypatch):
+        # the census's slice fault in match_strands: the B-ends of the r
+        # strands that wrap once more read the ids one place too high, so
+        # two nodes cross to one and the walk from node 0 enters a cycle
+        # without it; it must refuse after half the nodes, not loop
+        real = standardpos.match_strands
+
+        def broken(layout, coords):
+            matching = real(layout, coords)
+            mate, ids = list(matching.mate), layout.ids
+            b, r = coords.q[0], 1  # curve 0 alone, window twist -1 over 2 strands
+            mate[b:b + r] = ids[b - r + 1:b + 1]
+            assert len(set(mate)) < len(mate)
+            return standardpos.Matching(matching.shifts, mate, matching.crossing)
+
+        surface, coords = stock("four_holed_sphere"), DTCoords((2,), (0,))
+        assert window_twists(surface, coords) == (-1,)
+        monkeypatch.setattr(standardpos, "match_strands", broken)
+        with pytest.raises(RuntimeError) as exc:
+            extract_components(surface, coords)
+        assert str(exc.value) == (
+            "the walk from node 0 does not close after 2 crossings:"
+            " the strand matching is not a permutation"
+        )
+
     @pytest.mark.parametrize(
         "q,p,want",
         [
