@@ -110,12 +110,6 @@ class ArcCounts:
     dcc: tuple[int, int, int]
     scc: tuple[int, int, int]
 
-    def dcc_between(self, a: int, b: int) -> int:
-        return self.dcc[3 - a - b]
-
-    def total_scc(self) -> int:
-        return sum(self.scc)
-
 
 # slot-total triples whose arc pattern ``arc_counts`` keeps
 ARC_COUNTS_CACHE = 4096

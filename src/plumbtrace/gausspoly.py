@@ -92,6 +92,10 @@ def _box(counts: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(strides), size
 
 
+# per byte, the byte that sign-extends it: 0xff when its top bit is set
+_SIGN_FILL = bytes(0xFF if b >= 0x80 else 0 for b in range(256))
+
+
 def _slots(packed: int, size: int, width: int) -> tuple[int, ...]:
     """The signed slots of a packed int, in index order.
 
@@ -99,17 +103,32 @@ def _slots(packed: int, size: int, width: int) -> tuple[int, ...]:
     value below 2^width (|c| < 2^(width-1)), so no slot borrows from the
     next; xor-ing the same bias back leaves each slot's two's complement,
     side by side in the bytes of the int, which one cast reads as signed
-    words when the width is 32 or 64.
+    words when the width is 32 or 64.  A 40-, 48- or 56-bit slot is first
+    spread into an 8-byte field, its bytes copied and the rest filled from
+    its top byte through ``_SIGN_FILL``; a wider slot is read from its own
+    bytes.
     """
     nbytes = width // 8
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    raw = memoryview(((packed + bias) ^ bias).to_bytes(size * nbytes, sys.byteorder))
+    raw = ((packed + bias) ^ bias).to_bytes(size * nbytes, sys.byteorder)
     if width == 32:
-        return tuple(raw.cast("i").tolist())
-    if width == 64:
-        return tuple(raw.cast("q").tolist())
-    step = range(0, len(raw), nbytes)
-    return tuple(int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step)
+        return tuple(memoryview(raw).cast("i").tolist())
+    if width > 64:
+        step = range(0, len(raw), nbytes)
+        return tuple(int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step)
+    if width < 64:
+        wide = bytearray(8 * size)
+        if sys.byteorder == "little":
+            low, top, fill = 0, nbytes - 1, range(nbytes, 8)
+        else:
+            low, top, fill = 8 - nbytes, 0, range(8 - nbytes)
+        for j in range(nbytes):
+            wide[low + j :: 8] = raw[j::nbytes]
+        sign = raw[top::nbytes].translate(_SIGN_FILL)
+        for j in fill:
+            wide[j::8] = sign
+        raw = wide
+    return tuple(memoryview(raw).cast("q").tolist())
 
 
 def _box_table(levels, start):
@@ -258,12 +277,12 @@ class Mat2:
     ``holonomy.evaluate_word`` builds it from the two packed rows
     ((a, b), (c, d)) of its one evaluation, each entry the one int
     sum_e c_e 2^(width*idx(e)) over the box prod_k [0, counts[k]], with
-    every |c_e| below 2^(width - 1) and width 32, 64 or a multiple of 8;
-    the four entries share the box, the slot ``width`` and the ``imag``
-    flag.  ``trace`` adds and signs the
-    packed diagonal and reads its slots once; ``entries`` and ``str`` read
-    the four entries' slots on each call, so a trace alone reads none of
-    them.  It has no arithmetic.
+    every |c_e| below 2^(width - 1) and width 32, or a whole number of
+    bytes above it; the four entries share the box, the slot ``width`` and
+    the ``imag`` flag.  ``trace`` adds and signs the packed diagonal and
+    reads its slots once; ``entries`` and ``str`` read the four entries'
+    slots on each call, so a trace alone reads none of them.  It has no
+    arithmetic.
     """
 
     rows: tuple[tuple[int, int], tuple[int, int]]

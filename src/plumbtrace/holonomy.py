@@ -59,8 +59,12 @@ both results: B holds max(b00 + b11, b01, b10), which covers every entry
 (b00 and b11 are each at most their sum) and the trace, whose norm is at
 most the *sum* of the two diagonal bounds (not their max: the diagonal
 terms can add up).  Every coefficient satisfies |c| <= ||.||_1 <= bound <
-2^(B - 1).  B is rounded up to 32 or 64, or to whole bytes beyond that
-(``_slot_width``).
+2^(B - 1).  B is 32 when the bound fits, and otherwise the fewest whole
+bytes that hold it (``_slot_width``): a bound of 36 bits takes 40-bit
+slots, so every int of the product is five eighths as long as in 64-bit
+slots, and so is every pass over it.  ``gausspoly._slots`` reads 32- and
+64-bit slots with one cast, spreads 40-, 48- and 56-bit slots into 64-bit
+words first, and reads wider ones slot by slot.
 
 Phase.  The q units i multiply out to i^q, one of +-1 and +-i.  Its real
 unit is folded into K_0: when it is -1 (q = 2, 3 mod 4), the integer rows
@@ -203,12 +207,11 @@ def _l1_bounds(k0, steps):
 
 
 def _slot_width(bound: int) -> int:
-    """Bits per slot for coefficients |c| <= bound: 32, 64 or whole bytes."""
+    """Bits per slot for coefficients |c| <= bound: 32 if they fit, and
+    otherwise the fewest whole bytes that hold them."""
     bits = bound.bit_length() + 1  # bound < 2^(bits - 1)
     if bits <= 32:
         return 32
-    if bits <= 64:
-        return 64
     return -(-bits // 8) * 8
 
 

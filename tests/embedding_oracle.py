@@ -117,10 +117,10 @@ def _pants_disks(counts: ArcCounts, layout: Layout, where: dict, pants: int):
             white_chords.append((("w",) + out, first))
             white_chords.append((second, ("w",) + back))
             black_chords.append((first, second))
-    if scc_seen != counts.total_scc():
+    if scc_seen != sum(counts.scc):
         raise RuntimeError(
             f"pants {pants}: layout has {scc_seen} same-boundary arcs, "
-            f"arc counts give {counts.total_scc()}"
+            f"arc counts give {sum(counts.scc)}"
         )
 
     return (white_circuit, white_chords), (black_circuit, black_chords)

@@ -154,18 +154,11 @@ MUTANTS = [
         "        ok = lead == 2 and not trace.imag",
         "tests/test_verifier.py",
     ),
-    # sampler and arc pattern; scc_count sums the scc triples itself, so
-    # total_scc is checked where the embedding oracle counts the same arcs
+    # sampler (the same-boundary arc sum lives in scc_count, below)
     Mutant(
         "plumbtrace.fuzz",
         "                out[i] += 1",
         "                out[i] += 0",
-        "tests/test_fuzz_oracle.py",
-    ),
-    Mutant(
-        "plumbtrace.dtcoords",
-        "        return sum(self.scc)",
-        "        return sum(self.scc[1:])",
         "tests/test_fuzz_oracle.py",
     ),
     # the one-pass _factor: in-slot of the current crossing, run not
@@ -266,5 +259,33 @@ MUTANTS = [
         "        mate[b:b + r] = ids[b - r:b]",
         "        mate[b:b + r] = ids[b - r + 1:b + 1]",
         "tests/test_reference_layout.py",
+    ),
+    # byte-granular slots: the sign threshold of the fill table, the byte
+    # a spread slot is sign-extended from, the 32-bit floor (bits < 32
+    # would be equivalent: 32 bits round to 32) and the rounding to whole
+    # bytes
+    Mutant(
+        "plumbtrace.gausspoly",
+        "_SIGN_FILL = bytes(0xFF if b >= 0x80 else 0 for b in range(256))",
+        "_SIGN_FILL = bytes(0xFF if b >= 0x40 else 0 for b in range(256))",
+        "tests/test_gausspoly.py",
+    ),
+    Mutant(
+        "plumbtrace.gausspoly",
+        "            low, top, fill = 0, nbytes - 1, range(nbytes, 8)",
+        "            low, top, fill = 0, nbytes - 2, range(nbytes, 8)",
+        "tests/test_gausspoly.py",
+    ),
+    Mutant(
+        "plumbtrace.holonomy",
+        "    if bits <= 32:",
+        "    if bits <= 16:",
+        "tests/test_holonomy.py",
+    ),
+    Mutant(
+        "plumbtrace.holonomy",
+        "    return -(-bits // 8) * 8",
+        "    return bits // 8 * 8",
+        "tests/test_holonomy.py",
     ),
 ]

@@ -56,7 +56,7 @@ def _pants_arcs(pants: int, counts: ArcCounts) -> tuple[list[PantsArc], dict[int
 
     def blocks(slot: int) -> tuple[int, int, int]:
         s = counts.scc[slot]
-        return s, counts.dcc_between(slot, succ(slot)), counts.dcc_between(slot, pred(slot))
+        return s, counts.dcc[3 - slot - succ(slot)], counts.dcc[3 - slot - pred(slot)]
 
     for slot in (0, 1, 2):
         s, nsucc, npred = blocks(slot)

@@ -66,9 +66,10 @@ class TestArcCounts:
 
     def test_four_two_two(self):
         c = arc_counts(4, 2, 2)
-        assert c.dcc_between(0, 1) == 2
-        assert c.dcc_between(0, 2) == 2
-        assert c.dcc_between(1, 2) == 0
+        # the arcs between slots a and b are dcc[3 - a - b]
+        assert c.dcc[3 - 0 - 1] == 2
+        assert c.dcc[3 - 0 - 2] == 2
+        assert c.dcc[3 - 1 - 2] == 0
         assert c.scc == (0, 0, 0)
 
     def test_parity_rejected(self):
@@ -84,7 +85,7 @@ class TestArcCounts:
     def slot_budgets(c):
         """Per slot a: 2*scc[a] plus the arcs from a to the other two slots."""
         return tuple(
-            2 * c.scc[a] + sum(c.dcc_between(a, b) for b in (0, 1, 2) if b != a)
+            2 * c.scc[a] + sum(c.dcc[3 - a - b] for b in (0, 1, 2) if b != a)
             for a in (0, 1, 2)
         )
 
@@ -163,8 +164,9 @@ class TestWindowTwist:
 
 def generator_pattern_twists(surface, coords, pattern):
     """``pattern_twists`` in its generator form: the correction is a sum
-    over both gluing ends of ``dcc_between(slot, pred(slot))``, and
-    curves are indexed by ``range(xi)``."""
+    over both gluing ends of ``dcc[3 - slot - pred(slot)]``, the arcs
+    between the end's slot and its predecessor, and curves are indexed by
+    ``range(xi)``."""
     phat = []
     for i in range(surface.xi):
         if coords.q[i] == 0:
@@ -172,7 +174,7 @@ def generator_pattern_twists(surface, coords, pattern):
             continue
         g = surface.gluings[i]
         correction = sum(
-            pattern[pants].dcc_between(slot, pred(slot)) for pants, slot in (g.end_a, g.end_b)
+            pattern[pants].dcc[3 - slot - pred(slot)] for pants, slot in (g.end_a, g.end_b)
         )
         num = coords.p[i] - coords.q[i] + correction
         if num % 2:
@@ -199,7 +201,7 @@ class TestTwistCorrection:
         for v in product(range(9), repeat=3):
             if sum(v) % 2 == 0:
                 c = arc_counts(*v)
-                assert c.dcc[(slot + 1) % 3] == c.dcc_between(slot, pred(slot))
+                assert c.dcc[(slot + 1) % 3] == c.dcc[3 - slot - pred(slot)]
 
     @pytest.mark.parametrize("name", STOCK + ("genus_two_one_hole",))
     def test_matches_the_generator_form(self, name):

@@ -143,7 +143,8 @@ def test_kernel_exact_at_big_coefficients():
     assert pmul(p, q) == {(1, 1, 0): (2 * big * big, 0)}
 
 
-SLOT_WIDTHS = [32, 64, 72]  # read as 32- or 64-bit words, or slot by slot
+# read as 32- or 64-bit words, spread into 64-bit words, or slot by slot
+SLOT_WIDTHS = [32, 40, 48, 56, 64, 72]
 
 
 def assert_packed_renders_alike(poly):

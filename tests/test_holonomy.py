@@ -41,6 +41,7 @@ from plumbtrace.holonomy import (
     WordError,
     _column,
     _multiply,
+    _slot_width,
     annulus_from_gluing_parameter,
     evaluate_word,
     gluing_parameter_from_annulus,
@@ -470,17 +471,25 @@ def deep_words():
     return tuple(extract_components(surface, c)[0].word for c in sample)
 
 
+# curves of the four-holed sphere whose words take 40- and 48-bit slots
+BYTE_SLOT_CURVES = (((12,), (-10,)), ((16,), (-10,)))
+
+
 def render_sample_words():
     """Words of seeded connected curves on the stock surfaces and on genus
-    two with one hole."""
-    return tuple(sample_words()) + deep_words()
+    two with one hole, and the words of ``BYTE_SLOT_CURVES``."""
+    surface = stock("four_holed_sphere")
+    byte_slots = tuple(
+        extract_components(surface, DTCoords(q, p))[0].word for q, p in BYTE_SLOT_CURVES
+    )
+    return tuple(sample_words()) + deep_words() + byte_slots
 
 
 class TestSlotRenderer:
     def test_sample_covers_every_residue_and_slot_kind(self):
         words = render_sample_words()
         assert {len(crossings(w)) % 4 for w in words} == {0, 1, 2, 3}
-        assert {evaluate_word(w).width for w in words} >= {32, 64}
+        assert {evaluate_word(w).width for w in words} >= {32, 40, 48}
 
     def test_trace_matches_dict_renderer(self):
         for word in render_sample_words():
@@ -701,7 +710,27 @@ EDGE_WORDS = [(SUM_OF_DIAGONALS, 2, Mat.trace), (OFF_DIAGONAL, 1, lambda m: m.b)
 
 
 class TestKernelEdges:
-    @pytest.mark.parametrize("bits", [31, 63])
+    @pytest.mark.parametrize(
+        "bound,width",
+        [
+            ((1 << 22) - 1, 32),
+            ((1 << 31) - 1, 32),
+            (1 << 31, 40),
+            ((1 << 39) - 1, 40),
+            (1 << 39, 48),
+            (1 << 55, 64),
+            ((1 << 63) - 1, 64),
+            (1 << 63, 72),
+        ],
+    )
+    def test_slot_width_is_32_or_whole_bytes(self, bound, width):
+        # the narrowest width with |c| <= bound < 2^(width - 1): 32 bits at
+        # least, and whole bytes beyond
+        assert _slot_width(bound) == width
+
+    # either side of a 32- or 64-bit word, and of the 40-, 48- and 56-bit
+    # slots between them
+    @pytest.mark.parametrize("bits", [31, 39, 47, 55, 63])
     @pytest.mark.parametrize("twist_sign", [1, -1])
     @pytest.mark.parametrize("above", [False, True])
     def test_coefficients_either_side_of_a_machine_word(self, bits, twist_sign, above):
