@@ -34,6 +34,7 @@ from .standardpos import (
 )
 from .surface import (
     Gluing,
+    InputError,
     PantsDecomposition,
     SurfaceError,
     build_surface,
@@ -51,6 +52,7 @@ __all__ = [
     "DTCoords",
     "GaussPoly",
     "Gluing",
+    "InputError",
     "Mat2",
     "NegativeTwistOnZeroLength",
     "PantsDecomposition",

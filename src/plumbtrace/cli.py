@@ -4,11 +4,13 @@ Subcommands: trace, verify, word, convert-twist, random, kra.  Every
 subcommand that reads a surface validates it before touching coordinates.
 Output is plain text or, for every subcommand but word, JSON lines
 (--format jsonl); JSON field names are part of the stable interface.
-Exit codes: 0 success, 1 verification failure, 2 input error (a curve too
-large for memory included, reported as ``error: out of memory``), 3
-internal error (a fault in plumbtrace itself, reported as one ``internal
-error:`` line, never as a traceback), 141 standard output closed by its
-reader before the run ended (nothing on stderr).
+Exit codes: 0 success, 1 verification failure, 2 input error (an
+``OSError`` or ``surface.InputError``, one ``error:`` line; a curve too
+large for memory, ``error: out of memory``), 3 internal error (any other
+exception, a plain ``ValueError`` too: a fault in plumbtrace itself,
+reported as one ``internal error:`` line, never as a traceback), 141
+standard output closed by its reader before the run ended (nothing on
+stderr).
 ``--seed`` defaults to the PLUMBTRACE_SEED environment variable, read only
 by the subcommands that draw curves.
 """
@@ -28,7 +30,7 @@ from .holonomy import (
     gluing_parameter_from_annulus,
 )
 from .standardpos import extract_components, word_to_text
-from .surface import integer, load_surface
+from .surface import InputError, integer, load_surface
 from .verifier import verify
 from .fuzz import random_coords
 
@@ -54,7 +56,7 @@ def _parse_vector(flag: str, text: str) -> tuple[int, ...]:
         return ()
     try:
         return tuple(map(integer, entries))
-    except ValueError:
+    except InputError:
         raise CoordError(f"{flag} must be integers separated by commas, got {text!r}") from None
 
 
@@ -201,7 +203,10 @@ def _complex(flag: str, text: str) -> complex:
     '_': complex() alone reads '1_0' as 10, and a fullwidth '\uff11' as 1."""
     if not text.isascii() or "_" in text:
         raise CoordError(f"{flag} must be ASCII with no '_', got {text!r}")
-    return complex(text)
+    try:
+        return complex(text)
+    except ValueError as exc:  # complex() arg is a malformed string
+        raise InputError(str(exc)) from None
 
 
 def cmd_kra(args) -> int:
@@ -280,7 +285,7 @@ def run(argv: list[str] | None = None) -> int:
         # error, but no success either, since the curves not yet printed
         # were not checked
         return EXIT_BROKEN_PIPE
-    except (OSError, ValueError) as exc:  # SurfaceError and CoordError included
+    except (OSError, InputError) as exc:  # SurfaceError and CoordError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except MemoryError:  # an input too large to hold, such as 10^12 copies

@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .surface import PantsDecomposition
+from .surface import InputError, PantsDecomposition
 
 
-class CoordError(ValueError):
+class CoordError(InputError):
     """Invalid or unrealizable Dehn-Thurston coordinates."""
 
 

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -102,33 +103,33 @@ def _slots(packed: int, size: int, width: int) -> tuple[int, ...]:
     Adding half = 2^(width-1) to every slot makes each one a non-negative
     value below 2^width (|c| < 2^(width-1)), so no slot borrows from the
     next; xor-ing the same bias back leaves each slot's two's complement,
-    side by side in the bytes of the int, which one cast reads as signed
-    words when the width is 32 or 64.  A 40-, 48- or 56-bit slot is first
-    spread into an 8-byte field, its bytes copied and the rest filled from
-    its top byte through ``_SIGN_FILL``; a wider slot is read from its own
-    bytes.
+    side by side in the little-endian bytes of the int, which one cast
+    reads as signed words when the width is 32 or 64.  A 40-, 48- or
+    56-bit slot is first spread into an 8-byte field, its bytes copied and
+    the rest filled from its top byte through ``_SIGN_FILL``; a wider slot
+    is read from its own bytes.  A big-endian machine reads the words
+    through an ``array`` and swaps their bytes.
     """
     nbytes = width // 8
     bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * size, "little")
-    raw = ((packed + bias) ^ bias).to_bytes(size * nbytes, sys.byteorder)
-    if width == 32:
-        return tuple(memoryview(raw).cast("i").tolist())
+    raw = ((packed + bias) ^ bias).to_bytes(size * nbytes, "little")
     if width > 64:
         step = range(0, len(raw), nbytes)
-        return tuple(int.from_bytes(raw[i : i + nbytes], sys.byteorder, signed=True) for i in step)
-    if width < 64:
+        return tuple(int.from_bytes(raw[i : i + nbytes], "little", signed=True) for i in step)
+    if 32 < width < 64:
         wide = bytearray(8 * size)
-        if sys.byteorder == "little":
-            low, top, fill = 0, nbytes - 1, range(nbytes, 8)
-        else:
-            low, top, fill = 8 - nbytes, 0, range(8 - nbytes)
         for j in range(nbytes):
-            wide[low + j :: 8] = raw[j::nbytes]
-        sign = raw[top::nbytes].translate(_SIGN_FILL)
-        for j in fill:
+            wide[j::8] = raw[j::nbytes]
+        sign = raw[nbytes - 1 :: nbytes].translate(_SIGN_FILL)
+        for j in range(nbytes, 8):
             wide[j::8] = sign
         raw = wide
-    return tuple(memoryview(raw).cast("q").tolist())
+    code = "i" if width == 32 else "q"
+    if sys.byteorder == "little":
+        return tuple(memoryview(raw).cast(code).tolist())
+    words = array(code, raw)
+    words.byteswap()
+    return tuple(words.tolist())
 
 
 def _box_table(levels, start):

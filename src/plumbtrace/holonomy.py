@@ -110,7 +110,7 @@ from .standardpos import (
     Word,
     extract_components,
 )
-from .surface import SLOT_INF, PantsDecomposition
+from .surface import SLOT_INF, InputError, PantsDecomposition
 
 
 class WordError(ValueError):
@@ -291,9 +291,9 @@ def trace_of_curve(
 def gluing_parameter_from_annulus(t_k: complex) -> complex:
     """Principal-branch conversion t_K -> tau = -(i/pi) * log t_K."""
     if not cmath.isfinite(t_k):
-        raise ValueError(f"annulus parameter must be finite, got {t_k}")
+        raise InputError(f"annulus parameter must be finite, got {t_k}")
     if t_k == 0:
-        raise ValueError("annulus parameter must be nonzero")
+        raise InputError("annulus parameter must be nonzero")
     return -1j / cmath.pi * cmath.log(t_k)
 
 
@@ -304,11 +304,11 @@ def annulus_from_gluing_parameter(tau: complex) -> complex:
     forward conversion.
     """
     if not cmath.isfinite(tau):
-        raise ValueError(f"gluing parameter must be finite, got {tau}")
+        raise InputError(f"gluing parameter must be finite, got {tau}")
     try:
         t_k = cmath.exp(1j * cmath.pi * tau)
     except (OverflowError, ValueError):  # |t_K| or its phase out of float range
         t_k = complex("inf")
     if t_k == 0 or not cmath.isfinite(t_k):
-        raise ValueError(f"gluing parameter {tau} puts the annulus parameter out of range")
+        raise InputError(f"gluing parameter {tau} puts the annulus parameter out of range")
     return t_k

@@ -104,6 +104,7 @@ the negative direction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
@@ -229,9 +230,13 @@ class Layout:
 
 def layout_endpoints(surface: PantsDecomposition, coords: DTCoords) -> Layout:
     """Validate `coords`; arrange all arc endpoints of their q along the
-    windows and pair them through the pants, on the flat strand index."""
+    windows and pair them through the pants, on the flat strand index.
+    More nodes than a list can index raise ``MemoryError``."""
     pattern = validate(surface, coords)
-    if 2 * sum(coords.q) > LAYOUT_NODES:
+    nodes = 2 * sum(coords.q)
+    if nodes > LAYOUT_NODES:
+        if nodes > sys.maxsize:  # more ids than a list can index
+            raise MemoryError
         return _build_layout(surface, coords.q, pattern, shared=False)
     return _shared_layout(surface, coords.q, pattern)
 
@@ -461,6 +466,8 @@ def extract_components(
     # components parallel to a pants curve: q = 0 there, p copies
     for i in range(xi):
         if coords.q[i] == 0 and coords.p[i] > 0:
+            if coords.p[i] > sys.maxsize:  # more copies than a list can index
+                raise MemoryError
             unit_q = (0,) * xi
             unit_p = tuple(1 if j == i else 0 for j in range(xi))
             parallel = Component(q=unit_q, phat=unit_p, word=None, parallel_to=i)

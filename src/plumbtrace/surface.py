@@ -22,6 +22,10 @@ Slot tokens are exactly ``0``, ``1`` and ``inf``.  Curve indices are
 assigned in file order, so the k-th ``glue`` line owns variable t<k+1>.
 Genus and boundary are declared, not inferred, and validated against the
 pants/gluing counts so a misconfigured file fails loudly.
+
+Every refusal of input is an ``InputError`` (a ``ValueError``), which
+``SurfaceError`` and ``dtcoords.CoordError`` derive from; the command line
+reports it, and no other ``ValueError``, as bad input (exit 2).
 """
 
 from __future__ import annotations
@@ -34,7 +38,11 @@ SLOT_NAMES = {SLOT_0: "0", SLOT_1: "1", SLOT_INF: "inf"}
 _SLOT_VALUES = {name: slot for slot, name in SLOT_NAMES.items()}
 
 
-class SurfaceError(ValueError):
+class InputError(ValueError):
+    """Input that plumbtrace refuses, as opposed to a fault in plumbtrace."""
+
+
+class SurfaceError(InputError):
     """Invalid pants decomposition or unparseable surface description."""
 
 
@@ -46,8 +54,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def integer(text: str, name: str = "value") -> int:
     """`text` as an integer: ASCII digits with an optional sign, nothing else."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"{name} must be an integer, got {text!r}")
-    return int(text)
+        raise InputError(f"{name} must be an integer, got {text!r}")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int() converts
+        raise InputError(str(exc)) from None
 
 
 def slot_name(slot: int) -> str:
@@ -211,7 +222,7 @@ def parse_surface(text: str) -> PantsDecomposition:
                 gluings.append((name, end_a, end_b))
             else:
                 raise SurfaceError(f"unknown directive {directive!r}")
-        except ValueError as exc:  # SurfaceError included
+        except InputError as exc:  # SurfaceError included
             raise SurfaceError(f"line {lineno}: {exc}") from None
     if genus is None or boundary is None:
         raise SurfaceError("missing 'surface g=.. b=..' declaration")
@@ -222,4 +233,8 @@ def parse_surface(text: str) -> PantsDecomposition:
 
 def load_surface(path: str) -> PantsDecomposition:
     with open(path, encoding="utf-8") as fh:
-        return parse_surface(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # not a text file
+            raise SurfaceError(str(exc)) from None
+    return parse_surface(text)

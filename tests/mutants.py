@@ -272,8 +272,8 @@ MUTANTS = [
     ),
     Mutant(
         "plumbtrace.gausspoly",
-        "            low, top, fill = 0, nbytes - 1, range(nbytes, 8)",
-        "            low, top, fill = 0, nbytes - 2, range(nbytes, 8)",
+        "        sign = raw[nbytes - 1 :: nbytes].translate(_SIGN_FILL)",
+        "        sign = raw[nbytes - 2 :: nbytes].translate(_SIGN_FILL)",
         "tests/test_gausspoly.py",
     ),
     Mutant(
@@ -286,6 +286,60 @@ MUTANTS = [
         "plumbtrace.holonomy",
         "    return -(-bits // 8) * 8",
         "    return bits // 8 * 8",
+        "tests/test_holonomy.py",
+    ),
+    # exit 2 is bad input alone: the catch widened back to every
+    # ValueError, the complex() refusal left unwrapped, and both refusals
+    # of a count no list can index dropped
+    Mutant(
+        "plumbtrace.cli",
+        "    except (OSError, InputError) as exc:  # SurfaceError and CoordError included",
+        "    except (OSError, ValueError) as exc:  # SurfaceError and CoordError included",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "plumbtrace.cli",
+        "        raise InputError(str(exc)) from None",
+        "        raise",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "        if nodes > sys.maxsize:  # more ids than a list can index",
+        "        if False:",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "            if coords.p[i] > sys.maxsize:  # more copies than a list can index",
+        "            if False:",
+        "tests/test_cli.py",
+    ),
+    # the sampler's twist where q = 0, the per-slot read above 64 bits,
+    # the wraps and remainder of a window twist, and a same-slot return's
+    # loop in the joint matrix
+    Mutant(
+        "plumbtrace.fuzz",
+        "            out[i] = abs(out[i])",
+        "            out[i] = out[i]",
+        "tests/test_fuzz_oracle.py",
+    ),
+    Mutant(
+        "plumbtrace.gausspoly",
+        '        return tuple(int.from_bytes(raw[i : i + nbytes], "little", signed=True) for i in step)',
+        '        return tuple(int.from_bytes(raw[i : i + nbytes], "little", signed=False) for i in step)',
+        "tests/test_gausspoly.py",
+    ),
+    Mutant(
+        "plumbtrace.standardpos",
+        "        w, r = divmod(phat[i], q)",
+        "        w, r = divmod(abs(phat[i]), q)",
+        "tests/test_standardpos.py",
+    ),
+    Mutant(
+        "plumbtrace.holonomy",
+        "        loop = _int_matmul(((1, 0), (2 * sign, 1)), _SLOT_TO_TOP[slot])",
+        "        loop = _int_matmul(((1, 0), (2, 1)), _SLOT_TO_TOP[slot])",
         "tests/test_holonomy.py",
     ),
 ]

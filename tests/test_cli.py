@@ -1,17 +1,23 @@
 """Command-line interface: output formats, exit codes, round trips."""
 
+import argparse
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbtrace import cli, gausspoly, holonomy, standardpos
+from plumbtrace.fuzz import random_coords
 from plumbtrace.standardpos import SccLoop
+from plumbtrace.surface import load_surface
 from tests_support import clear_shared_tables, stock_file
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
@@ -551,9 +557,6 @@ def test_env_seed_refuses_other_grammars(capsys, monkeypatch, text):
 def test_integer_forms_read(capsys, monkeypatch, text, value):
     # a sign and leading zeros read as before, in an option and in
     # PLUMBTRACE_SEED alike
-    from plumbtrace.fuzz import random_coords
-    from plumbtrace.surface import load_surface
-
     coords = random_coords(load_surface(S12), seed=value, count=abs(value))
     want = "".join(f"q={list(c.q)} p={list(c.p)}\n" for c in coords)
     args = ("random", "--surface", S12, f"--count={abs(value)}")
@@ -691,6 +694,88 @@ def test_open_walk_is_internal_error(capsys, monkeypatch):
     )
 
 
+# faults that only plumbtrace can raise from the command line, though
+# each is a ValueError to a library caller, and a curve that meets each:
+# exit 3, not an input error
+FACTOR = (holonomy, "_factor", holonomy.WordError, "word contains no crossing")
+ZERO_TRACE = (gausspoly.Mat2, "trace", ValueError, "the trace polynomial is zero")
+ARITY = (gausspoly.GaussPoly, "coefficient", ValueError, "monomial length does not match arity")
+G2_SPLIT = ("trace", "--surface", G2, "--q=2,1,1", "--p=2,1,3")
+G2_FUZZ = ("verify", "--surface", G2, "--fuzz", "3")
+
+
+@pytest.mark.parametrize(
+    "fault,argv",
+    [
+        (FACTOR, G2_SPLIT),
+        (FACTOR, G2_FUZZ),
+        (ZERO_TRACE, G2_SPLIT),
+        (ZERO_TRACE, G2_FUZZ),
+        (ARITY, ("verify", *G2_CURVE)),
+        (ARITY, G2_FUZZ),
+    ],
+)
+def test_injected_value_error_is_internal_error(capsys, monkeypatch, fault, argv):
+    owner, name, kind, message = fault
+
+    def broken(*args):
+        raise kind(message)
+
+    monkeypatch.setattr(owner, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INTERNAL_ERROR, "")
+    assert err == f"internal error: {kind.__name__}: {message}\n"
+
+
+def test_non_utf8_surface_is_input_error(capsys, tmp_path):
+    text = Path(S04).read_bytes()
+    surface = tmp_path / "latin1.surf"
+    surface.write_bytes(text + b"# caf\xe9\n")
+    code, out, err = run(capsys, "word", "--surface", str(surface), "--q", "2", "--p", "0")
+    assert (code, out) == (2, "")
+    position = len(text) + len(b"# caf")
+    assert err == (
+        f"error: 'utf-8' codec can't decode byte 0xe9 in position {position}:"
+        " invalid continuation byte\n"
+    )
+
+
+@pytest.mark.parametrize("flag", ["--from-tau", "--to-tau"])
+def test_kra_refuses_a_malformed_value(capsys, flag):
+    # complex()'s own refusal, word for word, as an input error
+    assert run(capsys, "kra", flag, "abc") == (2, "", "error: complex() arg is a malformed string\n")
+
+
+BEYOND_INDEX = str(10**19)  # above sys.maxsize on every supported platform
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("word", "--q", BEYOND_INDEX, "--p", "0"),
+        ("trace", "--q", BEYOND_INDEX, "--p", "0"),
+        ("verify", "--q", BEYOND_INDEX, "--p", "0"),
+        ("word", "--q", "0", "--p", BEYOND_INDEX),
+        ("trace", "--q", "0", "--p", BEYOND_INDEX),
+    ],
+)
+def test_too_many_ids_or_copies_to_index_is_out_of_memory(capsys, argv):
+    # a list cannot hold 10^19 node ids or copies: refused as too large for
+    # memory, before anything is allocated, not as an OverflowError
+    command, *curve = argv
+    assert run(capsys, command, "--surface", S11, *curve) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits"
+)
+def test_env_seed_past_the_digit_limit_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("PLUMBTRACE_SEED", "1" * (sys.get_int_max_str_digits() + 1))
+    code, out, err = run(capsys, "random", "--surface", S12, "--count", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "text, vector",
     [
@@ -757,3 +842,128 @@ def test_ci_golden(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- argv drawn from the real options: every run ends in 0, 1 or 2 -----------
+
+STOCK = sorted(map(str, SURFACES.glob("*.surf"))) + [G21]
+
+
+def _subcommand_options() -> dict:
+    """Per subcommand, the option actions its parser holds, --help aside."""
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        name: [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        for name, sub in subparsers.choices.items()
+    }
+
+
+SUBCOMMANDS = _subcommand_options()
+STOCK_SURFACES = {path: load_surface(path) for path in STOCK}
+# process argv cannot carry NUL, so no drawn text holds one
+junk = st.text(st.characters(exclude_characters="\x00"), max_size=6)
+malformed = st.sampled_from(["1_0", "\uff17", "\u0663", "+", "-", "1.5", " 7", "0x1", "1e3", ""])
+small = st.integers(-2, 5).map(str)
+# options of which a run takes one set: drawn so most often
+EXCLUSIVE = {"kra": [{"to_tau"}, {"from_tau"}], "verify": [{"q", "p"}, {"fuzz"}]}
+complexes = st.one_of(
+    st.sampled_from(["1+4j", "0.5+0.1j", "abc", "0", "nan", "inf", "0-1000j", "1e400", "j"]),
+    st.text("0123456789+-.ejn", max_size=6),  # malformed, most of them
+)
+
+
+@st.composite
+def surface_paths(draw, directory: Path) -> str:
+    """A shipped surface, most often, a copy with a few bytes replaced, or
+    no file."""
+    kind = draw(st.sampled_from(["stock", "stock", "stock", "corrupt", "missing"]))
+    if kind == "missing":
+        return str(directory / "missing.surf")
+    path = draw(st.sampled_from(STOCK))
+    if kind == "stock":
+        return path
+    data = bytearray(Path(path).read_bytes())
+    byte = st.one_of(st.integers(0x20, 0x7E), st.integers(0, 255))
+    for at, value in draw(st.lists(st.tuples(st.integers(0, 10**4), byte), min_size=1, max_size=3)):
+        data[at % len(data)] = value
+    corrupt = directory / "corrupt.surf"
+    corrupt.write_bytes(data)
+    return str(corrupt)
+
+
+@st.composite
+def vectors(draw, xi: int, low: int) -> str:
+    """Entries low .. 6, most often 0 .. 6 and as many as the surface has
+    curves."""
+    size = xi if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(0, 6), st.integers(low, 6))
+    entries = draw(st.lists(entry, min_size=size, max_size=size))
+    form = draw(st.sampled_from(["{}", "{}", "{}", "[{}]", "{},"]))
+    return form.format(",".join(map(str, entries)))
+
+
+@st.composite
+def argvs(draw, directory: Path) -> list[str]:
+    """A subcommand and some of its options, each value of the kind the
+    option reads, most often well formed, and half the time on a shipped
+    surface an admissible curve as the sampler draws it; --max-q always,
+    so that no default above 6 sets the size of a trace."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv, xi, curve = [command], draw(st.integers(1, 4)), None
+    sets = EXCLUSIVE.get(command, [])
+    chosen = draw(st.sampled_from(sets)) if sets and draw(st.integers(0, 3)) else None
+    for action in SUBCOMMANDS[command]:
+        if chosen is not None and any(action.dest in one for one in sets):
+            if action.dest not in chosen:
+                continue
+        elif not (action.required or action.dest == "max_q" or draw(st.booleans())):
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if not draw(st.integers(0, 7)):
+            value = draw(st.one_of(malformed, junk))
+        elif action.dest == "surface":
+            value = draw(surface_paths(directory))
+            surface = STOCK_SURFACES.get(value)
+            if surface is not None:
+                xi = surface.xi
+                if draw(st.booleans()):
+                    seed, max_q = draw(st.integers(0, 99)), draw(st.integers(0, 6))
+                    (curve,) = random_coords(surface, seed=seed, max_q=max_q, count=1)
+        elif action.dest in ("q", "p") and curve is not None:
+            value = ",".join(map(str, getattr(curve, action.dest)))
+        elif action.dest in ("q", "p"):
+            value = draw(vectors(xi, -1 if action.dest == "q" else -6))
+        elif action.choices:
+            value = draw(st.sampled_from(action.choices))
+        elif action.dest in ("to_tau", "from_tau"):
+            value = draw(complexes)
+        else:  # --fuzz, --count, --seed, --max-q, --max-abs-p
+            value = draw(small)
+        argv += [f"{flag}={value}"] if draw(st.integers(0, 3)) else [flag, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_drawn_argv_never_ends_in_an_internal_error(tmp_path_factory, data):
+    argv = data.draw(argvs(tmp_path_factory.getbasetemp()))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # argparse refused the argv
+            code = ("usage", exc.code)
+    out, err = out.getvalue(), err.getvalue()
+    assert "internal error" not in err and "Traceback" not in err
+    if code == ("usage", 2):
+        assert out == "" and err.startswith("usage: ") and "error:" in err
+    elif code == cli.EXIT_INPUT_ERROR:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+    else:
+        assert code in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED) and err == ""

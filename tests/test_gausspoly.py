@@ -1,8 +1,10 @@
 """The packed polynomial, and the oracle's term-dict polynomial and matrix
 arithmetic that the tests compare it against."""
 
+import array
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,6 +194,26 @@ def test_slot_reads_match_the_oracle(counts, width):
                 if terms:
                     sign = gausspoly._lead_sign(packed, counts, width)
                     assert canonical_sign(poly) == (poly if sign > 0 else -poly)
+
+
+@pytest.mark.parametrize("width", SLOT_WIDTHS)
+def test_slot_read_on_a_big_endian_machine(monkeypatch, width):
+    # the packed int's bytes are little-endian on every machine; a
+    # big-endian one reads the words through an array, emulated here by an
+    # array that reads each word with its bytes swapped, as that one does
+    def big_endian_array(code, raw):
+        words = array.array(code, raw)
+        words.byteswap()
+        return words
+
+    counts = (4, 3)
+    size = gausspoly._box(counts)[1]
+    rng = random.Random(f"big endian:{width}")
+    packed = pack(random_terms(rng, counts, width, True), counts, width)
+    little = gausspoly._slots(packed, size, width)
+    monkeypatch.setattr(gausspoly, "sys", types.SimpleNamespace(byteorder="big"))
+    monkeypatch.setattr(gausspoly, "array", big_endian_array)
+    assert gausspoly._slots(packed, size, width) == little
 
 
 def test_grlex_rendering_order():

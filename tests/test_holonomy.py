@@ -56,7 +56,7 @@ from plumbtrace.standardpos import (
     Word,
     extract_components,
 )
-from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF
+from plumbtrace.surface import SLOT_0, SLOT_1, SLOT_INF, InputError
 from tests_support import (
     BOXES,
     ROOT,
@@ -1035,5 +1035,5 @@ class TestAnnulusParameter:
         assert gluing_parameter_from_annulus(1) == 0
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             gluing_parameter_from_annulus(0)

@@ -2,12 +2,16 @@
 
 import pytest
 
+from plumbtrace.dtcoords import CoordError
 from plumbtrace.surface import (
     SLOT_0,
     SLOT_1,
     SLOT_INF,
+    InputError,
     SurfaceError,
     build_surface,
+    integer,
+    load_surface,
     parse_slot,
     parse_surface,
 )
@@ -216,3 +220,19 @@ def test_shipped_surface_files():
     assert [(s.genus, s.boundary) for s in map(stock, ALL)] == [
         (0, 4), (2, 0), (1, 1), (1, 2), (2, 1)
     ]
+
+
+def test_every_input_refusal_is_an_input_error(tmp_path):
+    # the one type the command line reads as bad input, and still a
+    # ValueError to a library caller
+    assert issubclass(SurfaceError, InputError) and issubclass(CoordError, InputError)
+    assert issubclass(InputError, ValueError)
+    with pytest.raises(InputError, match="^count must be an integer, got '1_0'$"):
+        integer("1_0", "count")
+    path = tmp_path / "latin1.surf"
+    path.write_bytes(b"surface g=1 b=1 # caf\xe9\n")
+    with pytest.raises(SurfaceError) as exc:
+        load_surface(str(path))
+    assert str(exc.value) == (
+        "'utf-8' codec can't decode byte 0xe9 in position 21: invalid continuation byte"
+    )
